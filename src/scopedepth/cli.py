@@ -295,6 +295,11 @@ def cmd_fuse(args) -> int:
         raise UsageError(f"no train manifest in {run_dir}")
     with open(manifest_path) as f:
         train_manifest = json.load(f)
+    command = train_manifest.get("command")
+    if command != "train":
+        raise UsageError(
+            f"{manifest_path} is a {command!r} manifest, not a train manifest"
+        )
     train_cfg = train_manifest["config"]
     w, h = train_manifest["resolution"]
     member_files = sorted(
@@ -410,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--step-mm", dest="step_mm", type=float)
     sp.add_argument("--texture-contrast", dest="texture_contrast", type=float)
     sp.add_argument("--light-intensity", dest="light_intensity", type=float)
-    sp.add_argument("--specular", action="store_const", const=True, default=None)
+    sp.add_argument("--specular", action=argparse.BooleanOptionalAction, default=None)
     sp.add_argument("--sway-mm", dest="sway_mm", type=float)
     sp.set_defaults(func=cmd_synth)
 

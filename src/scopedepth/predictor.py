@@ -4,7 +4,9 @@ The predictor is a pair of coarse grids holding log-depth and log-scale.
 A forward pass bilinearly upsamples each grid to the requested resolution
 (align-corners mapping: grid corners coincide with image corners) and
 exponentiates, so outputs are strictly positive for any finite parameters.
-The backward pass is the exact adjoint of that computation.
+The upsample is two matrix products with cached per-axis weight matrices,
+``Wy @ grid @ Wx.T``, so the backward pass ``Wy.T @ g @ Wx`` is its exact
+adjoint by construction.
 
 Field initialization uses the package xoshiro generator, so equal seeds
 give bitwise-equal fields on every platform.
@@ -12,6 +14,7 @@ give bitwise-equal fields on every platform.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -134,42 +137,32 @@ def _axis_weights(n_out: int, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     return i0, u - i0
 
 
+@functools.lru_cache(maxsize=64)
+def _axis_matrix(n_out: int, n_grid: int) -> np.ndarray:
+    """Read-only (n_out, n_grid) align-corners bilinear weights of one axis."""
+    i0, frac = _axis_weights(n_out, n_grid)
+    rows = np.arange(n_out)
+    m = np.zeros((n_out, n_grid))
+    m[rows, i0] = 1 - frac
+    m[rows, np.minimum(i0 + 1, n_grid - 1)] += frac
+    m.setflags(write=False)
+    return m
+
+
 def upsample_bilinear(grid: np.ndarray, w: int, h: int) -> np.ndarray:
-    """Bilinear upsample of a coarse grid to (h, w), align-corners."""
+    """Bilinear upsample of a coarse grid to (h, w), align-corners:
+    ``Wy @ grid @ Wx.T`` with the per-axis weight matrices."""
     gh, gw = grid.shape
     if w < gw or h < gh:
         raise ValueError("output resolution must be >= grid resolution")
-    jx, fx = _axis_weights(w, gw)
-    jy, fy = _axis_weights(h, gh)
-    fx = fx[None, :]
-    fy = fy[:, None]
     g = np.asarray(grid, dtype=np.float64)
-    c00 = g[np.ix_(jy, jx)]
-    c10 = g[np.ix_(jy, np.minimum(jx + 1, gw - 1))]
-    c01 = g[np.ix_(np.minimum(jy + 1, gh - 1), jx)]
-    c11 = g[np.ix_(np.minimum(jy + 1, gh - 1), np.minimum(jx + 1, gw - 1))]
-    return (c00 * (1 - fx) + c10 * fx) * (1 - fy) + (c01 * (1 - fx) + c11 * fx) * fy
+    return _axis_matrix(h, gh) @ g @ _axis_matrix(w, gw).T
 
 
 def upsample_bilinear_adjoint(grad: np.ndarray, gw: int, gh: int) -> np.ndarray:
-    """Adjoint of :func:`upsample_bilinear`: scatter pixel weights to cells."""
+    """Adjoint of :func:`upsample_bilinear`: ``Wy.T @ grad @ Wx``."""
     h, w = grad.shape
-    jx, fx = _axis_weights(w, gw)
-    jy, fy = _axis_weights(h, gh)
-    out = np.zeros((gh, gw))
-    jx1 = np.minimum(jx + 1, gw - 1)
-    jy1 = np.minimum(jy + 1, gh - 1)
-    fx = fx[None, :]
-    fy = fy[:, None]
-    yy0 = np.broadcast_to(jy[:, None], (h, w))
-    yy1 = np.broadcast_to(jy1[:, None], (h, w))
-    xx0 = np.broadcast_to(jx[None, :], (h, w))
-    xx1 = np.broadcast_to(jx1[None, :], (h, w))
-    np.add.at(out, (yy0, xx0), grad * (1 - fx) * (1 - fy))
-    np.add.at(out, (yy0, xx1), grad * fx * (1 - fy))
-    np.add.at(out, (yy1, xx0), grad * (1 - fx) * fy)
-    np.add.at(out, (yy1, xx1), grad * fx * fy)
-    return out
+    return _axis_matrix(h, gh).T @ grad @ _axis_matrix(w, gw)
 
 
 def forward_arrays(field: DepthField, w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,15 +182,15 @@ def backward(
     field: DepthField,
     grad_depth: np.ndarray,
     grad_sigma: np.ndarray,
-    w: int,
-    h: int,
+    d: np.ndarray,
+    s: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain incoming per-pixel gradients to the parameter grids.
 
-    Each output map is exp(upsample(grid)), so the cell gradient is the
+    ``d`` and ``s`` are the maps :func:`forward_arrays` returned for
+    ``field``.  Each is exp(upsample(grid)), so the cell gradient is the
     upsample adjoint of (map * incoming gradient).
     """
-    d, s = forward_arrays(field, w, h)
     g_ld = upsample_bilinear_adjoint(np.asarray(grad_depth) * d, field.grid_w, field.grid_h)
     g_ls = upsample_bilinear_adjoint(np.asarray(grad_sigma) * s, field.grid_w, field.grid_h)
     return g_ld, g_ls

@@ -16,7 +16,7 @@ high-gradient regions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,21 +44,6 @@ class SceneParams:
             raise ValueError("need radius > ridge amplitude >= 0")
         if self.far_cap_mm <= 0:
             raise ValueError("far cap must be positive")
-
-    def shifted_domain(
-        self,
-        texture_contrast_scale: float = 1.6,
-        light_scale: float = 0.7,
-        curvature_scale: float = 1.2,
-    ) -> "SceneParams":
-        """Altered-appearance variant used for domain-transfer experiments:
-        texture contrast, illumination (applied via the light model), and
-        curvature amplitude change while the tube topology stays put."""
-        return replace(
-            self,
-            texture_contrast=self.texture_contrast * texture_contrast_scale,
-            curve_amp_mm=self.curve_amp_mm * curvature_scale,
-        )
 
 
 @dataclass(frozen=True)

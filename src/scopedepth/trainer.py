@@ -47,10 +47,13 @@ class Regime(enum.Enum):
 
 
 class NumericFailure(RuntimeError):
-    """Loss or gradient became non-finite; carries the failing step."""
+    """Loss or gradient became non-finite; carries the failing step, and
+    the message also names the member's seed and learning rate."""
 
-    def __init__(self, step: int, message: str):
-        super().__init__(f"step {step}: {message}")
+    def __init__(self, step: int, message: str, seed: int, learning_rate: float):
+        super().__init__(
+            f"member seed {seed}, learning rate {learning_rate!r}, step {step}: {message}"
+        )
         self.step = step
 
 
@@ -232,7 +235,7 @@ def _supervised_objective(
         total += lv.scalar / nf
         grad_d += lv.grad_depth / nf
         grad_s += lv.grad_sigma / nf
-    g_ld, g_ls = backward(field, grad_d, grad_s, w, h)
+    g_ld, g_ls = backward(field, grad_d, grad_s, d_hat, sigma)
     return _Objective(total, g_ld, g_ls, tuple(marks) if collect_fingerprint else None)
 
 
@@ -310,7 +313,7 @@ def _selfsup_objective(
             if collect_fingerprint:
                 marks.append(np.sign(np.diff(d_hat, axis=1)).astype(np.int8))
                 marks.append(np.sign(np.diff(d_hat, axis=0)).astype(np.int8))
-    g_ld, g_ls = backward(field, grad_d, grad_u, w, h)
+    g_ld, g_ls = backward(field, grad_d, grad_u, d_hat, u_hat)
     return _Objective(total, g_ld, g_ls, tuple(marks) if collect_fingerprint else None)
 
 
@@ -357,18 +360,25 @@ def train_member(
     field = init_random(cfg.seed, cfg.grid_w, cfg.grid_h, cfg.depth_init_mm, cfg.jitter)
     losses = np.empty(cfg.steps)
     t0 = time.perf_counter()
-    for step in range(cfg.steps):
-        obj = _objective(regime, data, field, cfg.loss, w, h)
-        if not np.isfinite(obj.loss):
-            raise NumericFailure(step, f"non-finite loss {obj.loss}")
-        if not (np.all(np.isfinite(obj.grad_log_depth)) and np.all(np.isfinite(obj.grad_log_sigma))):
-            raise NumericFailure(step, "non-finite gradient")
-        losses[step] = obj.loss
-        field = DepthField(
-            field.log_depth - cfg.learning_rate * obj.grad_log_depth,
-            field.log_sigma - cfg.learning_rate * obj.grad_log_sigma,
-            field.seed,
-        )
+    # a diverging run overflows on its way to a non-finite loss; the checks
+    # below report that once, so numpy's per-operation warnings are muted
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(cfg.steps):
+            obj = _objective(regime, data, field, cfg.loss, w, h)
+            if not np.isfinite(obj.loss):
+                raise NumericFailure(
+                    step, f"non-finite loss {obj.loss}", cfg.seed, cfg.learning_rate
+                )
+            if not (np.all(np.isfinite(obj.grad_log_depth)) and np.all(np.isfinite(obj.grad_log_sigma))):
+                raise NumericFailure(
+                    step, "non-finite gradient", cfg.seed, cfg.learning_rate
+                )
+            losses[step] = obj.loss
+            field = DepthField(
+                field.log_depth - cfg.learning_rate * obj.grad_log_depth,
+                field.log_sigma - cfg.learning_rate * obj.grad_log_sigma,
+                field.seed,
+            )
     return field, TrainReport(losses, time.perf_counter() - t0, cfg.seed)
 
 

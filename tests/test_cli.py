@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,16 @@ class TestSynth:
         blocker.write_text("a file, not a directory")
         assert run("synth", "--out", blocker / "ds", "--frames", 3) == 2
 
+    def test_no_specular_overrides_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"specular": True}))
+        for flag, expected in (("--no-specular", False), ("--specular", True)):
+            out = tmp_path / flag.lstrip("-")
+            assert run("synth", "--out", out, "--config", cfg, flag, "--frames", 3,
+                       "--width", 8, "--height", 8) == 0
+            with open(out / "manifest.json") as f:
+                assert json.load(f)["config"]["specular"] is expected
+
     def test_rerun_from_manifest_bit_identical(self, dataset, tmp_path):
         rc = run("synth", "--config", dataset / "manifest.json", "--out", tmp_path / "again")
         assert rc == 0
@@ -87,6 +98,21 @@ class TestTrain:
     def test_missing_dataset_exit_code(self, tmp_path):
         rc = run("train", "--data", tmp_path / "absent", "--out", tmp_path / "x")
         assert rc == 2
+
+    def test_diverging_run_reports_once(self, dataset, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("train", "--data", dataset, "--out", tmp_path / "x",
+                     "--members", 1, "--seed", 11, "--steps", 20, "--grid", 6,
+                     "--learning-rate", 1e6)
+        assert rc == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure:")
+        assert "member seed 11" in lines[0]
+        assert "learning rate 1000000.0" in lines[0]
 
 
 class TestFuseEvalCalib:
@@ -139,6 +165,12 @@ class TestFuseEvalCalib:
             rows = list(csv.reader(f))
         vals = dict(zip(rows[0], map(float, rows[1])))
         assert vals["abs_rel"] < 1e-6 and vals["delta1"] == 1.0
+
+    def test_fuse_rejects_non_train_manifest(self, dataset, tmp_path, capsys):
+        rc = run("fuse", "--run", dataset, "--out", tmp_path / "f")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(dataset / "manifest.json") in err and "'synth'" in err
 
     def test_calib_curve_csv(self, fused, dataset, tmp_path):
         out = tmp_path / "curve.csv"

@@ -4,6 +4,7 @@ import pytest
 from scopedepth.losses import LossConfig, supervised_nll_arrays
 from scopedepth.predictor import (
     DepthField,
+    _axis_matrix,
     backward,
     forward,
     forward_arrays,
@@ -90,9 +91,41 @@ class TestBackward:
         rhs = (grid * upsample_bilinear_adjoint(img, 4, 5)).sum()
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    @pytest.mark.parametrize("gh, gw, h, w", [
+        (1, 5, 7, 9),      # one grid row
+        (6, 1, 11, 8),     # one grid column
+        (1, 1, 5, 3),      # single cell
+        (1, 4, 1, 10),     # one output row
+        (3, 1, 9, 1),      # one output column
+        (7, 5, 7, 5),      # grid == output size
+        (16, 16, 256, 256),
+    ])
+    def test_adjoint_dot_product_edge_shapes(self, gh, gw, h, w):
+        rng = np.random.default_rng(gh * 1000 + w)
+        grid = rng.normal(size=(gh, gw))
+        img = rng.normal(size=(h, w))
+        lhs = (upsample_bilinear(grid, w, h) * img).sum()
+        rhs = (grid * upsample_bilinear_adjoint(img, gw, gh)).sum()
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-10)
+
+    def test_grid_equal_to_output_is_identity(self):
+        grid = np.random.default_rng(6).normal(size=(7, 5))
+        np.testing.assert_allclose(upsample_bilinear(grid, 5, 7), grid, atol=1e-15)
+
+    def test_cached_weight_matrices_read_only(self):
+        upsample_bilinear(np.zeros((4, 3)), 9, 10)
+        for n_out, n_grid in ((10, 4), (9, 3)):
+            m = _axis_matrix(n_out, n_grid)
+            assert m is _axis_matrix(n_out, n_grid)
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
+            np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=1e-15)
+
     def test_zero_upstream_zero_gradient(self):
         f = init_random(1, 4, 4)
-        g_ld, g_ls = backward(f, np.zeros((8, 8)), np.zeros((8, 8)), 8, 8)
+        d, s = forward_arrays(f, 8, 8)
+        g_ld, g_ls = backward(f, np.zeros((8, 8)), np.zeros((8, 8)), d, s)
         assert not g_ld.any() and not g_ls.any()
 
     def test_single_cell_chain_rule(self):
@@ -101,7 +134,8 @@ class TestBackward:
         f = DepthField(np.array([[c]]), np.array([[0.0]]), 0)
         rng = np.random.default_rng(3)
         up = rng.normal(size=(4, 4))
-        g_ld, _ = backward(f, up, np.zeros((4, 4)), 4, 4)
+        d, s = forward_arrays(f, 4, 4)
+        g_ld, _ = backward(f, up, np.zeros((4, 4)), d, s)
         assert g_ld[0, 0] == pytest.approx(np.exp(c) * up.sum())
 
     def test_matches_finite_differences_through_loss(self):
@@ -118,7 +152,7 @@ class TestBackward:
 
         d0, s0 = forward_arrays(field, w, h)
         lv = supervised_nll_arrays(labels, d0, s0, valid, cfg)
-        g_ld, g_ls = backward(field, lv.grad_depth, lv.grad_sigma, w, h)
+        g_ld, g_ls = backward(field, lv.grad_depth, lv.grad_sigma, d0, s0)
         analytic = np.concatenate([g_ld.ravel(), g_ls.ravel()])
         theta0 = field.params()
         step = 1e-5
