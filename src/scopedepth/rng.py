@@ -13,8 +13,6 @@ generators" (xoshiro256**); Steele, Lea & Flood (splitmix64).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -71,18 +69,6 @@ class Xoshiro256:
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> list[float]:
         return [self.uniform(lo, hi) for _ in range(n)]
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        # Marsaglia polar method; loop terminates with probability 1.
-        while True:
-            x = self.uniform(-1.0, 1.0)
-            y = self.uniform(-1.0, 1.0)
-            r2 = x * x + y * y
-            if 0.0 < r2 < 1.0:
-                return mu + sigma * x * math.sqrt(-2.0 * math.log(r2) / r2)
-
-    def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> list[float]:
-        return [self.normal(mu, sigma) for _ in range(n)]
-
     def substream(self, name: str) -> "Xoshiro256":
         h = self.seed
         for byte in name.encode("utf-8"):
@@ -119,19 +105,3 @@ def normal_field_np(seed: int, shape, salt: int = 0):
     u1 = np.maximum(u1, 1e-300)
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     return z.reshape(shape)
-
-
-def hash_coords(seed: int, *coords: int) -> int:
-    """Stateless 64-bit hash of integer lattice coordinates; used by the
-    procedural value-noise texture so lookups need no stored lattice.
-    Chains splitmix64 output words, matching :func:`hash_unit_np`."""
-    h = seed & _MASK64
-    for c in coords:
-        _, h = splitmix64(h ^ (int(c) & _MASK64))
-    _, out = splitmix64(h)
-    return out
-
-
-def hash_unit(seed: int, *coords: int) -> float:
-    """hash_coords mapped to a double in [0, 1)."""
-    return (hash_coords(seed, *coords) >> 11) * (1.0 / (1 << 53))

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, rotation_xyz
+from .heap import release_free_heap
 from .imagery import DepthMap, Image, Mask, write_pfm, write_ppm
 from .rng import Xoshiro256, hash_unit_np, normal_field_np
 
@@ -120,63 +121,90 @@ def surface_normal(params: SceneParams, points: np.ndarray) -> np.ndarray:
 
 _TRACE_TOL = 1e-4  # mm
 _TRACE_MAX_ITERS = 2048
+# the live ray set is re-compacted once this share of it has finished
+_TRACE_COMPACT_SHARE = 0.125
 
 
 def _trace(params: SceneParams, origins: np.ndarray, dirs: np.ndarray,
            z_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sphere-trace rays (world frame).  ``z_cam`` holds each ray's
     camera-frame z rate, so ``t * z_cam`` is its current z-depth.  Returns
-    (ray parameter t, hit flag); misses stop at the far-cap depth."""
+    (ray parameter t, hit flag); misses stop at the far-cap depth.
+
+    Each ray steps ``t += surface_field(o + t d) / L`` until it hits or
+    passes the cap.  The march keeps only live rays in compacted arrays:
+    rays that finish are frozen in place and dropped at the next
+    compaction, so they cost a few spare field evaluations instead of a
+    full-length gather and scatter on every step."""
     n = origins.shape[0]
     t = np.zeros(n)
     hit = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
     L = _lipschitz(params)
-    t_cap = params.far_cap_mm / np.maximum(z_cam, 1e-9)
+    # compacted state of the rays not yet dropped: their indices, origins,
+    # directions, ray parameters, caps and whether they still march
+    idx, o, d, tl = np.arange(n), origins, dirs, np.zeros(n)
+    cap = params.far_cap_mm / np.maximum(z_cam, 1e-9)
+    running = np.ones(n, dtype=bool)
+    n_running = n
     for _ in range(_TRACE_MAX_ITERS):
-        if not active.any():
+        if n_running == 0:
             break
-        idx = np.nonzero(active)[0]
-        p = origins[idx] + t[idx, None] * dirs[idx]
-        f = surface_field(params, p)
-        newly_hit = f < _TRACE_TOL
+        f = surface_field(params, o + tl[:, None] * d)
+        newly_hit = running & (f < _TRACE_TOL)
         hit[idx[newly_hit]] = True
-        active[idx[newly_hit]] = False
-        adv = idx[~newly_hit]
-        t[adv] += f[~newly_hit] / L
-        over = t[adv] >= t_cap[adv]
-        active[adv[over]] = False
+        running &= ~newly_hit
+        tl = np.where(running, tl + f / L, tl)
+        running &= tl < cap
+        n_running = np.count_nonzero(running)
+        if n_running <= (1.0 - _TRACE_COMPACT_SHARE) * idx.size:
+            t[idx] = tl
+            idx, o, d, tl, cap = (a[running] for a in (idx, o, d, tl, cap))
+            running = np.ones(n_running, dtype=bool)
+    t[idx] = tl
     return t, hit
+
+
+# lattice corner offsets of a unit cell, in the order the noise sums them
+_CELL_CORNERS = np.array(
+    [[(corner >> 2) & 1, (corner >> 1) & 1, corner & 1] for corner in range(8)]
+)
 
 
 def _value_noise(seed: int, pts: np.ndarray, octaves: int) -> np.ndarray:
     """Seamless 3-D value noise in [0, 1]; trilinear lattice interpolation
-    of hashed corners, octave amplitudes halving."""
-    total = np.zeros(pts.shape[:-1])
+    of hashed corners, octave amplitudes halving.  The corners of each
+    distinct lattice cell are hashed once and gathered per point."""
+    coords = np.ascontiguousarray(np.moveaxis(pts, -1, 0)).reshape(3, -1)
+    total = np.zeros(coords.shape[1])
+    if total.size == 0:  # an empty view: there is no bounding box
+        return total.reshape(pts.shape[:-1])
     amp_sum = 0.0
     amp = 1.0
     for octave in range(max(octaves, 1)):
-        q = pts * (2.0**octave)
-        base = np.floor(q).astype(np.int64)
-        frac = q - base
-        acc = np.zeros(pts.shape[:-1])
-        for corner in range(8):
-            off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-            w = np.ones(pts.shape[:-1])
-            for axis in range(3):
-                fa = frac[..., axis]
-                w = w * (fa if off[axis] else 1.0 - fa)
-            v = hash_unit_np(
-                seed + 101 * octave,
-                base[..., 0] + off[0],
-                base[..., 1] + off[1],
-                base[..., 2] + off[2],
-            )
-            acc += w * v
+        frac = coords * (2.0**octave)
+        base = np.floor(frac).astype(np.int64)
+        frac -= base
+        # number the distinct cells by their index in the bounding box
+        lo = base.min(axis=1, keepdims=True)
+        base -= lo
+        span = base.max(axis=1) + 1
+        keys, cell_of = np.unique(np.ravel_multi_index(tuple(base), span),
+                                  return_inverse=True)
+        cells = np.unravel_index(keys, span)
+        corner_values = hash_unit_np(
+            seed + 101 * octave,
+            *(cells[axis] + lo[axis] + _CELL_CORNERS[:, axis, None] for axis in range(3)),
+        )
+        # per axis, the weights of the cell's low and high corner
+        weights = [(1.0 - f, f) for f in frac]
+        acc = np.zeros(coords.shape[1])
+        for off, values in zip(_CELL_CORNERS, corner_values):
+            acc += (weights[0][off[0]] * weights[1][off[1]] * weights[2][off[2]]
+                    * values[cell_of])
         total += amp * acc
         amp_sum += amp
         amp *= 0.5
-    return total / amp_sum
+    return (total / amp_sum).reshape(pts.shape[:-1])
 
 
 def _albedo(params: SceneParams, points: np.ndarray) -> np.ndarray:
@@ -378,6 +406,7 @@ def write_dataset(
         write_pfm(depth, directory / f"depth_{i:04d}.pfm")
         pose.save(directory / f"pose_{i:04d}.json")
         frames.append(i)
+    release_free_heap()
     with open(directory / "intrinsics.json", "w") as f:
         json.dump(K.to_json(), f, indent=1)
         f.write("\n")

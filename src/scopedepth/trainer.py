@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, warp_coordinates_with_jacobian
+from .heap import keep_heap_mapped
 from .imagery import DepthMap, Image, Mask, UncMap
 from .losses import (
     LossConfig,
@@ -356,6 +357,8 @@ def train_member(
     """Run ``cfg.steps`` fixed-rate gradient-descent steps from a seeded
     random field; deterministic given (regime, data, cfg)."""
     _check_bundle(regime, data)
+    # without this, each 256x256 step faults its freed temporaries back in
+    keep_heap_mapped()
     w, h = data.resolution()
     field = init_random(cfg.seed, cfg.grid_w, cfg.grid_h, cfg.depth_init_mm, cfg.jitter)
     losses = np.empty(cfg.steps)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from scopedepth import synthcolon
 from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, synthesize_warped_image
 from scopedepth.imagery import DepthMap
 from scopedepth.metrics import scale_correction
+from scopedepth.rng import hash_unit_np
 from scopedepth.synthcolon import (
     LightModel,
     SceneParams,
@@ -62,6 +64,7 @@ class TestRender:
         b = render_view(params, pose, K64, 32, 32)
         assert a[0].data.tobytes() == b[0].data.tobytes()
         assert a[1].data.tobytes() == b[1].data.tobytes()
+        assert a[2].data.tobytes() == b[2].data.tobytes()
 
     def test_light_doubling_scales_unclamped_pixels(self):
         params = SceneParams(seed=11)
@@ -86,6 +89,142 @@ class TestRender:
         params = SceneParams(radius_mm=10, curve_amp_mm=0, seed=0)
         with pytest.raises(ValueError):
             render_view(params, Pose(np.eye(3), [50.0, 0, 0]), K64, 8, 8)
+
+
+def _reference_trace(params, origins, dirs, z_cam):
+    """The original full-length sphere trace: gathers and scatters the
+    active rays of the whole frame on every iteration."""
+    n = origins.shape[0]
+    t = np.zeros(n)
+    hit = np.zeros(n, dtype=bool)
+    active = np.ones(n, dtype=bool)
+    L = synthcolon._lipschitz(params)
+    t_cap = params.far_cap_mm / np.maximum(z_cam, 1e-9)
+    for _ in range(synthcolon._TRACE_MAX_ITERS):
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        p = origins[idx] + t[idx, None] * dirs[idx]
+        f = surface_field(params, p)
+        newly_hit = f < synthcolon._TRACE_TOL
+        hit[idx[newly_hit]] = True
+        active[idx[newly_hit]] = False
+        adv = idx[~newly_hit]
+        t[adv] += f[~newly_hit] / L
+        over = t[adv] >= t_cap[adv]
+        active[adv[over]] = False
+    return t, hit
+
+
+def _reference_value_noise(seed, pts, octaves):
+    """The original per-point value noise: hashes all eight lattice
+    corners of every point."""
+    total = np.zeros(pts.shape[:-1])
+    amp_sum = 0.0
+    amp = 1.0
+    for octave in range(max(octaves, 1)):
+        q = pts * (2.0**octave)
+        base = np.floor(q).astype(np.int64)
+        frac = q - base
+        acc = np.zeros(pts.shape[:-1])
+        for corner in range(8):
+            off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
+            w = np.ones(pts.shape[:-1])
+            for axis in range(3):
+                fa = frac[..., axis]
+                w = w * (fa if off[axis] else 1.0 - fa)
+            v = hash_unit_np(
+                seed + 101 * octave,
+                base[..., 0] + off[0],
+                base[..., 1] + off[1],
+                base[..., 2] + off[2],
+            )
+            acc += w * v
+        total += amp * acc
+        amp_sum += amp
+        amp *= 0.5
+    return total / amp_sum
+
+
+def _captured_calls(monkeypatch, name, *render_args):
+    """Arguments of every call render_view makes to synthcolon.<name>."""
+    calls = []
+    real = getattr(synthcolon, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(synthcolon, name, spy)
+        render_view(*render_args)
+    return calls
+
+
+def _assert_matches_reference(monkeypatch, *render_args):
+    """Trace, texture and the rendered bytes equal the reference
+    implementations' bit for bit; returns t, hit and the trace's inputs."""
+    (trace_args,) = _captured_calls(monkeypatch, "_trace", *render_args)
+    t, hit = synthcolon._trace(*trace_args)
+    t_ref, hit_ref = _reference_trace(*trace_args)
+    np.testing.assert_array_equal(t, t_ref)
+    np.testing.assert_array_equal(hit, hit_ref)
+    noise_calls = _captured_calls(monkeypatch, "_value_noise", *render_args)
+    assert len(noise_calls) == 2
+    for args in noise_calls:
+        np.testing.assert_array_equal(
+            synthcolon._value_noise(*args), _reference_value_noise(*args)
+        )
+    views = render_view(*render_args)
+    with monkeypatch.context() as m:
+        m.setattr(synthcolon, "_trace", _reference_trace)
+        m.setattr(synthcolon, "_value_noise", _reference_value_noise)
+        ref_views = render_view(*render_args)
+    for a, b in zip(views, ref_views):
+        assert a.data.tobytes() == b.data.tobytes()
+    return t, hit, trace_args
+
+
+class TestMatchesReference:
+    def test_quick_start_frame(self, monkeypatch):
+        # frame 0 of the README quick-start scene: grazing rays keep the
+        # reference loop running for over a thousand iterations
+        params = SceneParams(seed=21)
+        pose = generate_trajectory(params, 12, 1.0, sway_mm=2.5)[0]
+        _assert_matches_reference(monkeypatch, params, pose, K64, 64, 64)
+
+    def test_straight_tube_far_cap_rays(self, monkeypatch):
+        params = SceneParams(radius_mm=10, curve_amp_mm=0, ridge_amp_mm=0,
+                             far_cap_mm=60, seed=3)
+        K = CameraIntrinsics(32, 32, 31.5, 31.5)
+        _, hit, _ = _assert_matches_reference(monkeypatch, params, Pose.identity(),
+                                              K, 64, 64)
+        assert not hit.all()
+
+    def test_specular_view(self, monkeypatch):
+        params = SceneParams(seed=11)
+        pose = generate_trajectory(params, 3, 1.0)[0]
+        _assert_matches_reference(monkeypatch, params, pose, K64, 48, 48,
+                                  LightModel(specular=True))
+
+    def test_empty_view(self):
+        pts = np.zeros((4, 0, 3))
+        noise = synthcolon._value_noise(0, pts, 3)
+        assert noise.shape == (4, 0)
+        np.testing.assert_array_equal(noise, _reference_value_noise(0, pts, 3))
+        params = SceneParams(seed=11)
+        pose = generate_trajectory(params, 3, 1.0)[0]
+        img, depth, hit = render_view(params, pose, K64, 0, 4)
+        assert img.data.shape == (4, 0, 3) and hit.data.shape == (4, 0)
+
+    def test_iteration_cap_leaves_misses(self, monkeypatch):
+        monkeypatch.setattr(synthcolon, "_TRACE_MAX_ITERS", 40)
+        params = SceneParams(seed=11)
+        pose = generate_trajectory(params, 3, 1.0)[0]
+        t, hit, (_, _, _, z_cam) = _assert_matches_reference(
+            monkeypatch, params, pose, K64, 48, 48)
+        exhausted = ~hit & (t * z_cam < params.far_cap_mm)
+        assert exhausted.any() and hit.any()
 
 
 class TestTrajectory:
