@@ -35,7 +35,6 @@ from .imagery import (
 from .losses import (
     LossConfig,
     LossValue,
-    plain_student_nll,
     prior_loss,
     selfsup_nll,
     supervised_nll,

@@ -325,14 +325,25 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _load_eval_inputs(pred_dir: Path, data_dir: Path, target_frame: int):
+def _load_eval_inputs(
+    pred_dir: Path, data_dir: Path, target_frame: int, median_scale: bool
+) -> tuple[DepthMap, DepthMap, UncMap, int]:
+    """Ground truth, predicted depth and its total std (both median-scaled
+    to the ground truth when asked, std floored at 1e-12), and the target
+    frame index."""
     ens = load_ensemble(pred_dir)
     ds = _dataset_frames(data_dir)
     t_i = _target_index(ds["manifest"]["n_frames"], target_frame)
     gt = read_pfm(data_dir / f"depth_{t_i:04d}.pfm")
     if (gt.height, gt.width) != (ens.d_hat.height, ens.d_hat.width):
         raise UsageError("prediction and ground-truth dimensions disagree")
-    return ens, gt, t_i
+    d_pred = ens.d_hat.data.astype(np.float64)
+    sigma = np.sqrt(ens.var_t.data.astype(np.float64))
+    if median_scale:
+        s = scale_correction(gt, ens.d_hat)
+        d_pred = d_pred * s
+        sigma = sigma * s
+    return gt, DepthMap(d_pred), UncMap(np.maximum(sigma, 1e-12), "std"), t_i
 
 
 def cmd_eval(args) -> int:
@@ -340,20 +351,14 @@ def cmd_eval(args) -> int:
         "target_frame": args.target_frame, "median_scale": args.median_scale,
         "gt_denominator": args.gt_denominator,
     })
-    ens, gt, t_i = _load_eval_inputs(
-        Path(args.pred), Path(args.data), int(cfg["target_frame"])
+    gt, d_pred, sigma, t_i = _load_eval_inputs(
+        Path(args.pred), Path(args.data), int(cfg["target_frame"]),
+        cfg["median_scale"],
     )
-    d_pred = ens.d_hat.data.astype(np.float64)
-    sigma = np.sqrt(ens.var_t.data.astype(np.float64))
-    if cfg["median_scale"]:
-        s = scale_correction(gt, ens.d_hat)
-        d_pred = d_pred * s
-        sigma = sigma * s
     dm = depth_metrics(
-        gt, DepthMap(d_pred), cfg=MetricsConfig(gt_denominator=cfg["gt_denominator"])
+        gt, d_pred, cfg=MetricsConfig(gt_denominator=cfg["gt_denominator"])
     )
-    sigma_pos = np.maximum(sigma, 1e-12)
-    curve = calibration_curve(gt, DepthMap(d_pred), UncMap(sigma_pos, "std"))
+    curve = calibration_curve(gt, d_pred, sigma)
     signed, absolute = auce(curve)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -373,19 +378,12 @@ def cmd_calib(args) -> int:
         "target_frame": args.target_frame, "median_scale": args.median_scale,
         "levels": args.levels,
     })
-    ens, gt, t_i = _load_eval_inputs(
-        Path(args.pred), Path(args.data), int(cfg["target_frame"])
+    gt, d_pred, sigma, t_i = _load_eval_inputs(
+        Path(args.pred), Path(args.data), int(cfg["target_frame"]),
+        cfg["median_scale"],
     )
-    d_pred = ens.d_hat.data.astype(np.float64)
-    sigma = np.sqrt(ens.var_t.data.astype(np.float64))
-    if cfg["median_scale"]:
-        s = scale_correction(gt, ens.d_hat)
-        d_pred = d_pred * s
-        sigma = sigma * s
-    sigma = np.maximum(sigma, 1e-12)
     curve = calibration_curve(
-        gt, DepthMap(d_pred), UncMap(sigma, "std"),
-        p_grid=default_p_grid(int(cfg["levels"])),
+        gt, d_pred, sigma, p_grid=default_p_grid(int(cfg["levels"]))
     )
     signed, absolute = auce(curve)
     out = Path(args.out)

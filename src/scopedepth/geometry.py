@@ -170,33 +170,18 @@ def _pixel_rays(K: CameraIntrinsics, width: int, height: int) -> np.ndarray:
 
 def warp_coordinates(
     d: np.ndarray, K: CameraIntrinsics, pose: Pose
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized warp of every pixel of a depth array into the source view.
 
-    Returns (xs, ys, in_front) where xs/ys are source-view coordinates and
-    in_front flags transformed points with z above the near plane.  Bounds
-    checking against the source raster happens at sampling time.
+    Returns (xs, ys, in_front, dx_dd, dy_dd) where xs/ys are source-view
+    coordinates, in_front flags transformed points with z above the near
+    plane, and dx_dd/dy_dd are d(x')/d(depth) and d(y')/d(depth) per pixel,
+    used by gradient-based training.  Bounds checking against the source
+    raster happens at sampling time.
     """
     h, w = d.shape
     rays = _pixel_rays(K, w, h)
     q = rays @ pose.rotation.T  # rotated ray per pixel
-    P = q * d[..., None] + pose.translation
-    z = P[..., 2]
-    in_front = z > EPS_Z
-    zsafe = np.where(in_front, z, 1.0)
-    xs = K.fx * P[..., 0] / zsafe + K.cx
-    ys = K.fy * P[..., 1] / zsafe + K.cy
-    return xs, ys, in_front
-
-
-def warp_coordinates_with_jacobian(
-    d: np.ndarray, K: CameraIntrinsics, pose: Pose
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Like :func:`warp_coordinates`, also returning d(x')/d(depth) and
-    d(y')/d(depth) per pixel, used by gradient-based training."""
-    h, w = d.shape
-    rays = _pixel_rays(K, w, h)
-    q = rays @ pose.rotation.T
     t = pose.translation
     P = q * d[..., None] + t
     z = P[..., 2]
@@ -221,9 +206,9 @@ def synthesize_warped_image(
     """
     same_shape(I_src, d_tgt)
     d = d_tgt.data.astype(np.float64)
-    xs, ys, in_front = warp_coordinates(d, K, pose)
+    xs, ys, in_front, _, _ = warp_coordinates(d, K, pose)
     pos = d > 0
-    vals, samp_ok = bilinear_sample_map(I_src, xs, ys)
+    vals, _, _, samp_ok = bilinear_sample_map(I_src, xs, ys)
     valid = pos & in_front & samp_ok
     vals[~valid] = 0.0
     return Image(np.clip(vals, 0.0, 1.0)), Mask(valid)

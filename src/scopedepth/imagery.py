@@ -222,11 +222,13 @@ def bilinear_sample(img: Image, x: float, y: float) -> tuple[np.ndarray, bool]:
 
 def bilinear_sample_map(
     img: Image, xs: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`bilinear_sample` over coordinate arrays.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized :func:`bilinear_sample` over coordinate arrays, with the
+    spatial derivatives of the interpolant.
 
-    Returns (values with shape xs.shape + (channels,), valid bool array).
-    Invalid locations hold zeros.
+    Returns (values, d/dx, d/dy, valid): the first three have shape
+    xs.shape + (channels,), the derivatives taken inside the sample's
+    bilinear cell; valid is a bool array.  Invalid locations hold zeros.
     """
     h, w = img.height, img.width
     xs = np.asarray(xs, dtype=np.float64)
@@ -246,8 +248,12 @@ def bilinear_sample_map(
     c01 = d[y1, x0]
     c11 = d[y1, x1]
     out = (c00 * (1 - fx) + c10 * fx) * (1 - fy) + (c01 * (1 - fx) + c11 * fx) * fy
+    ddx = (c10 - c00) * (1 - fy) + (c11 - c01) * fy
+    ddy = (c01 - c00) * (1 - fx) + (c11 - c10) * fx
     out[~valid] = 0.0
-    return out, valid
+    ddx[~valid] = 0.0
+    ddy[~valid] = 0.0
+    return out, ddx, ddy, valid
 
 
 # ---------------------------------------------------------------------------

@@ -131,17 +131,6 @@ def uncertain_teacher_nll_arrays(
     return LossValue(scalar, per_pixel, grad_depth, grad_sigma, n)
 
 
-def plain_student_nll_arrays(
-    d_teacher: np.ndarray,
-    d_hat: np.ndarray,
-    sigma_a: np.ndarray,
-    valid: np.ndarray,
-    cfg: LossConfig,
-) -> LossValue:
-    """Baseline distillation: supervised loss with teacher depth as label."""
-    return supervised_nll_arrays(d_teacher, d_hat, sigma_a, valid, cfg)
-
-
 def prior_loss(theta: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
     """weight_decay * sum(theta^2) and its gradient."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -199,10 +188,3 @@ def uncertain_teacher_nll(
         d_hat.data.astype(np.float64), sigma_a.data.astype(np.float64),
         valid, cfg,
     )
-
-
-def plain_student_nll(
-    d_teacher: DepthMap, d_hat: DepthMap, sigma_a: UncMap, mask: Mask | None,
-    cfg: LossConfig,
-) -> LossValue:
-    return supervised_nll(d_teacher, d_hat, sigma_a, mask, cfg)

@@ -18,11 +18,6 @@ from scipy import ndimage
 from .imagery import DepthMap, Image, Mask, same_shape
 
 
-def _depth_array(d) -> np.ndarray:
-    arr = d.data if isinstance(d, DepthMap) else d
-    return np.asarray(arr, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class PhotometricConfig:
     """Weights of the residual: ``(1-alpha) L1 + (alpha/2)(1 - SSIM)``.
@@ -76,16 +71,22 @@ def box_filter_adjoint(g: np.ndarray, window: int) -> np.ndarray:
     return _box_adjoint_1d(out, window, axis=0)
 
 
-def _ssim_channel(a: np.ndarray, b: np.ndarray, cfg: PhotometricConfig) -> np.ndarray:
+def ssim_terms(a: np.ndarray, b: np.ndarray, cfg: PhotometricConfig) -> tuple:
+    """One pass over the windowed statistics of single-channel float64
+    arrays: returns (S, a, b, mu_a, mu_b, A1, A2, B1, B2), the SSIM map
+    S = (A1 A2) / (B1 B2) followed by what :func:`ssim_backward_channel`
+    needs to differentiate it."""
     win = cfg.ssim_window
     mu_a = box_filter(a, win)
     mu_b = box_filter(b, win)
     var_a = box_filter(a * a, win) - mu_a**2
     var_b = box_filter(b * b, win) - mu_b**2
     cov = box_filter(a * b, win) - mu_a * mu_b
-    num = (2 * mu_a * mu_b + cfg.c1) * (2 * cov + cfg.c2)
-    den = (mu_a**2 + mu_b**2 + cfg.c1) * (var_a + var_b + cfg.c2)
-    return num / den
+    A1 = 2 * mu_a * mu_b + cfg.c1
+    A2 = 2 * cov + cfg.c2
+    B1 = mu_a**2 + mu_b**2 + cfg.c1
+    B2 = var_a + var_b + cfg.c2
+    return (A1 * A2) / (B1 * B2), a, b, mu_a, mu_b, A1, A2, B1, B2
 
 
 def ssim_map(a: Image, b: Image, cfg: PhotometricConfig | None = None) -> np.ndarray:
@@ -96,27 +97,17 @@ def ssim_map(a: Image, b: Image, cfg: PhotometricConfig | None = None) -> np.nda
         raise ValueError("channel counts disagree")
     da = a.data.astype(np.float64)
     db = b.data.astype(np.float64)
-    chans = [_ssim_channel(da[:, :, c], db[:, :, c], cfg) for c in range(a.channels)]
+    chans = [ssim_terms(da[:, :, c], db[:, :, c], cfg)[0] for c in range(a.channels)]
     return np.mean(chans, axis=0)
 
 
 def ssim_backward_channel(
-    a: np.ndarray, b: np.ndarray, upstream: np.ndarray, cfg: PhotometricConfig
+    terms: tuple, upstream: np.ndarray, cfg: PhotometricConfig
 ) -> np.ndarray:
-    """d(sum(upstream * ssim(a, b)))/db for a single channel, a held fixed."""
+    """d(sum(upstream * ssim(a, b)))/db for a single channel, a held fixed,
+    from the :func:`ssim_terms` of (a, b)."""
     win = cfg.ssim_window
-    mu_a = box_filter(a, win)
-    mu_b = box_filter(b, win)
-    e_b2 = box_filter(b * b, win)
-    e_ab = box_filter(a * b, win)
-    var_a = box_filter(a * a, win) - mu_a**2
-    var_b = e_b2 - mu_b**2
-    cov = e_ab - mu_a * mu_b
-    A1 = 2 * mu_a * mu_b + cfg.c1
-    A2 = 2 * cov + cfg.c2
-    B1 = mu_a**2 + mu_b**2 + cfg.c1
-    B2 = var_a + var_b + cfg.c2
-    S = (A1 * A2) / (B1 * B2)
+    S, a, b, mu_a, mu_b, A1, A2, B1, B2 = terms
     dS_dA1 = A2 / (B1 * B2)
     dS_dA2 = A1 / (B1 * B2)
     dS_dB1 = -S / B1
@@ -134,51 +125,80 @@ def ssim_backward_channel(
     )
 
 
-def photometric_residual(
-    I_tgt: Image,
-    warps: list[tuple[Image, Mask]],
-    cfg: PhotometricConfig | None = None,
-) -> tuple[np.ndarray, Mask]:
-    """Minimum-over-sources photometric error of Eq.-4 form.
-
-    Per pixel and per valid source: ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)``
-    with L1 the channel-mean absolute difference; the residual keeps the
-    smallest candidate.  A pixel is valid when at least one source is.
-    """
-    cfg = cfg or PhotometricConfig()
-    if not warps:
-        raise ValueError("need at least one warped source")
-    f_p, valid, _, _ = photometric_residual_detailed(I_tgt, warps, cfg)
-    return f_p, Mask(valid)
-
-
-def photometric_residual_detailed(
-    I_tgt: Image,
-    warps: list[tuple[Image, Mask]],
+def photometric_residual_arrays(
+    tgt: np.ndarray,
+    warps: list[tuple[np.ndarray, np.ndarray]],
     cfg: PhotometricConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Residual plus per-source bookkeeping for gradient propagation.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[tuple]]]:
+    """Minimum-over-sources photometric error of Eq.-4 form on arrays.
+
+    ``tgt`` is the (h, w, c) float64 target and each warp a pair of the
+    (h, w, c) float64 warped source and its (h, w) bool validity.  Per
+    pixel and per valid source the candidate is
+    ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)`` with L1 the channel-mean
+    absolute difference; the residual keeps the smallest candidate, and a
+    pixel is valid when at least one source is.
 
     Returns (f_p, valid, argmin source index (-1 where invalid), per-source
-    candidate maps with +inf at invalid pixels).
+    list of per-channel :func:`ssim_terms`).
     """
     if not warps:
         raise ValueError("need at least one warped source")
-    same_shape(I_tgt, *[w for w, _ in warps], *[m for _, m in warps])
+    alpha = cfg.alpha
     candidates = []
-    for I_w, mask in warps:
-        l1 = np.abs(I_tgt.data.astype(np.float64) - I_w.data.astype(np.float64)).mean(axis=2)
-        s = ssim_map(I_tgt, I_w, cfg)
-        cand = (1.0 - cfg.alpha) * l1 + 0.5 * cfg.alpha * (1.0 - s)
-        cand = np.where(mask.data, cand, np.inf)
-        candidates.append(cand)
+    terms = []
+    for vals, valid in warps:
+        l1 = np.abs(tgt - vals).mean(axis=2)
+        chans = [ssim_terms(tgt[:, :, c], vals[:, :, c], cfg) for c in range(tgt.shape[2])]
+        s = np.mean([t[0] for t in chans], axis=0)
+        cand = (1 - alpha) * l1 + 0.5 * alpha * (1 - s)
+        candidates.append(np.where(valid, cand, np.inf))
+        terms.append(chans)
     stack = np.stack(candidates, axis=0)
     arg = np.argmin(stack, axis=0)
     f_p = np.min(stack, axis=0)
     valid = np.isfinite(f_p)
     f_p = np.where(valid, f_p, 0.0)
     arg = np.where(valid, arg, -1)
-    return f_p, valid, arg, candidates
+    return f_p, valid, arg, terms
+
+
+def photometric_residual(
+    I_tgt: Image,
+    warps: list[tuple[Image, Mask]],
+    cfg: PhotometricConfig | None = None,
+) -> tuple[np.ndarray, Mask]:
+    """:func:`photometric_residual_arrays` over raster containers, after
+    checking that every image and mask shares the target's dimensions and
+    every image its channel count."""
+    cfg = cfg or PhotometricConfig()
+    same_shape(I_tgt, *[w for w, _ in warps], *[m for _, m in warps])
+    if any(I_w.channels != I_tgt.channels for I_w, _ in warps):
+        raise ValueError("channel counts disagree")
+    f_p, valid, _, _ = photometric_residual_arrays(
+        I_tgt.data.astype(np.float64),
+        [(I_w.data.astype(np.float64), mask.data) for I_w, mask in warps],
+        cfg,
+    )
+    return f_p, Mask(valid)
+
+
+def _smoothness_inputs(d, I: Image) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Depth as float64, its mean, and the edge weights exp(-|dx gray|),
+    exp(-|dy gray|) (one in the last column/row); raises when mean depth
+    is not positive or the depth and image dimensions disagree."""
+    darr = np.asarray(d.data if isinstance(d, DepthMap) else d, dtype=np.float64)
+    mu = darr.mean()
+    if mu <= 0:
+        raise ValueError("mean depth must be positive")
+    gray = I.gray()
+    if gray.shape != darr.shape:
+        raise ValueError("depth and image dimensions disagree")
+    wx = np.ones_like(gray)
+    wy = np.ones_like(gray)
+    wx[:, :-1] = np.exp(-np.abs(np.diff(gray, axis=1)))
+    wy[:-1, :] = np.exp(-np.abs(np.diff(gray, axis=0)))
+    return darr, mu, wx, wy
 
 
 def edge_aware_smoothness(d, I: Image) -> np.ndarray:
@@ -186,24 +206,14 @@ def edge_aware_smoothness(d, I: Image) -> np.ndarray:
 
     With d* = d / mean(d) and forward differences (zero in the last
     row/column):  |dx d*| exp(-|dx gray|) + |dy d*| exp(-|dy gray|).
-    Raises when mean depth is not positive.
+    Raises when mean depth is not positive or the shapes disagree.
     """
-    darr = _depth_array(d)
-    mu = darr.mean()
-    if mu <= 0:
-        raise ValueError("mean depth must be positive")
-    gray = I.gray()
-    if gray.shape != darr.shape:
-        raise ValueError("depth and image dimensions disagree")
+    darr, mu, wx, wy = _smoothness_inputs(d, I)
     dn = darr / mu
     gx = np.zeros_like(dn)
     gy = np.zeros_like(dn)
     gx[:, :-1] = np.abs(np.diff(dn, axis=1))
     gy[:-1, :] = np.abs(np.diff(dn, axis=0))
-    wx = np.ones_like(gray)
-    wy = np.ones_like(gray)
-    wx[:, :-1] = np.exp(-np.abs(np.diff(gray, axis=1)))
-    wy[:-1, :] = np.exp(-np.abs(np.diff(gray, axis=0)))
     return gx * wx + gy * wy
 
 
@@ -211,20 +221,12 @@ def edge_aware_smoothness_grad(d, I: Image) -> np.ndarray:
     """d(mean(edge_aware_smoothness))/d(depth[j]), including the coupling
     through the mean normalization.  Sign of a zero difference is taken
     as zero."""
-    darr = _depth_array(d)
-    mu = darr.mean()
-    if mu <= 0:
-        raise ValueError("mean depth must be positive")
-    gray = I.gray()
+    darr, mu, wx, wy = _smoothness_inputs(d, I)
     n = darr.size
     sx = np.zeros_like(darr)
     sy = np.zeros_like(darr)
     sx[:, :-1] = np.sign(np.diff(darr, axis=1))
     sy[:-1, :] = np.sign(np.diff(darr, axis=0))
-    wx = np.ones_like(gray)
-    wy = np.ones_like(gray)
-    wx[:, :-1] = np.exp(-np.abs(np.diff(gray, axis=1)))
-    wy[:-1, :] = np.exp(-np.abs(np.diff(gray, axis=0)))
     t_raw = (np.abs(np.diff(darr, axis=1)) * wx[:, :-1]).sum() + (
         np.abs(np.diff(darr, axis=0)) * wy[:-1, :]
     ).sum()

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, rotation_xyz
+from .geometry import CameraIntrinsics, Pose, _pixel_rays, rotation_xyz
 from .heap import release_free_heap
 from .imagery import DepthMap, Image, Mask, write_pfm, write_ppm
 from .rng import Xoshiro256, hash_unit_np, normal_field_np
@@ -243,12 +243,7 @@ def render_view(
     where the ray leaves the tube unhit), and the hit-validity mask.
     """
     light = light or LightModel()
-    xs = np.arange(w, dtype=np.float64)
-    ys = np.arange(h, dtype=np.float64)
-    gx, gy = np.meshgrid(xs, ys)
-    rays_cam = np.stack(
-        [(gx - K.cx) / K.fx, (gy - K.cy) / K.fy, np.ones_like(gx)], axis=-1
-    )
+    rays_cam = _pixel_rays(K, w, h)
     norms = np.linalg.norm(rays_cam, axis=-1, keepdims=True)
     dirs_cam = rays_cam / norms
     dirs_world = dirs_cam @ pose.rotation.T
@@ -441,11 +436,3 @@ def write_dataset(
         json.dump(manifest, f, indent=1)
         f.write("\n")
     return manifest
-
-
-def scene_params_from_manifest(manifest: dict) -> SceneParams:
-    return SceneParams(**manifest["params"])
-
-
-def light_from_manifest(manifest: dict) -> LightModel:
-    return LightModel(**manifest["light"])

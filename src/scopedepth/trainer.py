@@ -18,12 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, warp_coordinates_with_jacobian
+from .geometry import CameraIntrinsics, Pose, warp_coordinates
 from .heap import keep_heap_mapped
-from .imagery import DepthMap, Image, Mask, UncMap
+from .imagery import DepthMap, Image, Mask, UncMap, bilinear_sample_map
 from .losses import (
     LossConfig,
-    plain_student_nll_arrays,
     prior_loss,
     selfsup_nll_arrays,
     supervised_nll_arrays,
@@ -33,8 +32,8 @@ from .photometry import (
     PhotometricConfig,
     edge_aware_smoothness,
     edge_aware_smoothness_grad,
+    photometric_residual_arrays,
     ssim_backward_channel,
-    _ssim_channel,
 )
 from .predictor import DepthField, TrainConfig, backward, forward_arrays, init_random
 
@@ -154,36 +153,6 @@ def _check_bundle(regime: Regime, data: TrainData) -> None:
                     raise ValueError("teacher sigma must be std-kind")
 
 
-def _sample_with_grad(
-    src: np.ndarray, xs: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bilinear sample of (h, w, c) float64 data with spatial derivatives.
-
-    Returns (values, d/dx, d/dy, valid); invalid lookups give zeros.
-    """
-    h, w = src.shape[0], src.shape[1]
-    valid = (xs >= 0.0) & (xs <= w - 1) & (ys >= 0.0) & (ys <= h - 1)
-    xc = np.clip(np.where(valid, xs, 0.0), 0.0, w - 1)
-    yc = np.clip(np.where(valid, ys, 0.0), 0.0, h - 1)
-    x0 = np.minimum(np.floor(xc).astype(np.int64), max(w - 2, 0))
-    y0 = np.minimum(np.floor(yc).astype(np.int64), max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (xc - x0)[..., None]
-    fy = (yc - y0)[..., None]
-    c00 = src[y0, x0]
-    c10 = src[y0, x1]
-    c01 = src[y1, x0]
-    c11 = src[y1, x1]
-    vals = (c00 * (1 - fx) + c10 * fx) * (1 - fy) + (c01 * (1 - fx) + c11 * fx) * fy
-    ddx = (c10 - c00) * (1 - fy) + (c11 - c01) * fy
-    ddy = (c01 - c00) * (1 - fx) + (c11 - c10) * fx
-    vals[~valid] = 0.0
-    ddx[~valid] = 0.0
-    ddy[~valid] = 0.0
-    return vals, ddx, ddy, valid
-
-
 @dataclass(frozen=True, eq=False)
 class _Objective:
     """Scalar MAP loss and its gradient with respect to the grids.
@@ -205,32 +174,30 @@ def _fingerprints_equal(a: tuple, b: tuple) -> bool:
 
 
 def _supervised_objective(
-    field: DepthField, frames, w: int, h: int, loss_cfg: LossConfig,
-    teacher_mode: str | None,
-    collect_fingerprint: bool = False,
+    field: DepthField, regime: Regime, data: TrainData, w: int, h: int,
+    loss_cfg: LossConfig, collect_fingerprint: bool = False,
 ) -> _Objective:
     d_hat, sigma = forward_arrays(field, w, h)
     total = 0.0
     grad_d = np.zeros((h, w))
     grad_s = np.zeros((h, w))
+    supervised = regime in (Regime.SUPERVISED_GT, Regime.SUPERVISED_SFM)
+    frames = data.frames if supervised else data.student_frames
     nf = len(frames)
     marks: list[np.ndarray] = []
     if collect_fingerprint:
         marks.append((sigma > loss_cfg.sigma_min).astype(np.int8))
     for fr in frames:
         valid = np.full((h, w), True) if fr.mask is None else fr.mask.data
-        if teacher_mode is None:
-            label = fr.depth.data.astype(np.float64)
-            lv = supervised_nll_arrays(label, d_hat, sigma, valid, loss_cfg)
-        elif teacher_mode == "plain":
-            label = fr.d_teacher.data.astype(np.float64)
-            lv = plain_student_nll_arrays(label, d_hat, sigma, valid, loss_cfg)
-        else:
-            label = fr.d_teacher.data.astype(np.float64)
+        label = (fr.depth if supervised else fr.d_teacher).data.astype(np.float64)
+        if regime == Regime.UNCERTAIN_STUDENT:
             lv = uncertain_teacher_nll_arrays(
                 label, fr.sigma_teacher.data.astype(np.float64),
                 d_hat, sigma, valid, loss_cfg,
             )
+        else:
+            # the plain student is the supervised loss on teacher depth
+            lv = supervised_nll_arrays(label, d_hat, sigma, valid, loss_cfg)
         if collect_fingerprint:
             marks.append(np.sign(label - d_hat).astype(np.int8) * valid)
         total += lv.scalar / nf
@@ -257,24 +224,13 @@ def _selfsup_objective(
     for trip in data.triplets:
         tgt = trip.target.data.astype(np.float64)
         nchan = tgt.shape[2]
-        per_source = []
+        warps, jacobians = [], []
         for I_src, pose in zip(trip.sources, trip.rel_poses):
-            xs, ys, in_front, dxd, dyd = warp_coordinates_with_jacobian(
-                d_hat, data.K, pose
-            )
-            src = I_src.data.astype(np.float64)
-            vals, ddx, ddy, samp_ok = _sample_with_grad(src, xs, ys)
+            xs, ys, in_front, dxd, dyd = warp_coordinates(d_hat, data.K, pose)
+            vals, ddx, ddy, samp_ok = bilinear_sample_map(I_src, xs, ys)
             valid = in_front & samp_ok
-            l1 = np.abs(tgt - vals).mean(axis=2)
-            ssim_ch = [
-                _ssim_channel(tgt[:, :, c], vals[:, :, c], pcfg) for c in range(nchan)
-            ]
-            ssim = np.mean(ssim_ch, axis=0)
-            cand = (1 - alpha) * l1 + 0.5 * alpha * (1 - ssim)
-            per_source.append(
-                {"cand": np.where(valid, cand, np.inf), "vals": vals, "ddx": ddx,
-                 "ddy": ddy, "dxd": dxd, "dyd": dyd, "valid": valid}
-            )
+            warps.append((vals, valid))
+            jacobians.append((ddx, ddy, dxd, dyd))
             if collect_fingerprint:
                 marks.append(valid.astype(np.int8))
                 marks.append(np.floor(np.where(valid, xs, -1)).astype(np.int32))
@@ -282,32 +238,26 @@ def _selfsup_objective(
                 marks.append(
                     np.sign(tgt - vals).astype(np.int8) * valid[..., None]
                 )
-        stack = np.stack([s["cand"] for s in per_source])
-        arg = np.argmin(stack, axis=0)
-        f_p = np.min(stack, axis=0)
-        valid_px = np.isfinite(f_p)
-        f_p = np.where(valid_px, f_p, 0.0)
+        f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, warps, pcfg)
         if collect_fingerprint:
-            marks.append(np.where(valid_px, arg, -1).astype(np.int8))
+            marks.append(arg.astype(np.int8))
         lv = selfsup_nll_arrays(f_p, u_hat, valid_px, loss_cfg)
         total += lv.scalar / nt
         grad_u += lv.grad_sigma / nt
         # route d(scalar)/d(F_p) through the argmin source only
-        for s_idx, s in enumerate(per_source):
-            up = np.where((arg == s_idx) & valid_px, lv.grad_depth, 0.0) / nt
+        for s_idx, ((vals, valid), (ddx, ddy, dxd, dyd)) in enumerate(
+            zip(warps, jacobians)
+        ):
+            up = np.where(arg == s_idx, lv.grad_depth, 0.0) / nt
             if not np.any(up):
                 continue
-            g_vals = (
-                (1 - alpha) / nchan * (-np.sign(tgt - s["vals"])) * up[..., None]
-            )
+            g_vals = (1 - alpha) / nchan * (-np.sign(tgt - vals)) * up[..., None]
             for c in range(nchan):
                 g_vals[:, :, c] += ssim_backward_channel(
-                    tgt[:, :, c], s["vals"][:, :, c], -0.5 * alpha / nchan * up, pcfg
+                    terms[s_idx][c], -0.5 * alpha / nchan * up, pcfg
                 )
-            d_dd = (g_vals * s["ddx"]).sum(axis=2) * s["dxd"] + (
-                g_vals * s["ddy"]
-            ).sum(axis=2) * s["dyd"]
-            grad_d += np.where(s["valid"], d_dd, 0.0)
+            d_dd = (g_vals * ddx).sum(axis=2) * dxd + (g_vals * ddy).sum(axis=2) * dyd
+            grad_d += np.where(valid, d_dd, 0.0)
         if loss_cfg.lambda_u > 0:
             total += loss_cfg.lambda_u * edge_aware_smoothness(d_hat, trip.target).mean() / nt
             grad_d += loss_cfg.lambda_u * edge_aware_smoothness_grad(d_hat, trip.target) / nt
@@ -322,21 +272,12 @@ def _objective(
     regime: Regime, data: TrainData, field: DepthField, loss_cfg: LossConfig,
     w: int, h: int, collect_fingerprint: bool = False,
 ) -> _Objective:
-    if regime in (Regime.SUPERVISED_GT, Regime.SUPERVISED_SFM):
-        obj = _supervised_objective(
-            field, data.frames, w, h, loss_cfg, None, collect_fingerprint
-        )
-    elif regime == Regime.PLAIN_STUDENT:
-        obj = _supervised_objective(
-            field, data.student_frames, w, h, loss_cfg, "plain", collect_fingerprint
-        )
-    elif regime == Regime.UNCERTAIN_STUDENT:
-        obj = _supervised_objective(
-            field, data.student_frames, w, h, loss_cfg, "uncertain",
-            collect_fingerprint,
-        )
-    elif regime == Regime.SELF_SUPERVISED:
+    if regime == Regime.SELF_SUPERVISED:
         obj = _selfsup_objective(field, data, w, h, loss_cfg, collect_fingerprint)
+    elif isinstance(regime, Regime):
+        obj = _supervised_objective(
+            field, regime, data, w, h, loss_cfg, collect_fingerprint
+        )
     else:
         raise ValueError(f"unknown regime {regime}")
     if loss_cfg.weight_decay > 0:

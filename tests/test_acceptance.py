@@ -27,7 +27,6 @@ from scopedepth.geometry import (
 from scopedepth.imagery import DepthMap, Image, Mask, UncMap
 from scopedepth.losses import (
     LossConfig,
-    plain_student_nll_arrays,
     prior_loss,
     selfsup_nll_arrays,
     supervised_nll_arrays,

@@ -148,12 +148,25 @@ class TestWarp:
         g = Pose(rotation_xyz(0.05, -0.03, 0.1), [0.5, -0.2, 0.8])
         rng = np.random.default_rng(5)
         d = rng.uniform(5, 40, (6, 7))
-        xs, ys, in_front = warp_coordinates(d, K, g)
+        xs, ys, in_front, _, _ = warp_coordinates(d, K, g)
         for y in range(6):
             for x in range(7):
                 jp, ok = warp_pixel((x, y), d[y, x], K, g)
                 if in_front[y, x]:
                     assert jp[0] == pytest.approx(xs[y, x]) and jp[1] == pytest.approx(ys[y, x])
+
+    def test_warp_depth_jacobian_matches_central_differences(self):
+        K = CameraIntrinsics(60, 70, 31, 33)
+        g = Pose(rotation_xyz(0.05, -0.03, 0.1), [0.5, -0.2, 0.8])
+        rng = np.random.default_rng(6)
+        d = rng.uniform(5, 40, (6, 7))
+        _, _, in_front, dx_dd, dy_dd = warp_coordinates(d, K, g)
+        assert in_front.all()
+        eps = 1e-5
+        xp, yp, _, _, _ = warp_coordinates(d + eps, K, g)
+        xm, ym, _, _, _ = warp_coordinates(d - eps, K, g)
+        np.testing.assert_allclose(dx_dd, (xp - xm) / (2 * eps), rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(dy_dd, (yp - ym) / (2 * eps), rtol=1e-6, atol=1e-9)
 
 
 class TestSynthesize:

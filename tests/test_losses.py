@@ -4,7 +4,6 @@ import pytest
 from scopedepth.imagery import DepthMap, Mask, UncMap
 from scopedepth.losses import (
     LossConfig,
-    plain_student_nll,
     prior_loss,
     selfsup_nll,
     supervised_nll,
@@ -165,28 +164,30 @@ class TestUncertainTeacher:
 
 
 class TestPlainStudent:
+    """The plain-student regime is the supervised loss on teacher depth."""
+
     def test_equals_uncertain_with_zero_teacher_sigma(self):
         rng = np.random.default_rng(4)
         d_t = DepthMap(rng.uniform(5, 10, (4, 4)).astype(np.float32))
         dh = DepthMap(rng.uniform(5, 10, (4, 4)).astype(np.float32))
         s = UncMap(rng.uniform(0.3, 2.0, (4, 4)).astype(np.float32), "std")
         zero = UncMap(np.zeros((4, 4), dtype=np.float32), "std")
-        a = plain_student_nll(d_t, dh, s, None, CFG)
+        a = supervised_nll(d_t, dh, s, None, CFG)
         b = uncertain_teacher_nll(d_t, zero, dh, s, None, CFG)
         assert a.scalar == b.scalar
 
     def test_teacher_equals_prediction_leaves_log_sigma(self):
         dh = DepthMap(np.full((3, 3), 9.0, dtype=np.float32))
         s = UncMap(np.full((3, 3), 0.5, dtype=np.float32), "std")
-        lv = plain_student_nll(dh, dh, s, None, CFG)
+        lv = supervised_nll(dh, dh, s, None, CFG)
         assert lv.scalar == pytest.approx(np.log(0.5))
 
     def test_small_sigma_blows_up_on_wrong_label(self):
-        lv_small = plain_student_nll(
+        lv_small = supervised_nll(
             DepthMap(one_pixel(10.0)), DepthMap(one_pixel(5.0)),
             UncMap(one_pixel(0.01), "std"), None, CFG,
         )
-        lv_large = plain_student_nll(
+        lv_large = supervised_nll(
             DepthMap(one_pixel(10.0)), DepthMap(one_pixel(5.0)),
             UncMap(one_pixel(5.0), "std"), None, CFG,
         )

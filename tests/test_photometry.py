@@ -11,6 +11,7 @@ from scopedepth.photometry import (
     photometric_residual,
     ssim_backward_channel,
     ssim_map,
+    ssim_terms,
 )
 
 
@@ -122,9 +123,7 @@ class TestSsim:
         a = rng.uniform(0, 1, (5, 6))
         b = rng.uniform(0, 1, (5, 6))
         up = rng.normal(size=(5, 6))
-        grad = ssim_backward_channel(a, b, up, cfg)
-        from scopedepth.photometry import _ssim_channel
-
+        grad = ssim_backward_channel(ssim_terms(a, b, cfg), up, cfg)
         eps = 1e-6
         fd = np.zeros_like(b)
         for i in range(5):
@@ -134,8 +133,8 @@ class TestSsim:
                 bm = b.copy()
                 bm[i, j] -= eps
                 fd[i, j] = (
-                    (up * _ssim_channel(a, bp, cfg)).sum()
-                    - (up * _ssim_channel(a, bm, cfg)).sum()
+                    (up * ssim_terms(a, bp, cfg)[0]).sum()
+                    - (up * ssim_terms(a, bm, cfg)[0]).sum()
                 ) / (2 * eps)
         np.testing.assert_allclose(grad, fd, atol=1e-6)
 
@@ -224,6 +223,13 @@ class TestSmoothness:
         img = Image(np.zeros((2, 2, 1), dtype=np.float32))
         with pytest.raises(ValueError):
             edge_aware_smoothness(np.zeros((2, 2)), img)
+
+    def test_dimension_mismatch_rejected_by_value_and_gradient(self):
+        d = np.full((6, 4), 5.0)
+        img = Image(np.zeros((6, 5, 1), dtype=np.float32))
+        for fn in (edge_aware_smoothness, edge_aware_smoothness_grad):
+            with pytest.raises(ValueError, match="depth and image dimensions disagree"):
+                fn(d, img)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
