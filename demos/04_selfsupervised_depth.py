@@ -23,7 +23,7 @@ from scopedepth import (
     forward,
     generate_trajectory,
     relative_pose,
-    render_view,
+    render_views,
     scale_correction,
     train_member,
 )
@@ -34,7 +34,7 @@ params = SceneParams(seed=21, curve_amp_mm=10.0, curve_freq=0.06,
 # a touch of lateral sway: pure forward motion has no parallax at the
 # focus of expansion
 traj = generate_trajectory(params, 12, 1.0, sway_mm=2.5)
-views = [render_view(params, p, K, 64, 64) for p in traj]
+views = render_views(params, traj, K, 64, 64)
 target_img, gt, _ = views[6]
 
 triplet = Triplet(

@@ -63,6 +63,7 @@ from .synthcolon import (
     SceneParams,
     generate_trajectory,
     render_view,
+    render_views,
     simulate_sfm_labels,
     write_dataset,
 )

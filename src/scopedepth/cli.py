@@ -174,6 +174,9 @@ def cmd_synth(args) -> int:
     })
     if cfg["frames"] < 3:
         raise UsageError("self-supervision needs triplets: --frames must be >= 3")
+    for flag in ("width", "height"):
+        if cfg[flag] < 1:
+            raise UsageError(f"--{flag} must be >= 1, got {cfg[flag]}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = SceneParams(

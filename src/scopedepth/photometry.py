@@ -71,16 +71,25 @@ def box_filter_adjoint(g: np.ndarray, window: int) -> np.ndarray:
     return _box_adjoint_1d(out, window, axis=0)
 
 
-def ssim_terms(a: np.ndarray, b: np.ndarray, cfg: PhotometricConfig) -> tuple:
+def _ssim_moments(x: np.ndarray, cfg: PhotometricConfig) -> tuple:
+    """Windowed mean and windowed second moment of one channel."""
+    return box_filter(x, cfg.ssim_window), box_filter(x * x, cfg.ssim_window)
+
+
+def ssim_terms(
+    a: np.ndarray, b: np.ndarray, cfg: PhotometricConfig,
+    a_moments: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple:
     """One pass over the windowed statistics of single-channel float64
     arrays: returns (S, a, b, mu_a, mu_b, A1, A2, B1, B2), the SSIM map
     S = (A1 A2) / (B1 B2) followed by what :func:`ssim_backward_channel`
-    needs to differentiate it."""
+    needs to differentiate it.  ``a_moments`` are the
+    :func:`_ssim_moments` of ``a`` when the caller already has them."""
     win = cfg.ssim_window
-    mu_a = box_filter(a, win)
-    mu_b = box_filter(b, win)
-    var_a = box_filter(a * a, win) - mu_a**2
-    var_b = box_filter(b * b, win) - mu_b**2
+    mu_a, a2 = a_moments if a_moments is not None else _ssim_moments(a, cfg)
+    mu_b, b2 = _ssim_moments(b, cfg)
+    var_a = a2 - mu_a**2
+    var_b = b2 - mu_b**2
     cov = box_filter(a * b, win) - mu_a * mu_b
     A1 = 2 * mu_a * mu_b + cfg.c1
     A2 = 2 * cov + cfg.c2
@@ -145,11 +154,14 @@ def photometric_residual_arrays(
     if not warps:
         raise ValueError("need at least one warped source")
     alpha = cfg.alpha
+    # the target's moments do not depend on the source
+    tgt_moments = [_ssim_moments(tgt[:, :, c], cfg) for c in range(tgt.shape[2])]
     candidates = []
     terms = []
     for vals, valid in warps:
         l1 = np.abs(tgt - vals).mean(axis=2)
-        chans = [ssim_terms(tgt[:, :, c], vals[:, :, c], cfg) for c in range(tgt.shape[2])]
+        chans = [ssim_terms(tgt[:, :, c], vals[:, :, c], cfg, tgt_moments[c])
+                 for c in range(tgt.shape[2])]
         s = np.mean([t[0] for t in chans], axis=0)
         cand = (1 - alpha) * l1 + 0.5 * alpha * (1 - s)
         candidates.append(np.where(valid, cand, np.inf))

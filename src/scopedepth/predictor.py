@@ -109,6 +109,9 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.grid_w < 1 or self.grid_h < 1:
+            raise ValueError(
+                f"grid must be at least 1x1 cells, got {self.grid_w}x{self.grid_h}")
 
 
 def init_random(

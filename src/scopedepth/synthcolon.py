@@ -125,42 +125,75 @@ _TRACE_MAX_ITERS = 2048
 _TRACE_COMPACT_SHARE = 0.125
 
 
-def _trace(params: SceneParams, origins: np.ndarray, dirs: np.ndarray,
-           z_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sphere-trace rays (world frame).  ``z_cam`` holds each ray's
-    camera-frame z rate, so ``t * z_cam`` is its current z-depth.  Returns
-    (ray parameter t, hit flag); misses stop at the far-cap depth.
+def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
+           view_rays) -> tuple[np.ndarray, np.ndarray]:
+    """Sphere-trace the rays of ``n_views`` views in one march.  Every view
+    has the same n rays in camera coordinates; ``z_cam`` holds their
+    camera-frame z rates, so ``t * z_cam`` is a ray's current z-depth.
+    ``view_rays(i)`` returns view i's world origin (3,) and its (n, 3)
+    world ray directions.  Returns the (n_views, n) ray parameters t and
+    hit flags; misses stop at the far-cap depth.
 
-    Each ray steps ``t += surface_field(o + t d) / L`` until it hits or
-    passes the cap.  The march keeps only live rays in compacted arrays:
-    rays that finish are frozen in place and dropped at the next
-    compaction, so they cost a few spare field evaluations instead of a
-    full-length gather and scatter on every step."""
-    n = origins.shape[0]
-    t = np.zeros(n)
-    hit = np.zeros(n, dtype=bool)
+    Each ray steps ``t += surface_field(o + t d) / L`` until it hits,
+    passes its cap or has taken ``_TRACE_MAX_ITERS`` steps of its own.  At
+    most n rays are live: rays that finish are frozen in place and dropped
+    once ``_TRACE_COMPACT_SHARE`` of the live set has finished, and the
+    freed slots take the next rays in view order.  A view's rays are built
+    when its first ray enters, so the grazing rays of one view march
+    alongside the bulk of the next ones."""
+    n = z_cam.size
+    t = np.zeros((n_views, n))
+    hit = np.zeros((n_views, n), dtype=bool)
+    t_flat, hit_flat = t.reshape(-1), hit.reshape(-1)
     L = _lipschitz(params)
-    # compacted state of the rays not yet dropped: their indices, origins,
-    # directions, ray parameters, caps and whether they still march
-    idx, o, d, tl = np.arange(n), origins, dirs, np.zeros(n)
-    cap = params.far_cap_mm / np.maximum(z_cam, 1e-9)
-    running = np.ones(n, dtype=bool)
-    n_running = n
-    for _ in range(_TRACE_MAX_ITERS):
-        if n_running == 0:
-            break
+    cap_px = params.far_cap_mm / np.maximum(z_cam, 1e-9)
+    # compacted state of the rays not yet dropped, in the order they
+    # entered: their flat (view, pixel) indices, origins, directions, ray
+    # parameters, caps, the step before which they must stop, and whether
+    # they still march
+    idx = np.zeros(0, dtype=np.int64)
+    o, d = np.zeros((0, 3)), np.zeros((0, 3))
+    tl, cap = np.zeros(0), np.zeros(0)
+    stop = np.zeros(0, dtype=np.int64)
+    running = np.zeros(0, dtype=bool)
+    n_running = 0
+    entered = 0  # flat index of the next ray to enter
+    step = 0
+    while True:
+        if n_running <= (1.0 - _TRACE_COMPACT_SHARE) * idx.size:
+            t_flat[idx] = tl
+            parts = [[a[running]] for a in (idx, o, d, tl, cap, stop)]
+            # refill the freed slots with the next rays, in view order
+            free = n - n_running
+            while free and entered < t_flat.size:
+                pixel = entered % n
+                if pixel == 0:
+                    origin, dirs = view_rays(entered // n)
+                k = min(free, n - pixel)
+                rows = slice(pixel, pixel + k)
+                for part, new in zip(parts, (
+                    np.arange(entered, entered + k), np.broadcast_to(origin, (k, 3)),
+                    dirs[rows], np.zeros(k), cap_px[rows],
+                    np.full(k, step + _TRACE_MAX_ITERS),
+                )):
+                    part.append(new)
+                entered += k
+                free -= k
+            idx, o, d, tl, cap, stop = (np.concatenate(part) for part in parts)
+            running = np.ones(idx.size, dtype=bool)
+            n_running = idx.size
+            if n_running == 0:
+                break
         f = surface_field(params, o + tl[:, None] * d)
         newly_hit = running & (f < _TRACE_TOL)
-        hit[idx[newly_hit]] = True
+        hit_flat[idx[newly_hit]] = True
         running &= ~newly_hit
         tl = np.where(running, tl + f / L, tl)
         running &= tl < cap
+        step += 1
+        if step >= stop[0]:  # the earliest entrants have run out of steps
+            running &= step < stop
         n_running = np.count_nonzero(running)
-        if n_running <= (1.0 - _TRACE_COMPACT_SHARE) * idx.size:
-            t[idx] = tl
-            idx, o, d, tl, cap = (a[running] for a in (idx, o, d, tl, cap))
-            running = np.ones(n_running, dtype=bool)
-    t[idx] = tl
     return t, hit
 
 
@@ -229,6 +262,22 @@ def _albedo(params: SceneParams, points: np.ndarray) -> np.ndarray:
     return np.clip(base * mod[..., None] * tint, 0.0, 1.0)
 
 
+def _unit_rays(K: CameraIntrinsics, w: int, h: int) -> np.ndarray:
+    """(h, w, 3) unit ray directions of a view's pixels, camera frame."""
+    rays_cam = _pixel_rays(K, w, h)
+    return rays_cam / np.linalg.norm(rays_cam, axis=-1, keepdims=True)
+
+
+def _world_rays(params: SceneParams, pose: Pose,
+                dirs_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The world origin (3,) and (n, 3) world directions of one view's
+    rays; rejects a camera outside the tube."""
+    origin = pose.translation
+    if surface_field(params, origin[None, :])[0] <= 0:
+        raise ValueError("camera is outside the tube")
+    return origin, (dirs_cam @ pose.rotation.T).reshape(-1, 3)
+
+
 def render_view(
     params: SceneParams,
     pose: Pose,
@@ -236,27 +285,26 @@ def render_view(
     w: int,
     h: int,
     light: LightModel | None = None,
+    *,
+    traced: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Image, DepthMap, Mask]:
     """Ray-cast one view.  ``pose`` is the camera-to-world transform.
 
     Returns the shaded image, the camera-frame z-depth map (far-cap depth
     where the ray leaves the tube unhit), and the hit-validity mask.
+    ``traced`` is the view's (t, hit) from a march that already ran, as
+    :func:`render_views` passes it; without it the view is traced here.
     """
     light = light or LightModel()
-    rays_cam = _pixel_rays(K, w, h)
-    norms = np.linalg.norm(rays_cam, axis=-1, keepdims=True)
-    dirs_cam = rays_cam / norms
-    dirs_world = dirs_cam @ pose.rotation.T
-    origin = pose.translation
-    n = w * h
-    dirs_flat = dirs_world.reshape(n, 3)
-    z_rate = dirs_cam[..., 2].reshape(n)
-    origins = np.broadcast_to(origin, (n, 3))
-    if surface_field(params, origin[None, :])[0] <= 0:
-        raise ValueError("camera is outside the tube")
-    t, hit = _trace(params, origins, dirs_flat, z_rate)
+    dirs_cam = _unit_rays(K, w, h)
+    z_rate = dirs_cam[..., 2].reshape(-1)
+    origin, dirs_flat = _world_rays(params, pose, dirs_cam)
+    if traced is None:
+        t, hit = _trace(params, z_rate, 1, lambda _: (origin, dirs_flat))
+        traced = t[0], hit[0]
+    t, hit = traced
     depth = np.where(hit, t * z_rate, params.far_cap_mm)
-    pts = origins + t[:, None] * dirs_flat
+    pts = origin + t[:, None] * dirs_flat
     normals = surface_normal(params, pts)
     to_cam = -dirs_flat  # light sits at the camera center
     cosi = np.maximum((normals * to_cam).sum(axis=-1), 0.0)
@@ -273,6 +321,25 @@ def render_view(
         DepthMap(depth.reshape(h, w)),
         Mask(hit.reshape(h, w)),
     )
+
+
+def render_views(
+    params: SceneParams,
+    poses: list[Pose],
+    K: CameraIntrinsics,
+    w: int,
+    h: int,
+    light: LightModel | None = None,
+) -> list[tuple[Image, DepthMap, Mask]]:
+    """:func:`render_view` of every pose, with one sphere trace for all
+    of them: at most w * h rays march at once, and each view's rays enter
+    as earlier ones finish.  Every ray takes the same steps as in a
+    single-view trace, so each view's bytes equal its own render's."""
+    dirs_cam = _unit_rays(K, w, h)
+    t, hit = _trace(params, dirs_cam[..., 2].reshape(-1), len(poses),
+                    lambda i: _world_rays(params, poses[i], dirs_cam))
+    return [render_view(params, pose, K, w, h, light, traced=(t[i], hit[i]))
+            for i, pose in enumerate(poses)]
 
 
 def generate_trajectory(
@@ -395,8 +462,8 @@ def write_dataset(
     poses = generate_trajectory(params, n_frames, step_mm, heading_noise_rad,
                                 sway_mm=sway_mm)
     frames = []
-    for i, pose in enumerate(poses):
-        img, depth, _hit = render_view(params, pose, K, w, h, light)
+    views = render_views(params, poses, K, w, h, light)
+    for i, (pose, (img, depth, _hit)) in enumerate(zip(poses, views)):
         write_ppm(img, directory / f"frame_{i:04d}.ppm")
         write_pfm(depth, directory / f"depth_{i:04d}.pfm")
         pose.save(directory / f"pose_{i:04d}.json")

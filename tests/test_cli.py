@@ -53,6 +53,14 @@ class TestSynth:
     def test_single_frame_usage_error(self, tmp_path):
         assert run("synth", "--out", tmp_path / "x", "--frames", 1) == 2
 
+    def test_zero_size_image_usage_error(self, tmp_path, capsys):
+        for flag, size in (("--width", 0), ("--height", -2)):
+            other = "--height" if flag == "--width" else "--width"
+            out = tmp_path / flag.lstrip("-")
+            assert run("synth", "--out", out, "--frames", 3, flag, size, other, 8) == 2
+            assert flag in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -94,6 +102,13 @@ class TestTrain:
         rc = run("train", "--data", dataset, "--out", tmp_path / "x",
                  "--regime", "uncertain-student", "--steps", 5)
         assert rc == 2
+
+    def test_zero_grid_usage_error(self, dataset, tmp_path, capsys):
+        rc = run("train", "--data", dataset, "--out", tmp_path / "x",
+                 "--members", 1, "--steps", 5, "--grid", 0)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "grid" in err
 
     def test_missing_dataset_exit_code(self, tmp_path):
         rc = run("train", "--data", tmp_path / "absent", "--out", tmp_path / "x")

@@ -4,6 +4,7 @@ import pytest
 from scopedepth.losses import LossConfig, supervised_nll_arrays
 from scopedepth.predictor import (
     DepthField,
+    TrainConfig,
     _axis_matrix,
     backward,
     forward,
@@ -42,6 +43,11 @@ class TestInit:
     def test_nonpositive_init_rejected(self):
         with pytest.raises(ValueError):
             init_random(0, 4, 4, depth_init_mm=0.0)
+
+    @pytest.mark.parametrize("grid_w, grid_h", [(0, 4), (4, 0), (-1, -1)])
+    def test_empty_grid_config_rejected(self, grid_w, grid_h):
+        with pytest.raises(ValueError, match="grid"):
+            TrainConfig(grid_w=grid_w, grid_h=grid_h)
 
 
 class TestForward:

@@ -11,6 +11,7 @@ from scopedepth.synthcolon import (
     SceneParams,
     generate_trajectory,
     render_view,
+    render_views,
     simulate_sfm_labels,
     surface_field,
     write_dataset,
@@ -146,8 +147,26 @@ def _reference_value_noise(seed, pts, octaves):
     return total / amp_sum
 
 
-def _captured_calls(monkeypatch, name, *render_args):
-    """Arguments of every call render_view makes to synthcolon.<name>."""
+def _reference_args(trace_args):
+    """Per view of a ``_trace(params, z_cam, n_views, view_rays)`` call,
+    the (params, origins, dirs, z_cam) that the reference trace takes."""
+    params, z_cam, n_views, view_rays = trace_args
+    views = [view_rays(i) for i in range(n_views)]
+    return [(params, np.broadcast_to(origin, dirs.shape), dirs, z_cam)
+            for origin, dirs in views]
+
+
+def _reference_trace_views(*trace_args):
+    """The reference trace view by view, behind ``_trace``'s signature."""
+    n_views, n = trace_args[2], trace_args[1].size
+    runs = [_reference_trace(*args) for args in _reference_args(trace_args)]
+    t = np.array([t for t, _ in runs], dtype=np.float64).reshape(n_views, n)
+    hit = np.array([hit for _, hit in runs], dtype=bool).reshape(n_views, n)
+    return t, hit
+
+
+def _captured_calls(monkeypatch, name, render, *render_args):
+    """Arguments of every call ``render`` makes to synthcolon.<name>."""
     calls = []
     real = getattr(synthcolon, name)
 
@@ -157,19 +176,20 @@ def _captured_calls(monkeypatch, name, *render_args):
 
     with monkeypatch.context() as m:
         m.setattr(synthcolon, name, spy)
-        render_view(*render_args)
+        render(*render_args)
     return calls
 
 
 def _assert_matches_reference(monkeypatch, *render_args):
     """Trace, texture and the rendered bytes equal the reference
     implementations' bit for bit; returns t, hit and the trace's inputs."""
-    (trace_args,) = _captured_calls(monkeypatch, "_trace", *render_args)
+    (trace_args,) = _captured_calls(monkeypatch, "_trace", render_view, *render_args)
     t, hit = synthcolon._trace(*trace_args)
-    t_ref, hit_ref = _reference_trace(*trace_args)
-    np.testing.assert_array_equal(t, t_ref)
-    np.testing.assert_array_equal(hit, hit_ref)
-    noise_calls = _captured_calls(monkeypatch, "_value_noise", *render_args)
+    (ref_args,) = _reference_args(trace_args)
+    t_ref, hit_ref = _reference_trace(*ref_args)
+    np.testing.assert_array_equal(t[0], t_ref)
+    np.testing.assert_array_equal(hit[0], hit_ref)
+    noise_calls = _captured_calls(monkeypatch, "_value_noise", render_view, *render_args)
     assert len(noise_calls) == 2
     for args in noise_calls:
         np.testing.assert_array_equal(
@@ -177,12 +197,44 @@ def _assert_matches_reference(monkeypatch, *render_args):
         )
     views = render_view(*render_args)
     with monkeypatch.context() as m:
-        m.setattr(synthcolon, "_trace", _reference_trace)
+        m.setattr(synthcolon, "_trace", _reference_trace_views)
         m.setattr(synthcolon, "_value_noise", _reference_value_noise)
         ref_views = render_view(*render_args)
     for a, b in zip(views, ref_views):
         assert a.data.tobytes() == b.data.tobytes()
-    return t, hit, trace_args
+    return t[0], hit[0], ref_args
+
+
+def _assert_views_match_reference(monkeypatch, params, poses, *view_args):
+    """One shared march over ``poses`` equals a reference trace of each
+    view on its own, never marches more than one view's worth of rays at
+    a time, and every view's image, depth and mask equal a per-view
+    reference render byte for byte; returns t, hit, z_cam and the number
+    of march steps."""
+    (trace_args,) = _captured_calls(monkeypatch, "_trace", render_views, params,
+                                    poses, *view_args)
+    assert trace_args[2] == len(poses)
+    live = []
+    with monkeypatch.context() as m:
+        m.setattr(synthcolon, "surface_field",
+                  lambda p, pts: live.append(len(pts)) or surface_field(p, pts))
+        t, hit = synthcolon._trace(*trace_args)
+    # the camera checks evaluate one point per view
+    steps = [k for k in live if k > 1]
+    assert max(steps, default=0) <= trace_args[1].size
+    t_ref, hit_ref = _reference_trace_views(*trace_args)
+    np.testing.assert_array_equal(t, t_ref)
+    np.testing.assert_array_equal(hit, hit_ref)
+    views = render_views(params, poses, *view_args)
+    with monkeypatch.context() as m:
+        m.setattr(synthcolon, "_trace", _reference_trace_views)
+        m.setattr(synthcolon, "_value_noise", _reference_value_noise)
+        ref_views = [render_view(params, pose, *view_args) for pose in poses]
+    assert len(views) == len(poses)
+    for view, ref_view in zip(views, ref_views):
+        for a, b in zip(view, ref_view):
+            assert a.data.tobytes() == b.data.tobytes()
+    return t, hit, trace_args[1], len(steps)
 
 
 class TestMatchesReference:
@@ -225,6 +277,50 @@ class TestMatchesReference:
             monkeypatch, params, pose, K64, 48, 48)
         exhausted = ~hit & (t * z_cam < params.far_cap_mm)
         assert exhausted.any() and hit.any()
+
+
+class TestSharedMarch:
+    def test_quick_start_trajectory(self, monkeypatch):
+        # the README quick-start dataset: 12 frames at 64x64, seed 21,
+        # 2.5 mm sway, the CLI's default intrinsics and light
+        params = SceneParams(seed=21)
+        poses = generate_trajectory(params, 12, 1.0, sway_mm=2.5)
+        _, hit, _, steps = _assert_views_match_reference(monkeypatch, params, poses,
+                                                         K64, 64, 64)
+        assert not hit.all()
+        # one march, not twelve: frame 0 alone takes over a thousand steps
+        assert steps < 2 * 1224
+
+    def test_late_rays_get_their_own_step_budget(self, monkeypatch):
+        # with 40 steps per ray, most rays of every view run out of steps;
+        # a view's rays enter once an eighth of the live set has finished,
+        # so a budget shared with the first view would cut them short
+        monkeypatch.setattr(synthcolon, "_TRACE_MAX_ITERS", 40)
+        params = SceneParams(seed=11)
+        poses = generate_trajectory(params, 4, 1.0)
+        t, hit, z_cam, steps = _assert_views_match_reference(
+            monkeypatch, params, poses, K64, 48, 48)
+        # no ray takes more than 40 steps, so a longer march has rays that
+        # entered after it began
+        assert steps > 40
+        exhausted = ~hit & (t * z_cam < params.far_cap_mm)
+        assert exhausted[1:].any(axis=1).all() and hit[1:].any(axis=1).all()
+
+    def test_no_poses(self):
+        params = SceneParams(seed=11)
+        assert render_views(params, [], K64, 48, 48) == []
+        z_cam = np.ones(16)
+        t, hit = synthcolon._trace(params, z_cam, 0, None)
+        assert t.shape == hit.shape == (0, 16)
+
+    def test_zero_width_views(self):
+        params = SceneParams(seed=11)
+        poses = generate_trajectory(params, 3, 1.0)
+        views = render_views(params, poses, K64, 0, 4)
+        assert len(views) == 3
+        for img, depth, hit in views:
+            assert img.data.shape == (4, 0, 3)
+            assert depth.data.shape == hit.data.shape == (4, 0)
 
 
 class TestTrajectory:
