@@ -3,17 +3,20 @@ edge-aware smoothness prior.
 
 Windowed SSIM statistics use a box filter with edge replication, so every
 value is checkable against a brute-force loop over clamped windows.  The
-module also exposes the exact adjoint of that filter and the reverse-mode
-derivative of the SSIM map, which training needs to push photometric error
-back through warped images.
+filter is two matrix products with cached per-axis moving-mean matrices,
+``B_h @ x @ B_w.T``, so its adjoint ``B_h.T @ g @ B_w`` is exact by
+construction, for any image size.  Both act on the last two axes, so SSIM,
+its reverse-mode derivative and the residual work on (c, h, w) channel
+stacks in one call rather than a loop over channels.  Training needs that
+derivative to push photometric error back through warped images.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .imagery import DepthMap, Image, Mask, same_shape
 
@@ -40,39 +43,36 @@ class PhotometricConfig:
             raise ValueError("c1, c2 must be positive")
 
 
-def box_filter(x: np.ndarray, window: int) -> np.ndarray:
-    """Windowed mean with edge replication (mode 'nearest')."""
-    weights = np.full(window, 1.0 / window)
-    out = ndimage.correlate1d(np.asarray(x, dtype=np.float64), weights, axis=0,
-                              mode="nearest")
-    return ndimage.correlate1d(out, weights, axis=1, mode="nearest")
-
-
-def _box_adjoint_1d(g: np.ndarray, window: int, axis: int) -> np.ndarray:
-    """Transpose of the 1-D replicate-padded moving mean along ``axis``."""
-    n = g.shape[axis]
+@functools.lru_cache(maxsize=64)
+def _box_matrix(n: int, window: int) -> np.ndarray:
+    """Read-only (n, n) moving mean of one axis with edge replication: row i
+    averages the entries at clip(i - window//2 .. i + window//2, 0, n - 1)."""
+    i = np.arange(n)[:, None]
     r = window // 2
-    if n < window:
-        raise ValueError("array smaller than filter window")
-    weights = np.full(window, 1.0 / window)
-    out = ndimage.correlate1d(g, weights, axis=axis, mode="constant", cval=0.0)
-    # fold the window mass that replicate padding borrowed from the edges
-    gm = np.moveaxis(g, axis, 0)
-    om = np.moveaxis(out, axis, 0)
-    counts = np.arange(r, 0, -1, dtype=np.float64)  # r, r-1, ..., 1
-    om[0] = om[0] + np.tensordot(counts, gm[:r], axes=(0, 0)) / window
-    om[n - 1] = om[n - 1] + np.tensordot(counts[::-1], gm[n - r:], axes=(0, 0)) / window
-    return out
+    m = np.zeros((n, n))
+    np.add.at(m, (i, np.clip(i + np.arange(-r, r + 1), 0, n - 1)), 1.0)
+    m /= window
+    m.setflags(write=False)
+    return m
+
+
+def box_filter(x: np.ndarray, window: int) -> np.ndarray:
+    """Windowed mean with edge replication over the last two axes:
+    ``B_h @ x @ B_w.T``."""
+    x = np.asarray(x, dtype=np.float64)
+    h, w = x.shape[-2:]
+    return _box_matrix(h, window) @ x @ _box_matrix(w, window).T
 
 
 def box_filter_adjoint(g: np.ndarray, window: int) -> np.ndarray:
     """Adjoint of :func:`box_filter`: <box(x), g> == <x, adjoint(g)>."""
-    out = _box_adjoint_1d(np.asarray(g, dtype=np.float64), window, axis=1)
-    return _box_adjoint_1d(out, window, axis=0)
+    g = np.asarray(g, dtype=np.float64)
+    h, w = g.shape[-2:]
+    return _box_matrix(h, window).T @ g @ _box_matrix(w, window)
 
 
 def _ssim_moments(x: np.ndarray, cfg: PhotometricConfig) -> tuple:
-    """Windowed mean and windowed second moment of one channel."""
+    """Windowed mean and windowed second moment of a channel (stack)."""
     return box_filter(x, cfg.ssim_window), box_filter(x * x, cfg.ssim_window)
 
 
@@ -80,11 +80,11 @@ def ssim_terms(
     a: np.ndarray, b: np.ndarray, cfg: PhotometricConfig,
     a_moments: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple:
-    """One pass over the windowed statistics of single-channel float64
-    arrays: returns (S, a, b, mu_a, mu_b, A1, A2, B1, B2), the SSIM map
-    S = (A1 A2) / (B1 B2) followed by what :func:`ssim_backward_channel`
-    needs to differentiate it.  ``a_moments`` are the
-    :func:`_ssim_moments` of ``a`` when the caller already has them."""
+    """One pass over the windowed statistics of float64 (h, w) channels or
+    (c, h, w) channel stacks: returns (S, a, b, mu_a, mu_b, A1, A2, B1, B2),
+    the per-channel SSIM map S = (A1 A2) / (B1 B2) followed by what
+    :func:`ssim_backward_channel` needs to differentiate it.  ``a_moments``
+    are the :func:`_ssim_moments` of ``a`` when the caller already has them."""
     win = cfg.ssim_window
     mu_a, a2 = a_moments if a_moments is not None else _ssim_moments(a, cfg)
     mu_b, b2 = _ssim_moments(b, cfg)
@@ -104,17 +104,17 @@ def ssim_map(a: Image, b: Image, cfg: PhotometricConfig | None = None) -> np.nda
     same_shape(a, b)
     if a.channels != b.channels:
         raise ValueError("channel counts disagree")
-    da = a.data.astype(np.float64)
-    db = b.data.astype(np.float64)
-    chans = [ssim_terms(da[:, :, c], db[:, :, c], cfg)[0] for c in range(a.channels)]
-    return np.mean(chans, axis=0)
+    da = np.moveaxis(a.data.astype(np.float64), 2, 0)
+    db = np.moveaxis(b.data.astype(np.float64), 2, 0)
+    return ssim_terms(da, db, cfg)[0].mean(axis=0)
 
 
 def ssim_backward_channel(
     terms: tuple, upstream: np.ndarray, cfg: PhotometricConfig
 ) -> np.ndarray:
-    """d(sum(upstream * ssim(a, b)))/db for a single channel, a held fixed,
-    from the :func:`ssim_terms` of (a, b)."""
+    """d(sum(upstream * ssim(a, b)))/db per channel, a held fixed, from the
+    :func:`ssim_terms` of (a, b); an (h, w) ``upstream`` broadcasts over a
+    (c, h, w) stack."""
     win = cfg.ssim_window
     S, a, b, mu_a, mu_b, A1, A2, B1, B2 = terms
     dS_dA1 = A2 / (B1 * B2)
@@ -138,7 +138,7 @@ def photometric_residual_arrays(
     tgt: np.ndarray,
     warps: list[tuple[np.ndarray, np.ndarray]],
     cfg: PhotometricConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[tuple]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
     """Minimum-over-sources photometric error of Eq.-4 form on arrays.
 
     ``tgt`` is the (h, w, c) float64 target and each warp a pair of the
@@ -148,24 +148,23 @@ def photometric_residual_arrays(
     absolute difference; the residual keeps the smallest candidate, and a
     pixel is valid when at least one source is.
 
-    Returns (f_p, valid, argmin source index (-1 where invalid), per-source
-    list of per-channel :func:`ssim_terms`).
+    Returns (f_p, valid, argmin source index (-1 where invalid), one
+    :func:`ssim_terms` tuple of (c, h, w) stacks per source).
     """
     if not warps:
         raise ValueError("need at least one warped source")
     alpha = cfg.alpha
     # the target's moments do not depend on the source
-    tgt_moments = [_ssim_moments(tgt[:, :, c], cfg) for c in range(tgt.shape[2])]
+    tgt_c = np.moveaxis(tgt, 2, 0)
+    tgt_moments = _ssim_moments(tgt_c, cfg)
     candidates = []
     terms = []
     for vals, valid in warps:
         l1 = np.abs(tgt - vals).mean(axis=2)
-        chans = [ssim_terms(tgt[:, :, c], vals[:, :, c], cfg, tgt_moments[c])
-                 for c in range(tgt.shape[2])]
-        s = np.mean([t[0] for t in chans], axis=0)
-        cand = (1 - alpha) * l1 + 0.5 * alpha * (1 - s)
+        t = ssim_terms(tgt_c, np.moveaxis(vals, 2, 0), cfg, tgt_moments)
+        cand = (1 - alpha) * l1 + 0.5 * alpha * (1 - t[0].mean(axis=0))
         candidates.append(np.where(valid, cand, np.inf))
-        terms.append(chans)
+        terms.append(t)
     stack = np.stack(candidates, axis=0)
     arg = np.argmin(stack, axis=0)
     f_p = np.min(stack, axis=0)

@@ -132,7 +132,7 @@ class TrainReport:
         with open(path, "w", newline="") as f:
             f.write("step,loss\r\n")
             for i, v in enumerate(self.losses):
-                f.write(f"{i},{v!r}\r\n")
+                f.write(f"{i},{float(v)!r}\r\n")
 
 
 def _check_bundle(regime: Regime, data: TrainData) -> None:
@@ -252,10 +252,8 @@ def _selfsup_objective(
             if not np.any(up):
                 continue
             g_vals = (1 - alpha) / nchan * (-np.sign(tgt - vals)) * up[..., None]
-            for c in range(nchan):
-                g_vals[:, :, c] += ssim_backward_channel(
-                    terms[s_idx][c], -0.5 * alpha / nchan * up, pcfg
-                )
+            g_vals += np.moveaxis(ssim_backward_channel(
+                terms[s_idx], -0.5 * alpha / nchan * up, pcfg), 0, 2)
             d_dd = (g_vals * ddx).sum(axis=2) * dxd + (g_vals * ddy).sum(axis=2) * dyd
             grad_d += np.where(valid, d_dd, 0.0)
         if loss_cfg.lambda_u > 0:

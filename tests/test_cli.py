@@ -1,12 +1,16 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scopedepth
 from scopedepth.cli import main
 from scopedepth.ensemble import load_ensemble
 from scopedepth.imagery import read_pfm
@@ -39,6 +43,18 @@ def fused(trained, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "fused"
     assert run("fuse", "--run", trained, "--out", out) == 0
     return out
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it costs the CLI startup
+    # time and memory on every run
+    code = ("import sys, scopedepth, scopedepth.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(scopedepth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSynth:
@@ -109,6 +125,16 @@ class TestTrain:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "grid" in err
+
+    def test_selfsup_on_image_smaller_than_ssim_window(self, tmp_path):
+        ds = tmp_path / "ds"
+        assert run("synth", "--out", ds, "--width", 8, "--height", 2, "--frames", 3) == 0
+        assert run("train", "--data", ds, "--out", tmp_path / "run",
+                   "--regime", "self-supervised", "--members", 1, "--steps", 5,
+                   "--grid", 2) == 0
+        with open(tmp_path / "run" / "loss_0.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 5 and all(np.isfinite(float(r["loss"])) for r in rows)
 
     def test_missing_dataset_exit_code(self, tmp_path):
         rc = run("train", "--data", tmp_path / "absent", "--out", tmp_path / "x")

@@ -4,6 +4,7 @@ import pytest
 from scopedepth.imagery import DepthMap, Image, Mask
 from scopedepth.photometry import (
     PhotometricConfig,
+    _box_matrix,
     box_filter,
     box_filter_adjoint,
     edge_aware_smoothness,
@@ -50,24 +51,62 @@ def brute_force_ssim(a, b, cfg):
     )
 
 
+def box_cases(shape):
+    """(window, shape) cases: ``shape`` at windows 3 and 5 (ids "3", "5"),
+    then images as small as, or smaller than, the window."""
+    small = [(3, (1, 1)), (3, (2, 5)), (5, (4, 4)), (5, (1, 7))]
+    return [pytest.param(win, shape, id=str(win)) for win in (3, 5)] + [
+        pytest.param(win, s, id=f"{win}-{s[0]}x{s[1]}") for win, s in small
+    ]
+
+
 class TestBoxFilter:
-    @pytest.mark.parametrize("win", [3, 5])
-    def test_matches_brute_force(self, win):
+    @pytest.mark.parametrize("win,shape", box_cases((7, 9)))
+    def test_matches_brute_force(self, win, shape):
         rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, (7, 9))
+        x = rng.uniform(0, 1, shape)
         got = box_filter(x, win)
         mu, *_ = brute_force_window_stats(x, x, win)
         np.testing.assert_allclose(got, mu, atol=1e-12)
 
-    @pytest.mark.parametrize("win", [3, 5])
-    def test_adjoint_dot_product(self, win):
+    @pytest.mark.parametrize("win,shape", box_cases((8, 11)))
+    def test_adjoint_dot_product(self, win, shape):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            x = rng.normal(size=(8, 11))
-            g = rng.normal(size=(8, 11))
+            x = rng.normal(size=shape)
+            g = rng.normal(size=shape)
             lhs = (box_filter(x, win) * g).sum()
             rhs = (x * box_filter_adjoint(g, win)).sum()
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_axis_matrix_cached_read_only(self):
+        m = _box_matrix(6, 3)
+        assert _box_matrix(6, 3) is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
+class TestChannelStacks:
+    @pytest.mark.parametrize("layout", ["contiguous", "moveaxis"])
+    def test_stack_equals_per_channel_calls(self, layout):
+        cfg = PhotometricConfig()
+        rng = np.random.default_rng(12)
+        a = rng.uniform(0, 1, (6, 7, 3))
+        b = rng.uniform(0, 1, (6, 7, 3))
+        up = rng.normal(size=(6, 7))
+        sa, sb = np.moveaxis(a, 2, 0), np.moveaxis(b, 2, 0)
+        if layout == "contiguous":
+            sa, sb = np.ascontiguousarray(sa), np.ascontiguousarray(sb)
+        box = box_filter(sb, cfg.ssim_window)
+        terms = ssim_terms(sa, sb, cfg)
+        grad = ssim_backward_channel(terms, up, cfg)
+        for c in range(3):
+            np.testing.assert_array_equal(box[c], box_filter(b[:, :, c], cfg.ssim_window))
+            chan = ssim_terms(a[:, :, c], b[:, :, c], cfg)
+            for got, want in zip(terms, chan):
+                np.testing.assert_array_equal(got[c], want)
+            np.testing.assert_array_equal(grad[c], ssim_backward_channel(chan, up, cfg))
 
 
 class TestSsim:

@@ -178,6 +178,10 @@ class TestTrainMember:
         lines = (tmp_path / "loss.csv").read_text().splitlines()
         assert lines[0] == "step,loss"
         assert len(lines) == 6
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(i) for i, _ in rows] == list(range(5))
+        parsed = np.array([float(v) for _, v in rows])
+        assert parsed.tobytes() == report.losses.tobytes()
 
 
 class TestTrainEnsemble:
