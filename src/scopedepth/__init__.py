@@ -15,18 +15,14 @@ from .ensemble import EnsembleOutput, fuse, load_ensemble, save_ensemble, selfsu
 from .geometry import (
     CameraIntrinsics,
     Pose,
-    backproject,
-    project,
     relative_pose,
     synthesize_warped_image,
-    warp_pixel,
 )
 from .imagery import (
     DepthMap,
     Image,
     Mask,
     UncMap,
-    bilinear_sample,
     read_pfm,
     read_ppm,
     write_pfm,

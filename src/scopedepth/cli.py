@@ -177,8 +177,6 @@ def cmd_synth(args) -> int:
     for flag in ("width", "height"):
         if cfg[flag] < 1:
             raise UsageError(f"--{flag} must be >= 1, got {cfg[flag]}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = SceneParams(
         radius_mm=cfg["radius_mm"], curve_amp_mm=cfg["curve_amp_mm"],
         curve_freq=cfg["curve_freq"], ridge_amp_mm=cfg["ridge_amp_mm"],
@@ -189,6 +187,8 @@ def cmd_synth(args) -> int:
     )
     K = CameraIntrinsics(cfg["fx"], cfg["fy"], cfg["cx"], cfg["cy"])
     light = LightModel(intensity=cfg["light_intensity"], specular=cfg["specular"])
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ds_manifest = write_dataset(
         out_dir, params, K, cfg["frames"], cfg["step_mm"], cfg["width"],
         cfg["height"], light, cfg["heading_noise_rad"], sway_mm=cfg["sway_mm"],
@@ -254,6 +254,8 @@ def cmd_train(args) -> int:
         "grid": args.grid, "teacher": args.teacher, "jobs": args.jobs,
         "target_frame": args.target_frame,
     })
+    if int(cfg["jobs"]) < 1:
+        raise UsageError(f"--jobs must be >= 1, got {cfg['jobs']}")
     try:
         Regime(cfg["regime"])
     except ValueError:

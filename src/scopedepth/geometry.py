@@ -4,6 +4,12 @@ Camera convention: right-handed, z forward, x right, y down.  Pixel centers
 sit at integer coordinates: the optical axis of a camera with principal
 point (cx, cy) pierces pixel (cx, cy) exactly.  A pose maps points between
 frames as ``p_dst = R @ p_src + t`` with translations in millimetres.
+
+The inverse warp splits into a depth-free part, :func:`warp_basis` (the
+rotated pixel rays and the numerators of the depth Jacobian, held as
+separate (h, w) planes), and a per-depth pass, :func:`warp_from_basis`.
+Training builds the first once per source pose and runs only the second
+per step; :func:`warp_coordinates` chains the two.
 """
 
 from __future__ import annotations
@@ -16,14 +22,6 @@ import numpy as np
 from .imagery import DepthMap, Image, Mask, bilinear_sample_map, same_shape
 
 EPS_Z = 1e-6  # near-plane cutoff, mm
-
-
-class BehindCameraError(ValueError):
-    """Projection of a point at or behind the camera plane."""
-
-
-class InvalidDepthError(ValueError):
-    """Back-projection with non-positive depth."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,51 +119,43 @@ def relative_pose(target_c2w: Pose, source_c2w: Pose) -> Pose:
     return source_c2w.inverse().compose(target_c2w)
 
 
-def project(K: CameraIntrinsics, P) -> tuple[float, float]:
-    """Project camera-frame point P (mm) to continuous pixel coordinates."""
-    P = np.asarray(P, dtype=np.float64)
-    if P[2] <= EPS_Z:
-        raise BehindCameraError(f"point z={P[2]} behind near plane")
-    return (K.fx * P[0] / P[2] + K.cx, K.fy * P[1] / P[2] + K.cy)
-
-
-def backproject(K: CameraIntrinsics, j, d: float) -> np.ndarray:
-    """Lift pixel j=(x, y) at depth d (mm) to a camera-frame 3D point."""
-    if d <= 0:
-        raise InvalidDepthError(f"depth {d} must be positive")
-    x, y = float(j[0]), float(j[1])
-    return np.array([(x - K.cx) * d / K.fx, (y - K.cy) * d / K.fy, d])
-
-
-def warp_pixel(
-    j, d: float, K: CameraIntrinsics, pose: Pose, width: int | None = None,
-    height: int | None = None,
-) -> tuple[tuple[float, float], bool]:
-    """Reproject target pixel j with depth d into the source view.
-
-    Returns ((x', y'), valid); valid is False when the transformed point
-    falls at or behind the source near plane, or (when width/height are
-    given) outside the source image domain [0, w-1] x [0, h-1].
-    """
-    if d <= 0:
-        raise InvalidDepthError(f"depth {d} must be positive")
-    P = pose.apply(backproject(K, j, d))
-    if P[2] <= EPS_Z:
-        return (0.0, 0.0), False
-    u = K.fx * P[0] / P[2] + K.cx
-    v = K.fy * P[1] / P[2] + K.cy
-    if width is not None and height is not None:
-        if not (0.0 <= u <= width - 1 and 0.0 <= v <= height - 1):
-            return (u, v), False
-    return (u, v), True
-
-
 def _pixel_rays(K: CameraIntrinsics, width: int, height: int) -> np.ndarray:
     """Back-projection directions ((x-cx)/fx, (y-cy)/fy, 1), shape (h, w, 3)."""
     xs = np.arange(width, dtype=np.float64)
     ys = np.arange(height, dtype=np.float64)
     gx, gy = np.meshgrid(xs, ys)
     return np.stack([(gx - K.cx) / K.fx, (gy - K.cy) / K.fy, np.ones_like(gx)], axis=-1)
+
+
+def warp_basis(
+    K: CameraIntrinsics, pose: Pose, width: int, height: int
+) -> tuple[np.ndarray, ...]:
+    """The depth-free part of warping a (height, width) target raster into
+    the source view of ``pose``, as five (h, w) planes: the rotated rays
+    q_x, q_y, q_z of ``q = ((x-cx)/fx, (y-cy)/fy, 1) @ R.T`` and the
+    numerators fx (q_x t_z - t_x q_z), fy (q_y t_z - t_y q_z) of the depth
+    Jacobian.  Training builds it once per source pose."""
+    q = _pixel_rays(K, width, height) @ pose.rotation.T
+    t = pose.translation
+    qx, qy, qz = (np.ascontiguousarray(q[..., i]) for i in range(3))
+    return qx, qy, qz, K.fx * (qx * t[2] - t[0] * qz), K.fy * (qy * t[2] - t[1] * qz)
+
+
+def warp_from_basis(
+    d: np.ndarray, K: CameraIntrinsics, pose: Pose, basis: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`warp_coordinates` of depth ``d`` given its
+    :func:`warp_basis` for (K, pose) at d's size."""
+    qx, qy, qz, num_x, num_y = basis
+    t = pose.translation
+    z = qz * d + t[2]
+    in_front = z > EPS_Z
+    zsafe = np.where(in_front, z, 1.0)
+    xs = K.fx * (qx * d + t[0]) / zsafe + K.cx
+    ys = K.fy * (qy * d + t[1]) / zsafe + K.cy
+    # d(u)/d(depth) = fx (qx tz - tx qz) / z^2
+    z2 = zsafe**2
+    return xs, ys, in_front, num_x / z2, num_y / z2
 
 
 def warp_coordinates(
@@ -180,19 +170,7 @@ def warp_coordinates(
     raster happens at sampling time.
     """
     h, w = d.shape
-    rays = _pixel_rays(K, w, h)
-    q = rays @ pose.rotation.T  # rotated ray per pixel
-    t = pose.translation
-    P = q * d[..., None] + t
-    z = P[..., 2]
-    in_front = z > EPS_Z
-    zsafe = np.where(in_front, z, 1.0)
-    xs = K.fx * P[..., 0] / zsafe + K.cx
-    ys = K.fy * P[..., 1] / zsafe + K.cy
-    # d(u)/d(depth) = fx (qx tz - tx qz) / z^2 ; numerator is depth-free
-    dx_dd = K.fx * (q[..., 0] * t[2] - t[0] * q[..., 2]) / zsafe**2
-    dy_dd = K.fy * (q[..., 1] * t[2] - t[1] * q[..., 2]) / zsafe**2
-    return xs, ys, in_front, dx_dd, dy_dd
+    return warp_from_basis(d, K, pose, warp_basis(K, pose, w, h))
 
 
 def synthesize_warped_image(

@@ -3,7 +3,9 @@
 All pixel data lives in row-major numpy arrays indexed ``data[y, x]`` (and
 ``data[y, x, c]`` for color).  Arrays are 32-bit floats, validated as finite
 at construction and frozen afterwards, so instances can be shared freely
-across threads and processes.
+across threads and processes.  Numeric code works on channel-first
+float64 copies (:meth:`Image.planes`, shape (c, h, w)), so the sampler's
+gathers and arithmetic loop over pixels, not over three channels.
 
 File formats:
 
@@ -43,8 +45,20 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite values")
 
 
+class _Raster:
+    """Height and width of a raster whose ``data`` is indexed [y, x, ...]."""
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+
 @dataclass(frozen=True, eq=False)
-class Image:
+class Image(_Raster):
     """Color or gray observation, values in [0, 1].
 
     ``data`` has shape (height, width, channels) with channels 1 or 3.
@@ -65,16 +79,12 @@ class Image:
         object.__setattr__(self, "data", _freeze(np.ascontiguousarray(arr)))
 
     @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def channels(self) -> int:
         return self.data.shape[2]
+
+    def planes(self) -> np.ndarray:
+        """Channel-first float64 copy, shape (channels, h, w), C-contiguous."""
+        return np.ascontiguousarray(np.moveaxis(self.data, 2, 0), dtype=np.float64)
 
     def gray(self) -> np.ndarray:
         """Channel-mean intensity, shape (h, w), float64."""
@@ -82,7 +92,7 @@ class Image:
 
 
 @dataclass(frozen=True, eq=False)
-class DepthMap:
+class DepthMap(_Raster):
     """Per-pixel depth in millimetres, shape (height, width).
 
     Entries must be finite; positivity is required only where an
@@ -99,17 +109,9 @@ class DepthMap:
         _check_finite(arr, "DepthMap")
         object.__setattr__(self, "data", _freeze(np.ascontiguousarray(arr)))
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
-class UncMap:
+class UncMap(_Raster):
     """Per-pixel uncertainty, either a standard deviation or a variance.
 
     The ``kind`` flag makes the unit explicit; conversions go through
@@ -130,14 +132,6 @@ class UncMap:
             raise ValueError("UncMap entries must be >= 0")
         object.__setattr__(self, "data", _freeze(np.ascontiguousarray(arr)))
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
     def to_std(self) -> "UncMap":
         if self.kind == "std":
             return self
@@ -150,7 +144,7 @@ class UncMap:
 
 
 @dataclass(frozen=True, eq=False)
-class Mask:
+class Mask(_Raster):
     """Per-pixel validity, shape (height, width), boolean."""
 
     data: np.ndarray
@@ -160,14 +154,6 @@ class Mask:
         if arr.ndim != 2:
             raise ValueError("Mask data must be 2-D")
         object.__setattr__(self, "data", _freeze(np.ascontiguousarray(arr)))
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
     @staticmethod
     def full(height: int, width: int, value: bool = True) -> "Mask":
@@ -192,45 +178,20 @@ def same_shape(*maps) -> None:
 # bilinear sampling
 
 
-def bilinear_sample(img: Image, x: float, y: float) -> tuple[np.ndarray, bool]:
-    """Sample ``img`` at continuous pixel coordinates (x, y).
-
-    Pixel centers sit at integer coordinates; the sample is valid only when
-    the full 2x2 interpolation footprint stays inside [0, w-1] x [0, h-1].
-    Returns (per-channel color, valid).  Out-of-bounds samples return zeros
-    with valid=False rather than clamping.
-    """
-    h, w = img.height, img.width
-    c = img.channels
-    if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):
-        return np.zeros(c, dtype=np.float64), False
-    x0 = min(int(np.floor(x)), w - 2) if w > 1 else 0
-    y0 = min(int(np.floor(y)), h - 2) if h > 1 else 0
-    fx = x - x0
-    fy = y - y0
-    d = img.data.astype(np.float64)
-    x1 = min(x0 + 1, w - 1)
-    y1 = min(y0 + 1, h - 1)
-    c00 = d[y0, x0]
-    c10 = d[y0, x1]
-    c01 = d[y1, x0]
-    c11 = d[y1, x1]
-    top = c00 * (1 - fx) + c10 * fx
-    bot = c01 * (1 - fx) + c11 * fx
-    return top * (1 - fy) + bot * fy, True
-
-
-def bilinear_sample_map(
-    img: Image, xs: np.ndarray, ys: np.ndarray
+def bilinear_sample_planes(
+    planes: np.ndarray, xs: np.ndarray, ys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`bilinear_sample` over coordinate arrays, with the
-    spatial derivatives of the interpolant.
+    """Bilinear samples of (c, h, w) float64 planes at continuous pixel
+    coordinates, each corner one ``np.take`` of flat pixel indices.
 
-    Returns (values, d/dx, d/dy, valid): the first three have shape
-    xs.shape + (channels,), the derivatives taken inside the sample's
-    bilinear cell; valid is a bool array.  Invalid locations hold zeros.
+    Pixel centers sit at integer coordinates; a sample is valid only when
+    its 2x2 footprint stays inside [0, w-1] x [0, h-1].  Returns (values,
+    d/dx, d/dy, valid): the first three have shape (c,) + xs.shape, the
+    derivatives taken inside the sample's bilinear cell, and hold zeros
+    where the bool array ``valid`` is false.
     """
-    h, w = img.height, img.width
+    c, h, w = planes.shape
+    flat = planes.reshape(c, h * w)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     valid = (xs >= 0.0) & (xs <= w - 1) & (ys >= 0.0) & (ys <= h - 1)
@@ -240,20 +201,28 @@ def bilinear_sample_map(
     y0 = np.minimum(np.floor(yc).astype(np.int64), max(h - 2, 0))
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (xc - x0)[..., None]
-    fy = (yc - y0)[..., None]
-    d = img.data.astype(np.float64)
-    c00 = d[y0, x0]
-    c10 = d[y0, x1]
-    c01 = d[y1, x0]
-    c11 = d[y1, x1]
-    out = (c00 * (1 - fx) + c10 * fx) * (1 - fy) + (c01 * (1 - fx) + c11 * fx) * fy
-    ddx = (c10 - c00) * (1 - fy) + (c11 - c01) * fy
-    ddy = (c01 - c00) * (1 - fx) + (c11 - c10) * fx
-    out[~valid] = 0.0
-    ddx[~valid] = 0.0
-    ddy[~valid] = 0.0
-    return out, ddx, ddy, valid
+    fx = xc - x0
+    fy = yc - y0
+    gx = 1 - fx
+    gy = 1 - fy
+    c00 = np.take(flat, y0 * w + x0, axis=1)
+    c10 = np.take(flat, y0 * w + x1, axis=1)
+    c01 = np.take(flat, y1 * w + x0, axis=1)
+    c11 = np.take(flat, y1 * w + x1, axis=1)
+    out = (c00 * gx + c10 * fx) * gy + (c01 * gx + c11 * fx) * fy
+    ddx = (c10 - c00) * gy + (c11 - c01) * fy
+    ddy = (c01 - c00) * gx + (c11 - c10) * fx
+    return (np.where(valid, out, 0.0), np.where(valid, ddx, 0.0),
+            np.where(valid, ddy, 0.0), valid)
+
+
+def bilinear_sample_map(
+    img: Image, xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`bilinear_sample_planes` of an :class:`Image`, channel-last:
+    values and derivatives have shape xs.shape + (channels,)."""
+    out, ddx, ddy, valid = bilinear_sample_planes(img.planes(), xs, ys)
+    return np.moveaxis(out, 0, -1), np.moveaxis(ddx, 0, -1), np.moveaxis(ddy, 0, -1), valid
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ construction, for any image size.  Both act on the last two axes, so SSIM,
 its reverse-mode derivative and the residual work on (c, h, w) channel
 stacks in one call rather than a loop over channels.  Training needs that
 derivative to push photometric error back through warped images.
+
+The array-level entry points take channel-first float64 planes, the
+layout the bilinear sampler returns, so a training step moves no axes.
+What depends on the image alone (the target's SSIM moments, the
+smoothness :func:`edge_weights`) is an argument, so training computes it
+once per run; the :class:`Image`-level functions compute it per call.
 """
 
 from __future__ import annotations
@@ -104,9 +110,7 @@ def ssim_map(a: Image, b: Image, cfg: PhotometricConfig | None = None) -> np.nda
     same_shape(a, b)
     if a.channels != b.channels:
         raise ValueError("channel counts disagree")
-    da = np.moveaxis(a.data.astype(np.float64), 2, 0)
-    db = np.moveaxis(b.data.astype(np.float64), 2, 0)
-    return ssim_terms(da, db, cfg)[0].mean(axis=0)
+    return ssim_terms(a.planes(), b.planes(), cfg)[0].mean(axis=0)
 
 
 def ssim_backward_channel(
@@ -136,17 +140,19 @@ def ssim_backward_channel(
 
 def photometric_residual_arrays(
     tgt: np.ndarray,
+    tgt_moments: tuple[np.ndarray, np.ndarray],
     warps: list[tuple[np.ndarray, np.ndarray]],
     cfg: PhotometricConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
     """Minimum-over-sources photometric error of Eq.-4 form on arrays.
 
-    ``tgt`` is the (h, w, c) float64 target and each warp a pair of the
-    (h, w, c) float64 warped source and its (h, w) bool validity.  Per
-    pixel and per valid source the candidate is
-    ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)`` with L1 the channel-mean
-    absolute difference; the residual keeps the smallest candidate, and a
-    pixel is valid when at least one source is.
+    ``tgt`` is the (c, h, w) float64 target, ``tgt_moments`` its
+    :func:`_ssim_moments` (they do not depend on the source, so training
+    computes them once per run), and each warp a pair of the (c, h, w)
+    float64 warped source and its (h, w) bool validity.  Per pixel and per
+    valid source the candidate is ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)``
+    with L1 the channel-mean absolute difference; the residual keeps the
+    smallest candidate, and a pixel is valid when at least one source is.
 
     Returns (f_p, valid, argmin source index (-1 where invalid), one
     :func:`ssim_terms` tuple of (c, h, w) stacks per source).
@@ -154,14 +160,11 @@ def photometric_residual_arrays(
     if not warps:
         raise ValueError("need at least one warped source")
     alpha = cfg.alpha
-    # the target's moments do not depend on the source
-    tgt_c = np.moveaxis(tgt, 2, 0)
-    tgt_moments = _ssim_moments(tgt_c, cfg)
     candidates = []
     terms = []
     for vals, valid in warps:
-        l1 = np.abs(tgt - vals).mean(axis=2)
-        t = ssim_terms(tgt_c, np.moveaxis(vals, 2, 0), cfg, tgt_moments)
+        l1 = np.abs(tgt - vals).mean(axis=0)
+        t = ssim_terms(tgt, vals, cfg, tgt_moments)
         cand = (1 - alpha) * l1 + 0.5 * alpha * (1 - t[0].mean(axis=0))
         candidates.append(np.where(valid, cand, np.inf))
         terms.append(t)
@@ -186,30 +189,23 @@ def photometric_residual(
     same_shape(I_tgt, *[w for w, _ in warps], *[m for _, m in warps])
     if any(I_w.channels != I_tgt.channels for I_w, _ in warps):
         raise ValueError("channel counts disagree")
+    tgt = I_tgt.planes()
     f_p, valid, _, _ = photometric_residual_arrays(
-        I_tgt.data.astype(np.float64),
-        [(I_w.data.astype(np.float64), mask.data) for I_w, mask in warps],
-        cfg,
+        tgt, _ssim_moments(tgt, cfg),
+        [(I_w.planes(), mask.data) for I_w, mask in warps], cfg,
     )
     return f_p, Mask(valid)
 
 
-def _smoothness_inputs(d, I: Image) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Depth as float64, its mean, and the edge weights exp(-|dx gray|),
-    exp(-|dy gray|) (one in the last column/row); raises when mean depth
-    is not positive or the depth and image dimensions disagree."""
-    darr = np.asarray(d.data if isinstance(d, DepthMap) else d, dtype=np.float64)
-    mu = darr.mean()
-    if mu <= 0:
-        raise ValueError("mean depth must be positive")
+def edge_weights(I: Image) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-|dx gray|) and exp(-|dy gray|) of an image, one in the last
+    column/row: the weights of :func:`edge_aware_smoothness`."""
     gray = I.gray()
-    if gray.shape != darr.shape:
-        raise ValueError("depth and image dimensions disagree")
     wx = np.ones_like(gray)
     wy = np.ones_like(gray)
     wx[:, :-1] = np.exp(-np.abs(np.diff(gray, axis=1)))
     wy[:-1, :] = np.exp(-np.abs(np.diff(gray, axis=0)))
-    return darr, mu, wx, wy
+    return wx, wy
 
 
 def edge_aware_smoothness(d, I: Image) -> np.ndarray:
@@ -219,20 +215,31 @@ def edge_aware_smoothness(d, I: Image) -> np.ndarray:
     row/column):  |dx d*| exp(-|dx gray|) + |dy d*| exp(-|dy gray|).
     Raises when mean depth is not positive or the shapes disagree.
     """
-    darr, mu, wx, wy = _smoothness_inputs(d, I)
-    dn = darr / mu
-    gx = np.zeros_like(dn)
-    gy = np.zeros_like(dn)
-    gx[:, :-1] = np.abs(np.diff(dn, axis=1))
-    gy[:-1, :] = np.abs(np.diff(dn, axis=0))
-    return gx * wx + gy * wy
+    return smoothness_and_grad(d, edge_weights(I))[0]
 
 
 def edge_aware_smoothness_grad(d, I: Image) -> np.ndarray:
     """d(mean(edge_aware_smoothness))/d(depth[j]), including the coupling
     through the mean normalization.  Sign of a zero difference is taken
     as zero."""
-    darr, mu, wx, wy = _smoothness_inputs(d, I)
+    return smoothness_and_grad(d, edge_weights(I))[1]
+
+
+def smoothness_and_grad(d, weights: tuple[np.ndarray, np.ndarray]) -> tuple:
+    """:func:`edge_aware_smoothness` and :func:`edge_aware_smoothness_grad`
+    of depth ``d`` given the image's :func:`edge_weights`."""
+    darr = np.asarray(d.data if isinstance(d, DepthMap) else d, dtype=np.float64)
+    mu = darr.mean()
+    if mu <= 0:
+        raise ValueError("mean depth must be positive")
+    wx, wy = weights
+    if wx.shape != darr.shape:
+        raise ValueError("depth and image dimensions disagree")
+    dn = darr / mu
+    gx = np.zeros_like(dn)
+    gy = np.zeros_like(dn)
+    gx[:, :-1] = np.abs(np.diff(dn, axis=1))
+    gy[:-1, :] = np.abs(np.diff(dn, axis=0))
     n = darr.size
     sx = np.zeros_like(darr)
     sy = np.zeros_like(darr)
@@ -246,4 +253,4 @@ def edge_aware_smoothness_grad(d, I: Image) -> np.ndarray:
     gterm = -(sx * wx) - (sy * wy)
     gterm[:, 1:] += (sx * wx)[:, :-1]
     gterm[1:, :] += (sy * wy)[:-1, :]
-    return gterm / (n * mu) - t_raw / (n * n * mu * mu)
+    return gx * wx + gy * wy, gterm / (n * mu) - t_raw / (n * n * mu * mu)

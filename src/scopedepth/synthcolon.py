@@ -57,6 +57,12 @@ class LightModel:
     spec_strength: float = 1.5  # > 1 so disc cores saturate after clamping
     spec_power: float = 16.0
 
+    def __post_init__(self):
+        for name in ("intensity", "spec_strength", "spec_power"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"light {name} must be positive and finite, got {value}")
+
 
 def _axis_center(params: SceneParams, z):
     z = np.asarray(z, dtype=np.float64)
@@ -335,11 +341,17 @@ def render_views(
     of them: at most w * h rays march at once, and each view's rays enter
     as earlier ones finish.  Every ray takes the same steps as in a
     single-view trace, so each view's bytes equal its own render's."""
+    return list(_iter_views(params, poses, K, w, h, light))
+
+
+def _iter_views(params, poses, K, w, h, light):
+    """:func:`render_views` as an iterator: the march runs at the first
+    ``next``, and each view is shaded only when it is asked for."""
     dirs_cam = _unit_rays(K, w, h)
     t, hit = _trace(params, dirs_cam[..., 2].reshape(-1), len(poses),
                     lambda i: _world_rays(params, poses[i], dirs_cam))
-    return [render_view(params, pose, K, w, h, light, traced=(t[i], hit[i]))
-            for i, pose in enumerate(poses)]
+    for i, pose in enumerate(poses):
+        yield render_view(params, pose, K, w, h, light, traced=(t[i], hit[i]))
 
 
 def generate_trajectory(
@@ -462,10 +474,13 @@ def write_dataset(
     poses = generate_trajectory(params, n_frames, step_mm, heading_noise_rad,
                                 sway_mm=sway_mm)
     frames = []
-    views = render_views(params, poses, K, w, h, light)
-    for i, (pose, (img, depth, _hit)) in enumerate(zip(poses, views)):
+    views = _iter_views(params, poses, K, w, h, light)
+    for i, pose in enumerate(poses):
+        img, depth, _hit = next(views)
         write_ppm(img, directory / f"frame_{i:04d}.ppm")
         write_pfm(depth, directory / f"depth_{i:04d}.pfm")
+        # dropped here, not when the next view is bound after its shading
+        del img, depth, _hit
         pose.save(directory / f"pose_{i:04d}.json")
         frames.append(i)
     release_free_heap()

@@ -12,15 +12,16 @@ warp, sampling, SSIM and minimum-over-sources included.
 from __future__ import annotations
 
 import enum
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, warp_coordinates
+from .geometry import CameraIntrinsics, Pose, warp_basis, warp_from_basis
 from .heap import keep_heap_mapped
-from .imagery import DepthMap, Image, Mask, UncMap, bilinear_sample_map
+from .imagery import DepthMap, Image, Mask, UncMap, bilinear_sample_planes
 from .losses import (
     LossConfig,
     prior_loss,
@@ -30,9 +31,10 @@ from .losses import (
 )
 from .photometry import (
     PhotometricConfig,
-    edge_aware_smoothness,
-    edge_aware_smoothness_grad,
+    _ssim_moments,
+    edge_weights,
     photometric_residual_arrays,
+    smoothness_and_grad,
     ssim_backward_channel,
 )
 from .predictor import DepthField, TrainConfig, backward, forward_arrays, init_random
@@ -93,6 +95,20 @@ class Triplet:
             raise ValueError("need equally many sources and relative poses")
 
 
+def _triplet_constants(trip: Triplet, K: CameraIntrinsics, pcfg: PhotometricConfig) -> tuple:
+    """What a self-supervised step reads of a triplet but never changes:
+    the target's (c, h, w) float64 planes and their SSIM moments, the
+    sources' planes, the :func:`warp_basis` of each source pose, and the
+    target's smoothness edge weights."""
+    target = trip.target.planes()
+    return (
+        target, _ssim_moments(target, pcfg), tuple(src.planes() for src in trip.sources),
+        tuple(warp_basis(K, pose, trip.target.width, trip.target.height)
+              for pose in trip.rel_poses),
+        edge_weights(trip.target),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class TrainData:
     """Regime-dependent bundle; exactly one of the collections is used."""
@@ -113,6 +129,13 @@ class TrainData:
             t = self.triplets[0].target
             return t.width, t.height
         raise ValueError("empty training bundle")
+
+    @functools.cached_property
+    def _selfsup_constants(self) -> tuple[tuple, ...]:
+        """Per-triplet constants of the self-supervised step, built on first
+        use and kept for the lifetime of the bundle."""
+        return tuple(_triplet_constants(t, self.K, self.photometric)
+                     for t in self.triplets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,13 +244,13 @@ def _selfsup_objective(
     marks: list[np.ndarray] = []
     if collect_fingerprint:
         marks.append((u_hat > loss_cfg.sigma_min).astype(np.int8))
-    for trip in data.triplets:
-        tgt = trip.target.data.astype(np.float64)
-        nchan = tgt.shape[2]
+    for trip, const in zip(data.triplets, data._selfsup_constants):
+        tgt, tgt_moments, sources, bases, weights = const
+        nchan = tgt.shape[0]
         warps, jacobians = [], []
-        for I_src, pose in zip(trip.sources, trip.rel_poses):
-            xs, ys, in_front, dxd, dyd = warp_coordinates(d_hat, data.K, pose)
-            vals, ddx, ddy, samp_ok = bilinear_sample_map(I_src, xs, ys)
+        for src, pose, basis in zip(sources, trip.rel_poses, bases):
+            xs, ys, in_front, dxd, dyd = warp_from_basis(d_hat, data.K, pose, basis)
+            vals, ddx, ddy, samp_ok = bilinear_sample_planes(src, xs, ys)
             valid = in_front & samp_ok
             warps.append((vals, valid))
             jacobians.append((ddx, ddy, dxd, dyd))
@@ -235,10 +258,9 @@ def _selfsup_objective(
                 marks.append(valid.astype(np.int8))
                 marks.append(np.floor(np.where(valid, xs, -1)).astype(np.int32))
                 marks.append(np.floor(np.where(valid, ys, -1)).astype(np.int32))
-                marks.append(
-                    np.sign(tgt - vals).astype(np.int8) * valid[..., None]
-                )
-        f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, warps, pcfg)
+                marks.append(np.sign(tgt - vals).astype(np.int8) * valid)
+        f_p, valid_px, arg, terms = photometric_residual_arrays(
+            tgt, tgt_moments, warps, pcfg)
         if collect_fingerprint:
             marks.append(arg.astype(np.int8))
         lv = selfsup_nll_arrays(f_p, u_hat, valid_px, loss_cfg)
@@ -251,14 +273,15 @@ def _selfsup_objective(
             up = np.where(arg == s_idx, lv.grad_depth, 0.0) / nt
             if not np.any(up):
                 continue
-            g_vals = (1 - alpha) / nchan * (-np.sign(tgt - vals)) * up[..., None]
-            g_vals += np.moveaxis(ssim_backward_channel(
-                terms[s_idx], -0.5 * alpha / nchan * up, pcfg), 0, 2)
-            d_dd = (g_vals * ddx).sum(axis=2) * dxd + (g_vals * ddy).sum(axis=2) * dyd
+            g_vals = (1 - alpha) / nchan * (-np.sign(tgt - vals)) * up
+            g_vals += ssim_backward_channel(
+                terms[s_idx], -0.5 * alpha / nchan * up, pcfg)
+            d_dd = (g_vals * ddx).sum(axis=0) * dxd + (g_vals * ddy).sum(axis=0) * dyd
             grad_d += np.where(valid, d_dd, 0.0)
         if loss_cfg.lambda_u > 0:
-            total += loss_cfg.lambda_u * edge_aware_smoothness(d_hat, trip.target).mean() / nt
-            grad_d += loss_cfg.lambda_u * edge_aware_smoothness_grad(d_hat, trip.target) / nt
+            smooth, smooth_grad = smoothness_and_grad(d_hat, weights)
+            total += loss_cfg.lambda_u * smooth.mean() / nt
+            grad_d += loss_cfg.lambda_u * smooth_grad / nt
             if collect_fingerprint:
                 marks.append(np.sign(np.diff(d_hat, axis=1)).astype(np.int8))
                 marks.append(np.sign(np.diff(d_hat, axis=0)).astype(np.int8))

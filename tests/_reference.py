@@ -1,0 +1,319 @@
+"""Test-only oracles: scalar references for the vectorized sampler and
+warp, and the (h, w, c) self-supervised objective as it stood before the
+step moved to channel-first planes and per-run constants.
+
+The scalar functions (:func:`bilinear_sample`, :func:`project`,
+:func:`backproject`, :func:`warp_pixel`) state the camera model and the
+sampling rule one point at a time; the tests compare the vectorized
+library code against them.  :func:`_selfsup_objective` and the helpers
+below it are kept verbatim, so a test can assert that the library's
+objective reproduces its loss, gradients and kink fingerprint bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from scopedepth.geometry import EPS_Z, CameraIntrinsics, Pose, _pixel_rays
+from scopedepth.imagery import DepthMap, Image
+from scopedepth.losses import LossConfig, selfsup_nll_arrays
+from scopedepth.photometry import (
+    PhotometricConfig,
+    _ssim_moments,
+    ssim_backward_channel,
+    ssim_terms,
+)
+from scopedepth.predictor import DepthField, backward, forward_arrays
+from scopedepth.trainer import TrainData, _Objective
+
+
+class BehindCameraError(ValueError):
+    """Projection of a point at or behind the camera plane."""
+
+
+class InvalidDepthError(ValueError):
+    """Back-projection with non-positive depth."""
+
+
+def project(K: CameraIntrinsics, P) -> tuple[float, float]:
+    """Project camera-frame point P (mm) to continuous pixel coordinates."""
+    P = np.asarray(P, dtype=np.float64)
+    if P[2] <= EPS_Z:
+        raise BehindCameraError(f"point z={P[2]} behind near plane")
+    return (K.fx * P[0] / P[2] + K.cx, K.fy * P[1] / P[2] + K.cy)
+
+
+def backproject(K: CameraIntrinsics, j, d: float) -> np.ndarray:
+    """Lift pixel j=(x, y) at depth d (mm) to a camera-frame 3D point."""
+    if d <= 0:
+        raise InvalidDepthError(f"depth {d} must be positive")
+    x, y = float(j[0]), float(j[1])
+    return np.array([(x - K.cx) * d / K.fx, (y - K.cy) * d / K.fy, d])
+
+
+def warp_pixel(
+    j, d: float, K: CameraIntrinsics, pose: Pose, width: int | None = None,
+    height: int | None = None,
+) -> tuple[tuple[float, float], bool]:
+    """Reproject target pixel j with depth d into the source view.
+
+    Returns ((x', y'), valid); valid is False when the transformed point
+    falls at or behind the source near plane, or (when width/height are
+    given) outside the source image domain [0, w-1] x [0, h-1].
+    """
+    if d <= 0:
+        raise InvalidDepthError(f"depth {d} must be positive")
+    P = pose.apply(backproject(K, j, d))
+    if P[2] <= EPS_Z:
+        return (0.0, 0.0), False
+    u = K.fx * P[0] / P[2] + K.cx
+    v = K.fy * P[1] / P[2] + K.cy
+    if width is not None and height is not None:
+        if not (0.0 <= u <= width - 1 and 0.0 <= v <= height - 1):
+            return (u, v), False
+    return (u, v), True
+
+
+def warp_coordinates(
+    d: np.ndarray, K: CameraIntrinsics, pose: Pose
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized warp of every pixel of a depth array into the source view.
+
+    Returns (xs, ys, in_front, dx_dd, dy_dd) where xs/ys are source-view
+    coordinates, in_front flags transformed points with z above the near
+    plane, and dx_dd/dy_dd are d(x')/d(depth) and d(y')/d(depth) per pixel,
+    used by gradient-based training.  Bounds checking against the source
+    raster happens at sampling time.
+    """
+    h, w = d.shape
+    rays = _pixel_rays(K, w, h)
+    q = rays @ pose.rotation.T  # rotated ray per pixel
+    t = pose.translation
+    P = q * d[..., None] + t
+    z = P[..., 2]
+    in_front = z > EPS_Z
+    zsafe = np.where(in_front, z, 1.0)
+    xs = K.fx * P[..., 0] / zsafe + K.cx
+    ys = K.fy * P[..., 1] / zsafe + K.cy
+    # d(u)/d(depth) = fx (qx tz - tx qz) / z^2 ; numerator is depth-free
+    dx_dd = K.fx * (q[..., 0] * t[2] - t[0] * q[..., 2]) / zsafe**2
+    dy_dd = K.fy * (q[..., 1] * t[2] - t[1] * q[..., 2]) / zsafe**2
+    return xs, ys, in_front, dx_dd, dy_dd
+
+
+def bilinear_sample(img: Image, x: float, y: float) -> tuple[np.ndarray, bool]:
+    """Sample ``img`` at continuous pixel coordinates (x, y).
+
+    Pixel centers sit at integer coordinates; the sample is valid only when
+    the full 2x2 interpolation footprint stays inside [0, w-1] x [0, h-1].
+    Returns (per-channel color, valid).  Out-of-bounds samples return zeros
+    with valid=False rather than clamping.
+    """
+    h, w = img.height, img.width
+    c = img.channels
+    if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):
+        return np.zeros(c, dtype=np.float64), False
+    x0 = min(int(np.floor(x)), w - 2) if w > 1 else 0
+    y0 = min(int(np.floor(y)), h - 2) if h > 1 else 0
+    fx = x - x0
+    fy = y - y0
+    d = img.data.astype(np.float64)
+    x1 = min(x0 + 1, w - 1)
+    y1 = min(y0 + 1, h - 1)
+    c00 = d[y0, x0]
+    c10 = d[y0, x1]
+    c01 = d[y1, x0]
+    c11 = d[y1, x1]
+    top = c00 * (1 - fx) + c10 * fx
+    bot = c01 * (1 - fx) + c11 * fx
+    return top * (1 - fy) + bot * fy, True
+
+
+def bilinear_sample_map(
+    img: Image, xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized :func:`bilinear_sample` over coordinate arrays, with the
+    spatial derivatives of the interpolant.
+
+    Returns (values, d/dx, d/dy, valid): the first three have shape
+    xs.shape + (channels,), the derivatives taken inside the sample's
+    bilinear cell; valid is a bool array.  Invalid locations hold zeros.
+    """
+    h, w = img.height, img.width
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    valid = (xs >= 0.0) & (xs <= w - 1) & (ys >= 0.0) & (ys <= h - 1)
+    xc = np.clip(np.where(valid, xs, 0.0), 0.0, max(w - 1, 0))
+    yc = np.clip(np.where(valid, ys, 0.0), 0.0, max(h - 1, 0))
+    x0 = np.minimum(np.floor(xc).astype(np.int64), max(w - 2, 0))
+    y0 = np.minimum(np.floor(yc).astype(np.int64), max(h - 2, 0))
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (xc - x0)[..., None]
+    fy = (yc - y0)[..., None]
+    d = img.data.astype(np.float64)
+    c00 = d[y0, x0]
+    c10 = d[y0, x1]
+    c01 = d[y1, x0]
+    c11 = d[y1, x1]
+    out = (c00 * (1 - fx) + c10 * fx) * (1 - fy) + (c01 * (1 - fx) + c11 * fx) * fy
+    ddx = (c10 - c00) * (1 - fy) + (c11 - c01) * fy
+    ddy = (c01 - c00) * (1 - fx) + (c11 - c10) * fx
+    out[~valid] = 0.0
+    ddx[~valid] = 0.0
+    ddy[~valid] = 0.0
+    return out, ddx, ddy, valid
+
+
+def photometric_residual_arrays(
+    tgt: np.ndarray,
+    warps: list[tuple[np.ndarray, np.ndarray]],
+    cfg: PhotometricConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
+    """Minimum-over-sources photometric error of Eq.-4 form on arrays.
+
+    ``tgt`` is the (h, w, c) float64 target and each warp a pair of the
+    (h, w, c) float64 warped source and its (h, w) bool validity.  Per
+    pixel and per valid source the candidate is
+    ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)`` with L1 the channel-mean
+    absolute difference; the residual keeps the smallest candidate, and a
+    pixel is valid when at least one source is.
+
+    Returns (f_p, valid, argmin source index (-1 where invalid), one
+    :func:`ssim_terms` tuple of (c, h, w) stacks per source).
+    """
+    if not warps:
+        raise ValueError("need at least one warped source")
+    alpha = cfg.alpha
+    # the target's moments do not depend on the source
+    tgt_c = np.moveaxis(tgt, 2, 0)
+    tgt_moments = _ssim_moments(tgt_c, cfg)
+    candidates = []
+    terms = []
+    for vals, valid in warps:
+        l1 = np.abs(tgt - vals).mean(axis=2)
+        t = ssim_terms(tgt_c, np.moveaxis(vals, 2, 0), cfg, tgt_moments)
+        cand = (1 - alpha) * l1 + 0.5 * alpha * (1 - t[0].mean(axis=0))
+        candidates.append(np.where(valid, cand, np.inf))
+        terms.append(t)
+    stack = np.stack(candidates, axis=0)
+    arg = np.argmin(stack, axis=0)
+    f_p = np.min(stack, axis=0)
+    valid = np.isfinite(f_p)
+    f_p = np.where(valid, f_p, 0.0)
+    arg = np.where(valid, arg, -1)
+    return f_p, valid, arg, terms
+
+
+def _smoothness_inputs(d, I: Image) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Depth as float64, its mean, and the edge weights exp(-|dx gray|),
+    exp(-|dy gray|) (one in the last column/row); raises when mean depth
+    is not positive or the depth and image dimensions disagree."""
+    darr = np.asarray(d.data if isinstance(d, DepthMap) else d, dtype=np.float64)
+    mu = darr.mean()
+    if mu <= 0:
+        raise ValueError("mean depth must be positive")
+    gray = I.gray()
+    if gray.shape != darr.shape:
+        raise ValueError("depth and image dimensions disagree")
+    wx = np.ones_like(gray)
+    wy = np.ones_like(gray)
+    wx[:, :-1] = np.exp(-np.abs(np.diff(gray, axis=1)))
+    wy[:-1, :] = np.exp(-np.abs(np.diff(gray, axis=0)))
+    return darr, mu, wx, wy
+
+
+def edge_aware_smoothness(d, I: Image) -> np.ndarray:
+    """Edge-weighted first-order smoothness of mean-normalized depth.
+
+    With d* = d / mean(d) and forward differences (zero in the last
+    row/column):  |dx d*| exp(-|dx gray|) + |dy d*| exp(-|dy gray|).
+    Raises when mean depth is not positive or the shapes disagree.
+    """
+    darr, mu, wx, wy = _smoothness_inputs(d, I)
+    dn = darr / mu
+    gx = np.zeros_like(dn)
+    gy = np.zeros_like(dn)
+    gx[:, :-1] = np.abs(np.diff(dn, axis=1))
+    gy[:-1, :] = np.abs(np.diff(dn, axis=0))
+    return gx * wx + gy * wy
+
+
+def edge_aware_smoothness_grad(d, I: Image) -> np.ndarray:
+    """d(mean(edge_aware_smoothness))/d(depth[j]), including the coupling
+    through the mean normalization.  Sign of a zero difference is taken
+    as zero."""
+    darr, mu, wx, wy = _smoothness_inputs(d, I)
+    n = darr.size
+    sx = np.zeros_like(darr)
+    sy = np.zeros_like(darr)
+    sx[:, :-1] = np.sign(np.diff(darr, axis=1))
+    sy[:-1, :] = np.sign(np.diff(darr, axis=0))
+    t_raw = (np.abs(np.diff(darr, axis=1)) * wx[:, :-1]).sum() + (
+        np.abs(np.diff(darr, axis=0)) * wy[:-1, :]
+    ).sum()
+    # dT/dd: the pixel loses its own forward differences, gains its
+    # predecessors'
+    gterm = -(sx * wx) - (sy * wy)
+    gterm[:, 1:] += (sx * wx)[:, :-1]
+    gterm[1:, :] += (sy * wy)[:-1, :]
+    return gterm / (n * mu) - t_raw / (n * n * mu * mu)
+
+
+def _selfsup_objective(
+    field: DepthField, data: TrainData, w: int, h: int, loss_cfg: LossConfig,
+    collect_fingerprint: bool = False,
+) -> _Objective:
+    pcfg = data.photometric
+    alpha = pcfg.alpha
+    d_hat, u_hat = forward_arrays(field, w, h)
+    total = 0.0
+    grad_d = np.zeros((h, w))
+    grad_u = np.zeros((h, w))
+    nt = len(data.triplets)
+    marks: list[np.ndarray] = []
+    if collect_fingerprint:
+        marks.append((u_hat > loss_cfg.sigma_min).astype(np.int8))
+    for trip in data.triplets:
+        tgt = trip.target.data.astype(np.float64)
+        nchan = tgt.shape[2]
+        warps, jacobians = [], []
+        for I_src, pose in zip(trip.sources, trip.rel_poses):
+            xs, ys, in_front, dxd, dyd = warp_coordinates(d_hat, data.K, pose)
+            vals, ddx, ddy, samp_ok = bilinear_sample_map(I_src, xs, ys)
+            valid = in_front & samp_ok
+            warps.append((vals, valid))
+            jacobians.append((ddx, ddy, dxd, dyd))
+            if collect_fingerprint:
+                marks.append(valid.astype(np.int8))
+                marks.append(np.floor(np.where(valid, xs, -1)).astype(np.int32))
+                marks.append(np.floor(np.where(valid, ys, -1)).astype(np.int32))
+                marks.append(
+                    np.sign(tgt - vals).astype(np.int8) * valid[..., None]
+                )
+        f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, warps, pcfg)
+        if collect_fingerprint:
+            marks.append(arg.astype(np.int8))
+        lv = selfsup_nll_arrays(f_p, u_hat, valid_px, loss_cfg)
+        total += lv.scalar / nt
+        grad_u += lv.grad_sigma / nt
+        # route d(scalar)/d(F_p) through the argmin source only
+        for s_idx, ((vals, valid), (ddx, ddy, dxd, dyd)) in enumerate(
+            zip(warps, jacobians)
+        ):
+            up = np.where(arg == s_idx, lv.grad_depth, 0.0) / nt
+            if not np.any(up):
+                continue
+            g_vals = (1 - alpha) / nchan * (-np.sign(tgt - vals)) * up[..., None]
+            g_vals += np.moveaxis(ssim_backward_channel(
+                terms[s_idx], -0.5 * alpha / nchan * up, pcfg), 0, 2)
+            d_dd = (g_vals * ddx).sum(axis=2) * dxd + (g_vals * ddy).sum(axis=2) * dyd
+            grad_d += np.where(valid, d_dd, 0.0)
+        if loss_cfg.lambda_u > 0:
+            total += loss_cfg.lambda_u * edge_aware_smoothness(d_hat, trip.target).mean() / nt
+            grad_d += loss_cfg.lambda_u * edge_aware_smoothness_grad(d_hat, trip.target) / nt
+            if collect_fingerprint:
+                marks.append(np.sign(np.diff(d_hat, axis=1)).astype(np.int8))
+                marks.append(np.sign(np.diff(d_hat, axis=0)).astype(np.int8))
+    g_ld, g_ls = backward(field, grad_d, grad_u, d_hat, u_hat)
+    return _Objective(total, g_ld, g_ls, tuple(marks) if collect_fingerprint else None)

@@ -12,17 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _reference import backproject, project, warp_pixel
 
 from scopedepth.cli import main as cli_main
 from scopedepth.ensemble import fuse, fuse_arrays, selfsup_fuse
 from scopedepth.geometry import (
     CameraIntrinsics,
     Pose,
-    backproject,
-    project,
     relative_pose,
     synthesize_warped_image,
-    warp_pixel,
 )
 from scopedepth.imagery import DepthMap, Image, Mask, UncMap
 from scopedepth.losses import (

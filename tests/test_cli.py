@@ -77,6 +77,15 @@ class TestSynth:
             assert flag in capsys.readouterr().err
             assert not (out / "manifest.json").exists()
 
+    def test_nonpositive_light_intensity_usage_error(self, tmp_path, capsys):
+        for value in ("-1", "0", "nan"):
+            out = tmp_path / f"light{value}"
+            assert run("synth", "--out", out, "--frames", 3, "--width", 8, "--height", 8,
+                       "--light-intensity", value) == 2
+            err = capsys.readouterr().err
+            assert "light intensity" in err and f"got {float(value)}" in err
+            assert not out.exists()
+
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -135,6 +144,15 @@ class TestTrain:
         with open(tmp_path / "run" / "loss_0.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 5 and all(np.isfinite(float(r["loss"])) for r in rows)
+
+    def test_nonpositive_jobs_usage_error(self, dataset, tmp_path, capsys):
+        for jobs in (0, -1):
+            out = tmp_path / f"jobs{jobs}"
+            assert run("train", "--data", dataset, "--out", out, "--members", 2,
+                       "--steps", 2, "--grid", 4, "--jobs", jobs) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"--jobs must be >= 1, got {jobs}" in err
+            assert not out.exists()
 
     def test_missing_dataset_exit_code(self, tmp_path):
         rc = run("train", "--data", tmp_path / "absent", "--out", tmp_path / "x")

@@ -2,19 +2,21 @@ import json
 
 import numpy as np
 import pytest
-
-from scopedepth.geometry import (
+from _reference import (
     BehindCameraError,
-    CameraIntrinsics,
     InvalidDepthError,
-    Pose,
     backproject,
     project,
+    warp_pixel,
+)
+
+from scopedepth.geometry import (
+    CameraIntrinsics,
+    Pose,
     relative_pose,
     rotation_xyz,
     synthesize_warped_image,
     warp_coordinates,
-    warp_pixel,
 )
 from scopedepth.imagery import DepthMap, Image
 

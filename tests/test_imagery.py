@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _reference import bilinear_sample
 
 from scopedepth.imagery import (
     DepthMap,
@@ -7,7 +8,6 @@ from scopedepth.imagery import (
     Mask,
     PfmParseError,
     UncMap,
-    bilinear_sample,
     bilinear_sample_map,
     read_pfm,
     read_ppm,

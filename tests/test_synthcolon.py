@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from scopedepth import synthcolon
 from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, synthesize_warped_image
-from scopedepth.imagery import DepthMap
+from scopedepth.imagery import DepthMap, write_ppm
 from scopedepth.metrics import scale_correction
 from scopedepth.rng import hash_unit_np
 from scopedepth.synthcolon import (
@@ -85,6 +87,12 @@ class TestRender:
                                  LightModel(specular=True))
         assert (spec.data >= base.data - 1e-7).all()
         assert (spec.data > base.data + 0.1).any()
+
+    @pytest.mark.parametrize("field", ["intensity", "spec_strength", "spec_power"])
+    def test_light_rejects_nonpositive_or_non_finite(self, field):
+        for value in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"light {field} .*got {value}"):
+                LightModel(**{field: value})
 
     def test_camera_outside_tube_rejected(self):
         params = SceneParams(radius_mm=10, curve_amp_mm=0, seed=0)
@@ -461,3 +469,25 @@ class TestDatasetLayout:
         write_dataset(tmp_path / "b", params, K64, 3, 1.0, 16, 16)
         for name in ("frame_0001.ppm", "depth_0002.pfm", "pose_0000.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_one_shaded_view_alive_at_a_time(self, tmp_path, monkeypatch):
+        # each view is written and dropped before the next one is shaded,
+        # and the files hold render_views' bytes
+        params = SceneParams(seed=2)
+        views = render_views(params, generate_trajectory(params, 4, 1.0), K64, 16, 16)
+        alive = []
+        render = synthcolon.render_view
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in alive)
+            view = render(*args, **kwargs)
+            alive.extend(weakref.ref(part) for part in view)
+            return view
+
+        monkeypatch.setattr(synthcolon, "render_view", tracked)
+        write_dataset(tmp_path / "ds", params, K64, 4, 1.0, 16, 16)
+        assert len(alive) == 12
+        for i, (img, _, _) in enumerate(views):
+            write_ppm(img, tmp_path / "ref.ppm")
+            assert ((tmp_path / "ds" / f"frame_{i:04d}.ppm").read_bytes()
+                    == (tmp_path / "ref.ppm").read_bytes())

@@ -1,11 +1,20 @@
+import pickle
+
+import _reference
 import numpy as np
 import pytest
 
-from scopedepth.geometry import CameraIntrinsics, relative_pose
-from scopedepth.imagery import DepthMap, Mask, UncMap
+from scopedepth import trainer
+from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, rotation_xyz
+from scopedepth.imagery import DepthMap, Image, Mask, UncMap
 from scopedepth.losses import LossConfig
 from scopedepth.predictor import TrainConfig, forward_arrays, init_random
-from scopedepth.synthcolon import SceneParams, generate_trajectory, render_view
+from scopedepth.synthcolon import (
+    SceneParams,
+    generate_trajectory,
+    render_view,
+    render_views,
+)
 from scopedepth.trainer import (
     KinkStraddled,
     LabeledFrame,
@@ -248,3 +257,103 @@ class TestAudit:
         field, _ = train_member(Regime.SUPERVISED_GT, sup_data, cfg)
         init = init_random(cfg.seed, 4, 4, cfg.depth_init_mm, cfg.jitter)
         assert np.allclose(field.log_depth, init.log_depth, atol=1e-12)
+
+
+def _triplet_bundle(K, w, h, gray=False, far_pose=False):
+    """A rendered triplet (target frame 1, sources 0 and 2).  ``gray`` keeps
+    one channel; ``far_pose`` replaces the second source's pose by one that
+    turns and shifts the camera so most target pixels warp out of view."""
+    params = SceneParams(seed=4)
+    traj = generate_trajectory(params, 3, 1.0, sway_mm=2.0)
+    imgs = [img for img, _, _ in render_views(params, traj, K, w, h)]
+    if gray:
+        imgs = [Image(img.gray()) for img in imgs]
+    rels = [relative_pose(traj[1], traj[s]) for s in (0, 2)]
+    if far_pose:
+        rels[1] = Pose(rotation_xyz(0.2, 0.7, 0.0), [8.0, 3.0, 1.0])
+    return TrainData(
+        triplets=(Triplet(target=imgs[1], sources=(imgs[0], imgs[2]),
+                          rel_poses=tuple(rels)),),
+        K=K,
+    )
+
+
+REFERENCE_CASES = {
+    "rgb-64": dict(K=CameraIntrinsics(48, 48, 31.5, 31.5), w=64, h=64),
+    "rgb-37x23": dict(K=CameraIntrinsics(30, 30, 18, 11), w=37, h=23),
+    "gray-32": dict(K=CameraIntrinsics(24, 24, 15.5, 15.5), w=32, h=32, gray=True),
+    "out-of-view-32": dict(K=CameraIntrinsics(24, 24, 15.5, 15.5), w=32, h=32,
+                           far_pose=True),
+}
+
+
+class TestObjectiveMatchesReference:
+    """The channel-first objective with per-run constants reproduces the
+    (h, w, c) objective it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_loss_gradients_and_fingerprint(self, case):
+        data = _triplet_bundle(**REFERENCE_CASES[case])
+        w, h = data.resolution()
+        if case == "out-of-view-32":
+            pose = data.triplets[0].rel_poses[1]
+            xs, ys, front, _, _ = _reference.warp_coordinates(np.full((h, w), 25.0), data.K, pose)
+            seen = front & (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
+            assert 0 < seen.mean() < 0.25
+        for seed, grid, lambda_u in ((0, 4, 0.05), (1, 8, 0.05), (2, 5, 0.0), (3, 3, 0.5)):
+            field = init_random(seed, grid, grid, 25.0, 0.25)
+            lc = LossConfig(lambda_u=lambda_u)
+            new = trainer._selfsup_objective(field, data, w, h, lc, True)
+            ref = _reference._selfsup_objective(field, data, w, h, lc, True)
+            assert new.loss == ref.loss
+            assert np.array_equal(new.grad_log_depth, ref.grad_log_depth)
+            assert np.array_equal(new.grad_log_sigma, ref.grad_log_sigma)
+            assert len(new.fingerprint) == len(ref.fingerprint)
+            for a, b in zip(new.fingerprint, ref.fingerprint):
+                if a.ndim == 3:  # the L1 sign mark, (c, h, w) here
+                    a = np.moveaxis(a, 0, -1)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_training_run_matches_reference(self, monkeypatch):
+        data = _triplet_bundle(**REFERENCE_CASES["rgb-64"])
+        cfg = small_cfg(steps=20, grid_w=6, grid_h=6,
+                        loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
+        field, report = train_member(Regime.SELF_SUPERVISED, data, cfg)
+        monkeypatch.setattr(trainer, "_selfsup_objective", _reference._selfsup_objective)
+        ref_field, ref_report = train_member(Regime.SELF_SUPERVISED, data, cfg)
+        assert field.log_depth.tobytes() == ref_field.log_depth.tobytes()
+        assert field.log_sigma.tobytes() == ref_field.log_sigma.tobytes()
+        assert report.losses.tobytes() == ref_report.losses.tobytes()
+
+    def test_constants_built_once_per_bundle(self, monkeypatch, selfsup_data):
+        builds = []
+        build = trainer._triplet_constants
+
+        def counted(*args):
+            builds.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(trainer, "_triplet_constants", counted)
+        data = TrainData(triplets=selfsup_data.triplets, K=selfsup_data.K)
+        train_member(Regime.SELF_SUPERVISED, data, small_cfg(steps=10))
+        assert len(builds) == 1
+        train_member(Regime.SELF_SUPERVISED, data, small_cfg(steps=10, seed=4))
+        assert len(builds) == 1
+        # a new bundle builds its own
+        fresh = TrainData(triplets=selfsup_data.triplets, K=selfsup_data.K)
+        train_member(Regime.SELF_SUPERVISED, fresh, small_cfg(steps=10))
+        assert len(builds) == 2
+
+    def test_pickled_bundle_trains_to_same_bytes(self, selfsup_data):
+        # ``train --jobs N`` pickles the bundle into each worker, before or
+        # after its constants exist
+        data = TrainData(triplets=selfsup_data.triplets, K=selfsup_data.K)
+        cfg = small_cfg(steps=15, loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
+        before = pickle.dumps(data)
+        field, report = train_member(Regime.SELF_SUPERVISED, data, cfg)
+        after = pickle.dumps(data)
+        for blob in (before, after):
+            f2, r2 = train_member(Regime.SELF_SUPERVISED, pickle.loads(blob), cfg)
+            assert f2.log_depth.tobytes() == field.log_depth.tobytes()
+            assert f2.log_sigma.tobytes() == field.log_sigma.tobytes()
+            assert r2.losses.tobytes() == report.losses.tobytes()
