@@ -3,9 +3,10 @@
 
 A teacher ensemble is fit across several scene draws from one domain, so
 its per-pixel scale honestly reflects how much scenes vary. Students then
-fit the teacher's depth on a shifted domain. The plain student trusts the
-labels blindly; the uncertain student folds the teacher variance into its
-loss scale and reports sqrt(teacher_var + own_aleatoric^2) as its depth
+fit the teacher's depth on a shifted domain: both get the teacher's depth
+as the frame's labels, and the uncertain student also gets the teacher std
+as the labels' sigma. The plain student trusts the labels blindly; the
+uncertain student folds the teacher variance into its loss scale and reports sqrt(teacher_var + own_aleatoric^2) as its depth
 error std. Calibration against the shifted domain's ground truth shows
 the difference.
 """
@@ -19,7 +20,6 @@ from scopedepth import (
     LossConfig,
     Regime,
     SceneParams,
-    StudentFrame,
     TrainConfig,
     TrainData,
     UncMap,
@@ -68,14 +68,12 @@ scfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=16, grid_h=16,
 
 plain, _ = train_member(
     Regime.PLAIN_STUDENT,
-    TrainData(student_frames=(StudentFrame(d_teacher=teacher.d_hat, image=imgB),)),
+    TrainData(frames=(LabeledFrame(depth=teacher.d_hat, image=imgB),)),
     scfg,
 )
 uncertain, _ = train_member(
     Regime.UNCERTAIN_STUDENT,
-    TrainData(student_frames=(
-        StudentFrame(d_teacher=teacher.d_hat, sigma_teacher=sigma_T, image=imgB),
-    )),
+    TrainData(frames=(LabeledFrame(depth=teacher.d_hat, sigma=sigma_T, image=imgB),)),
     scfg,
 )
 

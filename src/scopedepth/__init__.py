@@ -66,7 +66,6 @@ from .synthcolon import (
 from .trainer import (
     LabeledFrame,
     Regime,
-    StudentFrame,
     TrainData,
     TrainReport,
     Triplet,

@@ -44,7 +44,6 @@ from .trainer import (
     LabeledFrame,
     NumericFailure,
     Regime,
-    StudentFrame,
     TrainData,
     Triplet,
     train_ensemble,
@@ -195,10 +194,7 @@ def cmd_synth(args) -> int:
     )
     # one manifest carries both the dataset description and the resolved
     # command configuration for bit-identical re-runs
-    with open(out_dir / "manifest.json", "w") as f:
-        json.dump({**ds_manifest, "command": "synth", "config": cfg}, f,
-                  indent=1, sort_keys=True)
-        f.write("\n")
+    _write_manifest(out_dir, "synth", cfg, **ds_manifest)
     print(f"wrote {cfg['frames']} frames to {out_dir}")
     return 0
 
@@ -239,11 +235,7 @@ def _build_train_data(cfg: dict, data_dir: Path) -> tuple[TrainData, Regime, int
             raise UsageError(f"{regime.value} needs --teacher pointing at fused maps")
         ens = load_ensemble(Path(cfg["teacher"]))
         sigma = ens.sigma_t() if regime == Regime.UNCERTAIN_STUDENT else None
-        data = TrainData(
-            student_frames=(
-                StudentFrame(d_teacher=ens.d_hat, sigma_teacher=sigma, image=image),
-            )
-        )
+        data = TrainData(frames=(LabeledFrame(depth=ens.d_hat, sigma=sigma, image=image),))
     return data, regime, t_i
 
 
@@ -314,8 +306,6 @@ def cmd_fuse(args) -> int:
         raise UsageError(f"no member fields in {run_dir}")
     fields = [DepthField.load(p) for p in member_files]
     selfsup = train_cfg["regime"] == Regime.SELF_SUPERVISED.value
-    if args.selfsup is not None:
-        selfsup = args.selfsup
     preds = [forward(f, w, h) for f in fields]
     seeds = [f.seed for f in fields]
     if selfsup:
@@ -440,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     fp = sub.add_parser("fuse", help="fuse trained members into mean/variance maps")
     fp.add_argument("--run", required=True)
     fp.add_argument("--out", required=True)
-    fp.add_argument("--selfsup", action="store_const", const=True, default=None)
     fp.set_defaults(func=cmd_fuse)
 
     ep = sub.add_parser("eval", help="depth metrics + AUCE as one CSV row")

@@ -249,13 +249,14 @@ def write_pfm(map_or_image, path) -> None:
         f.write(payload)
 
 
-def _read_token(f) -> bytes:
-    # whitespace-delimited token, PFM/PPM header style
+def _read_token(f, error: type[ValueError]) -> bytes:
+    # whitespace-delimited token, PFM/PPM header style; ``error`` is the
+    # format's parse error, raised when the header ends early
     tok = b""
     while True:
         ch = f.read(1)
         if ch == b"":
-            raise PfmParseError("unexpected end of data in header")
+            raise error("unexpected end of data in header")
         if ch.isspace():
             if tok:
                 return tok
@@ -271,7 +272,7 @@ def read_pfm(path):
     :class:`UncMap` with the right kind.
     """
     with open(path, "rb") as f:
-        magic = _read_token(f)
+        magic = _read_token(f, PfmParseError)
         if magic == b"PF":
             channels = 3
         elif magic == b"Pf":
@@ -279,9 +280,9 @@ def read_pfm(path):
         else:
             raise PfmParseError(f"not a PFM file (magic {magic!r})")
         try:
-            w = int(_read_token(f))
-            h = int(_read_token(f))
-            scale = float(_read_token(f))
+            w = int(_read_token(f, PfmParseError))
+            h = int(_read_token(f, PfmParseError))
+            scale = float(_read_token(f, PfmParseError))
         except ValueError as e:
             raise PfmParseError(f"malformed PFM header: {e}") from None
         if w <= 0 or h <= 0 or w * h * channels > _MAX_PIXELS:
@@ -321,13 +322,13 @@ def write_ppm(img: Image, path) -> None:
 def read_ppm(path) -> Image:
     """Read a binary P6 file back into an :class:`Image` (values k/255)."""
     with open(path, "rb") as f:
-        magic = _read_token(f)
+        magic = _read_token(f, PpmParseError)
         if magic != b"P6":
             raise PpmParseError(f"not a binary PPM (magic {magic!r})")
         try:
-            w = int(_read_token(f))
-            h = int(_read_token(f))
-            maxval = int(_read_token(f))
+            w = int(_read_token(f, PpmParseError))
+            h = int(_read_token(f, PpmParseError))
+            maxval = int(_read_token(f, PpmParseError))
         except ValueError as e:
             raise PpmParseError(f"malformed PPM header: {e}") from None
         if w <= 0 or h <= 0 or w * h * 3 > _MAX_PIXELS:

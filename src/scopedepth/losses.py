@@ -7,8 +7,8 @@ residual and the scale:
 * supervised: residual to depth labels, scale is the predicted aleatoric std
 * self-supervised: photometric residual, scale is the photometric
   uncertainty
-* uncertain teacher-student: residual to teacher depth, scale is
-  sqrt(teacher_var + student_aleatoric^2)
+* uncertain teacher-student: the supervised loss on teacher depth with
+  the scale widened to sqrt(teacher_var + student_aleatoric^2)
 
 Any predicted scale is clamped from below at ``sigma_min`` before entering
 the loss; gradients are taken with respect to the raw (unclamped) scale,
@@ -69,16 +69,28 @@ def supervised_nll_arrays(
     sigma_a: np.ndarray,
     valid: np.ndarray,
     cfg: LossConfig,
+    sigma_label: np.ndarray | None = None,
 ) -> LossValue:
-    """Mean over valid pixels of |d - d_hat| / s + log s, s = clamped sigma."""
-    s = np.maximum(sigma_a, cfg.sigma_min)
+    """Mean over valid pixels of |d - d_hat| / s + log s.
+
+    ``s`` is the clamped ``sigma_a``, or ``hypot(sigma_label, clamp(sigma_a))``
+    when the labels carry their own std (the uncertain student's teacher
+    sigma).  ``grad_sigma`` is the derivative with respect to the raw
+    ``sigma_a``; with ``sigma_label == 0`` the result is bitwise identical
+    to passing no label std, since ``hypot(0, x) == x`` exactly.
+    """
+    s_a = np.maximum(sigma_a, cfg.sigma_min)
     gate = (sigma_a > cfg.sigma_min).astype(np.float64)
+    s = s_a if sigma_label is None else np.hypot(sigma_label, s_a)
     r = d - d_hat
     term = np.abs(r) / s + np.log(s)
     scalar, per_pixel, n = _reduce(term, valid)
     v = valid.astype(np.float64)
     grad_depth = -np.sign(r) / s * v / n
-    grad_sigma = (-np.abs(r) / s**2 + 1.0 / s) * gate * v / n
+    d_s = -np.abs(r) / s**2 + 1.0 / s
+    if sigma_label is not None:
+        d_s = d_s * (s_a / s)
+    grad_sigma = d_s * gate * v / n
     return LossValue(scalar, per_pixel, grad_depth, grad_sigma, n)
 
 
@@ -101,34 +113,6 @@ def selfsup_nll_arrays(
     grad_fp = (1.0 / u) * v / n
     grad_sigma = (-f_p / u**2 + 1.0 / u) * gate * v / n
     return LossValue(scalar, per_pixel, grad_fp, grad_sigma, n)
-
-
-def uncertain_teacher_nll_arrays(
-    d_teacher: np.ndarray,
-    sigma_teacher: np.ndarray,
-    d_hat: np.ndarray,
-    sigma_a: np.ndarray,
-    valid: np.ndarray,
-    cfg: LossConfig,
-) -> LossValue:
-    """Teacher-supervised loss with combined scale
-    s_m = sqrt(sigma_T^2 + clamp(sigma_a)^2).
-
-    The teacher maps are constants; grad_sigma is the chain-rule derivative
-    with respect to the student's raw aleatoric std.  With sigma_T == 0 the
-    result is bitwise identical to :func:`supervised_nll_arrays`.
-    """
-    s_a = np.maximum(sigma_a, cfg.sigma_min)
-    gate = (sigma_a > cfg.sigma_min).astype(np.float64)
-    s_m = np.hypot(sigma_teacher, s_a)  # hypot(0, x) == x exactly
-    r = d_teacher - d_hat
-    term = np.abs(r) / s_m + np.log(s_m)
-    scalar, per_pixel, n = _reduce(term, valid)
-    v = valid.astype(np.float64)
-    grad_depth = -np.sign(r) / s_m * v / n
-    d_sm = (-np.abs(r) / s_m**2 + 1.0 / s_m)
-    grad_sigma = d_sm * (s_a / s_m) * gate * v / n
-    return LossValue(scalar, per_pixel, grad_depth, grad_sigma, n)
 
 
 def prior_loss(theta: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
@@ -183,8 +167,8 @@ def uncertain_teacher_nll(
     _require_std(sigma_teacher, "sigma_teacher")
     _require_std(sigma_a, "sigma_a")
     valid = _mask_or_full(mask, d_hat.height, d_hat.width)
-    return uncertain_teacher_nll_arrays(
-        d_teacher.data.astype(np.float64), sigma_teacher.data.astype(np.float64),
-        d_hat.data.astype(np.float64), sigma_a.data.astype(np.float64),
-        valid, cfg,
+    return supervised_nll_arrays(
+        d_teacher.data.astype(np.float64), d_hat.data.astype(np.float64),
+        sigma_a.data.astype(np.float64), valid, cfg,
+        sigma_label=sigma_teacher.data.astype(np.float64),
     )

@@ -10,12 +10,14 @@ common convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .imagery import DepthMap, Mask, UncMap, same_shape
+
+_STD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -110,50 +112,12 @@ def depth_metrics(
     return DepthMetrics(abs_rel, sq_rel, rmse, rmse_log, d1, d2, d3)
 
 
-# Inverse standard-normal CDF, Acklam's rational approximation refined by
-# one Halley step.  The raw approximation is accurate to ~1.15e-9; the
-# refinement brings it near machine precision, comfortably inside the 1e-8
-# contract.  Kept self-contained so interval construction has no library
-# dependence that tests could not cross-check independently.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-
-
-def _ppf_scalar(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        x = ((((( _PPF_C[0]*q + _PPF_C[1])*q + _PPF_C[2])*q + _PPF_C[3])*q + _PPF_C[4])*q + _PPF_C[5]) / \
-            (((( _PPF_D[0]*q + _PPF_D[1])*q + _PPF_D[2])*q + _PPF_D[3])*q + 1)
-    elif p <= 1 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((( _PPF_A[0]*r + _PPF_A[1])*r + _PPF_A[2])*r + _PPF_A[3])*r + _PPF_A[4])*r + _PPF_A[5])*q / \
-            ((((( _PPF_B[0]*r + _PPF_B[1])*r + _PPF_B[2])*r + _PPF_B[3])*r + _PPF_B[4])*r + 1)
-    else:
-        q = math.sqrt(-2 * math.log(1 - p))
-        x = -((((( _PPF_C[0]*q + _PPF_C[1])*q + _PPF_C[2])*q + _PPF_C[3])*q + _PPF_C[4])*q + _PPF_C[5]) / \
-            (((( _PPF_D[0]*q + _PPF_D[1])*q + _PPF_D[2])*q + _PPF_D[3])*q + 1)
-    # one Halley refinement against the exact CDF
-    e = 0.5 * math.erfc(-x / math.sqrt(2)) - p
-    u = e * math.sqrt(2 * math.pi) * math.exp(x * x / 2)
-    return x - u / (1 + x * u / 2)
-
-
 def normal_ppf(p) -> np.ndarray | float:
     """Inverse CDF of the standard normal distribution."""
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim == 0:
-        return _ppf_scalar(float(arr))
-    return np.array([_ppf_scalar(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+        return _STD_NORMAL.inv_cdf(float(arr))
+    return np.array([_STD_NORMAL.inv_cdf(float(v)) for v in arr.ravel()]).reshape(arr.shape)
 
 
 def calibration_curve(
@@ -177,7 +141,7 @@ def calibration_curve(
         raise ValueError("sigma must be positive on valid pixels")
     z = err / s
     z_sorted = np.sort(z)
-    half = np.array([_ppf_scalar((p + 1) / 2) for p in p_grid])
+    half = normal_ppf((p_grid + 1) / 2)
     cov = np.searchsorted(z_sorted, half, side="right") / z.size
     return CalibrationCurve(p_grid, cov)
 

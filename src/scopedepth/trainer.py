@@ -22,13 +22,7 @@ import numpy as np
 from .geometry import CameraIntrinsics, Pose, warp_basis, warp_from_basis
 from .heap import keep_heap_mapped
 from .imagery import DepthMap, Image, Mask, UncMap, bilinear_sample_planes
-from .losses import (
-    LossConfig,
-    prior_loss,
-    selfsup_nll_arrays,
-    supervised_nll_arrays,
-    uncertain_teacher_nll_arrays,
-)
+from .losses import LossConfig, prior_loss, selfsup_nll_arrays, supervised_nll_arrays
 from .photometry import (
     PhotometricConfig,
     _ssim_moments,
@@ -61,23 +55,16 @@ class NumericFailure(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LabeledFrame:
-    """Depth-supervised sample: label map plus optional validity mask.
+    """Depth-supervised sample: label map (ground truth, SfM or teacher
+    depth), the labels' own std if they carry one (the uncertain student's
+    teacher sigma), and an optional validity mask.
 
     The observation image is carried for provenance but the field predictor
     does not condition on it.
     """
 
     depth: DepthMap
-    mask: Mask | None = None
-    image: Image | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class StudentFrame:
-    """Distillation sample: teacher depth, optionally teacher std."""
-
-    d_teacher: DepthMap
-    sigma_teacher: UncMap | None = None
+    sigma: UncMap | None = None
     mask: Mask | None = None
     image: Image | None = None
 
@@ -111,10 +98,10 @@ def _triplet_constants(trip: Triplet, K: CameraIntrinsics, pcfg: PhotometricConf
 
 @dataclass(frozen=True, eq=False)
 class TrainData:
-    """Regime-dependent bundle; exactly one of the collections is used."""
+    """Regime-dependent bundle: labeled frames for the four label regimes,
+    triplets plus intrinsics for self-supervision."""
 
     frames: tuple[LabeledFrame, ...] = ()
-    student_frames: tuple[StudentFrame, ...] = ()
     triplets: tuple[Triplet, ...] = ()
     K: CameraIntrinsics | None = None
     photometric: PhotometricConfig = PhotometricConfig()
@@ -122,9 +109,6 @@ class TrainData:
     def resolution(self) -> tuple[int, int]:
         if self.frames:
             return self.frames[0].depth.width, self.frames[0].depth.height
-        if self.student_frames:
-            f = self.student_frames[0]
-            return f.d_teacher.width, f.d_teacher.height
         if self.triplets:
             t = self.triplets[0].target
             return t.width, t.height
@@ -144,13 +128,6 @@ class TrainReport:
     wall_clock: float
     seed: int
 
-    def smoothed(self, window: int = 50) -> np.ndarray:
-        """Trailing moving average of the loss trajectory."""
-        if window < 1 or window > self.losses.size:
-            raise ValueError("bad smoothing window")
-        c = np.concatenate([[0.0], np.cumsum(self.losses)])
-        return (c[window:] - c[:-window]) / window
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             f.write("step,loss\r\n")
@@ -159,21 +136,24 @@ class TrainReport:
 
 
 def _check_bundle(regime: Regime, data: TrainData) -> None:
-    if regime in (Regime.SUPERVISED_GT, Regime.SUPERVISED_SFM):
-        if not data.frames:
-            raise ValueError(f"{regime.value} needs labeled frames")
-    elif regime == Regime.SELF_SUPERVISED:
+    """The one place that ties a regime to the data it needs: triplets and
+    intrinsics for self-supervision, labeled frames otherwise, with a
+    std-kind label sigma on every frame for the uncertain student and on
+    none for the other label regimes."""
+    if regime == Regime.SELF_SUPERVISED:
         if not data.triplets or data.K is None:
             raise ValueError("self-supervised training needs triplets and intrinsics")
-    else:
-        if not data.student_frames:
-            raise ValueError(f"{regime.value} needs teacher frames")
-        if regime == Regime.UNCERTAIN_STUDENT:
-            for f in data.student_frames:
-                if f.sigma_teacher is None:
-                    raise ValueError("uncertain-student needs teacher sigma maps")
-                if f.sigma_teacher.kind != "std":
-                    raise ValueError("teacher sigma must be std-kind")
+        return
+    if not data.frames:
+        raise ValueError(f"{regime.value} needs labeled frames")
+    for f in data.frames:
+        if regime != Regime.UNCERTAIN_STUDENT:
+            if f.sigma is not None:
+                raise ValueError(f"{regime.value} takes no label sigma maps")
+        elif f.sigma is None:
+            raise ValueError("uncertain-student needs teacher sigma maps")
+        elif f.sigma.kind != "std":
+            raise ValueError("teacher sigma must be std-kind")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,30 +177,22 @@ def _fingerprints_equal(a: tuple, b: tuple) -> bool:
 
 
 def _supervised_objective(
-    field: DepthField, regime: Regime, data: TrainData, w: int, h: int,
+    field: DepthField, data: TrainData, w: int, h: int,
     loss_cfg: LossConfig, collect_fingerprint: bool = False,
 ) -> _Objective:
     d_hat, sigma = forward_arrays(field, w, h)
     total = 0.0
     grad_d = np.zeros((h, w))
     grad_s = np.zeros((h, w))
-    supervised = regime in (Regime.SUPERVISED_GT, Regime.SUPERVISED_SFM)
-    frames = data.frames if supervised else data.student_frames
-    nf = len(frames)
+    nf = len(data.frames)
     marks: list[np.ndarray] = []
     if collect_fingerprint:
         marks.append((sigma > loss_cfg.sigma_min).astype(np.int8))
-    for fr in frames:
+    for fr in data.frames:
         valid = np.full((h, w), True) if fr.mask is None else fr.mask.data
-        label = (fr.depth if supervised else fr.d_teacher).data.astype(np.float64)
-        if regime == Regime.UNCERTAIN_STUDENT:
-            lv = uncertain_teacher_nll_arrays(
-                label, fr.sigma_teacher.data.astype(np.float64),
-                d_hat, sigma, valid, loss_cfg,
-            )
-        else:
-            # the plain student is the supervised loss on teacher depth
-            lv = supervised_nll_arrays(label, d_hat, sigma, valid, loss_cfg)
+        label = fr.depth.data.astype(np.float64)
+        sigma_label = None if fr.sigma is None else fr.sigma.data.astype(np.float64)
+        lv = supervised_nll_arrays(label, d_hat, sigma, valid, loss_cfg, sigma_label)
         if collect_fingerprint:
             marks.append(np.sign(label - d_hat).astype(np.int8) * valid)
         total += lv.scalar / nf
@@ -296,9 +268,7 @@ def _objective(
     if regime == Regime.SELF_SUPERVISED:
         obj = _selfsup_objective(field, data, w, h, loss_cfg, collect_fingerprint)
     elif isinstance(regime, Regime):
-        obj = _supervised_objective(
-            field, regime, data, w, h, loss_cfg, collect_fingerprint
-        )
+        obj = _supervised_objective(field, data, w, h, loss_cfg, collect_fingerprint)
     else:
         raise ValueError(f"unknown regime {regime}")
     if loss_cfg.weight_decay > 0:
@@ -404,6 +374,7 @@ def finite_diff_audit(
     if field.grid_w > 8 or field.grid_h > 8:
         raise ValueError("audit fields are limited to 8x8 grids")
     _check_bundle(regime, data)
+    keep_heap_mapped()
     loss_cfg = loss_cfg if loss_cfg is not None else LossConfig()
     w, h = data.resolution()
     obj = _objective(regime, data, field, loss_cfg, w, h, collect_fingerprint=True)

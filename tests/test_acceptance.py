@@ -28,7 +28,6 @@ from scopedepth.losses import (
     prior_loss,
     selfsup_nll_arrays,
     supervised_nll_arrays,
-    uncertain_teacher_nll_arrays,
 )
 from scopedepth.metrics import (
     CalibrationCurve,
@@ -50,7 +49,6 @@ from scopedepth.synthcolon import (
 from scopedepth.trainer import (
     LabeledFrame,
     Regime,
-    StudentFrame,
     TrainData,
     Triplet,
     audit_random_fields,
@@ -80,12 +78,10 @@ def test_criterion_1_gradient_audit():
     d_sfm, m_sfm = simulate_sfm_labels(labels, seed=8, hole_fraction=0.2,
                                        noise_rel=0.05)
     sfm = TrainData(frames=(LabeledFrame(depth=d_sfm, mask=m_sfm),))
-    teacher = StudentFrame(
-        d_teacher=DepthMap(rng.uniform(15, 40, (12, 12)).astype(np.float32)),
-        sigma_teacher=UncMap(rng.uniform(0.4, 2.0, (12, 12)).astype(np.float32),
-                             "std"),
-    )
-    students = TrainData(student_frames=(teacher,))
+    d_teacher = DepthMap(rng.uniform(15, 40, (12, 12)).astype(np.float32))
+    sigma_teacher = UncMap(rng.uniform(0.4, 2.0, (12, 12)).astype(np.float32), "std")
+    plain = TrainData(frames=(LabeledFrame(depth=d_teacher),))
+    students = TrainData(frames=(LabeledFrame(depth=d_teacher, sigma=sigma_teacher),))
     K16 = CameraIntrinsics(16, 16, 7.5, 7.5)
     params = SceneParams(seed=4)
     traj = generate_trajectory(params, 4, 0.8)
@@ -104,7 +100,7 @@ def test_criterion_1_gradient_audit():
     worst["supervised-sfm"] = max(
         audit_random_fields(Regime.SUPERVISED_SFM, sfm, 20, loss_cfg=lc))
     worst["plain-student"] = max(
-        audit_random_fields(Regime.PLAIN_STUDENT, students, 20, loss_cfg=lc))
+        audit_random_fields(Regime.PLAIN_STUDENT, plain, 20, loss_cfg=lc))
     worst["uncertain-student"] = max(
         audit_random_fields(Regime.UNCERTAIN_STUDENT, students, 20, loss_cfg=lc))
     worst["self-supervised"] = max(
@@ -308,9 +304,8 @@ def _student_scores(rep_seed):
         ("plain", Regime.PLAIN_STUDENT, None),
         ("uncertain", Regime.UNCERTAIN_STUDENT, sigma_T),
     ):
-        data = TrainData(student_frames=(
-            StudentFrame(d_teacher=teacher.d_hat, sigma_teacher=sig_teacher,
-                         image=imgB),
+        data = TrainData(frames=(
+            LabeledFrame(depth=teacher.d_hat, sigma=sig_teacher, image=imgB),
         ))
         field, _ = train_member(regime, data, scfg)
         d, s = forward(field, 64, 64)
@@ -394,8 +389,8 @@ def test_criterion_7_example_battery():
         selfsup_nll_arrays(one(0.2), one(0.1), t, lc).scalar,
         0.2 / 0.1 + np.log(0.1)), "selfsup hand case")
     ck(np.isclose(
-        uncertain_teacher_nll_arrays(one(2.0), one(1.0), one(1.0), one(1.0), t,
-                                     lc).scalar,
+        supervised_nll_arrays(one(2.0), one(1.0), one(1.0), t, lc,
+                              sigma_label=one(1.0)).scalar,
         1 / np.sqrt(2) + np.log(np.sqrt(2))), "uncertain sqrt2")
     pl, pg = prior_loss(np.array([3.0, 4.0]), LossConfig(weight_decay=1.0))
     ck(pl == 25.0 and np.allclose(pg, [6.0, 8.0]), "prior 3-4-5")

@@ -7,6 +7,7 @@ from scopedepth.imagery import (
     Image,
     Mask,
     PfmParseError,
+    PpmParseError,
     UncMap,
     bilinear_sample_map,
     read_pfm,
@@ -195,3 +196,10 @@ class TestPpm:
         back = read_ppm(tmp_path / "g.ppm")
         assert back.channels == 3
         assert np.allclose(back.data, np.round(0.25 * 255) / 255)
+
+    def test_empty_or_blank_file_is_a_ppm_error(self, tmp_path):
+        for payload in (b"", b" \n\t "):
+            path = tmp_path / "empty.ppm"
+            path.write_bytes(payload)
+            with pytest.raises(PpmParseError, match="unexpected end of data"):
+                read_ppm(path)

@@ -10,7 +10,6 @@ from scopedepth.losses import (
     supervised_nll_arrays,
     selfsup_nll_arrays,
     uncertain_teacher_nll,
-    uncertain_teacher_nll_arrays,
 )
 
 CFG = LossConfig()
@@ -124,25 +123,25 @@ class TestUncertainTeacher:
         dh = rng.uniform(5, 10, (6, 6))
         s = rng.uniform(0.3, 2.0, (6, 6))
         valid = np.full((6, 6), True)
-        a = uncertain_teacher_nll_arrays(d_t, np.zeros((6, 6)), dh, s, valid, CFG)
+        a = supervised_nll_arrays(d_t, dh, s, valid, CFG, sigma_label=np.zeros((6, 6)))
         b = supervised_nll_arrays(d_t, dh, s, valid, CFG)
         assert a.scalar == b.scalar
         assert np.array_equal(a.grad_depth, b.grad_depth)
         assert np.array_equal(a.grad_sigma, b.grad_sigma)
 
     def test_hand_case_sqrt_two(self):
-        lv = uncertain_teacher_nll_arrays(
-            one_pixel(2.0), one_pixel(1.0), one_pixel(1.0), one_pixel(1.0),
-            np.array([[True]]), CFG,
+        lv = supervised_nll_arrays(
+            one_pixel(2.0), one_pixel(1.0), one_pixel(1.0),
+            np.array([[True]]), CFG, sigma_label=one_pixel(1.0),
         )
         expected = 1.0 / np.sqrt(2) + np.log(np.sqrt(2))
         assert lv.scalar == pytest.approx(expected, abs=1e-9)
         assert lv.scalar == pytest.approx(1.0537, abs=1e-4)
 
     def test_huge_teacher_variance_kills_depth_gradient(self):
-        lv = uncertain_teacher_nll_arrays(
-            one_pixel(2.0), one_pixel(1e6), one_pixel(1.0), one_pixel(1.0),
-            np.array([[True]]), CFG,
+        lv = supervised_nll_arrays(
+            one_pixel(2.0), one_pixel(1.0), one_pixel(1.0),
+            np.array([[True]]), CFG, sigma_label=one_pixel(1e6),
         )
         assert abs(lv.grad_depth[0, 0]) < 1e-5
 
@@ -153,13 +152,13 @@ class TestUncertainTeacher:
         dh = rng.uniform(5, 10, (4, 4))
         s_a = rng.uniform(0.3, 2.0, (4, 4))
         valid = np.full((4, 4), True)
-        lv = uncertain_teacher_nll_arrays(d_t, s_t, dh, s_a, valid, CFG)
+        lv = supervised_nll_arrays(d_t, dh, s_a, valid, CFG, sigma_label=s_t)
         eps = 1e-6
         for (i, j) in [(0, 1), (3, 2)]:
             sp = s_a.copy(); sp[i, j] += eps
             sm = s_a.copy(); sm[i, j] -= eps
-            fd = (uncertain_teacher_nll_arrays(d_t, s_t, dh, sp, valid, CFG).scalar
-                  - uncertain_teacher_nll_arrays(d_t, s_t, dh, sm, valid, CFG).scalar) / (2 * eps)
+            fd = (supervised_nll_arrays(d_t, dh, sp, valid, CFG, sigma_label=s_t).scalar
+                  - supervised_nll_arrays(d_t, dh, sm, valid, CFG, sigma_label=s_t).scalar) / (2 * eps)
             assert lv.grad_sigma[i, j] == pytest.approx(fd, abs=1e-8)
 
 
