@@ -29,9 +29,9 @@ from scopedepth import (
 K = CameraIntrinsics(48, 48, 31.5, 31.5)
 params = SceneParams(seed=21, texture_contrast=0.9, texture_octaves=4)
 traj = generate_trajectory(params, 12, 1.0, sway_mm=2.5)
-img, gt, hit = render_view(params, traj[6], K, 64, 64)
+_, gt, _ = render_view(params, traj[6], K, 64, 64)
 
-data = TrainData(frames=(LabeledFrame(depth=gt, image=img),))
+data = TrainData(frames=(LabeledFrame(depth=gt),))
 cfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=16, grid_h=16,
                   depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7))
 

@@ -47,8 +47,8 @@ def scene_view(seed, curve_scale=1.0, tex_scale=1.0, light_scale=1.0):
 # domain A: six scene draws; the teacher sees them all
 frames = []
 for k in range(6):
-    img, gt, _ = scene_view(900 + k)
-    frames.append(LabeledFrame(depth=gt, image=img))
+    _, gt, _ = scene_view(900 + k)
+    frames.append(LabeledFrame(depth=gt))
 
 tcfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=16, grid_h=16,
                    depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7))
@@ -61,19 +61,19 @@ print(f"teacher sigma_T: median {np.median(sigma_T.data):.2f} mm "
       f"(cross-scene spread it learned)")
 
 # domain B: fresh draw, different curvature/texture/light
-imgB, gtB, _ = scene_view(990, curve_scale=1.25, tex_scale=1.6, light_scale=0.7)
+_, gtB, _ = scene_view(990, curve_scale=1.25, tex_scale=1.6, light_scale=0.7)
 scfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=16, grid_h=16,
                    depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7),
                    seed=11)
 
 plain, _ = train_member(
     Regime.PLAIN_STUDENT,
-    TrainData(frames=(LabeledFrame(depth=teacher.d_hat, image=imgB),)),
+    TrainData(frames=(LabeledFrame(depth=teacher.d_hat),)),
     scfg,
 )
 uncertain, _ = train_member(
     Regime.UNCERTAIN_STUDENT,
-    TrainData(frames=(LabeledFrame(depth=teacher.d_hat, sigma=sigma_T, image=imgB),)),
+    TrainData(frames=(LabeledFrame(depth=teacher.d_hat, sigma=sigma_T),)),
     scfg,
 )
 

@@ -114,25 +114,23 @@ CALIB_DEFAULTS = {
 }
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as f:
-        cfg = json.load(f)
-    # manifests wrap the resolved config under "config"
-    if "config" in cfg and isinstance(cfg["config"], dict):
-        cfg = cfg["config"]
-    return cfg
-
-
-def _resolve(defaults: dict, config: dict, overrides: dict) -> dict:
+def _resolve(defaults: dict, args) -> dict:
+    """``defaults``, then the ``--config`` file's entries, then every flag
+    given whose ``dest`` is a key of ``defaults`` (flags win)."""
     out = dict(defaults)
+    config = {}
+    if args.config is not None:
+        with open(args.config) as f:
+            config = json.load(f)
+        # manifests wrap the resolved config under "config"
+        if "config" in config and isinstance(config["config"], dict):
+            config = config["config"]
     for k, v in config.items():
         if k not in out and k not in ("data", "out", "pred", "run"):
             raise UsageError(f"unknown config key {k!r}")
         out[k] = v
-    for k, v in overrides.items():
-        if v is not None:
+    for k, v in vars(args).items():
+        if k in defaults and v is not None:
             out[k] = v
     return out
 
@@ -163,14 +161,7 @@ def _target_index(n_frames: int, requested: int) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _resolve(SYNTH_DEFAULTS, _load_config(args.config), {
-        "seed": args.seed, "frames": args.frames, "width": args.width,
-        "height": args.height, "step_mm": args.step_mm,
-        "texture_contrast": args.texture_contrast,
-        "light_intensity": args.light_intensity,
-        "specular": args.specular,
-        "sway_mm": args.sway_mm,
-    })
+    cfg = _resolve(SYNTH_DEFAULTS, args)
     if cfg["frames"] < 3:
         raise UsageError("self-supervision needs triplets: --frames must be >= 3")
     for flag in ("width", "height"):
@@ -204,25 +195,26 @@ def _build_train_data(cfg: dict, data_dir: Path) -> tuple[TrainData, Regime, int
     n = ds["manifest"]["n_frames"]
     t_i = _target_index(n, int(cfg["target_frame"]))
     regime = Regime(cfg["regime"])
-    depth = read_pfm(data_dir / f"depth_{t_i:04d}.pfm")
-    image = read_ppm(data_dir / f"frame_{t_i:04d}.ppm")
+    depth_path = data_dir / f"depth_{t_i:04d}.pfm"
     if regime == Regime.SUPERVISED_GT:
-        data = TrainData(frames=(LabeledFrame(depth=depth, image=image),))
+        data = TrainData(frames=(LabeledFrame(depth=read_pfm(depth_path)),))
     elif regime == Regime.SUPERVISED_SFM:
         sfm_seed = Xoshiro256(int(cfg["seed"])).substream("sfm-noise").seed
         d_sfm, mask = simulate_sfm_labels(
-            depth, sfm_seed, cfg["sfm_holes"], cfg["sfm_noise"], cfg["sfm_scale"],
+            read_pfm(depth_path), sfm_seed, cfg["sfm_holes"], cfg["sfm_noise"], cfg["sfm_scale"],
         )
-        data = TrainData(frames=(LabeledFrame(depth=d_sfm, mask=mask, image=image),))
+        data = TrainData(frames=(LabeledFrame(depth=d_sfm, mask=mask),))
     elif regime == Regime.SELF_SUPERVISED:
         offsets = [int(o) for o in cfg["source_offsets"]]
         if any(not 0 <= t_i + o < n for o in offsets):
             raise UsageError("source offsets leave the trajectory")
-        poses = [Pose.load(data_dir / f"pose_{i:04d}.json") for i in range(n)]
+        poses = {i: Pose.load(data_dir / f"pose_{i:04d}.json")
+                 for i in (t_i, *(t_i + o for o in offsets))}
         sources = tuple(
             read_ppm(data_dir / f"frame_{t_i + o:04d}.ppm") for o in offsets
         )
         rels = tuple(relative_pose(poses[t_i], poses[t_i + o]) for o in offsets)
+        image = read_ppm(data_dir / f"frame_{t_i:04d}.ppm")
         data = TrainData(
             triplets=(Triplet(target=image, sources=sources, rel_poses=rels),),
             K=ds["K"],
@@ -235,17 +227,12 @@ def _build_train_data(cfg: dict, data_dir: Path) -> tuple[TrainData, Regime, int
             raise UsageError(f"{regime.value} needs --teacher pointing at fused maps")
         ens = load_ensemble(Path(cfg["teacher"]))
         sigma = ens.sigma_t() if regime == Regime.UNCERTAIN_STUDENT else None
-        data = TrainData(frames=(LabeledFrame(depth=ens.d_hat, sigma=sigma, image=image),))
+        data = TrainData(frames=(LabeledFrame(depth=ens.d_hat, sigma=sigma),))
     return data, regime, t_i
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(TRAIN_DEFAULTS, _load_config(args.config), {
-        "seed": args.seed, "regime": args.regime, "members": args.members,
-        "steps": args.steps, "learning_rate": args.learning_rate,
-        "grid": args.grid, "teacher": args.teacher, "jobs": args.jobs,
-        "target_frame": args.target_frame,
-    })
+    cfg = _resolve(TRAIN_DEFAULTS, args)
     if int(cfg["jobs"]) < 1:
         raise UsageError(f"--jobs must be >= 1, got {cfg['jobs']}")
     try:
@@ -342,10 +329,7 @@ def _load_eval_inputs(
 
 
 def cmd_eval(args) -> int:
-    cfg = _resolve(EVAL_DEFAULTS, _load_config(args.config), {
-        "target_frame": args.target_frame, "median_scale": args.median_scale,
-        "gt_denominator": args.gt_denominator,
-    })
+    cfg = _resolve(EVAL_DEFAULTS, args)
     gt, d_pred, sigma, t_i = _load_eval_inputs(
         Path(args.pred), Path(args.data), int(cfg["target_frame"]),
         cfg["median_scale"],
@@ -369,10 +353,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_calib(args) -> int:
-    cfg = _resolve(CALIB_DEFAULTS, _load_config(args.config), {
-        "target_frame": args.target_frame, "median_scale": args.median_scale,
-        "levels": args.levels,
-    })
+    cfg = _resolve(CALIB_DEFAULTS, args)
     gt, d_pred, sigma, t_i = _load_eval_inputs(
         Path(args.pred), Path(args.data), int(cfg["target_frame"]),
         cfg["median_scale"],

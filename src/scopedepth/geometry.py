@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagery import DepthMap, Image, Mask, bilinear_sample_map, same_shape
+from .imagery import DepthMap, Image, Mask, bilinear_sample_planes, same_shape
 
 EPS_Z = 1e-6  # near-plane cutoff, mm
 
@@ -186,7 +186,7 @@ def synthesize_warped_image(
     d = d_tgt.data.astype(np.float64)
     xs, ys, in_front, _, _ = warp_coordinates(d, K, pose)
     pos = d > 0
-    vals, _, _, samp_ok = bilinear_sample_map(I_src, xs, ys)
+    vals, _, _, samp_ok = bilinear_sample_planes(I_src.planes(), xs, ys)
     valid = pos & in_front & samp_ok
-    vals[~valid] = 0.0
+    vals = np.moveaxis(np.where(valid, vals, 0.0), 0, -1)
     return Image(np.clip(vals, 0.0, 1.0)), Mask(valid)

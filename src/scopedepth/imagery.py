@@ -159,13 +159,6 @@ class Mask(_Raster):
     def full(height: int, width: int, value: bool = True) -> "Mask":
         return Mask(np.full((height, width), value, dtype=bool))
 
-    def __and__(self, other: "Mask") -> "Mask":
-        return Mask(self.data & other.data)
-
-    @property
-    def count(self) -> int:
-        return int(self.data.sum())
-
 
 def same_shape(*maps) -> None:
     """Raise ValueError unless all given rasters share (height, width)."""
@@ -214,15 +207,6 @@ def bilinear_sample_planes(
     ddy = (c01 - c00) * gx + (c11 - c10) * fx
     return (np.where(valid, out, 0.0), np.where(valid, ddx, 0.0),
             np.where(valid, ddy, 0.0), valid)
-
-
-def bilinear_sample_map(
-    img: Image, xs: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`bilinear_sample_planes` of an :class:`Image`, channel-last:
-    values and derivatives have shape xs.shape + (channels,)."""
-    out, ddx, ddy, valid = bilinear_sample_planes(img.planes(), xs, ys)
-    return np.moveaxis(out, 0, -1), np.moveaxis(ddx, 0, -1), np.moveaxis(ddy, 0, -1), valid
 
 
 # ---------------------------------------------------------------------------

@@ -41,26 +41,22 @@ class LossConfig:
 
 @dataclass(frozen=True, eq=False)
 class LossValue:
-    """Scalar loss, per-pixel contributions, and gradient maps.
+    """Scalar loss and its gradient maps.
 
-    ``scalar`` is the mean of ``per_pixel`` over the ``n_valid`` pixels that
-    entered the reduction; gradient maps are d(scalar)/d(input) and are zero
-    at masked-out pixels.
+    ``scalar`` is the mean of the per-pixel term over the valid pixels;
+    gradient maps are d(scalar)/d(input) and are zero at masked-out pixels.
     """
 
     scalar: float
-    per_pixel: np.ndarray
     grad_depth: np.ndarray
     grad_sigma: np.ndarray
-    n_valid: int
 
 
-def _reduce(term: np.ndarray, valid: np.ndarray) -> tuple[float, np.ndarray, int]:
+def _reduce(term: np.ndarray, valid: np.ndarray) -> tuple[float, int]:
     n = int(valid.sum())
     if n == 0:
         raise ValueError("no valid pixels")
-    per_pixel = np.where(valid, term, 0.0)
-    return float(per_pixel.sum() / n), per_pixel, n
+    return float(np.where(valid, term, 0.0).sum() / n), n
 
 
 def supervised_nll_arrays(
@@ -84,14 +80,14 @@ def supervised_nll_arrays(
     s = s_a if sigma_label is None else np.hypot(sigma_label, s_a)
     r = d - d_hat
     term = np.abs(r) / s + np.log(s)
-    scalar, per_pixel, n = _reduce(term, valid)
+    scalar, n = _reduce(term, valid)
     v = valid.astype(np.float64)
     grad_depth = -np.sign(r) / s * v / n
     d_s = -np.abs(r) / s**2 + 1.0 / s
     if sigma_label is not None:
         d_s = d_s * (s_a / s)
     grad_sigma = d_s * gate * v / n
-    return LossValue(scalar, per_pixel, grad_depth, grad_sigma, n)
+    return LossValue(scalar, grad_depth, grad_sigma)
 
 
 def selfsup_nll_arrays(
@@ -108,11 +104,11 @@ def selfsup_nll_arrays(
     u = np.maximum(u_hat, cfg.sigma_min)
     gate = (u_hat > cfg.sigma_min).astype(np.float64)
     term = f_p / u + np.log(u)
-    scalar, per_pixel, n = _reduce(term, valid)
+    scalar, n = _reduce(term, valid)
     v = valid.astype(np.float64)
     grad_fp = (1.0 / u) * v / n
     grad_sigma = (-f_p / u**2 + 1.0 / u) * gate * v / n
-    return LossValue(scalar, per_pixel, grad_fp, grad_sigma, n)
+    return LossValue(scalar, grad_fp, grad_sigma)
 
 
 def prior_loss(theta: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:

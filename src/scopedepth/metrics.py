@@ -69,21 +69,19 @@ def default_p_grid(levels: int = 99) -> np.ndarray:
     return np.arange(1, levels + 1, dtype=np.float64) / (levels + 1)
 
 
-def _valid_arrays(
-    d_gt: DepthMap, d_pred: DepthMap, mask: Mask | None
-) -> tuple[np.ndarray, np.ndarray]:
-    same_shape(d_gt, d_pred)
-    sel = np.full((d_gt.height, d_gt.width), True) if mask is None else mask.data
-    if mask is not None:
-        same_shape(d_gt, mask)
+def _valid_arrays(mask: Mask | None, *maps) -> list[np.ndarray]:
+    """Float64 values of each map at the pixels ``mask`` marks valid (all
+    pixels without one), after checking every raster's dimensions."""
+    same_shape(*maps, *([] if mask is None else [mask]))
+    sel = np.full((maps[0].height, maps[0].width), True) if mask is None else mask.data
     if not sel.any():
         raise ValueError("no valid pixels")
-    return d_gt.data.astype(np.float64)[sel], d_pred.data.astype(np.float64)[sel]
+    return [m.data.astype(np.float64)[sel] for m in maps]
 
 
 def scale_correction(d_gt: DepthMap, d_pred: DepthMap, mask: Mask | None = None) -> float:
     """Per-image scale factor: median(gt) / median(pred) over valid pixels."""
-    gt, pred = _valid_arrays(d_gt, d_pred, mask)
+    gt, pred = _valid_arrays(mask, d_gt, d_pred)
     m_gt = float(np.median(gt))
     m_pred = float(np.median(pred))
     if m_gt <= 0 or m_pred <= 0:
@@ -96,7 +94,7 @@ def depth_metrics(
     cfg: MetricsConfig | None = None,
 ) -> DepthMetrics:
     cfg = cfg or MetricsConfig()
-    gt, pred = _valid_arrays(d, d_hat, mask)
+    gt, pred = _valid_arrays(mask, d, d_hat)
     if np.any(gt <= 0) or np.any(pred <= 0):
         raise ValueError("depths must be positive on valid pixels")
     diff = gt - pred
@@ -128,15 +126,11 @@ def calibration_curve(
     interval of each confidence level: |d - d_hat| <= ppf((p+1)/2) * sigma."""
     if sigma.kind != "std":
         raise ValueError("sigma must be std-kind (call .to_std())")
-    same_shape(d, d_hat, sigma)
+    gt, pred, s = _valid_arrays(mask, d, d_hat, sigma)
     p_grid = default_p_grid() if p_grid is None else np.asarray(p_grid, np.float64)
     if p_grid.size == 0:
         raise ValueError("empty confidence grid")
-    sel = np.full((d.height, d.width), True) if mask is None else mask.data
-    if not sel.any():
-        raise ValueError("no valid pixels")
-    err = np.abs(d.data.astype(np.float64) - d_hat.data.astype(np.float64))[sel]
-    s = sigma.data.astype(np.float64)[sel]
+    err = np.abs(gt - pred)
     if np.any(s <= 0):
         raise ValueError("sigma must be positive on valid pixels")
     z = err / s

@@ -218,16 +218,11 @@ def edge_aware_smoothness(d, I: Image) -> np.ndarray:
     return smoothness_and_grad(d, edge_weights(I))[0]
 
 
-def edge_aware_smoothness_grad(d, I: Image) -> np.ndarray:
-    """d(mean(edge_aware_smoothness))/d(depth[j]), including the coupling
-    through the mean normalization.  Sign of a zero difference is taken
-    as zero."""
-    return smoothness_and_grad(d, edge_weights(I))[1]
-
-
 def smoothness_and_grad(d, weights: tuple[np.ndarray, np.ndarray]) -> tuple:
-    """:func:`edge_aware_smoothness` and :func:`edge_aware_smoothness_grad`
-    of depth ``d`` given the image's :func:`edge_weights`."""
+    """:func:`edge_aware_smoothness` of depth ``d`` given the image's
+    :func:`edge_weights`, and d(mean(smoothness))/d(depth[j]), including
+    the coupling through the mean normalization.  Sign of a zero
+    difference is taken as zero."""
     darr = np.asarray(d.data if isinstance(d, DepthMap) else d, dtype=np.float64)
     mu = darr.mean()
     if mu <= 0:

@@ -16,7 +16,7 @@ high-gradient regions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -354,21 +354,22 @@ def _iter_views(params, poses, K, w, h, light):
         yield render_view(params, pose, K, w, h, light, traced=(t[i], hit[i]))
 
 
+_SWAY_PERIOD = 8.0  # frames
+
+
 def generate_trajectory(
     params: SceneParams,
     n_frames: int,
     step_mm: float,
     heading_noise_rad: float = 0.008,
-    z_start: float = 0.0,
     sway_mm: float = 0.0,
-    sway_period: float = 8.0,
 ) -> list[Pose]:
-    """Camera-to-world poses advancing along the tube axis.
+    """Camera-to-world poses advancing along the tube axis from z = 0.
 
     The camera rides the axis looking along its tangent, with small
     deterministic per-frame heading perturbations drawn from the scene
     seed's "trajectory" substream.  ``sway_mm`` adds a slow sinusoidal
-    lateral offset (random phase, period ``sway_period`` frames) that gives
+    lateral offset (random phase, period ``_SWAY_PERIOD`` frames) that gives
     consecutive frames a sideways baseline component; pure forward motion
     has no parallax at the focus of expansion, so photometric supervision
     benefits from a little sway, like a real scope tip.
@@ -386,10 +387,10 @@ def generate_trajectory(
     phase_y = gen.uniform(0, 2 * np.pi)
     poses = []
     for i in range(n_frames):
-        z = z_start + i * step_mm
+        z = i * step_mm
         cx, cy = _axis_center(params, z)
-        off_x = sway_mm * np.sin(2 * np.pi * i / sway_period + phase_x)
-        off_y = sway_mm * np.sin(2 * np.pi * i / sway_period * 0.73 + phase_y)
+        off_x = sway_mm * np.sin(2 * np.pi * i / _SWAY_PERIOD + phase_x)
+        off_y = sway_mm * np.sin(2 * np.pi * i / _SWAY_PERIOD * 0.73 + phase_y)
         dcx, dcy = _axis_tangent(params, z)
         forward = np.array([float(dcx), float(dcy), 1.0])
         forward /= np.linalg.norm(forward)
@@ -473,7 +474,6 @@ def write_dataset(
     directory.mkdir(parents=True, exist_ok=True)
     poses = generate_trajectory(params, n_frames, step_mm, heading_noise_rad,
                                 sway_mm=sway_mm)
-    frames = []
     views = _iter_views(params, poses, K, w, h, light)
     for i, pose in enumerate(poses):
         img, depth, _hit = next(views)
@@ -482,37 +482,20 @@ def write_dataset(
         # dropped here, not when the next view is bound after its shading
         del img, depth, _hit
         pose.save(directory / f"pose_{i:04d}.json")
-        frames.append(i)
     release_free_heap()
     with open(directory / "intrinsics.json", "w") as f:
         json.dump(K.to_json(), f, indent=1)
         f.write("\n")
     manifest = {
-        "params": {
-            "radius_mm": params.radius_mm,
-            "curve_amp_mm": params.curve_amp_mm,
-            "curve_freq": params.curve_freq,
-            "ridge_amp_mm": params.ridge_amp_mm,
-            "ridge_period_mm": params.ridge_period_mm,
-            "texture_octaves": params.texture_octaves,
-            "texture_contrast": params.texture_contrast,
-            "texture_scale_mm": params.texture_scale_mm,
-            "far_cap_mm": params.far_cap_mm,
-            "seed": params.seed,
-        },
-        "light": {
-            "intensity": light.intensity,
-            "specular": light.specular,
-            "spec_strength": light.spec_strength,
-            "spec_power": light.spec_power,
-        },
+        "params": asdict(params),
+        "light": asdict(light),
         "width": w,
         "height": h,
         "n_frames": n_frames,
         "step_mm": step_mm,
         "heading_noise_rad": heading_noise_rad,
         "sway_mm": sway_mm,
-        "frames": frames,
+        "frames": list(range(n_frames)),
     }
     with open(directory / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=1)

@@ -16,6 +16,7 @@ import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -57,16 +58,11 @@ class NumericFailure(RuntimeError):
 class LabeledFrame:
     """Depth-supervised sample: label map (ground truth, SfM or teacher
     depth), the labels' own std if they carry one (the uncertain student's
-    teacher sigma), and an optional validity mask.
-
-    The observation image is carried for provenance but the field predictor
-    does not condition on it.
-    """
+    teacher sigma), and an optional validity mask."""
 
     depth: DepthMap
     sigma: UncMap | None = None
     mask: Mask | None = None
-    image: Image | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,12 +313,6 @@ def train_member(
     return field, TrainReport(losses, time.perf_counter() - t0, cfg.seed)
 
 
-def _train_worker(args):
-    regime_value, data, cfg = args
-    field, report = train_member(Regime(regime_value), data, cfg)
-    return field, report
-
-
 def train_ensemble(
     regime: Regime,
     data: TrainData,
@@ -336,13 +326,11 @@ def train_ensemble(
     identical for any jobs value."""
     if members < 1:
         raise ValueError("need at least one member")
-    tasks = [
-        (regime.value, data, replace(cfg, seed=base_seed + i)) for i in range(members)
-    ]
+    cfgs = [replace(cfg, seed=base_seed + i) for i in range(members)]
     if jobs > 1 and members > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, members)) as pool:
-            return list(pool.map(_train_worker, tasks))
-    return [_train_worker(t) for t in tasks]
+            return list(pool.map(train_member, repeat(regime), repeat(data), cfgs))
+    return [train_member(regime, data, c) for c in cfgs]
 
 
 # ---------------------------------------------------------------------------

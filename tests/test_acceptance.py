@@ -211,13 +211,13 @@ def test_criterion_4_supervision_ladder():
                           loss=LossConfig(weight_decay=1e-7), seed=0)
     a_gt = _fused_absrel(
         gt, Regime.SUPERVISED_GT,
-        TrainData(frames=(LabeledFrame(depth=gt, image=img),)), sup_cfg, 100,
+        TrainData(frames=(LabeledFrame(depth=gt),)), sup_cfg, 100,
     )
     d_sfm, m_sfm = simulate_sfm_labels(gt, seed=501, hole_fraction=0.3,
                                        noise_rel=0.05, global_scale=0.7)
     a_sfm = _fused_absrel(
         gt, Regime.SUPERVISED_SFM,
-        TrainData(frames=(LabeledFrame(depth=d_sfm, mask=m_sfm, image=img),)),
+        TrainData(frames=(LabeledFrame(depth=d_sfm, mask=m_sfm),)),
         sup_cfg, 100, median=True,
     )
     trip = Triplet(
@@ -282,8 +282,8 @@ def _student_scores(rep_seed):
     # cross-scene spread per pixel
     frames = []
     for k in range(6):
-        img_a, gt_a, _ = _domain_view(rep_seed * 100 + k)
-        frames.append(LabeledFrame(depth=gt_a, image=img_a))
+        _, gt_a, _ = _domain_view(rep_seed * 100 + k)
+        frames.append(LabeledFrame(depth=gt_a))
     frames = tuple(frames)
     tcfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=16, grid_h=16,
                        depth_init_mm=30.0, jitter=0.05,
@@ -294,8 +294,8 @@ def _student_scores(rep_seed):
                    [f.seed for f, _ in members])
     sigma_T = teacher.sigma_t()
     # domain B: fresh draw, shifted curvature / texture / light
-    imgB, gtB, _ = _domain_view(rep_seed * 100 + 77, curve_scale=1.25,
-                                tex_scale=1.6, light_scale=0.7)
+    _, gtB, _ = _domain_view(rep_seed * 100 + 77, curve_scale=1.25,
+                             tex_scale=1.6, light_scale=0.7)
     scfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=16, grid_h=16,
                        depth_init_mm=30.0, jitter=0.05,
                        loss=LossConfig(weight_decay=1e-7), seed=rep_seed * 2000)
@@ -305,7 +305,7 @@ def _student_scores(rep_seed):
         ("uncertain", Regime.UNCERTAIN_STUDENT, sigma_T),
     ):
         data = TrainData(frames=(
-            LabeledFrame(depth=teacher.d_hat, sigma=sig_teacher, image=imgB),
+            LabeledFrame(depth=teacher.d_hat, sigma=sig_teacher),
         ))
         field, _ = train_member(regime, data, scfg)
         d, s = forward(field, 64, 64)

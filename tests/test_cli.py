@@ -1,3 +1,4 @@
+import argparse
 import csv
 import filecmp
 import json
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import scopedepth
+from scopedepth import cli
 from scopedepth.cli import main
 from scopedepth.ensemble import load_ensemble
 from scopedepth.imagery import read_pfm
@@ -55,6 +57,42 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+COMMAND_DEFAULTS = {"synth": cli.SYNTH_DEFAULTS, "train": cli.TRAIN_DEFAULTS,
+                    "fuse": {}, "eval": cli.EVAL_DEFAULTS, "calib": cli.CALIB_DEFAULTS}
+
+
+class TestFlagWiring:
+    def test_every_flag_is_a_config_key_or_a_path(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(COMMAND_DEFAULTS)
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                assert (action.dest in COMMAND_DEFAULTS[command]
+                        or action.dest in ("out", "data", "pred", "run", "config", "help")
+                        ), (command, action.dest)
+
+    def test_one_flag_per_command_reaches_the_manifest(self, dataset, fused, tmp_path):
+        cases = (
+            ("synth", tmp_path / "s", ["--out", tmp_path / "s", "--frames", 3, "--width", 8,
+                                      "--height", 8, "--sway-mm", 0.5], "sway_mm", 0.5),
+            ("train", tmp_path / "t", ["--data", dataset, "--out", tmp_path / "t",
+                                      "--members", 1, "--steps", 2, "--grid", 4,
+                                      "--learning-rate", 0.5], "learning_rate", 0.5),
+            ("eval", tmp_path / "e", ["--pred", fused, "--data", dataset,
+                                     "--out", tmp_path / "e" / "m.csv",
+                                     "--gt-denominator"], "gt_denominator", True),
+            ("calib", tmp_path / "c", ["--pred", fused, "--data", dataset,
+                                      "--out", tmp_path / "c" / "c.csv",
+                                      "--levels", 9], "levels", 9),
+        )
+        for command, out_dir, argv, key, value in cases:
+            assert value != COMMAND_DEFAULTS[command][key]
+            assert run(command, *argv) == 0
+            with open(out_dir / "manifest.json") as f:
+                assert json.load(f)["config"][key] == value, command
 
 
 class TestSynth:

@@ -153,6 +153,16 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibration_curve(d, d, UncMap(np.ones((2, 2), dtype=np.float32), "variance"))
 
+    def test_mismatched_mask_rejected_like_depth_metrics(self):
+        d = dm(np.full((4, 4), 5.0))
+        s = UncMap(np.ones((4, 4), dtype=np.float32), "std")
+        m = Mask(np.ones((3, 3), dtype=bool))
+        for call in (lambda: calibration_curve(d, d, s, m),
+                     lambda: depth_metrics(d, d, m),
+                     lambda: scale_correction(d, d, m)):
+            with pytest.raises(ValueError, match="raster dimensions disagree"):
+                call()
+
 
 class TestAuce:
     def test_perfect_calibration_zero(self):

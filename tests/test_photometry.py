@@ -8,8 +8,9 @@ from scopedepth.photometry import (
     box_filter,
     box_filter_adjoint,
     edge_aware_smoothness,
-    edge_aware_smoothness_grad,
+    edge_weights,
     photometric_residual,
+    smoothness_and_grad,
     ssim_backward_channel,
     ssim_map,
     ssim_terms,
@@ -266,15 +267,16 @@ class TestSmoothness:
     def test_dimension_mismatch_rejected_by_value_and_gradient(self):
         d = np.full((6, 4), 5.0)
         img = Image(np.zeros((6, 5, 1), dtype=np.float32))
-        for fn in (edge_aware_smoothness, edge_aware_smoothness_grad):
-            with pytest.raises(ValueError, match="depth and image dimensions disagree"):
-                fn(d, img)
+        with pytest.raises(ValueError, match="depth and image dimensions disagree"):
+            edge_aware_smoothness(d, img)
+        with pytest.raises(ValueError, match="depth and image dimensions disagree"):
+            smoothness_and_grad(d, edge_weights(img))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         d = rng.uniform(5, 15, (5, 6))
         img = Image(rng.uniform(0, 1, (5, 6, 3)).astype(np.float32))
-        grad = edge_aware_smoothness_grad(d, img)
+        grad = smoothness_and_grad(d, edge_weights(img))[1]
         eps = 1e-6
         fd = np.zeros_like(d)
         for i in range(5):
