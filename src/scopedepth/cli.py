@@ -7,6 +7,10 @@ with ``--config <manifest>`` reproduces the artifacts bit for bit.  All
 randomness descends from the single ``seed`` entry through named
 substreams.
 
+A command's flags are the config keys in its ``*_FLAGS`` tuple, spelled
+``--key-with-dashes`` and typed like the key's entry in ``*_DEFAULTS``;
+boolean keys take ``--key``/``--no-key``.  Other keys are set via --config.
+
 Exit codes: 0 success, 2 usage or validation error, 3 numeric failure.
 """
 
@@ -34,12 +38,7 @@ from .metrics import (
 from .photometry import PhotometricConfig
 from .predictor import DepthField, TrainConfig, forward
 from .rng import Xoshiro256
-from .synthcolon import (
-    LightModel,
-    SceneParams,
-    simulate_sfm_labels,
-    write_dataset,
-)
+from .synthcolon import LightModel, SceneParams, simulate_sfm_labels, write_dataset
 from .trainer import (
     LabeledFrame,
     NumericFailure,
@@ -54,6 +53,11 @@ class UsageError(ValueError):
     pass
 
 
+# SceneParams fields that are config keys of the same name (``seed`` is
+# the run's seed, so it is listed in SYNTH_DEFAULTS on its own)
+SCENE_KEYS = ("radius_mm", "curve_amp_mm", "curve_freq", "ridge_amp_mm",
+              "ridge_period_mm", "texture_octaves", "texture_contrast", "far_cap_mm")
+
 SYNTH_DEFAULTS = {
     "seed": 0,
     "frames": 12,
@@ -64,16 +68,10 @@ SYNTH_DEFAULTS = {
     "fy": 48.0,
     "cx": 31.5,
     "cy": 31.5,
-    "radius_mm": 12.0,
-    "curve_amp_mm": 10.0,
-    "curve_freq": 0.05,
-    "ridge_amp_mm": 2.0,
-    "ridge_period_mm": 14.0,
-    "texture_octaves": 3,
-    "texture_contrast": 0.55,
-    "far_cap_mm": 80.0,
-    "light_intensity": 1000.0,
-    "specular": False,
+    # a dataclass's class attributes are its fields' defaults
+    **{k: getattr(SceneParams, k) for k in SCENE_KEYS},
+    "light_intensity": LightModel.intensity,
+    "specular": LightModel.specular,
     "heading_noise_rad": 0.008,
     "sway_mm": 0.0,
 }
@@ -113,6 +111,24 @@ CALIB_DEFAULTS = {
     "levels": 99,
 }
 
+# the config keys each command takes as flags; the rest come from --config
+SYNTH_FLAGS = ("seed", "frames", "width", "height", "step_mm", "texture_contrast",
+               "light_intensity", "specular", "sway_mm")
+TRAIN_FLAGS = ("regime", "members", "seed", "steps", "learning_rate", "grid",
+               "teacher", "target_frame", "jobs")
+EVAL_FLAGS = ("target_frame", "median_scale", "gt_denominator")
+CALIB_FLAGS = ("target_frame", "median_scale", "levels")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _at_least_one(cfg: dict, *keys: str) -> None:
+    for key in keys:
+        if int(cfg[key]) < 1:
+            raise UsageError(f"{_flag(key)} must be >= 1, got {cfg[key]}")
+
 
 def _resolve(defaults: dict, args) -> dict:
     """``defaults``, then the ``--config`` file's entries, then every flag
@@ -144,41 +160,27 @@ def _write_manifest(out_dir: Path, command: str, config: dict, **extra) -> None:
         f.write("\n")
 
 
-def _dataset_frames(data_dir: Path) -> dict:
+def _target_index(data_dir: Path, requested: int) -> tuple[int, int]:
+    """The frame ``requested`` (-1: the middle one) and the dataset's frame
+    count."""
     with open(data_dir / "manifest.json") as f:
-        manifest = json.load(f)
-    with open(data_dir / "intrinsics.json") as f:
-        K = CameraIntrinsics.from_json(json.load(f))
-    return {"manifest": manifest, "K": K}
-
-
-def _target_index(n_frames: int, requested: int) -> int:
+        n_frames = json.load(f)["n_frames"]
     if requested == -1:
-        return n_frames // 2
+        return n_frames // 2, n_frames
     if not 0 <= requested < n_frames:
         raise UsageError(f"target frame {requested} outside 0..{n_frames - 1}")
-    return requested
+    return requested, n_frames
 
 
 def cmd_synth(args) -> int:
     cfg = _resolve(SYNTH_DEFAULTS, args)
     if cfg["frames"] < 3:
         raise UsageError("self-supervision needs triplets: --frames must be >= 3")
-    for flag in ("width", "height"):
-        if cfg[flag] < 1:
-            raise UsageError(f"--{flag} must be >= 1, got {cfg[flag]}")
-    params = SceneParams(
-        radius_mm=cfg["radius_mm"], curve_amp_mm=cfg["curve_amp_mm"],
-        curve_freq=cfg["curve_freq"], ridge_amp_mm=cfg["ridge_amp_mm"],
-        ridge_period_mm=cfg["ridge_period_mm"],
-        texture_octaves=cfg["texture_octaves"],
-        texture_contrast=cfg["texture_contrast"],
-        far_cap_mm=cfg["far_cap_mm"], seed=cfg["seed"],
-    )
+    _at_least_one(cfg, "width", "height")
+    params = SceneParams(seed=cfg["seed"], **{k: cfg[k] for k in SCENE_KEYS})
     K = CameraIntrinsics(cfg["fx"], cfg["fy"], cfg["cx"], cfg["cy"])
     light = LightModel(intensity=cfg["light_intensity"], specular=cfg["specular"])
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ds_manifest = write_dataset(
         out_dir, params, K, cfg["frames"], cfg["step_mm"], cfg["width"],
         cfg["height"], light, cfg["heading_noise_rad"], sway_mm=cfg["sway_mm"],
@@ -190,11 +192,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _build_train_data(cfg: dict, data_dir: Path) -> tuple[TrainData, Regime, int]:
-    ds = _dataset_frames(data_dir)
-    n = ds["manifest"]["n_frames"]
-    t_i = _target_index(n, int(cfg["target_frame"]))
-    regime = Regime(cfg["regime"])
+def _build_train_data(cfg: dict, regime: Regime, data_dir: Path) -> tuple[TrainData, int]:
+    t_i, n = _target_index(data_dir, int(cfg["target_frame"]))
     depth_path = data_dir / f"depth_{t_i:04d}.pfm"
     if regime == Regime.SUPERVISED_GT:
         data = TrainData(frames=(LabeledFrame(depth=read_pfm(depth_path)),))
@@ -215,9 +214,11 @@ def _build_train_data(cfg: dict, data_dir: Path) -> tuple[TrainData, Regime, int
         )
         rels = tuple(relative_pose(poses[t_i], poses[t_i + o]) for o in offsets)
         image = read_ppm(data_dir / f"frame_{t_i:04d}.ppm")
+        with open(data_dir / "intrinsics.json") as f:
+            K = CameraIntrinsics.from_json(json.load(f))
         data = TrainData(
             triplets=(Triplet(target=image, sources=sources, rel_poses=rels),),
-            K=ds["K"],
+            K=K,
             photometric=PhotometricConfig(
                 alpha=cfg["alpha"], ssim_window=cfg["ssim_window"]
             ),
@@ -228,15 +229,14 @@ def _build_train_data(cfg: dict, data_dir: Path) -> tuple[TrainData, Regime, int
         ens = load_ensemble(Path(cfg["teacher"]))
         sigma = ens.sigma_t() if regime == Regime.UNCERTAIN_STUDENT else None
         data = TrainData(frames=(LabeledFrame(depth=ens.d_hat, sigma=sigma),))
-    return data, regime, t_i
+    return data, t_i
 
 
 def cmd_train(args) -> int:
     cfg = _resolve(TRAIN_DEFAULTS, args)
-    if int(cfg["jobs"]) < 1:
-        raise UsageError(f"--jobs must be >= 1, got {cfg['jobs']}")
+    _at_least_one(cfg, "jobs")
     try:
-        Regime(cfg["regime"])
+        regime = Regime(cfg["regime"])
     except ValueError:
         raise UsageError(
             f"invalid regime {cfg['regime']!r}; valid: "
@@ -245,10 +245,6 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data if args.data else cfg.get("data", ""))
     if not (data_dir / "manifest.json").exists():
         raise UsageError(f"no dataset at {data_dir}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data, regime, t_i = _build_train_data(cfg, data_dir)
-    w, h = data.resolution()
     tcfg = TrainConfig(
         steps=int(cfg["steps"]), learning_rate=float(cfg["learning_rate"]),
         grid_w=int(cfg["grid"]), grid_h=int(cfg["grid"]),
@@ -259,6 +255,9 @@ def cmd_train(args) -> int:
         ),
         seed=int(cfg["seed"]),
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    data, t_i = _build_train_data(cfg, regime, data_dir)
     results = train_ensemble(
         regime, data, tcfg, int(cfg["members"]), int(cfg["seed"]),
         jobs=int(cfg["jobs"]),
@@ -267,7 +266,8 @@ def cmd_train(args) -> int:
         field.save(out_dir / f"member_{field.seed}.json")
         report.write_csv(out_dir / f"loss_{field.seed}.csv")
     cfg["data"] = str(data_dir)
-    _write_manifest(out_dir, "train", cfg, resolution=[w, h], target_index=t_i)
+    _write_manifest(out_dir, "train", cfg, resolution=list(data.resolution()),
+                    target_index=t_i)
     print(f"trained {len(results)} member(s) [{regime.value}] into {out_dir}")
     return 0
 
@@ -307,134 +307,103 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _load_eval_inputs(
-    pred_dir: Path, data_dir: Path, target_frame: int, median_scale: bool
-) -> tuple[DepthMap, DepthMap, UncMap, int]:
+def _load_eval_inputs(args, cfg: dict) -> tuple[DepthMap, DepthMap, UncMap, int]:
     """Ground truth, predicted depth and its total std (both median-scaled
-    to the ground truth when asked, std floored at 1e-12), and the target
-    frame index."""
-    ens = load_ensemble(pred_dir)
-    ds = _dataset_frames(data_dir)
-    t_i = _target_index(ds["manifest"]["n_frames"], target_frame)
+    to the ground truth when ``cfg`` asks, std floored at 1e-12), and the
+    target frame index."""
+    ens = load_ensemble(Path(args.pred))
+    data_dir = Path(args.data)
+    t_i, _ = _target_index(data_dir, int(cfg["target_frame"]))
     gt = read_pfm(data_dir / f"depth_{t_i:04d}.pfm")
     if (gt.height, gt.width) != (ens.d_hat.height, ens.d_hat.width):
         raise UsageError("prediction and ground-truth dimensions disagree")
     d_pred = ens.d_hat.data.astype(np.float64)
     sigma = np.sqrt(ens.var_t.data.astype(np.float64))
-    if median_scale:
+    if cfg["median_scale"]:
         s = scale_correction(gt, ens.d_hat)
         d_pred = d_pred * s
         sigma = sigma * s
     return gt, DepthMap(d_pred), UncMap(np.maximum(sigma, 1e-12), "std"), t_i
 
 
-def cmd_eval(args) -> int:
-    cfg = _resolve(EVAL_DEFAULTS, args)
-    gt, d_pred, sigma, t_i = _load_eval_inputs(
-        Path(args.pred), Path(args.data), int(cfg["target_frame"]),
-        cfg["median_scale"],
-    )
-    dm = depth_metrics(
-        gt, d_pred, cfg=MetricsConfig(gt_denominator=cfg["gt_denominator"])
-    )
-    curve = calibration_curve(gt, d_pred, sigma)
-    signed, absolute = auce(curve)
+def _write_scores(args, command: str, cfg: dict, t_i: int, rows: list) -> None:
+    """``rows`` as CSV at ``--out``, and the manifest next to it."""
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as f:
-        f.write(",".join(list(dm.FIELDS) + ["auce_signed", "auce_abs"]) + "\r\n")
-        row = dm.as_row() + [signed, absolute]
-        f.write(",".join(repr(v) for v in row) + "\r\n")
-    _write_manifest(out.parent, "eval", {**cfg, "pred": str(args.pred),
-                                         "data": str(args.data)},
+        for row in rows:
+            f.write(",".join(row) + "\r\n")
+    _write_manifest(out.parent, command, {**cfg, "pred": str(args.pred),
+                                          "data": str(args.data)},
                     target_index=t_i)
+
+
+def cmd_eval(args) -> int:
+    cfg = _resolve(EVAL_DEFAULTS, args)
+    gt, d_pred, sigma, t_i = _load_eval_inputs(args, cfg)
+    dm = depth_metrics(
+        gt, d_pred, cfg=MetricsConfig(gt_denominator=cfg["gt_denominator"])
+    )
+    signed, absolute = auce(calibration_curve(gt, d_pred, sigma))
+    _write_scores(args, "eval", cfg, t_i, [
+        list(dm.FIELDS) + ["auce_signed", "auce_abs"],
+        [repr(v) for v in dm.as_row() + [signed, absolute]],
+    ])
     print(f"abs_rel={dm.abs_rel:.4f} rmse={dm.rmse:.3f} auce_signed={signed:+.4f}")
     return 0
 
 
 def cmd_calib(args) -> int:
     cfg = _resolve(CALIB_DEFAULTS, args)
-    gt, d_pred, sigma, t_i = _load_eval_inputs(
-        Path(args.pred), Path(args.data), int(cfg["target_frame"]),
-        cfg["median_scale"],
-    )
+    _at_least_one(cfg, "levels")
+    gt, d_pred, sigma, t_i = _load_eval_inputs(args, cfg)
     curve = calibration_curve(
         gt, d_pred, sigma, p_grid=default_p_grid(int(cfg["levels"]))
     )
     signed, absolute = auce(curve)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as f:
-        f.write("p,coverage\r\n")
-        for p, c in zip(curve.p_grid, curve.coverage):
-            f.write(f"{float(p)!r},{float(c)!r}\r\n")
-    _write_manifest(out.parent, "calib", {**cfg, "pred": str(args.pred),
-                                          "data": str(args.data)},
-                    target_index=t_i)
+    _write_scores(args, "calib", cfg, t_i, [["p", "coverage"]] + [
+        [repr(float(p)), repr(float(c))] for p, c in zip(curve.p_grid, curve.coverage)
+    ])
     print(f"auce_signed={signed:+.4f} auce_abs={absolute:.4f}")
     return 0
+
+
+def _add_command(sub, name: str, func, summary: str, paths: tuple[str, ...],
+                 defaults: dict | None = None, keys: tuple[str, ...] = ()):
+    """Subcommand ``name``: a required flag per path, then ``--config`` and
+    one flag per config key in ``keys``, typed like its entry in
+    ``defaults`` (``str`` for None) and ``--x/--no-x`` for booleans.  A flag
+    not given parses to None, which leaves the config's value in place."""
+    p = sub.add_parser(name, help=summary)
+    for path in paths:
+        p.add_argument("--" + path, required=True)
+    if defaults is not None:
+        p.add_argument("--config")
+    for key in keys:
+        default = defaults[key]
+        if isinstance(default, bool):
+            p.add_argument(_flag(key), dest=key, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(_flag(key), dest=key,
+                           type=str if default is None else type(default))
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="scopedepth", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("synth", help="render a synthetic dataset")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--config")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--frames", type=int)
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--step-mm", dest="step_mm", type=float)
-    sp.add_argument("--texture-contrast", dest="texture_contrast", type=float)
-    sp.add_argument("--light-intensity", dest="light_intensity", type=float)
-    sp.add_argument("--specular", action=argparse.BooleanOptionalAction, default=None)
-    sp.add_argument("--sway-mm", dest="sway_mm", type=float)
-    sp.set_defaults(func=cmd_synth)
-
-    tp = sub.add_parser("train", help="train an ensemble of depth fields")
-    tp.add_argument("--data")
-    tp.add_argument("--out", required=True)
-    tp.add_argument("--config")
-    tp.add_argument("--regime")
-    tp.add_argument("--members", type=int)
-    tp.add_argument("--seed", type=int)
-    tp.add_argument("--steps", type=int)
-    tp.add_argument("--learning-rate", dest="learning_rate", type=float)
-    tp.add_argument("--grid", type=int)
-    tp.add_argument("--teacher")
-    tp.add_argument("--target-frame", dest="target_frame", type=int)
-    tp.add_argument("--jobs", type=int)
-    tp.set_defaults(func=cmd_train)
-
-    fp = sub.add_parser("fuse", help="fuse trained members into mean/variance maps")
-    fp.add_argument("--run", required=True)
-    fp.add_argument("--out", required=True)
-    fp.set_defaults(func=cmd_fuse)
-
-    ep = sub.add_parser("eval", help="depth metrics + AUCE as one CSV row")
-    ep.add_argument("--pred", required=True)
-    ep.add_argument("--data", required=True)
-    ep.add_argument("--out", required=True)
-    ep.add_argument("--config")
-    ep.add_argument("--target-frame", dest="target_frame", type=int)
-    ep.add_argument("--median-scale", dest="median_scale", action="store_const",
-                    const=True, default=None)
-    ep.add_argument("--gt-denominator", dest="gt_denominator", action="store_const",
-                    const=True, default=None)
-    ep.set_defaults(func=cmd_eval)
-
-    cp = sub.add_parser("calib", help="calibration curve CSV + AUCE")
-    cp.add_argument("--pred", required=True)
-    cp.add_argument("--data", required=True)
-    cp.add_argument("--out", required=True)
-    cp.add_argument("--config")
-    cp.add_argument("--target-frame", dest="target_frame", type=int)
-    cp.add_argument("--median-scale", dest="median_scale", action="store_const",
-                    const=True, default=None)
-    cp.add_argument("--levels", type=int)
-    cp.set_defaults(func=cmd_calib)
+    _add_command(sub, "synth", cmd_synth, "render a synthetic dataset", ("out",),
+                 SYNTH_DEFAULTS, SYNTH_FLAGS)
+    # train may take its dataset from the config's "data" entry instead
+    _add_command(sub, "train", cmd_train, "train an ensemble of depth fields", ("out",),
+                 TRAIN_DEFAULTS, TRAIN_FLAGS).add_argument("--data")
+    _add_command(sub, "fuse", cmd_fuse, "fuse trained members into mean/variance maps",
+                 ("run", "out"))
+    _add_command(sub, "eval", cmd_eval, "depth metrics + AUCE as one CSV row",
+                 ("pred", "data", "out"), EVAL_DEFAULTS, EVAL_FLAGS)
+    _add_command(sub, "calib", cmd_calib, "calibration curve CSV + AUCE",
+                 ("pred", "data", "out"), CALIB_DEFAULTS, CALIB_FLAGS)
     return ap
 
 
@@ -443,9 +412,6 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NumericFailure as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3

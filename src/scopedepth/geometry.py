@@ -53,6 +53,8 @@ class Pose:
     def __post_init__(self):
         R = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not (np.all(np.isfinite(R)) and np.all(np.isfinite(t))):
+            raise ValueError("pose rotation and translation must be finite")
         if np.abs(R.T @ R - np.eye(3)).max() > 1e-6:
             raise ValueError("rotation is not orthonormal")
         if np.linalg.det(R) < 0:

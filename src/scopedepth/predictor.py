@@ -107,8 +107,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.grid_w < 1 or self.grid_h < 1:
             raise ValueError(
                 f"grid must be at least 1x1 cells, got {self.grid_w}x{self.grid_h}")

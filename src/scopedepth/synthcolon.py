@@ -41,6 +41,9 @@ class SceneParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if name != "seed" and not np.isfinite(value):
+                raise ValueError(f"scene {name} must be finite, got {value}")
         if not self.radius_mm > self.ridge_amp_mm >= 0:
             raise ValueError("need radius > ridge amplitude >= 0")
         if self.far_cap_mm <= 0:
@@ -376,12 +379,14 @@ def generate_trajectory(
     """
     if n_frames < 3:
         raise ValueError("need at least 3 frames for source/target triplets")
-    if step_mm <= 0:
-        raise ValueError("step must be positive")
+    if not (np.isfinite(step_mm) and step_mm > 0):
+        raise ValueError(f"step_mm must be positive and finite, got {step_mm}")
     if step_mm > params.radius_mm:
         raise ValueError("step too large: camera would leave the tube between frames")
+    if not np.isfinite(heading_noise_rad):
+        raise ValueError(f"heading_noise_rad must be finite, got {heading_noise_rad}")
     if not 0 <= sway_mm < params.radius_mm - params.ridge_amp_mm:
-        raise ValueError("sway must keep the camera inside the tube")
+        raise ValueError(f"sway_mm must keep the camera inside the tube, got {sway_mm}")
     gen = Xoshiro256(params.seed).substream("trajectory")
     phase_x = gen.uniform(0, 2 * np.pi)
     phase_y = gen.uniform(0, 2 * np.pi)
@@ -470,10 +475,10 @@ def write_dataset(
     manifest.json.  Poses are camera-to-world.  Returns the manifest dict.
     """
     light = light or LightModel()
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     poses = generate_trajectory(params, n_frames, step_mm, heading_noise_rad,
                                 sway_mm=sway_mm)
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     views = _iter_views(params, poses, K, w, h, light)
     for i, pose in enumerate(poses):
         img, depth, _hit = next(views)

@@ -44,14 +44,18 @@ class Regime(enum.Enum):
 
 
 class NumericFailure(RuntimeError):
-    """Loss or gradient became non-finite; carries the failing step, and
-    the message also names the member's seed and learning rate."""
+    """The loss or a gradient step became non-finite; carries the failing
+    step, and the message also names the member's seed and learning rate.
+    ``args`` holds all four, so the error survives the pickling that carries
+    it out of a pool worker."""
 
     def __init__(self, step: int, message: str, seed: int, learning_rate: float):
-        super().__init__(
-            f"member seed {seed}, learning rate {learning_rate!r}, step {step}: {message}"
-        )
+        super().__init__(step, message, seed, learning_rate)
         self.step = step
+
+    def __str__(self) -> str:
+        step, message, seed, learning_rate = self.args
+        return f"member seed {seed}, learning rate {learning_rate!r}, step {step}: {message}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,16 +304,16 @@ def train_member(
                 raise NumericFailure(
                     step, f"non-finite loss {obj.loss}", cfg.seed, cfg.learning_rate
                 )
-            if not (np.all(np.isfinite(obj.grad_log_depth)) and np.all(np.isfinite(obj.grad_log_sigma))):
-                raise NumericFailure(
-                    step, "non-finite gradient", cfg.seed, cfg.learning_rate
-                )
             losses[step] = obj.loss
-            field = DepthField(
-                field.log_depth - cfg.learning_rate * obj.grad_log_depth,
-                field.log_sigma - cfg.learning_rate * obj.grad_log_sigma,
-                field.seed,
-            )
+            # a non-finite gradient, or a finite one that overflows once
+            # scaled by the learning rate
+            log_depth = field.log_depth - cfg.learning_rate * obj.grad_log_depth
+            log_sigma = field.log_sigma - cfg.learning_rate * obj.grad_log_sigma
+            if not (np.all(np.isfinite(log_depth)) and np.all(np.isfinite(log_sigma))):
+                raise NumericFailure(
+                    step, "non-finite gradient step", cfg.seed, cfg.learning_rate
+                )
+            field = DepthField(log_depth, log_sigma, field.seed)
     return field, TrainReport(losses, time.perf_counter() - t0, cfg.seed)
 
 

@@ -63,7 +63,38 @@ COMMAND_DEFAULTS = {"synth": cli.SYNTH_DEFAULTS, "train": cli.TRAIN_DEFAULTS,
                     "fuse": {}, "eval": cli.EVAL_DEFAULTS, "calib": cli.CALIB_DEFAULTS}
 
 
+EXPECTED_FLAGS = {
+    "synth": {"--out", "--config", "--seed", "--frames", "--width", "--height", "--step-mm",
+              "--texture-contrast", "--light-intensity", "--specular", "--no-specular",
+              "--sway-mm"},
+    "train": {"--data", "--out", "--config", "--regime", "--members", "--seed", "--steps",
+              "--learning-rate", "--grid", "--teacher", "--target-frame", "--jobs"},
+    "fuse": {"--run", "--out"},
+    "eval": {"--pred", "--data", "--out", "--config", "--target-frame", "--median-scale",
+             "--no-median-scale", "--gt-denominator", "--no-gt-denominator"},
+    "calib": {"--pred", "--data", "--out", "--config", "--target-frame", "--median-scale",
+              "--no-median-scale", "--levels"},
+}
+
+
 class TestFlagWiring:
+    def test_flag_sets_and_types(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command, parser in sub.choices.items():
+            flags = {s for a in parser._actions for s in a.option_strings}
+            assert flags - {"-h", "--help"} == EXPECTED_FLAGS[command], command
+            paths = [s for a in parser._actions if a.required
+                     for s in (a.option_strings[0], "x")]
+            for key, default in COMMAND_DEFAULTS[command].items():
+                flag = "--" + key.replace("_", "-")
+                if flag not in flags:
+                    continue
+                argv = [flag] if isinstance(default, bool) else [flag, "1"]
+                value = getattr(parser.parse_args(argv + paths), key)
+                assert type(value) is (str if default is None else type(default)), (
+                    command, key, value)
+
     def test_every_flag_is_a_config_key_or_a_path(self):
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -129,15 +160,41 @@ class TestSynth:
         blocker.write_text("a file, not a directory")
         assert run("synth", "--out", blocker / "ds", "--frames", 3) == 2
 
-    def test_no_specular_overrides_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"specular": True}))
-        for flag, expected in (("--no-specular", False), ("--specular", True)):
-            out = tmp_path / flag.lstrip("-")
-            assert run("synth", "--out", out, "--config", cfg, flag, "--frames", 3,
-                       "--width", 8, "--height", 8) == 0
-            with open(out / "manifest.json") as f:
-                assert json.load(f)["config"]["specular"] is expected
+    def test_no_specular_overrides_config(self, dataset, fused, tmp_path):
+        # every boolean config key: --no-x switches off a config's true, and
+        # --x switches it back on
+        scored = ["--pred", fused, "--data", dataset]
+        cases = (
+            ("synth", "specular", None, ["--frames", 3, "--width", 8, "--height", 8]),
+            ("eval", "median_scale", "m.csv", scored),
+            ("eval", "gt_denominator", "m.csv", scored),
+            ("calib", "median_scale", "c.csv", scored),
+        )
+        for command, key, out_name, argv in cases:
+            assert COMMAND_DEFAULTS[command][key] is False
+            cfg = tmp_path / f"{command}-{key}.json"
+            cfg.write_text(json.dumps({key: True}))
+            flag = "--" + key.replace("_", "-")
+            for given, expected in (("--no-" + flag[2:], False), (flag, True)):
+                out = tmp_path / command / given.lstrip("-")
+                out_arg = out / out_name if out_name else out
+                assert run(command, "--out", out_arg, "--config", cfg, given, *argv) == 0
+                with open(out / "manifest.json") as f:
+                    assert json.load(f)["config"][key] is expected, (command, given)
+
+    def test_non_finite_scene_and_trajectory_usage_error(self, tmp_path, capsys):
+        heading = tmp_path / "heading.json"
+        heading.write_text(json.dumps({"heading_noise_rad": float("nan")}))
+        cases = (("step_mm", ["--step-mm", "nan"]), ("sway_mm", ["--sway-mm", "nan"]),
+                 ("texture_contrast", ["--texture-contrast", "nan"]),
+                 ("heading_noise_rad", ["--config", heading]))
+        for key, argv in cases:
+            out = tmp_path / key
+            assert run("synth", "--out", out, "--frames", 3, "--width", 8,
+                       "--height", 8, *argv) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err and "got nan" in err
+            assert not out.exists()
 
     def test_rerun_from_manifest_bit_identical(self, dataset, tmp_path):
         rc = run("synth", "--config", dataset / "manifest.json", "--out", tmp_path / "again")
@@ -212,6 +269,30 @@ class TestTrain:
         assert "learning rate 1000000.0" in lines[0]
 
 
+    def test_overflowing_update_is_numeric_failure(self, dataset, tmp_path, capsys):
+        # the update overflows to inf before any loss turns non-finite; with
+        # --jobs 2 the failure crosses the process pool
+        for jobs in (1, 2):
+            rc = run("train", "--data", dataset, "--out", tmp_path / f"j{jobs}",
+                     "--members", 2, "--seed", 11, "--steps", 3, "--grid", 4,
+                     "--learning-rate", 1e308, "--jobs", jobs)
+            assert rc == 3
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(
+                "numeric failure: member seed 11, learning rate 1e+308, step 0:")
+
+    def test_non_finite_learning_rate_usage_error(self, dataset, tmp_path, capsys):
+        for value in ("nan", "inf"):
+            out = tmp_path / value
+            assert run("train", "--data", dataset, "--out", out, "--members", 1,
+                       "--steps", 2, "--grid", 4, "--learning-rate", value) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "learning_rate" in err
+            assert f"got {value}" in err
+            assert not out.exists()
+
+
 class TestFuseEvalCalib:
     def test_fuse_outputs(self, fused):
         out = load_ensemble(fused)
@@ -262,6 +343,14 @@ class TestFuseEvalCalib:
             rows = list(csv.reader(f))
         vals = dict(zip(rows[0], map(float, rows[1])))
         assert vals["abs_rel"] < 1e-6 and vals["delta1"] == 1.0
+        # replaying that manifest with --no-median-scale scores the raw 0.25x:
+        # abs_rel = |d - gt| / d = 3 with the default prediction denominator
+        raw = tmp_path / "raw" / "s.csv"
+        assert run("eval", "--pred", tmp_path / "scaled", "--data", dataset, "--out", raw,
+                   "--config", tmp_path / "manifest.json", "--no-median-scale") == 0
+        with open(raw) as f:
+            rows = list(csv.reader(f))
+        assert abs(dict(zip(rows[0], map(float, rows[1])))["abs_rel"] - 3.0) < 1e-6
 
     def test_fuse_rejects_non_train_manifest(self, dataset, tmp_path, capsys):
         rc = run("fuse", "--run", dataset, "--out", tmp_path / "f")
@@ -281,6 +370,16 @@ class TestFuseEvalCalib:
         assert ps == [round(0.05 * i, 10) for i in range(1, 20)]
         assert all(0 <= c <= 1 for c in cov)
         assert cov == sorted(cov)
+
+    def test_calib_levels_below_one_usage_error(self, fused, dataset, tmp_path, capsys):
+        for levels in (0, -3):
+            out = tmp_path / f"levels{levels}"
+            assert run("calib", "--pred", fused, "--data", dataset,
+                       "--out", out / "curve.csv", "--levels", levels) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert f"--levels must be >= 1, got {levels}" in err
+            assert not out.exists()
 
     def test_dimension_mismatch_exit_code(self, fused, tmp_path):
         other = tmp_path / "other_ds"

@@ -67,6 +67,13 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(np.eye(3) * 1.1, np.zeros(3))
 
+    def test_rejects_non_finite(self):
+        # NaN passes the orthonormality and determinant tests on its own
+        for R, t in ((np.full((3, 3), np.nan), np.zeros(3)),
+                     (np.eye(3), [0.0, np.inf, 0.0])):
+            with pytest.raises(ValueError, match="finite"):
+                Pose(R, t)
+
     def test_inverse_composes_to_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
