@@ -3,13 +3,14 @@
 Every command resolves its configuration from an optional JSON config file
 plus flag overrides (flags win), then writes a ``manifest.json`` holding the
 fully resolved configuration next to its outputs.  Re-running a command
-with ``--config <manifest>`` reproduces the artifacts bit for bit.  All
-randomness descends from the single ``seed`` entry through named
-substreams.
+with ``--config <manifest>`` reproduces the artifacts bit for bit on the
+same machine, numpy and BLAS build.  All randomness descends from the
+single ``seed`` entry through named substreams.
 
 A command's flags are the config keys in its ``*_FLAGS`` tuple, spelled
 ``--key-with-dashes`` and typed like the key's entry in ``*_DEFAULTS``;
-boolean keys take ``--key``/``--no-key``.  Other keys are set via --config.
+boolean keys take ``--key``/``--no-key``.  Other keys are set via --config,
+whose values must have the same types (an int may stand for a float).
 
 Exit codes: 0 success, 2 usage or validation error, 3 numeric failure.
 """
@@ -130,6 +131,20 @@ def _at_least_one(cfg: dict, *keys: str) -> None:
             raise UsageError(f"{_flag(key)} must be >= 1, got {cfg[key]}")
 
 
+def _config_type_ok(value, default) -> bool:
+    """Whether a config value may stand for ``default``: the same JSON
+    type, an int for a float, a path string for a None default, and a
+    list of items that may stand for the default's first item."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, list):
+        return (isinstance(value, list)
+                and all(_config_type_ok(item, default[0]) for item in value))
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
 def _resolve(defaults: dict, args) -> dict:
     """``defaults``, then the ``--config`` file's entries, then every flag
     given whose ``dest`` is a key of ``defaults`` (flags win)."""
@@ -138,12 +153,20 @@ def _resolve(defaults: dict, args) -> dict:
     if args.config is not None:
         with open(args.config) as f:
             config = json.load(f)
+        if not isinstance(config, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object, "
+                             f"got {type(config).__name__}")
         # manifests wrap the resolved config under "config"
         if "config" in config and isinstance(config["config"], dict):
             config = config["config"]
     for k, v in config.items():
         if k not in out and k not in ("data", "out", "pred", "run"):
             raise UsageError(f"unknown config key {k!r}")
+        default = defaults.get(k, "")  # the path keys are strings
+        if not _config_type_ok(v, default):
+            expected = "str" if default is None else type(default).__name__
+            raise UsageError(f"config key {k!r} in {args.config} must be "
+                             f"{expected}, got {v!r}")
         out[k] = v
     for k, v in vars(args).items():
         if k in defaults and v is not None:
@@ -255,13 +278,14 @@ def cmd_train(args) -> int:
         ),
         seed=int(cfg["seed"]),
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     data, t_i = _build_train_data(cfg, regime, data_dir)
     results = train_ensemble(
         regime, data, tcfg, int(cfg["members"]), int(cfg["seed"]),
         jobs=int(cfg["jobs"]),
     )
+    # only a run that trained gets a directory
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for field, report in results:
         field.save(out_dir / f"member_{field.seed}.json")
         report.write_csv(out_dir / f"loss_{field.seed}.csv")

@@ -4,9 +4,11 @@ A scene is an implicit tube around a gently curving axis, with periodic
 radial ridges (haustra-like folds), a procedural albedo texture, and a
 point light travelling with the camera (inverse-square falloff plus
 optional saturating specular discs).  Rays are sphere-traced against the
-implicit surface with a conservative Lipschitz step, so straight-tube
-configurations have closed-form oracle intersections and every reported
-hit re-substitutes into the surface equation to sub-micron residuals.
+implicit surface with a step of f / L, where L bounds the field's gradient
+norm over the lumen (:func:`_lipschitz`), so no step crosses the wall.
+Straight-tube configurations have closed-form oracle intersections and
+every reported hit re-substitutes into the surface equation to sub-micron
+residuals.
 
 The generator also fabricates structure-from-motion style depth labels:
 globally rescaled, multiplicatively noised, with holes concentrated in
@@ -108,9 +110,12 @@ def surface_field(params: SceneParams, points: np.ndarray) -> np.ndarray:
 
 
 def _lipschitz(params: SceneParams) -> float:
+    """hypot(1, max|r'| + max|c'|), a bound on |grad f| over the lumen and
+    the sphere trace's step divisor (derived in :func:`_trace`).  A
+    straight tube gives exactly 1."""
     axis_slope = params.curve_amp_mm * params.curve_freq * np.hypot(1.0, 0.73)
     ridge_slope = params.ridge_amp_mm * np.pi / params.ridge_period_mm
-    return 1.0 + axis_slope + ridge_slope
+    return np.hypot(1.0, axis_slope + ridge_slope)
 
 
 def surface_normal(params: SceneParams, points: np.ndarray) -> np.ndarray:
@@ -144,7 +149,11 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
     hit flags; misses stop at the far-cap depth.
 
     Each ray steps ``t += surface_field(o + t d) / L`` until it hits,
-    passes its cap or has taken ``_TRACE_MAX_ITERS`` steps of its own.  At
+    passes its cap or has taken ``_TRACE_MAX_ITERS`` steps of its own.
+    With u the unit radial direction of p.xy - c(z), the field's gradient
+    is (-u, r'(z) + u . c'(z)) and |u| = 1, so L = :func:`_lipschitz` =
+    hypot(1, max|r'| + max|c'|) bounds it, and a step of f / L stops short
+    of the wall (Hart 1996, "Sphere tracing").  At
     most n rays are live: rays that finish are frozen in place and dropped
     once ``_TRACE_COMPACT_SHARE`` of the live set has finished, and the
     freed slots take the next rays in view order.  A view's rays are built

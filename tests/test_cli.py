@@ -196,6 +196,35 @@ class TestSynth:
             assert err.startswith("error:") and key in err and "got nan" in err
             assert not out.exists()
 
+    def test_config_that_is_not_an_object_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text(json.dumps([1, 2]))
+        out = tmp_path / "ds"
+        assert run("synth", "--out", out, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cfg) in err and "got list" in err
+        assert not out.exists()
+
+    def test_config_value_of_the_wrong_type_usage_error(self, tmp_path, capsys):
+        cases = (("synth", "frames", "5"), ("synth", "width", 8.0),
+                 ("synth", "specular", 1), ("synth", "fx", True), ("synth", "fx", None),
+                 ("train", "teacher", 3), ("train", "source_offsets", [0.5, 1]))
+        for command, key, value in cases:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps({key: value}))
+            out = tmp_path / "bad"
+            assert run(command, "--out", out, "--config", cfg) == 2, (key, value)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and repr(key) in err and str(cfg) in err
+            assert f"got {value!r}" in err
+            assert not out.exists()
+        # an int stands for a float
+        cfg.write_text(json.dumps({"step_mm": 1, "fx": 6}))
+        assert run("synth", "--out", tmp_path / "ok", "--config", cfg, "--frames", 3,
+                   "--width", 8, "--height", 8) == 0
+        with open(tmp_path / "ok" / "manifest.json") as f:
+            assert json.load(f)["config"]["fx"] == 6
+
     def test_rerun_from_manifest_bit_identical(self, dataset, tmp_path):
         rc = run("synth", "--config", dataset / "manifest.json", "--out", tmp_path / "again")
         assert rc == 0
@@ -222,6 +251,17 @@ class TestTrain:
         rc = run("train", "--data", dataset, "--out", tmp_path / "x",
                  "--regime", "uncertain-student", "--steps", 5)
         assert rc == 2
+
+    def test_failed_run_leaves_no_directory(self, dataset, tmp_path):
+        # a usage error found while building the data, and a numeric
+        # failure in training, both leave --out uncreated
+        cases = ((2, ["--regime", "uncertain-student"]),
+                 (3, ["--learning-rate", 1e308]))
+        for code, argv in cases:
+            out = tmp_path / str(code)
+            assert run("train", "--data", dataset, "--out", out, "--members", 1,
+                       "--steps", 2, "--grid", 4, *argv) == code
+            assert not out.exists()
 
     def test_zero_grid_usage_error(self, dataset, tmp_path, capsys):
         rc = run("train", "--data", dataset, "--out", tmp_path / "x",

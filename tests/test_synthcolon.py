@@ -100,14 +100,31 @@ class TestRender:
             render_view(params, Pose(np.eye(3), [50.0, 0, 0]), K64, 8, 8)
 
 
-def _reference_trace(params, origins, dirs, z_cam):
-    """The original full-length sphere trace: gathers and scatters the
-    active rays of the whole frame on every iteration."""
+def _slopes(params):
+    """max |c'(z)| and max |r'(z)| of the scene's axis and ridges."""
+    axis = params.curve_amp_mm * params.curve_freq * np.hypot(1.0, 0.73)
+    ridge = params.ridge_amp_mm * np.pi / params.ridge_period_mm
+    return axis, ridge
+
+
+def _tight_bound(params):
+    """hypot(1, max|r'| + max|c'|), the bound the renderer steps with."""
+    return np.hypot(1.0, sum(_slopes(params)))
+
+
+def _loose_bound(params):
+    """1 + max|c'| + max|r'|, the bound the renderer once stepped with."""
+    axis, ridge = _slopes(params)
+    return 1.0 + axis + ridge
+
+
+def _reference_trace(params, origins, dirs, z_cam, L):
+    """The original full-length sphere trace with step f / L: gathers and
+    scatters the active rays of the whole frame on every iteration."""
     n = origins.shape[0]
     t = np.zeros(n)
     hit = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
-    L = synthcolon._lipschitz(params)
     t_cap = params.far_cap_mm / np.maximum(z_cam, 1e-9)
     for _ in range(synthcolon._TRACE_MAX_ITERS):
         if not active.any():
@@ -157,11 +174,12 @@ def _reference_value_noise(seed, pts, octaves):
 
 def _reference_args(trace_args):
     """Per view of a ``_trace(params, z_cam, n_views, view_rays)`` call,
-    the (params, origins, dirs, z_cam) that the reference trace takes."""
+    the (params, origins, dirs, z_cam, L) that the reference trace takes,
+    with the bound the renderer should step with."""
     params, z_cam, n_views, view_rays = trace_args
     views = [view_rays(i) for i in range(n_views)]
-    return [(params, np.broadcast_to(origin, dirs.shape), dirs, z_cam)
-            for origin, dirs in views]
+    return [(params, np.broadcast_to(origin, dirs.shape), dirs, z_cam,
+             _tight_bound(params)) for origin, dirs in views]
 
 
 def _reference_trace_views(*trace_args):
@@ -281,7 +299,7 @@ class TestMatchesReference:
         monkeypatch.setattr(synthcolon, "_TRACE_MAX_ITERS", 40)
         params = SceneParams(seed=11)
         pose = generate_trajectory(params, 3, 1.0)[0]
-        t, hit, (_, _, _, z_cam) = _assert_matches_reference(
+        t, hit, (_, _, _, z_cam, _) = _assert_matches_reference(
             monkeypatch, params, pose, K64, 48, 48)
         exhausted = ~hit & (t * z_cam < params.far_cap_mm)
         assert exhausted.any() and hit.any()
@@ -329,6 +347,90 @@ class TestSharedMarch:
         for img, depth, hit in views:
             assert img.data.shape == (4, 0, 3)
             assert depth.data.shape == hit.data.shape == (4, 0)
+
+
+def _field_gradient(params, pts):
+    """grad f, computed as :func:`surface_normal` does before it
+    normalises: (-u, r'(z) + u . c'(z)) with u the unit radial direction."""
+    cx, cy = synthcolon._axis_center(params, pts[..., 2])
+    dx, dy = pts[..., 0] - cx, pts[..., 1] - cy
+    rho = np.hypot(dx, dy)
+    ux, uy = dx / rho, dy / rho
+    dcx, dcy = synthcolon._axis_tangent(params, pts[..., 2])
+    gz = synthcolon._ridge_radius_dz(params, pts[..., 2]) + ux * dcx + uy * dcy
+    return np.stack([-ux, -uy, gz], axis=-1)
+
+
+def _traced_depths(monkeypatch, trace_args):
+    """Depth t * z_cam, hit flags, and whether each ray ran out of steps,
+    of one ``_trace`` call, with the number of points it evaluated."""
+    points = []
+    with monkeypatch.context() as m:
+        m.setattr(synthcolon, "surface_field",
+                  lambda p, pts: points.append(len(pts)) or surface_field(p, pts))
+        t, hit = synthcolon._trace(*trace_args)
+    params, z_cam = trace_args[:2]
+    depth = t * z_cam
+    return depth, hit, ~hit & (depth < params.far_cap_mm), sum(points)
+
+
+class TestStepBound:
+    @pytest.mark.parametrize("params", [
+        SceneParams(), SceneParams(seed=11), SceneParams(seed=21),
+        SceneParams(curve_amp_mm=25.0, ridge_amp_mm=5.0),
+        SceneParams(curve_amp_mm=30.0, curve_freq=0.12, ridge_amp_mm=8.0,
+                    ridge_period_mm=6.0),
+    ], ids=["default", "seed11", "seed21", "larger-amps", "steep"])
+    def test_bound_holds_in_the_lumen(self, params):
+        rng = np.random.default_rng(0)
+        z = rng.uniform(-300.0, 300.0, 100_000)
+        theta = rng.uniform(0.0, 2.0 * np.pi, z.size)
+        rho = rng.uniform(0.01, 1.0, z.size) * synthcolon._ridge_radius(params, z)
+        cx, cy = synthcolon._axis_center(params, z)
+        pts = np.stack([cx + rho * np.cos(theta), cy + rho * np.sin(theta), z], -1)
+        assert (surface_field(params, pts) > 0).all()
+        g = _field_gradient(params, pts)
+        norm = np.linalg.norm(g, axis=-1)
+        np.testing.assert_allclose(g / norm[:, None], synthcolon.surface_normal(params, pts),
+                                   rtol=0, atol=1e-12)
+        # the analytic gradient is the field's: central differences agree
+        h = 1e-5
+        for axis in range(3):
+            e = np.zeros(3)
+            e[axis] = h
+            fd = (surface_field(params, pts[:500] + e)
+                  - surface_field(params, pts[:500] - e)) / (2 * h)
+            np.testing.assert_allclose(fd, g[:500, axis], atol=1e-6)
+        L = synthcolon._lipschitz(params)
+        assert L == _tight_bound(params)
+        assert L >= norm.max()
+        assert L < _loose_bound(params)
+
+    def test_straight_tube_bound_is_one(self):
+        # the closed-form straight-tube oracle keeps its bytes
+        params = SceneParams(radius_mm=10, curve_amp_mm=0, ridge_amp_mm=0)
+        assert synthcolon._lipschitz(params) == 1.0 == _loose_bound(params)
+
+    def test_tight_bound_moves_hits_within_the_tolerance(self, monkeypatch):
+        # the README quick-start trajectory traced with the old bound and
+        # with the renderer's: depths agree where both hit, a ray that hits
+        # in only one trace ran out of steps in the other, and the tight
+        # bound evaluates the field at most 0.7x as often
+        params = SceneParams(seed=21)
+        poses = generate_trajectory(params, 12, 1.0, sway_mm=2.5)
+        (trace_args,) = _captured_calls(monkeypatch, "_trace", render_views, params,
+                                        poses, K64, 64, 64)
+        depth, hit, exhausted, steps = _traced_depths(monkeypatch, trace_args)
+        with monkeypatch.context() as m:
+            m.setattr(synthcolon, "_lipschitz", _loose_bound)
+            depth_old, hit_old, exhausted_old, steps_old = _traced_depths(
+                monkeypatch, trace_args)
+        both = hit & hit_old
+        assert both.mean() > 0.9
+        assert np.abs(depth - depth_old)[both].max() <= synthcolon._TRACE_TOL
+        flips = hit != hit_old
+        assert np.where(hit, exhausted_old, exhausted)[flips].all()
+        assert steps <= 0.70 * steps_old
 
 
 class TestTrajectory:
