@@ -34,7 +34,6 @@ from .losses import (
     prior_loss,
     selfsup_nll,
     supervised_nll,
-    uncertain_teacher_nll,
 )
 from .metrics import (
     CalibrationCurve,

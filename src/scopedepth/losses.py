@@ -8,7 +8,8 @@ residual and the scale:
 * self-supervised: photometric residual, scale is the photometric
   uncertainty
 * uncertain teacher-student: the supervised loss on teacher depth with
-  the scale widened to sqrt(teacher_var + student_aleatoric^2)
+  the scale widened to sqrt(teacher_var + student_aleatoric^2), by passing
+  the teacher's std as ``sigma_label``
 
 Any predicted scale is clamped from below at ``sigma_min`` before entering
 the loss; gradients are taken with respect to the raw (unclamped) scale,
@@ -79,11 +80,12 @@ def supervised_nll_arrays(
     gate = (sigma_a > cfg.sigma_min).astype(np.float64)
     s = s_a if sigma_label is None else np.hypot(sigma_label, s_a)
     r = d - d_hat
-    term = np.abs(r) / s + np.log(s)
+    abs_r = np.abs(r)
+    term = abs_r / s + np.log(s)
     scalar, n = _reduce(term, valid)
     v = valid.astype(np.float64)
     grad_depth = -np.sign(r) / s * v / n
-    d_s = -np.abs(r) / s**2 + 1.0 / s
+    d_s = -abs_r / s**2 + 1.0 / s
     if sigma_label is not None:
         d_s = d_s * (s_a / s)
     grad_sigma = d_s * gate * v / n
@@ -132,14 +134,20 @@ def _require_std(u: UncMap, name: str) -> None:
 
 def supervised_nll(
     d: DepthMap, d_hat: DepthMap, sigma_a: UncMap, mask: Mask | None,
-    cfg: LossConfig,
+    cfg: LossConfig, sigma_label: UncMap | None = None,
 ) -> LossValue:
+    """:func:`supervised_nll_arrays` on rasters; ``sigma_label`` is the
+    labels' own std (the uncertain student's teacher sigma), if any."""
     same_shape(d, d_hat, sigma_a)
     _require_std(sigma_a, "sigma_a")
+    if sigma_label is not None:
+        same_shape(d, sigma_label)
+        _require_std(sigma_label, "sigma_label")
     valid = _mask_or_full(mask, d.height, d.width)
     return supervised_nll_arrays(
         d.data.astype(np.float64), d_hat.data.astype(np.float64),
         sigma_a.data.astype(np.float64), valid, cfg,
+        None if sigma_label is None else sigma_label.data.astype(np.float64),
     )
 
 
@@ -152,19 +160,4 @@ def selfsup_nll(
     return selfsup_nll_arrays(
         np.asarray(f_p, dtype=np.float64), u_hat.data.astype(np.float64),
         valid.data, cfg,
-    )
-
-
-def uncertain_teacher_nll(
-    d_teacher: DepthMap, sigma_teacher: UncMap, d_hat: DepthMap,
-    sigma_a: UncMap, mask: Mask | None, cfg: LossConfig,
-) -> LossValue:
-    same_shape(d_teacher, sigma_teacher, d_hat, sigma_a)
-    _require_std(sigma_teacher, "sigma_teacher")
-    _require_std(sigma_a, "sigma_a")
-    valid = _mask_or_full(mask, d_hat.height, d_hat.width)
-    return supervised_nll_arrays(
-        d_teacher.data.astype(np.float64), d_hat.data.astype(np.float64),
-        sigma_a.data.astype(np.float64), valid, cfg,
-        sigma_label=sigma_teacher.data.astype(np.float64),
     )

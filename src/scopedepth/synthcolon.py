@@ -48,8 +48,11 @@ class SceneParams:
                 raise ValueError(f"scene {name} must be finite, got {value}")
         if not self.radius_mm > self.ridge_amp_mm >= 0:
             raise ValueError("need radius > ridge amplitude >= 0")
-        if self.far_cap_mm <= 0:
-            raise ValueError("far cap must be positive")
+        for name in ("ridge_period_mm", "texture_scale_mm", "far_cap_mm"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"scene {name} must be positive, got {getattr(self, name)}")
+        if self.texture_octaves < 1:
+            raise ValueError(f"scene texture_octaves must be >= 1, got {self.texture_octaves}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ def _lipschitz(params: SceneParams) -> float:
     """hypot(1, max|r'| + max|c'|), a bound on |grad f| over the lumen and
     the sphere trace's step divisor (derived in :func:`_trace`).  A
     straight tube gives exactly 1."""
-    axis_slope = params.curve_amp_mm * params.curve_freq * np.hypot(1.0, 0.73)
+    axis_slope = abs(params.curve_amp_mm * params.curve_freq) * np.hypot(1.0, 0.73)
     ridge_slope = params.ridge_amp_mm * np.pi / params.ridge_period_mm
     return np.hypot(1.0, axis_slope + ridge_slope)
 
@@ -231,7 +234,7 @@ def _value_noise(seed: int, pts: np.ndarray, octaves: int) -> np.ndarray:
         return total.reshape(pts.shape[:-1])
     amp_sum = 0.0
     amp = 1.0
-    for octave in range(max(octaves, 1)):
+    for octave in range(octaves):
         frac = coords * (2.0**octave)
         base = np.floor(frac).astype(np.int64)
         frac -= base

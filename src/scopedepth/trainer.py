@@ -23,7 +23,13 @@ import numpy as np
 from .geometry import CameraIntrinsics, Pose, warp_basis, warp_from_basis
 from .heap import keep_heap_mapped
 from .imagery import DepthMap, Image, Mask, UncMap, bilinear_sample_planes
-from .losses import LossConfig, prior_loss, selfsup_nll_arrays, supervised_nll_arrays
+from .losses import (
+    LossConfig,
+    _mask_or_full,
+    prior_loss,
+    selfsup_nll_arrays,
+    supervised_nll_arrays,
+)
 from .photometry import (
     PhotometricConfig,
     _ssim_moments,
@@ -82,14 +88,23 @@ class Triplet:
             raise ValueError("need equally many sources and relative poses")
 
 
+def _frame_constants(frame: LabeledFrame) -> tuple:
+    """What a label step reads of a frame but never changes: the float64
+    label, the float64 label sigma or None, and the validity mask."""
+    d, s = frame.depth, frame.sigma
+    return (d.data.astype(np.float64), None if s is None else s.data.astype(np.float64),
+            _mask_or_full(frame.mask, d.height, d.width))
+
+
 def _triplet_constants(trip: Triplet, K: CameraIntrinsics, pcfg: PhotometricConfig) -> tuple:
     """What a self-supervised step reads of a triplet but never changes:
     the target's (c, h, w) float64 planes and their SSIM moments, the
-    sources' planes, the :func:`warp_basis` of each source pose, and the
+    sources' planes and poses, the :func:`warp_basis` of each pose, and the
     target's smoothness edge weights."""
     target = trip.target.planes()
     return (
         target, _ssim_moments(target, pcfg), tuple(src.planes() for src in trip.sources),
+        trip.rel_poses,
         tuple(warp_basis(K, pose, trip.target.width, trip.target.height)
               for pose in trip.rel_poses),
         edge_weights(trip.target),
@@ -113,6 +128,12 @@ class TrainData:
             t = self.triplets[0].target
             return t.width, t.height
         raise ValueError("empty training bundle")
+
+    @functools.cached_property
+    def _label_constants(self) -> tuple[tuple, ...]:
+        """Per-frame constants of the label step, built on first use and
+        kept for the lifetime of the bundle."""
+        return tuple(_frame_constants(f) for f in self.frames)
 
     @functools.cached_property
     def _selfsup_constants(self) -> tuple[tuple, ...]:
@@ -140,6 +161,8 @@ def _check_bundle(regime: Regime, data: TrainData) -> None:
     intrinsics for self-supervision, labeled frames otherwise, with a
     std-kind label sigma on every frame for the uncertain student and on
     none for the other label regimes."""
+    if not isinstance(regime, Regime):
+        raise ValueError(f"unknown regime {regime!r}, expected a Regime")
     if regime == Regime.SELF_SUPERVISED:
         if not data.triplets or data.K is None:
             raise ValueError("self-supervised training needs triplets and intrinsics")
@@ -176,111 +199,92 @@ def _fingerprints_equal(a: tuple, b: tuple) -> bool:
     return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def _supervised_objective(
-    field: DepthField, data: TrainData, w: int, h: int,
-    loss_cfg: LossConfig, collect_fingerprint: bool = False,
-) -> _Objective:
-    d_hat, sigma = forward_arrays(field, w, h)
-    total = 0.0
-    grad_d = np.zeros((h, w))
-    grad_s = np.zeros((h, w))
-    nf = len(data.frames)
-    marks: list[np.ndarray] = []
-    if collect_fingerprint:
-        marks.append((sigma > loss_cfg.sigma_min).astype(np.int8))
-    for fr in data.frames:
-        valid = np.full((h, w), True) if fr.mask is None else fr.mask.data
-        label = fr.depth.data.astype(np.float64)
-        sigma_label = None if fr.sigma is None else fr.sigma.data.astype(np.float64)
-        lv = supervised_nll_arrays(label, d_hat, sigma, valid, loss_cfg, sigma_label)
-        if collect_fingerprint:
-            marks.append(np.sign(label - d_hat).astype(np.int8) * valid)
-        total += lv.scalar / nf
-        grad_d += lv.grad_depth / nf
-        grad_s += lv.grad_sigma / nf
-    g_ld, g_ls = backward(field, grad_d, grad_s, d_hat, sigma)
-    return _Objective(total, g_ld, g_ls, tuple(marks) if collect_fingerprint else None)
+def _label_term(const, d_hat, sigma, loss_cfg, n, total, grad_d, grad_s, marks) -> float:
+    """Add one labeled frame's 1/n share of the data term to the running
+    sums: return the new total, add into ``grad_d`` and ``grad_s`` in place
+    and, when ``marks`` is a list, append the frame's L1 signs."""
+    label, sigma_label, valid = const
+    lv = supervised_nll_arrays(label, d_hat, sigma, valid, loss_cfg, sigma_label)
+    if marks is not None:
+        marks.append(np.sign(label - d_hat).astype(np.int8) * valid)
+    grad_d += lv.grad_depth / n
+    grad_s += lv.grad_sigma / n
+    return total + lv.scalar / n
 
 
-def _selfsup_objective(
-    field: DepthField, data: TrainData, w: int, h: int, loss_cfg: LossConfig,
-    collect_fingerprint: bool = False,
-) -> _Objective:
-    pcfg = data.photometric
+def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, total, grad_d, grad_u,
+                  marks) -> float:
+    """:func:`_label_term` for one triplet: the photometric term through the
+    warp of its argmin source, plus the edge-aware smoothness term.  Marks
+    are the warp validity, bilinear cells and L1 signs of every source, the
+    argmin and the smoothness signs."""
+    tgt, tgt_moments, sources, poses, bases, weights = const
     alpha = pcfg.alpha
-    d_hat, u_hat = forward_arrays(field, w, h)
-    total = 0.0
-    grad_d = np.zeros((h, w))
-    grad_u = np.zeros((h, w))
-    nt = len(data.triplets)
-    marks: list[np.ndarray] = []
-    if collect_fingerprint:
-        marks.append((u_hat > loss_cfg.sigma_min).astype(np.int8))
-    for trip, const in zip(data.triplets, data._selfsup_constants):
-        tgt, tgt_moments, sources, bases, weights = const
-        nchan = tgt.shape[0]
-        warps, jacobians = [], []
-        for src, pose, basis in zip(sources, trip.rel_poses, bases):
-            xs, ys, in_front, dxd, dyd = warp_from_basis(d_hat, data.K, pose, basis)
-            vals, ddx, ddy, samp_ok = bilinear_sample_planes(src, xs, ys)
-            valid = in_front & samp_ok
-            warps.append((vals, valid))
-            jacobians.append((ddx, ddy, dxd, dyd))
-            if collect_fingerprint:
-                marks.append(valid.astype(np.int8))
-                marks.append(np.floor(np.where(valid, xs, -1)).astype(np.int32))
-                marks.append(np.floor(np.where(valid, ys, -1)).astype(np.int32))
-                marks.append(np.sign(tgt - vals).astype(np.int8) * valid)
-        f_p, valid_px, arg, terms = photometric_residual_arrays(
-            tgt, tgt_moments, warps, pcfg)
-        if collect_fingerprint:
-            marks.append(arg.astype(np.int8))
-        lv = selfsup_nll_arrays(f_p, u_hat, valid_px, loss_cfg)
-        total += lv.scalar / nt
-        grad_u += lv.grad_sigma / nt
-        # route d(scalar)/d(F_p) through the argmin source only
-        for s_idx, ((vals, valid), (ddx, ddy, dxd, dyd)) in enumerate(
-            zip(warps, jacobians)
-        ):
-            up = np.where(arg == s_idx, lv.grad_depth, 0.0) / nt
-            if not np.any(up):
-                continue
-            g_vals = (1 - alpha) / nchan * (-np.sign(tgt - vals)) * up
-            g_vals += ssim_backward_channel(
-                terms[s_idx], -0.5 * alpha / nchan * up, pcfg)
-            d_dd = (g_vals * ddx).sum(axis=0) * dxd + (g_vals * ddy).sum(axis=0) * dyd
-            grad_d += np.where(valid, d_dd, 0.0)
-        if loss_cfg.lambda_u > 0:
-            smooth, smooth_grad = smoothness_and_grad(d_hat, weights)
-            total += loss_cfg.lambda_u * smooth.mean() / nt
-            grad_d += loss_cfg.lambda_u * smooth_grad / nt
-            if collect_fingerprint:
-                marks.append(np.sign(np.diff(d_hat, axis=1)).astype(np.int8))
-                marks.append(np.sign(np.diff(d_hat, axis=0)).astype(np.int8))
-    g_ld, g_ls = backward(field, grad_d, grad_u, d_hat, u_hat)
-    return _Objective(total, g_ld, g_ls, tuple(marks) if collect_fingerprint else None)
+    nchan = tgt.shape[0]
+    warps, jacobians = [], []
+    for src, pose, basis in zip(sources, poses, bases):
+        xs, ys, in_front, dxd, dyd = warp_from_basis(d_hat, K, pose, basis)
+        vals, ddx, ddy, samp_ok = bilinear_sample_planes(src, xs, ys)
+        valid = in_front & samp_ok
+        warps.append((vals, valid))
+        jacobians.append((ddx, ddy, dxd, dyd))
+        if marks is not None:
+            marks.append(valid.astype(np.int8))
+            marks.append(np.floor(np.where(valid, xs, -1)).astype(np.int32))
+            marks.append(np.floor(np.where(valid, ys, -1)).astype(np.int32))
+            marks.append(np.sign(tgt - vals).astype(np.int8) * valid)
+    f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, tgt_moments, warps, pcfg)
+    if marks is not None:
+        marks.append(arg.astype(np.int8))
+    lv = selfsup_nll_arrays(f_p, u_hat, valid_px, loss_cfg)
+    total += lv.scalar / n
+    grad_u += lv.grad_sigma / n
+    # route d(scalar)/d(F_p) through the argmin source only
+    for s_idx, ((vals, valid), (ddx, ddy, dxd, dyd)) in enumerate(zip(warps, jacobians)):
+        up = np.where(arg == s_idx, lv.grad_depth, 0.0) / n
+        if not np.any(up):
+            continue
+        g_vals = (1 - alpha) / nchan * (-np.sign(tgt - vals)) * up
+        g_vals += ssim_backward_channel(terms[s_idx], -0.5 * alpha / nchan * up, pcfg)
+        d_dd = (g_vals * ddx).sum(axis=0) * dxd + (g_vals * ddy).sum(axis=0) * dyd
+        grad_d += np.where(valid, d_dd, 0.0)
+    if loss_cfg.lambda_u > 0:
+        smooth, smooth_grad = smoothness_and_grad(d_hat, weights)
+        total += loss_cfg.lambda_u * smooth.mean() / n
+        grad_d += loss_cfg.lambda_u * smooth_grad / n
+        if marks is not None:
+            marks.append(np.sign(np.diff(d_hat, axis=1)).astype(np.int8))
+            marks.append(np.sign(np.diff(d_hat, axis=0)).astype(np.int8))
+    return total
 
 
 def _objective(
     regime: Regime, data: TrainData, field: DepthField, loss_cfg: LossConfig,
     w: int, h: int, collect_fingerprint: bool = False,
 ) -> _Objective:
+    """The MAP loss of every regime: one forward pass, the data term of each
+    frame or triplet from the bundle's per-run constants, one backward pass
+    and the weight prior.  ``regime`` must have passed :func:`_check_bundle`."""
     if regime == Regime.SELF_SUPERVISED:
-        obj = _selfsup_objective(field, data, w, h, loss_cfg, collect_fingerprint)
-    elif isinstance(regime, Regime):
-        obj = _supervised_objective(field, data, w, h, loss_cfg, collect_fingerprint)
+        consts = data._selfsup_constants
+        term = functools.partial(_triplet_term, data.K, data.photometric)
     else:
-        raise ValueError(f"unknown regime {regime}")
+        consts, term = data._label_constants, _label_term
+    d_hat, sigma = forward_arrays(field, w, h)
+    total = 0.0
+    grad_d = np.zeros((h, w))
+    grad_s = np.zeros((h, w))
+    marks = [(sigma > loss_cfg.sigma_min).astype(np.int8)] if collect_fingerprint else None
+    for const in consts:
+        total = term(const, d_hat, sigma, loss_cfg, len(consts), total, grad_d, grad_s, marks)
+    g_ld, g_ls = backward(field, grad_d, grad_s, d_hat, sigma)
     if loss_cfg.weight_decay > 0:
         p_loss, p_grad = prior_loss(field.params(), loss_cfg)
         n = field.log_depth.size
-        return _Objective(
-            obj.loss + p_loss,
-            obj.grad_log_depth + p_grad[:n].reshape(field.log_depth.shape),
-            obj.grad_log_sigma + p_grad[n:].reshape(field.log_sigma.shape),
-            obj.fingerprint,
-        )
-    return obj
+        total += p_loss
+        g_ld += p_grad[:n].reshape(field.log_depth.shape)
+        g_ls += p_grad[n:].reshape(field.log_sigma.shape)
+    return _Objective(total, g_ld, g_ls, None if marks is None else tuple(marks))
 
 
 def train_member(
@@ -370,9 +374,7 @@ def finite_diff_audit(
     loss_cfg = loss_cfg if loss_cfg is not None else LossConfig()
     w, h = data.resolution()
     obj = _objective(regime, data, field, loss_cfg, w, h, collect_fingerprint=True)
-    analytic = np.concatenate(
-        [obj.grad_log_depth.ravel(), obj.grad_log_sigma.ravel()]
-    )
+    analytic = np.concatenate([obj.grad_log_depth.ravel(), obj.grad_log_sigma.ravel()])
     theta0 = field.params()
     worst = 0.0
     for i in range(theta0.size):
@@ -381,10 +383,8 @@ def finite_diff_audit(
         for sgn in (1.0, -1.0):
             theta = theta0.copy()
             theta[i] += sgn * hstep
-            p = _objective(
-                regime, data, field.with_params(theta), loss_cfg, w, h,
-                collect_fingerprint=True,
-            )
+            p = _objective(regime, data, field.with_params(theta), loss_cfg, w, h,
+                           collect_fingerprint=True)
             if not _fingerprints_equal(p.fingerprint, obj.fingerprint):
                 raise KinkStraddled(f"parameter {i} probe crossed a switch")
             probes.append(p.loss)
@@ -408,7 +408,6 @@ def audit_random_fields(
 ) -> list[float]:
     """Run the audit over ``draws`` random fields, redrawing any field whose
     probes straddle a kink of the piecewise-smooth objective."""
-    loss_cfg = loss_cfg if loss_cfg is not None else LossConfig()
     errors = []
     seed = seed0
     attempts = 0

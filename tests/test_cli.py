@@ -196,6 +196,20 @@ class TestSynth:
             assert err.startswith("error:") and key in err and "got nan" in err
             assert not out.exists()
 
+    def test_nonpositive_scene_scale_usage_error(self, tmp_path, capsys):
+        # a zero ridge period once divided by zero in the step bound, and
+        # zero octaves rendered one while the manifest recorded none
+        for key, value in (("ridge_period_mm", 0), ("ridge_period_mm", -14.0),
+                           ("texture_octaves", 0)):
+            cfg = tmp_path / f"{key}{value}.json"
+            cfg.write_text(json.dumps({key: value}))
+            out = tmp_path / f"{key}{value}"
+            assert run("synth", "--out", out, "--config", cfg, "--frames", 3,
+                       "--width", 8, "--height", 8) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err and f"got {value}" in err
+            assert not out.exists()
+
     def test_config_that_is_not_an_object_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text(json.dumps([1, 2]))

@@ -9,7 +9,6 @@ from scopedepth.losses import (
     supervised_nll,
     supervised_nll_arrays,
     selfsup_nll_arrays,
-    uncertain_teacher_nll,
 )
 
 CFG = LossConfig()
@@ -172,8 +171,17 @@ class TestPlainStudent:
         s = UncMap(rng.uniform(0.3, 2.0, (4, 4)).astype(np.float32), "std")
         zero = UncMap(np.zeros((4, 4), dtype=np.float32), "std")
         a = supervised_nll(d_t, dh, s, None, CFG)
-        b = uncertain_teacher_nll(d_t, zero, dh, s, None, CFG)
+        b = supervised_nll(d_t, dh, s, None, CFG, sigma_label=zero)
         assert a.scalar == b.scalar
+
+    def test_label_sigma_checked_like_sigma_a(self):
+        d = DepthMap(np.full((4, 4), 7.0, dtype=np.float32))
+        s = UncMap(np.ones((4, 4), dtype=np.float32), "std")
+        with pytest.raises(ValueError, match="sigma_label must be a std-kind"):
+            supervised_nll(d, d, s, None, CFG, sigma_label=s.to_variance())
+        small = UncMap(np.ones((3, 4), dtype=np.float32), "std")
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            supervised_nll(d, d, s, None, CFG, sigma_label=small)
 
     def test_teacher_equals_prediction_leaves_log_sigma(self):
         dh = DepthMap(np.full((3, 3), 9.0, dtype=np.float32))

@@ -94,6 +94,14 @@ class TestRender:
             with pytest.raises(ValueError, match=f"light {field} .*got {value}"):
                 LightModel(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("ridge_period_mm", 0.0), ("ridge_period_mm", -14.0), ("texture_scale_mm", 0.0),
+        ("texture_scale_mm", -6.0), ("far_cap_mm", 0.0), ("texture_octaves", 0),
+    ])
+    def test_scene_rejects_nonpositive_scales(self, field, value):
+        with pytest.raises(ValueError, match=f"scene {field} .*got {value}"):
+            SceneParams(**{field: value})
+
     def test_camera_outside_tube_rejected(self):
         params = SceneParams(radius_mm=10, curve_amp_mm=0, seed=0)
         with pytest.raises(ValueError):
@@ -102,7 +110,7 @@ class TestRender:
 
 def _slopes(params):
     """max |c'(z)| and max |r'(z)| of the scene's axis and ridges."""
-    axis = params.curve_amp_mm * params.curve_freq * np.hypot(1.0, 0.73)
+    axis = abs(params.curve_amp_mm * params.curve_freq) * np.hypot(1.0, 0.73)
     ridge = params.ridge_amp_mm * np.pi / params.ridge_period_mm
     return axis, ridge
 
@@ -380,7 +388,9 @@ class TestStepBound:
         SceneParams(curve_amp_mm=25.0, ridge_amp_mm=5.0),
         SceneParams(curve_amp_mm=30.0, curve_freq=0.12, ridge_amp_mm=8.0,
                     ridge_period_mm=6.0),
-    ], ids=["default", "seed11", "seed21", "larger-amps", "steep"])
+        SceneParams(curve_amp_mm=-10.0, seed=21), SceneParams(curve_freq=-0.05, seed=21),
+    ], ids=["default", "seed11", "seed21", "larger-amps", "steep", "negative-amp",
+            "negative-freq"])
     def test_bound_holds_in_the_lumen(self, params):
         rng = np.random.default_rng(0)
         z = rng.uniform(-300.0, 300.0, 100_000)
@@ -431,6 +441,23 @@ class TestStepBound:
         flips = hit != hit_old
         assert np.where(hit, exhausted_old, exhausted)[flips].all()
         assert steps <= 0.70 * steps_old
+
+    @pytest.mark.parametrize("params", [
+        SceneParams(curve_amp_mm=-10.0, seed=21), SceneParams(curve_freq=-0.05, seed=21),
+    ], ids=["negative-amp", "negative-freq"])
+    def test_hits_lie_on_the_wall(self, monkeypatch, params):
+        # the quick-start trajectory in a scene whose axis bends the other
+        # way: a bound that kept the sign would step through the wall
+        poses = generate_trajectory(params, 12, 1.0, sway_mm=2.5)
+        (trace_args,) = _captured_calls(monkeypatch, "_trace", render_views, params,
+                                        poses, K64, 64, 64)
+        t, hit = synthcolon._trace(*trace_args)
+        view_rays = trace_args[3]
+        assert hit.mean() > 0.9
+        for i in range(len(poses)):
+            origin, dirs = view_rays(i)
+            f = surface_field(params, origin + t[i][hit[i], None] * dirs[hit[i]])
+            assert np.abs(f).max() <= synthcolon._TRACE_TOL
 
 
 class TestTrajectory:

@@ -13,7 +13,7 @@ import pytest
 from scopedepth import trainer
 from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, rotation_xyz
 from scopedepth.imagery import DepthMap, Image, Mask, UncMap
-from scopedepth.losses import LossConfig
+from scopedepth.losses import LossConfig, prior_loss
 from scopedepth.predictor import TrainConfig, forward_arrays, init_random
 from scopedepth.synthcolon import (
     SceneParams,
@@ -343,7 +343,7 @@ class TestObjectiveMatchesReference:
         for seed, grid, lambda_u in ((0, 4, 0.05), (1, 8, 0.05), (2, 5, 0.0), (3, 3, 0.5)):
             field = init_random(seed, grid, grid, 25.0, 0.25)
             lc = LossConfig(lambda_u=lambda_u)
-            new = trainer._selfsup_objective(field, data, w, h, lc, True)
+            new = trainer._objective(Regime.SELF_SUPERVISED, data, field, lc, w, h, True)
             ref = _reference._selfsup_objective(field, data, w, h, lc, True)
             assert new.loss == ref.loss
             assert np.array_equal(new.grad_log_depth, ref.grad_log_depth)
@@ -359,7 +359,20 @@ class TestObjectiveMatchesReference:
         cfg = small_cfg(steps=20, grid_w=6, grid_h=6,
                         loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
         field, report = train_member(Regime.SELF_SUPERVISED, data, cfg)
-        monkeypatch.setattr(trainer, "_selfsup_objective", _reference._selfsup_objective)
+
+        def reference_objective(regime, data, field, loss_cfg, w, h, collect_fingerprint=False):
+            # the reference is the data term alone; the weight prior is added
+            # as the library adds it
+            obj = _reference._selfsup_objective(field, data, w, h, loss_cfg, collect_fingerprint)
+            p_loss, p_grad = prior_loss(field.params(), loss_cfg)
+            n = field.log_depth.size
+            return replace(
+                obj, loss=obj.loss + p_loss,
+                grad_log_depth=obj.grad_log_depth + p_grad[:n].reshape(field.log_depth.shape),
+                grad_log_sigma=obj.grad_log_sigma + p_grad[n:].reshape(field.log_sigma.shape),
+            )
+
+        monkeypatch.setattr(trainer, "_objective", reference_objective)
         ref_field, ref_report = train_member(Regime.SELF_SUPERVISED, data, cfg)
         assert field.log_depth.tobytes() == ref_field.log_depth.tobytes()
         assert field.log_sigma.tobytes() == ref_field.log_sigma.tobytes()
@@ -397,3 +410,65 @@ class TestObjectiveMatchesReference:
             assert f2.log_depth.tobytes() == field.log_depth.tobytes()
             assert f2.log_sigma.tobytes() == field.log_sigma.tobytes()
             assert r2.losses.tobytes() == report.losses.tobytes()
+
+
+def _label_bundle():
+    """Two uncertain-student frames, one of them masked."""
+    rng = np.random.default_rng(5)
+    frames = tuple(
+        LabeledFrame(depth=DepthMap(rng.uniform(15, 40, (12, 12)).astype(np.float32)),
+                     sigma=UncMap(rng.uniform(0.4, 2.0, (12, 12)).astype(np.float32), "std"),
+                     mask=mask)
+        for mask in (None, Mask(rng.uniform(size=(12, 12)) < 0.8))
+    )
+    return TrainData(frames=frames)
+
+
+class TestLabelConstants:
+    """Label frames keep their float64 label, label sigma and validity mask
+    for the lifetime of the bundle, as triplets keep theirs."""
+
+    def test_constants_built_once_per_bundle(self, monkeypatch):
+        builds = []
+        build = trainer._frame_constants
+
+        def counted(frame):
+            builds.append(frame)
+            return build(frame)
+
+        monkeypatch.setattr(trainer, "_frame_constants", counted)
+        data = _label_bundle()
+        train_member(Regime.UNCERTAIN_STUDENT, data, small_cfg(steps=10))
+        assert builds == list(data.frames)
+        train_member(Regime.UNCERTAIN_STUDENT, data, small_cfg(steps=10, seed=4))
+        assert len(builds) == 2
+        # a new bundle builds its own
+        fresh = TrainData(frames=data.frames)
+        train_member(Regime.UNCERTAIN_STUDENT, fresh, small_cfg(steps=10))
+        assert len(builds) == 4
+
+    def test_pickled_bundle_trains_to_same_bytes(self):
+        # ``train --jobs N`` pickles the bundle into each worker, before or
+        # after its constants exist
+        data = _label_bundle()
+        cfg = small_cfg(steps=15)
+        before = pickle.dumps(data)
+        field, report = train_member(Regime.UNCERTAIN_STUDENT, data, cfg)
+        assert "_label_constants" in vars(data)
+        after = pickle.dumps(data)
+        for blob in (before, after):
+            f2, r2 = train_member(Regime.UNCERTAIN_STUDENT, pickle.loads(blob), cfg)
+            assert f2.log_depth.tobytes() == field.log_depth.tobytes()
+            assert f2.log_sigma.tobytes() == field.log_sigma.tobytes()
+            assert r2.losses.tobytes() == report.losses.tobytes()
+
+    def test_regime_that_is_not_a_regime_rejected_before_any_step(self, monkeypatch,
+                                                                   sup_data):
+        monkeypatch.setattr(trainer, "_objective",
+                            lambda *args, **kwargs: pytest.fail("took a step"))
+        field = init_random(0, 2, 2)
+        for regime in ("supervised-gt", None):
+            with pytest.raises(ValueError, match=f"unknown regime {regime!r}"):
+                train_member(regime, sup_data, small_cfg())
+            with pytest.raises(ValueError, match=f"unknown regime {regime!r}"):
+                finite_diff_audit(regime, sup_data, field)
