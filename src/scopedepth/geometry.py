@@ -15,6 +15,7 @@ per step; :func:`warp_coordinates` chains the two.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,12 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        for name in ("fx", "fy", "cx", "cy"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+                raise ValueError(f"intrinsics {name} must be finite, got {value!r}")
+            if name in ("fx", "fy") and not value > 0:
+                raise ValueError(f"intrinsics {name} must be positive, got {value}")
 
     def to_json(self) -> dict:
         return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy}

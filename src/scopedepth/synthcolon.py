@@ -161,7 +161,14 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
     once ``_TRACE_COMPACT_SHARE`` of the live set has finished, and the
     freed slots take the next rays in view order.  A view's rays are built
     when its first ray enters, so the grazing rays of one view march
-    alongside the bulk of the next ones."""
+    alongside the bulk of the next ones.
+
+    The live state is component-major: origins and directions are (3, m)
+    arrays, so ``o + t d`` is three contiguous row operations, and a
+    compaction gathers every state array with one index list of the rays
+    still marching.  Each ray evaluates the field at the same points, with
+    the same operations, as a plain per-ray march, so no byte depends on
+    the layout."""
     n = z_cam.size
     t = np.zeros((n_views, n))
     hit = np.zeros((n_views, n), dtype=bool)
@@ -169,11 +176,11 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
     L = _lipschitz(params)
     cap_px = params.far_cap_mm / np.maximum(z_cam, 1e-9)
     # compacted state of the rays not yet dropped, in the order they
-    # entered: their flat (view, pixel) indices, origins, directions, ray
-    # parameters, caps, the step before which they must stop, and whether
-    # they still march
+    # entered: their flat (view, pixel) indices, (3, m) origins and
+    # directions, ray parameters, caps, the step before which they must
+    # stop, and whether they still march
     idx = np.zeros(0, dtype=np.int64)
-    o, d = np.zeros((0, 3)), np.zeros((0, 3))
+    o, d = np.zeros((3, 0)), np.zeros((3, 0))
     tl, cap = np.zeros(0), np.zeros(0)
     stop = np.zeros(0, dtype=np.int64)
     running = np.zeros(0, dtype=bool)
@@ -183,7 +190,8 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
     while True:
         if n_running <= (1.0 - _TRACE_COMPACT_SHARE) * idx.size:
             t_flat[idx] = tl
-            parts = [[a[running]] for a in (idx, o, d, tl, cap, stop)]
+            keep = np.flatnonzero(running)
+            parts = [[a.take(keep, axis=-1)] for a in (idx, o, d, tl, cap, stop)]
             # refill the freed slots with the next rays, in view order
             free = n - n_running
             while free and entered < t_flat.size:
@@ -193,23 +201,25 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
                 k = min(free, n - pixel)
                 rows = slice(pixel, pixel + k)
                 for part, new in zip(parts, (
-                    np.arange(entered, entered + k), np.broadcast_to(origin, (k, 3)),
-                    dirs[rows], np.zeros(k), cap_px[rows],
+                    np.arange(entered, entered + k), np.broadcast_to(origin[:, None], (3, k)),
+                    dirs[rows].T, np.zeros(k), cap_px[rows],
                     np.full(k, step + _TRACE_MAX_ITERS),
                 )):
                     part.append(new)
                 entered += k
                 free -= k
-            idx, o, d, tl, cap, stop = (np.concatenate(part) for part in parts)
+            idx, o, d, tl, cap, stop = (np.concatenate(part, axis=-1) for part in parts)
             running = np.ones(idx.size, dtype=bool)
             n_running = idx.size
             if n_running == 0:
                 break
-        f = surface_field(params, o + tl[:, None] * d)
+        # the field reads each coordinate of this (m, 3) view as a
+        # contiguous row
+        f = surface_field(params, (o + tl * d).T)
         newly_hit = running & (f < _TRACE_TOL)
         hit_flat[idx[newly_hit]] = True
         running &= ~newly_hit
-        tl = np.where(running, tl + f / L, tl)
+        np.add(tl, f / L, out=tl, where=running)
         running &= tl < cap
         step += 1
         if step >= stop[0]:  # the earliest entrants have run out of steps

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -336,6 +335,10 @@ def train_ensemble(
         raise ValueError("need at least one member")
     cfgs = [replace(cfg, seed=base_seed + i) for i in range(members)]
     if jobs > 1 and members > 1:
+        # imported here: the pool pulls in multiprocessing, which no other
+        # command needs at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, members)) as pool:
             return list(pool.map(train_member, repeat(regime), repeat(data), cfgs))
     return [train_member(regime, data, c) for c in cfgs]

@@ -47,16 +47,28 @@ def fused(trained, tmp_path_factory):
     return out
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency; importing it costs the CLI startup
-    # time and memory on every run
+def _modules_loaded_by_cli_import(prefixes):
+    """Names of the modules starting with one of ``prefixes`` that a fresh
+    interpreter holds after importing the CLI."""
     code = ("import sys, scopedepth, scopedepth.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
     src = str(Path(scopedepth.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it costs the CLI startup
+    # time and memory on every run
+    assert _modules_loaded_by_cli_import(["scipy"]) == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # only train --jobs N > 1 uses the pool; every other command would pay
+    # for importing multiprocessing at start-up
+    assert _modules_loaded_by_cli_import(["concurrent", "multiprocessing"]) == "[]"
 
 
 COMMAND_DEFAULTS = {"synth": cli.SYNTH_DEFAULTS, "train": cli.TRAIN_DEFAULTS,
@@ -196,6 +208,19 @@ class TestSynth:
             assert err.startswith("error:") and key in err and "got nan" in err
             assert not out.exists()
 
+    def test_non_finite_intrinsics_usage_error(self, tmp_path, capsys):
+        # a NaN principal point once wrote every depth pixel as a far-cap
+        # miss and a non-standard NaN token into intrinsics.json
+        for key, value in (("cx", "nan"), ("fx", "inf"), ("cy", "-inf")):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: float(value)}))
+            out = tmp_path / key
+            assert run("synth", "--out", out, "--config", cfg, "--frames", 3,
+                       "--width", 8, "--height", 8) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err and f"got {value}" in err
+            assert not out.exists()
+
     def test_nonpositive_scene_scale_usage_error(self, tmp_path, capsys):
         # a zero ridge period once divided by zero in the step bound, and
         # zero octaves rendered one while the manifest recorded none
@@ -293,6 +318,21 @@ class TestTrain:
         with open(tmp_path / "run" / "loss_0.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 5 and all(np.isfinite(float(r["loss"])) for r in rows)
+
+    def test_non_finite_intrinsics_file_usage_error(self, tmp_path, capsys):
+        # an edited intrinsics.json: NaN, and a number written as a string
+        ds = tmp_path / "ds"
+        assert run("synth", "--out", ds, "--width", 8, "--height", 8, "--frames", 3) == 0
+        with open(ds / "intrinsics.json") as f:
+            K = json.load(f)
+        for cx in (float("nan"), "31.5"):
+            (ds / "intrinsics.json").write_text(json.dumps({**K, "cx": cx}))
+            out = tmp_path / "run"
+            assert run("train", "--data", ds, "--out", out, "--regime", "self-supervised",
+                       "--members", 1, "--steps", 2, "--grid", 2) == 2, cx
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "intrinsics cx must be finite" in err
+            assert not out.exists()
 
     def test_nonpositive_jobs_usage_error(self, dataset, tmp_path, capsys):
         for jobs in (0, -1):

@@ -28,6 +28,23 @@ def rand_intrinsics(rng):
     )
 
 
+class TestIntrinsics:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "31.5"],
+                             ids=["nan", "inf", "-inf", "str"])
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    def test_rejects_non_finite(self, field, value):
+        # a NaN principal point once rendered every pixel as a far-cap miss
+        args = {"fx": 48.0, "fy": 48.0, "cx": 31.5, "cy": 31.5, field: value}
+        with pytest.raises(ValueError, match=f"intrinsics {field} must be finite"):
+            CameraIntrinsics(**args)
+
+    @pytest.mark.parametrize("field", ["fx", "fy"])
+    def test_rejects_nonpositive_focal_length(self, field):
+        args = {"fx": 48.0, "fy": 48.0, "cx": 31.5, "cy": 31.5, field: 0.0}
+        with pytest.raises(ValueError, match=f"intrinsics {field} must be positive"):
+            CameraIntrinsics(**args)
+
+
 class TestProjection:
     def test_optical_axis_hits_principal_point(self):
         assert project(CameraIntrinsics(1, 1, 0, 0), (0, 0, 1)) == (0.0, 0.0)

@@ -340,6 +340,27 @@ class TestSharedMarch:
         exhausted = ~hit & (t * z_cam < params.far_cap_mm)
         assert exhausted[1:].any(axis=1).all() and hit[1:].any(axis=1).all()
 
+    @pytest.mark.parametrize("w, h", [(40, 24), (1, 24)], ids=["40x24", "strip"])
+    def test_non_square_views(self, monkeypatch, w, h):
+        # views whose rows and columns differ in number, one a single
+        # column wide: a march that mixed up its ray and coordinate axes
+        # would not match the per-view reference
+        params = SceneParams(seed=21)
+        poses = generate_trajectory(params, 5, 1.0, sway_mm=2.5)
+        K = CameraIntrinsics(30, 30, (w - 1) / 2, (h - 1) / 2)
+        _, hit, _, _ = _assert_views_match_reference(monkeypatch, params, poses, K, w, h)
+        assert hit.shape == (5, w * h) and hit.any()
+
+    def test_quick_start_march_work(self, monkeypatch):
+        # the README quick-start trajectory evaluates the field at a fixed
+        # number of points, the camera checks included: a change to the
+        # march's layout or compaction that moves it changes the work done
+        params = SceneParams(seed=21)
+        poses = generate_trajectory(params, 12, 1.0, sway_mm=2.5)
+        (trace_args,) = _captured_calls(monkeypatch, "_trace", render_views, params,
+                                        poses, K64, 64, 64)
+        assert _traced_depths(monkeypatch, trace_args)[3] == 1_559_133
+
     def test_no_poses(self):
         params = SceneParams(seed=11)
         assert render_views(params, [], K64, 48, 48) == []
