@@ -25,7 +25,7 @@ run("synth", "--out", root / "ds", "--seed", 21, "--frames", 12,
     "--width", 48, "--height", 48, "--sway-mm", 2.0)
 run("train", "--data", root / "ds", "--out", root / "run",
     "--regime", "supervised-gt", "--members", 3, "--seed", 1,
-    "--steps", 400, "--grid", 12, "--jobs", 2)
+    "--steps", 400, "--grid", 12)
 run("fuse", "--run", root / "run", "--out", root / "fused")
 run("eval", "--pred", root / "fused", "--data", root / "ds",
     "--out", root / "metrics.csv")

@@ -12,6 +12,11 @@ A command's flags are the config keys in its ``*_FLAGS`` tuple, spelled
 boolean keys take ``--key``/``--no-key``.  Other keys are set via --config,
 whose values must have the same types (an int may stand for a float).
 
+``train`` trains the ensemble members one after another in the calling
+process.  Its ``jobs`` key (``--jobs``) is still checked to be >= 1 and
+recorded, so that older manifests replay, but it no longer changes how or
+where training runs.
+
 Exit codes: 0 success, 2 usage or validation error, 3 numeric failure.
 """
 
@@ -97,7 +102,7 @@ TRAIN_DEFAULTS = {
     "sfm_noise": 0.05,
     "sfm_scale": 0.7,
     "teacher": None,
-    "jobs": 1,
+    "jobs": 1,  # checked and recorded only; see the module docstring
 }
 
 EVAL_DEFAULTS = {
@@ -257,7 +262,7 @@ def _build_train_data(cfg: dict, regime: Regime, data_dir: Path) -> tuple[TrainD
 
 def cmd_train(args) -> int:
     cfg = _resolve(TRAIN_DEFAULTS, args)
-    _at_least_one(cfg, "jobs")
+    _at_least_one(cfg, "members", "steps", "jobs")
     try:
         regime = Regime(cfg["regime"])
     except ValueError:
@@ -279,10 +284,7 @@ def cmd_train(args) -> int:
         seed=int(cfg["seed"]),
     )
     data, t_i = _build_train_data(cfg, regime, data_dir)
-    results = train_ensemble(
-        regime, data, tcfg, int(cfg["members"]), int(cfg["seed"]),
-        jobs=int(cfg["jobs"]),
-    )
+    results = train_ensemble(regime, data, tcfg, int(cfg["members"]), int(cfg["seed"]))
     # only a run that trained gets a directory
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

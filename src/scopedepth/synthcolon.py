@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, _pixel_rays, rotation_xyz
-from .heap import release_free_heap
+from .heap import keep_heap_mapped
 from .imagery import DepthMap, Image, Mask, write_pfm, write_ppm
 from .rng import Xoshiro256, hash_unit_np, normal_field_np
 
@@ -501,6 +501,8 @@ def write_dataset(
                                 sway_mm=sway_mm)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    # without this, each march iteration faults its freed temporaries back in
+    keep_heap_mapped()
     views = _iter_views(params, poses, K, w, h, light)
     for i, pose in enumerate(poses):
         img, depth, _hit = next(views)
@@ -509,7 +511,6 @@ def write_dataset(
         # dropped here, not when the next view is bound after its shading
         del img, depth, _hit
         pose.save(directory / f"pose_{i:04d}.json")
-    release_free_heap()
     with open(directory / "intrinsics.json", "w") as f:
         json.dump(K.to_json(), f, indent=1)
         f.write("\n")

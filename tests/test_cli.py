@@ -47,16 +47,18 @@ def fused(trained, tmp_path_factory):
     return out
 
 
-def _modules_loaded_by_cli_import(prefixes):
+def _modules_loaded_by_cli_import(prefixes, argv=None):
     """Names of the modules starting with one of ``prefixes`` that a fresh
-    interpreter holds after importing the CLI."""
-    code = ("import sys, scopedepth, scopedepth.cli; "
+    interpreter holds after importing the CLI and, if ``argv`` is given,
+    after running ``main(argv)``."""
+    run_main = "" if argv is None else f"scopedepth.cli.main({[str(a) for a in argv]!r}); "
+    code = ("import sys, scopedepth, scopedepth.cli; " + run_main +
             f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
     src = str(Path(scopedepth.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    return out.stdout.strip()
+    return out.stdout.strip().splitlines()[-1]
 
 
 def test_import_loads_no_scipy():
@@ -66,9 +68,21 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_process_pool():
-    # only train --jobs N > 1 uses the pool; every other command would pay
-    # for importing multiprocessing at start-up
+    # no command runs a process pool, so none should pay for importing
+    # multiprocessing at start-up
     assert _modules_loaded_by_cli_import(["concurrent", "multiprocessing"]) == "[]"
+
+
+def test_train_with_jobs_runs_in_process(dataset, tmp_path):
+    # --jobs still parses, but the members train in the calling process
+    out = tmp_path / "run"
+    loaded = _modules_loaded_by_cli_import(
+        ["concurrent", "multiprocessing"],
+        ["train", "--data", dataset, "--out", out, "--members", 3, "--seed", 4,
+         "--steps", 2, "--grid", 4, "--jobs", 2])
+    assert loaded == "[]"
+    assert sorted(p.name for p in out.glob("member_*.json")) == [
+        "member_4.json", "member_5.json", "member_6.json"]
 
 
 COMMAND_DEFAULTS = {"synth": cli.SYNTH_DEFAULTS, "train": cli.TRAIN_DEFAULTS,
@@ -343,6 +357,15 @@ class TestTrain:
             assert err.startswith("error:") and f"--jobs must be >= 1, got {jobs}" in err
             assert not out.exists()
 
+    def test_nonpositive_members_or_steps_usage_error(self, dataset, tmp_path, capsys):
+        for flag, value in (("--members", 0), ("--members", -2), ("--steps", 0)):
+            out = tmp_path / f"{flag[2:]}{value}"
+            assert run("train", "--data", dataset, "--out", out, "--members", 2,
+                       "--steps", 2, "--grid", 4, flag, value) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"{flag} must be >= 1, got {value}" in err
+            assert not out.exists()
+
     def test_missing_dataset_exit_code(self, tmp_path):
         rc = run("train", "--data", tmp_path / "absent", "--out", tmp_path / "x")
         assert rc == 2
@@ -364,8 +387,8 @@ class TestTrain:
 
 
     def test_overflowing_update_is_numeric_failure(self, dataset, tmp_path, capsys):
-        # the update overflows to inf before any loss turns non-finite; with
-        # --jobs 2 the failure crosses the process pool
+        # the update overflows to inf before any loss turns non-finite, at
+        # any --jobs
         for jobs in (1, 2):
             rc = run("train", "--data", dataset, "--out", tmp_path / f"j{jobs}",
                      "--members", 2, "--seed", 11, "--steps", 3, "--grid", 4,
