@@ -28,16 +28,17 @@ def _glibc():
 @functools.cache
 def keep_heap_mapped() -> None:
     """Stop glibc from returning the heap top to the kernel between
-    sphere-trace iterations and between training steps; runs once per
-    process.
+    sphere-trace iterations, shading blocks and training steps; runs once
+    per process.
 
-    At 256x256 a march's and a step's temporaries are 0.5-1.5 MB arrays.
-    With glibc's defaults, freeing them trims the heap (or unmaps them) and
-    the next iteration faults the pages back in: three 15-step members
-    trained in a fresh process take 90k minor page faults, and a 3-frame
-    256x256 render 27k.  The mmap threshold is fixed at 32 MiB, the ceiling
-    of glibc's own dynamic threshold, and the trim threshold at twice that,
-    as glibc pairs them."""
+    A march's and a shading block's temporaries are 128-384 KiB arrays
+    (16,384 rays), and a 256x256 training step's are 0.5-1.5 MB.  With
+    glibc's defaults, freeing them trims the heap (or unmaps them) and the
+    next iteration faults the pages back in: three 15-step members trained
+    at 256x256 take 94k minor page faults (5.2k with this call), and a
+    3-frame 256x256 ``write_dataset`` 15.3k (3.7k).  The mmap threshold is
+    fixed at 32 MiB, the ceiling of glibc's own dynamic threshold, and the
+    trim threshold at twice that, as glibc pairs them."""
     libc = _glibc()
     if libc is not None:
         libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)

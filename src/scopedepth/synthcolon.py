@@ -140,6 +140,10 @@ _TRACE_TOL = 1e-4  # mm
 _TRACE_MAX_ITERS = 2048
 # the live ray set is re-compacted once this share of it has finished
 _TRACE_COMPACT_SHARE = 0.125
+# most rays marched or shaded at once; smaller blocks run more iterations
+# of fixed per-call cost (about 35 us each), so the time per ray rises
+# below about 8k rays
+_RAY_BLOCK = 16384
 
 
 def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
@@ -157,11 +161,11 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
     is (-u, r'(z) + u . c'(z)) and |u| = 1, so L = :func:`_lipschitz` =
     hypot(1, max|r'| + max|c'|) bounds it, and a step of f / L stops short
     of the wall (Hart 1996, "Sphere tracing").  At
-    most n rays are live: rays that finish are frozen in place and dropped
-    once ``_TRACE_COMPACT_SHARE`` of the live set has finished, and the
-    freed slots take the next rays in view order.  A view's rays are built
-    when its first ray enters, so the grazing rays of one view march
-    alongside the bulk of the next ones.
+    most min(n, ``_RAY_BLOCK``) rays are live: rays that finish are frozen
+    in place and dropped once ``_TRACE_COMPACT_SHARE`` of the live set has
+    finished, and the freed slots take the next rays in view order.  A
+    view's rays are built when its first ray enters, so the grazing rays of
+    one view march alongside the bulk of the next ones.
 
     The live state is component-major: origins and directions are (3, m)
     arrays, so ``o + t d`` is three contiguous row operations, and a
@@ -170,6 +174,7 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
     the same operations, as a plain per-ray march, so no byte depends on
     the layout."""
     n = z_cam.size
+    slots = min(n, _RAY_BLOCK)
     t = np.zeros((n_views, n))
     hit = np.zeros((n_views, n), dtype=bool)
     t_flat, hit_flat = t.reshape(-1), hit.reshape(-1)
@@ -193,7 +198,7 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
             keep = np.flatnonzero(running)
             parts = [[a.take(keep, axis=-1)] for a in (idx, o, d, tl, cap, stop)]
             # refill the freed slots with the next rays, in view order
-            free = n - n_running
+            free = slots - n_running
             while free and entered < t_flat.size:
                 pixel = entered % n
                 if pixel == 0:
@@ -309,6 +314,24 @@ def _world_rays(params: SceneParams, pose: Pose,
     return origin, (dirs_cam @ pose.rotation.T).reshape(-1, 3)
 
 
+def _shade(params: SceneParams, light: LightModel, origin: np.ndarray,
+           dirs: np.ndarray, t: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """The (m, 3) clipped colors of the rays ``origin + t dirs``; rays
+    that missed are black."""
+    pts = origin + t[:, None] * dirs
+    normals = surface_normal(params, pts)
+    to_cam = -dirs  # light sits at the camera center
+    cosi = np.maximum((normals * to_cam).sum(axis=-1), 0.0)
+    dist2 = np.maximum(t, 1e-6) ** 2
+    alb = _albedo(params, pts)
+    shade = alb * (light.intensity * cosi / dist2)[:, None]
+    if light.specular:
+        spec = light.spec_strength * np.power(cosi, light.spec_power)
+        shade = shade + spec[:, None]
+    shade = np.where(hit[:, None], shade, 0.0)
+    return np.clip(shade, 0.0, 1.0)
+
+
 def render_view(
     params: SceneParams,
     pose: Pose,
@@ -325,6 +348,8 @@ def render_view(
     where the ray leaves the tube unhit), and the hit-validity mask.
     ``traced`` is the view's (t, hit) from a march that already ran, as
     :func:`render_views` passes it; without it the view is traced here.
+    Rays are shaded ``_RAY_BLOCK`` at a time, each with the same
+    operations, so no byte depends on the block.
     """
     light = light or LightModel()
     dirs_cam = _unit_rays(K, w, h)
@@ -335,20 +360,13 @@ def render_view(
         traced = t[0], hit[0]
     t, hit = traced
     depth = np.where(hit, t * z_rate, params.far_cap_mm)
-    pts = origin + t[:, None] * dirs_flat
-    normals = surface_normal(params, pts)
-    to_cam = -dirs_flat  # light sits at the camera center
-    cosi = np.maximum((normals * to_cam).sum(axis=-1), 0.0)
-    dist2 = np.maximum(t, 1e-6) ** 2
-    alb = _albedo(params, pts)
-    shade = alb * (light.intensity * cosi / dist2)[:, None]
-    if light.specular:
-        spec = light.spec_strength * np.power(cosi, light.spec_power)
-        shade = shade + spec[:, None]
-    shade = np.where(hit[:, None], shade, 0.0)
-    img = np.clip(shade, 0.0, 1.0).reshape(h, w, 3)
+    # an empty view shades one empty block
+    blocks = [slice(start, start + _RAY_BLOCK)
+              for start in range(0, max(t.size, 1), _RAY_BLOCK)]
+    img = np.concatenate([_shade(params, light, origin, dirs_flat[rows], t[rows], hit[rows])
+                          for rows in blocks])
     return (
-        Image(img),
+        Image(img.reshape(h, w, 3)),
         DepthMap(depth.reshape(h, w)),
         Mask(hit.reshape(h, w)),
     )
@@ -363,9 +381,10 @@ def render_views(
     light: LightModel | None = None,
 ) -> list[tuple[Image, DepthMap, Mask]]:
     """:func:`render_view` of every pose, with one sphere trace for all
-    of them: at most w * h rays march at once, and each view's rays enter
-    as earlier ones finish.  Every ray takes the same steps as in a
-    single-view trace, so each view's bytes equal its own render's."""
+    of them: at most min(w * h, ``_RAY_BLOCK``) rays march at once, and
+    each view's rays enter as earlier ones finish.  Every ray takes the
+    same steps as in a single-view trace, so each view's bytes equal its
+    own render's."""
     return list(_iter_views(params, poses, K, w, h, light))
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -241,10 +242,10 @@ def _assert_matches_reference(monkeypatch, *render_args):
 
 def _assert_views_match_reference(monkeypatch, params, poses, *view_args):
     """One shared march over ``poses`` equals a reference trace of each
-    view on its own, never marches more than one view's worth of rays at
-    a time, and every view's image, depth and mask equal a per-view
-    reference render byte for byte; returns t, hit, z_cam and the number
-    of march steps."""
+    view on its own, never marches more than one view's worth of rays or
+    ``_RAY_BLOCK`` rays at a time, and every view's image, depth and mask
+    equal a per-view reference render byte for byte; returns t, hit, z_cam
+    and the number of march steps."""
     (trace_args,) = _captured_calls(monkeypatch, "_trace", render_views, params,
                                     poses, *view_args)
     assert trace_args[2] == len(poses)
@@ -255,7 +256,7 @@ def _assert_views_match_reference(monkeypatch, params, poses, *view_args):
         t, hit = synthcolon._trace(*trace_args)
     # the camera checks evaluate one point per view
     steps = [k for k in live if k > 1]
-    assert max(steps, default=0) <= trace_args[1].size
+    assert max(steps, default=0) <= min(trace_args[1].size, synthcolon._RAY_BLOCK)
     t_ref, hit_ref = _reference_trace_views(*trace_args)
     np.testing.assert_array_equal(t, t_ref)
     np.testing.assert_array_equal(hit, hit_ref)
@@ -376,6 +377,71 @@ class TestSharedMarch:
         for img, depth, hit in views:
             assert img.data.shape == (4, 0, 3)
             assert depth.data.shape == hit.data.shape == (4, 0)
+
+
+class TestRayBlocks:
+    @pytest.mark.parametrize("block, w, h", [
+        (37, 40, 24), (1000, 48, 48), (1000, 40, 24), (37, 1, 24), (37, 0, 4),
+    ], ids=["37-40x24", "1000-48x48", "1000-40x24", "37-strip", "37-zero-width"])
+    def test_blocks_change_no_byte(self, monkeypatch, block, w, h):
+        # blocks that divide no view's ray count, views smaller than a block
+        # and views with no rays: the march and the shading give the bytes
+        # of one block per view and of the reference
+        params = SceneParams(seed=21)
+        poses = generate_trajectory(params, 3, 1.0, sway_mm=2.5)
+        K = CameraIntrinsics(30, 30, (w - 1) / 2, (h - 1) / 2)
+        (trace_args,) = _captured_calls(monkeypatch, "_trace", render_views, params,
+                                        poses, K, w, h)
+        assert synthcolon._RAY_BLOCK >= w * h
+        t_whole, hit_whole = synthcolon._trace(*trace_args)
+        whole = render_views(params, poses, K, w, h)
+        monkeypatch.setattr(synthcolon, "_RAY_BLOCK", block)
+        t, hit, _, _ = _assert_views_match_reference(monkeypatch, params, poses, K, w, h)
+        assert t.tobytes() == t_whole.tobytes()
+        assert hit.tobytes() == hit_whole.tobytes()
+        views = render_views(params, poses, K, w, h)
+        assert len(views) == len(whole) == len(poses)
+        for view, whole_view in zip(views, whole):
+            assert view[0].data.shape == (h, w, 3)
+            for a, b in zip(view, whole_view):
+                assert a.data.tobytes() == b.data.tobytes()
+
+    def test_quick_start_march_work_in_blocks(self, monkeypatch):
+        # every ray takes the steps of the reference trace, which evaluates
+        # only rays that still march; the march also evaluates finished rays
+        # until the next compaction, which comes before an eighth of the
+        # live set has finished, at any block size
+        params = SceneParams(seed=21)
+        poses = generate_trajectory(params, 12, 1.0, sway_mm=2.5)
+        (trace_args,) = _captured_calls(monkeypatch, "_trace", render_views, params,
+                                        poses, K64, 64, 64)
+        ray_steps = []
+        with monkeypatch.context() as m:
+            # the reference trace reads this module's surface_field
+            m.setitem(globals(), "surface_field", lambda p, pts: ray_steps.append(len(pts))
+                      or synthcolon.surface_field(p, pts))
+            _reference_trace_views(*trace_args)
+        ray_steps = sum(ray_steps)
+        monkeypatch.setattr(synthcolon, "_RAY_BLOCK", 1000)
+        points = _traced_depths(monkeypatch, trace_args)[3]
+        assert ray_steps <= points < ray_steps / (1.0 - synthcolon._TRACE_COMPACT_SHARE)
+
+    def test_transient_memory_is_bounded_by_the_block(self):
+        # a 3-frame 256x256 render of the README scene: the live rays and
+        # the shading temporaries are capped at _RAY_BLOCK rays, so the
+        # traced peak is 16.6 MB (numpy 2.4).  Marching whole views peaks
+        # at 23.4 MB and shading whole views at 34.5 MB; the bound catches
+        # either and leaves 20% headroom.
+        params = SceneParams(seed=21)
+        poses = generate_trajectory(params, 3, 1.0, sway_mm=2.5)
+        K = CameraIntrinsics(192, 192, 127.5, 127.5)
+        tracemalloc.start()
+        try:
+            render_views(params, poses, K, 256, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 def _field_gradient(params, pts):
