@@ -29,6 +29,11 @@ from .imagery import DepthMap, Image, Mask, write_pfm, write_ppm
 from .rng import Xoshiro256, hash_unit_np, normal_field_np
 
 
+_MAX_LENGTH_MM = 1e6
+_LENGTHS_MM = ("radius_mm", "curve_amp_mm", "ridge_amp_mm", "ridge_period_mm",
+               "texture_scale_mm", "far_cap_mm")
+
+
 @dataclass(frozen=True)
 class SceneParams:
     radius_mm: float = 12.0
@@ -46,6 +51,11 @@ class SceneParams:
         for name, value in asdict(self).items():
             if name != "seed" and not np.isfinite(value):
                 raise ValueError(f"scene {name} must be finite, got {value}")
+        # the field squares lengths, which overflows float64 near 1e154 mm
+        for name in _LENGTHS_MM:
+            if abs(getattr(self, name)) > _MAX_LENGTH_MM:
+                raise ValueError(f"scene {name} must be at most {_MAX_LENGTH_MM:g} mm "
+                                 f"in magnitude, got {getattr(self, name)}")
         if not self.radius_mm > self.ridge_amp_mm >= 0:
             raise ValueError("need radius > ridge amplitude >= 0")
         for name in ("ridge_period_mm", "texture_scale_mm", "far_cap_mm"):
@@ -92,8 +102,11 @@ def _axis_tangent(params: SceneParams, z):
 
 
 def _ridge_radius(params: SceneParams, z):
-    bump = 0.5 + 0.5 * np.cos(2.0 * np.pi * np.asarray(z, np.float64) / params.ridge_period_mm)
-    return params.radius_mm - params.ridge_amp_mm * bump
+    """r(z) = R - A (1 + cos(k z)) / 2 with k = 2 pi / P, evaluated as
+    (R - A/2) - (A/2) cos(k z)."""
+    half = 0.5 * params.ridge_amp_mm
+    k = 2.0 * np.pi / params.ridge_period_mm
+    return (params.radius_mm - half) - half * np.cos(k * np.asarray(z, np.float64))
 
 
 def _ridge_radius_dz(params: SceneParams, z):
@@ -104,12 +117,23 @@ def _ridge_radius_dz(params: SceneParams, z):
 def surface_field(params: SceneParams, points: np.ndarray) -> np.ndarray:
     """Implicit wall function: positive inside the lumen, zero on the wall.
 
-    f(p) = ridge_radius(z) - || p.xy - axis(z) ||.
+    f(p) = r(z) - rho, with r the ridged radius of :func:`_ridge_radius`
+    and rho = sqrt(dx*dx + dy*dy) the distance of p.xy from axis(z),
+    accumulated in place.  f differs by about an ulp from the plain form
+    with np.hypot and r = R - A (0.5 + 0.5 cos(2 pi z / P)); against it,
+    the tested scenes' rays take the same steps and hit the same wall,
+    and their rendered files are byte-identical.
     """
     p = np.asarray(points, dtype=np.float64)
     cx, cy = _axis_center(params, p[..., 2])
-    rho = np.hypot(p[..., 0] - cx, p[..., 1] - cy)
-    return _ridge_radius(params, p[..., 2]) - rho
+    dx = p[..., 0] - cx
+    dx *= dx
+    dy = p[..., 1] - cy
+    dy *= dy
+    dx += dy
+    f = _ridge_radius(params, p[..., 2])
+    f -= np.sqrt(dx)
+    return f
 
 
 def _lipschitz(params: SceneParams) -> float:
@@ -121,15 +145,26 @@ def _lipschitz(params: SceneParams) -> float:
     return np.hypot(1.0, axis_slope + ridge_slope)
 
 
-def surface_normal(params: SceneParams, points: np.ndarray) -> np.ndarray:
-    """Inward unit normal (gradient of :func:`surface_field`)."""
-    p = np.asarray(points, dtype=np.float64)
+def _wall_frame(params: SceneParams, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit radial direction (dx / rho, dy / rho) of points p, where
+    (dx, dy) = p.xy - axis(p.z) and rho = sqrt(dx*dx + dy*dy), clamped
+    away from zero on the axis."""
     cx, cy = _axis_center(params, p[..., 2])
     dx = p[..., 0] - cx
     dy = p[..., 1] - cy
-    rho = np.maximum(np.hypot(dx, dy), 1e-12)
-    ux = dx / rho
-    uy = dy / rho
+    rho = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-12)
+    return dx / rho, dy / rho
+
+
+def surface_normal(params: SceneParams, points: np.ndarray,
+                   frame: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Inward unit normal (gradient of :func:`surface_field`): with u the
+    unit radial direction of :func:`_wall_frame`, or ``frame`` when given,
+    the normalised (-u, r'(z) + u . c'(z)).  Its rho = sqrt(dx*dx + dy*dy)
+    differs by about an ulp from np.hypot, which changes no rendered byte
+    of the tested scenes."""
+    p = np.asarray(points, dtype=np.float64)
+    ux, uy = _wall_frame(params, p) if frame is None else frame
     dcx, dcy = _axis_tangent(params, p[..., 2])
     gz = _ridge_radius_dz(params, p[..., 2]) + ux * dcx + uy * dcy
     g = np.stack([-ux, -uy, gz], axis=-1)
@@ -239,10 +274,31 @@ _CELL_CORNERS = np.array(
 )
 
 
+# a bounding box of lattice cells is numbered by an occupancy count when
+# it holds at most this many cells per point, and by a sort otherwise
+_DENSE_CELLS = 8
+
+
+def _number_cells(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys`` (indices into a box of ``size``
+    cells) in ascending order, and each key's position among them, as
+    ``np.unique(keys, return_inverse=True)`` gives them."""
+    if size > _DENSE_CELLS * keys.size:
+        return np.unique(keys, return_inverse=True)
+    occupied = np.bincount(keys, minlength=size) > 0
+    rank = np.cumsum(occupied) - 1
+    return np.flatnonzero(occupied), rank[keys]
+
+
 def _value_noise(seed: int, pts: np.ndarray, octaves: int) -> np.ndarray:
     """Seamless 3-D value noise in [0, 1]; trilinear lattice interpolation
     of hashed corners, octave amplitudes halving.  The corners of each
-    distinct lattice cell are hashed once and gathered per point."""
+    distinct lattice cell are hashed once and gathered per point; the
+    cells are numbered in ascending order of their index in the points'
+    bounding box, by an occupancy count over the box when it holds at
+    most ``_DENSE_CELLS`` cells per point and by ``np.unique`` otherwise,
+    so the numbering, and every value, is the same either way.  Tests hold
+    both paths bit for bit against hashing all eight corners per point."""
     coords = np.ascontiguousarray(np.moveaxis(pts, -1, 0)).reshape(3, -1)
     total = np.zeros(coords.shape[1])
     if total.size == 0:  # an empty view: there is no bounding box
@@ -257,8 +313,8 @@ def _value_noise(seed: int, pts: np.ndarray, octaves: int) -> np.ndarray:
         lo = base.min(axis=1, keepdims=True)
         base -= lo
         span = base.max(axis=1) + 1
-        keys, cell_of = np.unique(np.ravel_multi_index(tuple(base), span),
-                                  return_inverse=True)
+        keys, cell_of = _number_cells(np.ravel_multi_index(tuple(base), span),
+                                      int(np.prod(span)))
         cells = np.unravel_index(keys, span)
         corner_values = hash_unit_np(
             seed + 101 * octave,
@@ -276,18 +332,19 @@ def _value_noise(seed: int, pts: np.ndarray, octaves: int) -> np.ndarray:
     return (total / amp_sum).reshape(pts.shape[:-1])
 
 
-def _albedo(params: SceneParams, points: np.ndarray) -> np.ndarray:
-    """Procedural mucosa-like color at surface points."""
+def _albedo(params: SceneParams, points: np.ndarray,
+            frame: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Procedural mucosa-like color at surface points: value noise over
+    texture coordinates (wrap cos(theta), wrap sin(theta), z / scale),
+    with wrap = radius / scale and (cos(theta), sin(theta)) = (dx / rho,
+    dy / rho), the points' :func:`_wall_frame` ``frame``.  That is about
+    an ulp from cos and sin of arctan2(dy, dx), and gives the tested
+    scenes the same bytes."""
     p = np.asarray(points, dtype=np.float64)
-    cx, cy = _axis_center(params, p[..., 2])
-    dx = p[..., 0] - cx
-    dy = p[..., 1] - cy
-    theta = np.arctan2(dy, dx)
+    ux, uy = frame
     wrap = params.radius_mm / params.texture_scale_mm
-    uv = np.stack(
-        [wrap * np.cos(theta), wrap * np.sin(theta),
-         p[..., 2] / params.texture_scale_mm], axis=-1,
-    )
+    # component-major, so the noise reads each coordinate as a contiguous row
+    uv = np.stack([wrap * ux, wrap * uy, p[..., 2] / params.texture_scale_mm]).T
     noise = _value_noise(params.seed, uv, params.texture_octaves)
     mod = 1.0 + params.texture_contrast * (noise - 0.5)
     base = np.array([0.80, 0.46, 0.38])
@@ -319,11 +376,13 @@ def _shade(params: SceneParams, light: LightModel, origin: np.ndarray,
     """The (m, 3) clipped colors of the rays ``origin + t dirs``; rays
     that missed are black."""
     pts = origin + t[:, None] * dirs
-    normals = surface_normal(params, pts)
+    # the normal and the albedo read one wall frame
+    frame = _wall_frame(params, pts)
+    normals = surface_normal(params, pts, frame)
     to_cam = -dirs  # light sits at the camera center
     cosi = np.maximum((normals * to_cam).sum(axis=-1), 0.0)
     dist2 = np.maximum(t, 1e-6) ** 2
-    alb = _albedo(params, pts)
+    alb = _albedo(params, pts, frame)
     shade = alb * (light.intensity * cosi / dist2)[:, None]
     if light.specular:
         spec = light.spec_strength * np.power(cosi, light.spec_power)
@@ -341,18 +400,20 @@ def render_view(
     light: LightModel | None = None,
     *,
     traced: tuple[np.ndarray, np.ndarray] | None = None,
+    rays: np.ndarray | None = None,
 ) -> tuple[Image, DepthMap, Mask]:
     """Ray-cast one view.  ``pose`` is the camera-to-world transform.
 
     Returns the shaded image, the camera-frame z-depth map (far-cap depth
     where the ray leaves the tube unhit), and the hit-validity mask.
-    ``traced`` is the view's (t, hit) from a march that already ran, as
-    :func:`render_views` passes it; without it the view is traced here.
+    ``traced`` is the view's (t, hit) from a march that already ran, and
+    ``rays`` its camera-frame unit rays ``_unit_rays(K, w, h)``, as
+    :func:`render_views` passes them; without them both are made here.
     Rays are shaded ``_RAY_BLOCK`` at a time, each with the same
     operations, so no byte depends on the block.
     """
     light = light or LightModel()
-    dirs_cam = _unit_rays(K, w, h)
+    dirs_cam = _unit_rays(K, w, h) if rays is None else rays
     z_rate = dirs_cam[..., 2].reshape(-1)
     origin, dirs_flat = _world_rays(params, pose, dirs_cam)
     if traced is None:
@@ -395,7 +456,7 @@ def _iter_views(params, poses, K, w, h, light):
     t, hit = _trace(params, dirs_cam[..., 2].reshape(-1), len(poses),
                     lambda i: _world_rays(params, poses[i], dirs_cam))
     for i, pose in enumerate(poses):
-        yield render_view(params, pose, K, w, h, light, traced=(t[i], hit[i]))
+        yield render_view(params, pose, K, w, h, light, traced=(t[i], hit[i]), rays=dirs_cam)
 
 
 _SWAY_PERIOD = 8.0  # frames

@@ -8,12 +8,20 @@ sampling rule one point at a time; the tests compare the vectorized
 library code against them.  :func:`_selfsup_objective` and the helpers
 below it are kept verbatim, so a test can assert that the library's
 objective reproduces its loss, gradients and kink fingerprint bit for bit.
+
+:func:`wall_field` and :func:`wall_shade` are the renderer's wall
+geometry in its plain form: the field with ``np.hypot`` and the ridge as
+``R - A (0.5 + 0.5 cos(2 pi z / P))``, and shading that finds the axis
+centre once for the normal and once more for the albedo, whose angle it
+takes from ``arctan2``.  The tests hold the renderer's rays and bytes
+against them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from scopedepth import synthcolon
 from scopedepth.geometry import EPS_Z, CameraIntrinsics, Pose, _pixel_rays
 from scopedepth.imagery import DepthMap, Image
 from scopedepth.losses import LossConfig, selfsup_nll_arrays
@@ -317,3 +325,69 @@ def _selfsup_objective(
                 marks.append(np.sign(np.diff(d_hat, axis=0)).astype(np.int8))
     g_ld, g_ls = backward(field, grad_d, grad_u, d_hat, u_hat)
     return _Objective(total, g_ld, g_ls, tuple(marks) if collect_fingerprint else None)
+
+
+def _ridge_radius(params, z):
+    bump = 0.5 + 0.5 * np.cos(2.0 * np.pi * np.asarray(z, np.float64) / params.ridge_period_mm)
+    return params.radius_mm - params.ridge_amp_mm * bump
+
+
+def wall_field(params, points):
+    """:func:`scopedepth.synthcolon.surface_field` with ``np.hypot``."""
+    p = np.asarray(points, dtype=np.float64)
+    cx, cy = synthcolon._axis_center(params, p[..., 2])
+    rho = np.hypot(p[..., 0] - cx, p[..., 1] - cy)
+    return _ridge_radius(params, p[..., 2]) - rho
+
+
+def _surface_normal(params, points):
+    p = np.asarray(points, dtype=np.float64)
+    cx, cy = synthcolon._axis_center(params, p[..., 2])
+    dx = p[..., 0] - cx
+    dy = p[..., 1] - cy
+    rho = np.maximum(np.hypot(dx, dy), 1e-12)
+    ux = dx / rho
+    uy = dy / rho
+    dcx, dcy = synthcolon._axis_tangent(params, p[..., 2])
+    gz = synthcolon._ridge_radius_dz(params, p[..., 2]) + ux * dcx + uy * dcy
+    g = np.stack([-ux, -uy, gz], axis=-1)
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+def _albedo(params, points):
+    p = np.asarray(points, dtype=np.float64)
+    cx, cy = synthcolon._axis_center(params, p[..., 2])
+    dx = p[..., 0] - cx
+    dy = p[..., 1] - cy
+    theta = np.arctan2(dy, dx)
+    wrap = params.radius_mm / params.texture_scale_mm
+    uv = np.stack(
+        [wrap * np.cos(theta), wrap * np.sin(theta),
+         p[..., 2] / params.texture_scale_mm], axis=-1,
+    )
+    noise = synthcolon._value_noise(params.seed, uv, params.texture_octaves)
+    mod = 1.0 + params.texture_contrast * (noise - 0.5)
+    base = np.array([0.80, 0.46, 0.38])
+    fine = synthcolon._value_noise(params.seed + 7, uv * 3.1,
+                                   max(params.texture_octaves - 1, 1))
+    tint = 1.0 + 0.35 * params.texture_contrast * (fine[..., None] - 0.5) * np.array(
+        [0.3, 1.0, 0.8]
+    )
+    return np.clip(base * mod[..., None] * tint, 0.0, 1.0)
+
+
+def wall_shade(params, light, origin, dirs, t, hit):
+    """:func:`scopedepth.synthcolon._shade` with the normal and the albedo
+    each finding the axis centre, and the albedo's angle from arctan2."""
+    pts = origin + t[:, None] * dirs
+    normals = _surface_normal(params, pts)
+    to_cam = -dirs  # light sits at the camera center
+    cosi = np.maximum((normals * to_cam).sum(axis=-1), 0.0)
+    dist2 = np.maximum(t, 1e-6) ** 2
+    alb = _albedo(params, pts)
+    shade = alb * (light.intensity * cosi / dist2)[:, None]
+    if light.specular:
+        spec = light.spec_strength * np.power(cosi, light.spec_power)
+        shade = shade + spec[:, None]
+    shade = np.where(hit[:, None], shade, 0.0)
+    return np.clip(shade, 0.0, 1.0)

@@ -152,6 +152,51 @@ class TestFlagWiring:
                 assert json.load(f)["config"][key] == value, command
 
 
+def _avx512_dispatch_targets() -> list[str]:
+    """numpy's AVX-512 dispatch targets that this CPU supports."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)
+            and (name.startswith("AVX512") or name == "X86_V4")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "21", "--frames", "12", "--width", "64", "--height", "64",
+     "--sway-mm", "2.5"],
+    ["--seed", "21", "--frames", "3", "--width", "128", "--height", "128",
+     "--specular", "--sway-mm", "2.5"],
+], ids=["quick-start", "128-specular"])
+def test_synth_bytes_do_not_depend_on_simd_dispatch(tmp_path, argv):
+    # synth in two fresh interpreters, one with numpy's AVX-512 kernels
+    # switched off: the vectorised sin, cos and sqrt then run other code,
+    # and every frame and depth file must still come out byte for byte
+    targets = _avx512_dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 kernels on this CPU")
+    code = ("import sys; "
+            "from numpy._core._multiarray_umath import __cpu_features__ as cpu; "
+            f"print([cpu[name] for name in {targets!r}]); "
+            "from scopedepth.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(scopedepth.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = src
+    files = []
+    for capped in (False, True):
+        out = tmp_path / ("capped" if capped else "native")
+        run_env = {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)} if capped else env
+        proc = subprocess.run([sys.executable, "-c", code, "synth", "--out", str(out), *argv],
+                              env=run_env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == str([not capped] * len(targets))
+        files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                      if p.suffix in (".ppm", ".pfm")})
+    native, capped = files
+    assert len(native) == 2 * int(argv[3])
+    assert native.keys() == capped.keys()
+    for name in native:
+        assert native[name] == capped[name], name
+
+
 class TestSynth:
     def test_layout_and_manifest(self, dataset):
         names = {p.name for p in dataset.iterdir()}
@@ -243,6 +288,19 @@ class TestSynth:
             cfg = tmp_path / f"{key}{value}.json"
             cfg.write_text(json.dumps({key: value}))
             out = tmp_path / f"{key}{value}"
+            assert run("synth", "--out", out, "--config", cfg, "--frames", 3,
+                       "--width", 8, "--height", 8) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err and f"got {value}" in err
+            assert not out.exists()
+
+    def test_scene_length_above_a_million_mm_usage_error(self, tmp_path, capsys):
+        # the wall field squares lengths, which overflows near 1e154 mm
+        for key, value in (("radius_mm", 2e6), ("curve_amp_mm", -1e7),
+                           ("far_cap_mm", 1e155)):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: value}))
+            out = tmp_path / key
             assert run("synth", "--out", out, "--config", cfg, "--frames", 3,
                        "--width", 8, "--height", 8) == 2, key
             err = capsys.readouterr().err

@@ -1,8 +1,10 @@
+import re
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from _reference import wall_field, wall_shade
 
 from scopedepth import synthcolon
 from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, synthesize_warped_image
@@ -102,6 +104,26 @@ class TestRender:
     def test_scene_rejects_nonpositive_scales(self, field, value):
         with pytest.raises(ValueError, match=f"scene {field} .*got {value}"):
             SceneParams(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("radius_mm", 2e6), ("curve_amp_mm", -2e6), ("curve_amp_mm", 1e200),
+        ("ridge_amp_mm", 1.5e6), ("ridge_period_mm", 1e155), ("texture_scale_mm", 2e6),
+        ("far_cap_mm", 1e7),
+    ])
+    def test_scene_rejects_lengths_above_a_million_mm(self, field, value):
+        # sqrt(dx*dx + dy*dy) overflows once lengths reach about 1e154 mm
+        with pytest.raises(ValueError, match=f"scene {field} .*got {re.escape(str(value))}"):
+            SceneParams(**{field: value})
+
+    def test_scene_at_the_length_bound_renders(self):
+        params = SceneParams(radius_mm=1e6, curve_amp_mm=-1e6, ridge_amp_mm=9e5,
+                             ridge_period_mm=1e6, texture_scale_mm=1e6, far_cap_mm=1e6)
+        pts = np.random.default_rng(0).uniform(-1e6, 1e6, (1000, 3))
+        assert np.isfinite(surface_field(params, pts)).all()
+        assert np.isfinite(synthcolon.surface_normal(params, pts)).all()
+        pose = generate_trajectory(params, 3, 1.0)[0]
+        img, depth, hit = render_view(params, pose, CameraIntrinsics(3, 3, 1.5, 1.5), 4, 4)
+        assert np.isfinite(depth.data).all() and np.isfinite(img.data).all()
 
     def test_camera_outside_tube_rejected(self):
         params = SceneParams(radius_mm=10, curve_amp_mm=0, seed=0)
@@ -442,6 +464,134 @@ class TestRayBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+def _render_counted(monkeypatch, field, shade, params, poses, *view_args):
+    """``render_views`` with ``field`` as the wall field and ``shade`` as
+    the shading: the views, the march's (t, hit) and the number of points
+    at which the field was evaluated."""
+    points, traced = [], []
+    trace = synthcolon._trace
+    with monkeypatch.context() as m:
+        m.setattr(synthcolon, "surface_field",
+                  lambda p, pts: points.append(len(pts)) or field(p, pts))
+        m.setattr(synthcolon, "_shade", shade)
+        m.setattr(synthcolon, "_trace", lambda *args: traced.append(trace(*args)) or traced[0])
+        views = render_views(params, poses, *view_args)
+    return views, traced[0], sum(points)
+
+
+class TestWallGeometry:
+    @pytest.mark.parametrize("n, w, K, light", [
+        (12, 64, K64, LightModel()),
+        (3, 256, CameraIntrinsics(192, 192, 127.5, 127.5), LightModel(specular=True)),
+    ], ids=["quick-start", "256-specular"])
+    def test_matches_the_plain_formulas(self, monkeypatch, n, w, K, light):
+        # the field's sqrt(dx*dx + dy*dy) and folded ridge, and shading from
+        # one wall frame, against np.hypot, R - A (0.5 + 0.5 cos) and the
+        # arctan2 angle: float64 values may move by about an ulp, so rays
+        # may end a few ulps apart, but they take the same steps, hit the
+        # same wall and give the same bytes.  A miss's t is not written (its
+        # depth is the far cap); it sums up to 2,048 steps, and on the quick
+        # start it drifts by up to 3e-11 mm
+        params = SceneParams(seed=21)
+        poses = generate_trajectory(params, n, 1.0, sway_mm=2.5)
+        args = (params, poses, K, w, w, light)
+        views, (t, hit), points = _render_counted(
+            monkeypatch, surface_field, synthcolon._shade, *args)
+        ref_views, (t_ref, hit_ref), ref_points = _render_counted(
+            monkeypatch, wall_field, wall_shade, *args)
+        np.testing.assert_array_equal(hit, hit_ref)
+        assert points == ref_points
+        drift = np.abs(t - t_ref)
+        assert drift[hit].max() <= 1e-12
+        assert drift.max() <= 1e-9
+        for view, ref_view in zip(views, ref_views, strict=True):
+            for a, b in zip(view, ref_view):
+                assert a.data.tobytes() == b.data.tobytes()
+
+    def test_field_and_frame_within_an_ulp_or_two(self):
+        # random points in and around the lumen of a steep scene, up to
+        # about 100 mm from its axis: the field moves by a few ulps of that
+        params = SceneParams(curve_amp_mm=30.0, curve_freq=0.12, ridge_amp_mm=8.0,
+                             ridge_period_mm=6.0)
+        pts = np.random.default_rng(3).uniform(-40.0, 40.0, (10_000, 3))
+        f = surface_field(params, pts)
+        np.testing.assert_allclose(f, wall_field(params, pts), rtol=0,
+                                   atol=4 * np.spacing(128.0))
+        ux, uy = synthcolon._wall_frame(params, pts)
+        cx, cy = synthcolon._axis_center(params, pts[:, 2])
+        theta = np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx)
+        np.testing.assert_allclose(ux, np.cos(theta), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(uy, np.sin(theta), rtol=0, atol=1e-15)
+        # a scalar point is still a point
+        assert surface_field(params, pts[0]) == f[0]
+
+
+class TestCellNumbering:
+    @pytest.mark.parametrize("dense", [0, 10**6], ids=["sort", "count"])
+    def test_numbering_is_np_unique(self, monkeypatch, dense):
+        monkeypatch.setattr(synthcolon, "_DENSE_CELLS", dense)
+        keys = np.random.default_rng(0).integers(0, 5_000, 3_000)
+        cells, cell_of = synthcolon._number_cells(keys, 5_000)
+        want, want_of = np.unique(keys, return_inverse=True)
+        np.testing.assert_array_equal(cells, want)
+        np.testing.assert_array_equal(cell_of, want_of)
+
+    @pytest.mark.parametrize("w, h", [(64, 64), (1, 24)], ids=["64x64", "strip"])
+    def test_both_paths_give_the_same_noise(self, monkeypatch, w, h):
+        # the README quick-start frame takes both paths with the default
+        # threshold; forcing either one changes no byte of the noise
+        params = SceneParams(seed=21)
+        pose = generate_trajectory(params, 3, 1.0, sway_mm=2.5)[0]
+        K = CameraIntrinsics(48, 48, (w - 1) / 2, (h - 1) / 2)
+        noise_calls = _captured_calls(monkeypatch, "_value_noise", render_view,
+                                      params, pose, K, w, h)
+        assert len(noise_calls) == 2
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+        for args in noise_calls:
+            want = _reference_value_noise(*args)
+            got = {}
+            for dense in (0, 10**6):
+                sorts.clear()
+                monkeypatch.setattr(synthcolon, "_DENSE_CELLS", dense)
+                got[dense] = synthcolon._value_noise(*args)
+                # one sort per octave, or none
+                assert len(sorts) == (args[2] if dense == 0 else 0)
+                np.testing.assert_array_equal(got[dense], want)
+            assert got[0].tobytes() == got[10**6].tobytes()
+
+
+class TestUnitRays:
+    def test_built_once_per_call(self, tmp_path, monkeypatch):
+        # render_views and write_dataset build the camera-frame unit rays
+        # once and shade every view with them; each view is still one
+        # render_view(params, pose, K, w, h, light, ...) call
+        params = SceneParams(seed=2)
+        poses = generate_trajectory(params, 4, 1.0)
+        light = LightModel()
+        built, renders = [], []
+        unit_rays, render = synthcolon._unit_rays, synthcolon.render_view
+        monkeypatch.setattr(synthcolon, "_unit_rays",
+                            lambda *a: built.append(a) or unit_rays(*a))
+
+        def spy(*args, **kwargs):
+            renders.append(args)
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(synthcolon, "render_view", spy)
+        views = render_views(params, poses, K64, 16, 12, light)
+        assert len(built) == 1 and len(renders) == len(views) == 4
+        write_dataset(tmp_path / "ds", params, K64, 4, 1.0, 16, 12, light)
+        assert len(built) == 2 and len(renders) == 8
+        for args, pose in zip(renders, poses + poses):
+            assert len(args) == 6 and args[0] is params and args[2:] == (K64, 16, 12, light)
+            assert np.array_equal(args[1].translation, pose.translation)
+        # a view rendered on its own builds its rays itself
+        render_view(params, poses[0], K64, 16, 12)
+        assert len(built) == 3
 
 
 def _field_gradient(params, pts):
