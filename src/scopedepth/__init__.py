@@ -28,17 +28,10 @@ from .imagery import (
     write_pfm,
     write_ppm,
 )
-from .losses import (
-    LossConfig,
-    LossValue,
-    prior_loss,
-    selfsup_nll,
-    supervised_nll,
-)
+from .losses import LossConfig, LossValue, prior_loss
 from .metrics import (
     CalibrationCurve,
     DepthMetrics,
-    MetricsConfig,
     auce,
     calibration_curve,
     default_p_grid,
@@ -46,12 +39,7 @@ from .metrics import (
     normal_ppf,
     scale_correction,
 )
-from .photometry import (
-    PhotometricConfig,
-    edge_aware_smoothness,
-    photometric_residual,
-    ssim_map,
-)
+from .photometry import PhotometricConfig
 from .predictor import DepthField, TrainConfig, backward, forward, init_random
 from .synthcolon import (
     LightModel,
@@ -68,7 +56,6 @@ from .trainer import (
     TrainData,
     TrainReport,
     Triplet,
-    audit_random_fields,
     finite_diff_audit,
     train_ensemble,
     train_member,

@@ -33,14 +33,8 @@ from .ensemble import fuse, load_ensemble, save_ensemble, selfsup_fuse
 from .geometry import CameraIntrinsics, Pose, relative_pose
 from .imagery import DepthMap, UncMap, read_pfm, read_ppm
 from .losses import LossConfig
-from .metrics import (
-    MetricsConfig,
-    auce,
-    calibration_curve,
-    default_p_grid,
-    depth_metrics,
-    scale_correction,
-)
+from .metrics import (auce, calibration_curve, default_p_grid, depth_metrics,
+                      scale_correction)
 from .photometry import PhotometricConfig
 from .predictor import DepthField, TrainConfig, forward
 from .rng import Xoshiro256
@@ -136,6 +130,26 @@ def _at_least_one(cfg: dict, *keys: str) -> None:
             raise UsageError(f"{_flag(key)} must be >= 1, got {cfg[key]}")
 
 
+def _read_json_object(path, *keys: str, command: str | None = None) -> dict:
+    """The JSON object in ``path``, holding every entry in ``keys`` and, if
+    ``command`` is given, written by that command.  Any failure is a usage
+    error that names the file."""
+    with open(path) as f:
+        try:
+            obj = json.load(f)
+        except json.JSONDecodeError as e:
+            raise UsageError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path} must hold a JSON object, got {type(obj).__name__}")
+    if command is not None and obj.get("command") != command:
+        raise UsageError(f"{path} is a {obj.get('command')!r} manifest, "
+                         f"not a {command} manifest")
+    for key in keys:
+        if key not in obj:
+            raise UsageError(f"{path} has no {key!r} entry")
+    return obj
+
+
 def _config_type_ok(value, default) -> bool:
     """Whether a config value may stand for ``default``: the same JSON
     type, an int for a float, a path string for a None default, and a
@@ -156,11 +170,7 @@ def _resolve(defaults: dict, args) -> dict:
     out = dict(defaults)
     config = {}
     if args.config is not None:
-        with open(args.config) as f:
-            config = json.load(f)
-        if not isinstance(config, dict):
-            raise UsageError(f"config {args.config} must hold a JSON object, "
-                             f"got {type(config).__name__}")
+        config = _read_json_object(args.config)
         # manifests wrap the resolved config under "config"
         if "config" in config and isinstance(config["config"], dict):
             config = config["config"]
@@ -191,8 +201,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, **extra) -> None:
 def _target_index(data_dir: Path, requested: int) -> tuple[int, int]:
     """The frame ``requested`` (-1: the middle one) and the dataset's frame
     count."""
-    with open(data_dir / "manifest.json") as f:
-        n_frames = json.load(f)["n_frames"]
+    n_frames = _read_json_object(data_dir / "manifest.json", "n_frames")["n_frames"]
     if requested == -1:
         return n_frames // 2, n_frames
     if not 0 <= requested < n_frames:
@@ -242,8 +251,8 @@ def _build_train_data(cfg: dict, regime: Regime, data_dir: Path) -> tuple[TrainD
         )
         rels = tuple(relative_pose(poses[t_i], poses[t_i + o]) for o in offsets)
         image = read_ppm(data_dir / f"frame_{t_i:04d}.ppm")
-        with open(data_dir / "intrinsics.json") as f:
-            K = CameraIntrinsics.from_json(json.load(f))
+        K = CameraIntrinsics.from_json(
+            _read_json_object(data_dir / "intrinsics.json", "fx", "fy", "cx", "cy"))
         data = TrainData(
             triplets=(Triplet(target=image, sources=sources, rel_poses=rels),),
             K=K,
@@ -298,23 +307,24 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _member_seed(path: Path) -> int:
+    """The seed in a member file's name, ``member_<seed>.json``."""
+    try:
+        return int(path.stem.split("_", 1)[1])
+    except ValueError:
+        raise UsageError(f"{path} is not named member_<seed>.json") from None
+
+
 def cmd_fuse(args) -> int:
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"no train manifest in {run_dir}")
-    with open(manifest_path) as f:
-        train_manifest = json.load(f)
-    command = train_manifest.get("command")
-    if command != "train":
-        raise UsageError(
-            f"{manifest_path} is a {command!r} manifest, not a train manifest"
-        )
+    train_manifest = _read_json_object(manifest_path, "config", "resolution",
+                                       command="train")
     train_cfg = train_manifest["config"]
     w, h = train_manifest["resolution"]
-    member_files = sorted(
-        run_dir.glob("member_*.json"), key=lambda p: int(p.stem.split("_")[1])
-    )
+    member_files = sorted(run_dir.glob("member_*.json"), key=_member_seed)
     if not member_files:
         raise UsageError(f"no member fields in {run_dir}")
     fields = [DepthField.load(p) for p in member_files]
@@ -340,9 +350,13 @@ def _load_eval_inputs(args, cfg: dict) -> tuple[DepthMap, DepthMap, UncMap, int]
     ens = load_ensemble(Path(args.pred))
     data_dir = Path(args.data)
     t_i, _ = _target_index(data_dir, int(cfg["target_frame"]))
-    gt = read_pfm(data_dir / f"depth_{t_i:04d}.pfm")
+    gt_path = data_dir / f"depth_{t_i:04d}.pfm"
+    gt = read_pfm(gt_path)
     if (gt.height, gt.width) != (ens.d_hat.height, ens.d_hat.width):
-        raise UsageError("prediction and ground-truth dimensions disagree")
+        raise UsageError(
+            f"prediction {Path(args.pred) / 'depth_mean.pfm'} is "
+            f"{ens.d_hat.width}x{ens.d_hat.height} but ground truth {gt_path} "
+            f"is {gt.width}x{gt.height}")
     d_pred = ens.d_hat.data.astype(np.float64)
     sigma = np.sqrt(ens.var_t.data.astype(np.float64))
     if cfg["median_scale"]:
@@ -367,9 +381,7 @@ def _write_scores(args, command: str, cfg: dict, t_i: int, rows: list) -> None:
 def cmd_eval(args) -> int:
     cfg = _resolve(EVAL_DEFAULTS, args)
     gt, d_pred, sigma, t_i = _load_eval_inputs(args, cfg)
-    dm = depth_metrics(
-        gt, d_pred, cfg=MetricsConfig(gt_denominator=cfg["gt_denominator"])
-    )
+    dm = depth_metrics(gt, d_pred, gt_denominator=cfg["gt_denominator"])
     signed, absolute = auce(calibration_curve(gt, d_pred, sigma))
     _write_scores(args, "eval", cfg, t_i, [
         list(dm.FIELDS) + ["auce_signed", "auce_abs"],

@@ -119,8 +119,14 @@ def save_ensemble(out: EnsembleOutput, directory) -> None:
 
 def load_ensemble(directory) -> EnsembleOutput:
     directory = Path(directory)
-    with open(directory / "ensemble.json") as f:
-        meta = json.load(f)
+    sidecar = directory / "ensemble.json"
+    with open(sidecar) as f:
+        try:
+            meta = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{sidecar} is not valid JSON: {e}") from None
+    if not (isinstance(meta, dict) and "members" in meta and "seeds" in meta):
+        raise ValueError(f"{sidecar} must hold a JSON object with 'members' and 'seeds'")
     d_hat = read_pfm(directory / "depth_mean.pfm")
     var_a = read_pfm(directory / "var_aleatoric.pfm")
     var_e = read_pfm(directory / "var_epistemic.pfm")

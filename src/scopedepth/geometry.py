@@ -9,7 +9,7 @@ The inverse warp splits into a depth-free part, :func:`warp_basis` (the
 rotated pixel rays and the numerators of the depth Jacobian, held as
 separate (h, w) planes), and a per-depth pass, :func:`warp_from_basis`.
 Training builds the first once per source pose and runs only the second
-per step; :func:`warp_coordinates` chains the two.
+per step; :func:`synthesize_warped_image` chains the two for one image.
 """
 
 from __future__ import annotations
@@ -151,8 +151,14 @@ def warp_basis(
 def warp_from_basis(
     d: np.ndarray, K: CameraIntrinsics, pose: Pose, basis: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`warp_coordinates` of depth ``d`` given its
-    :func:`warp_basis` for (K, pose) at d's size."""
+    """Warp every pixel of depth array ``d`` into the source view of
+    ``pose``, given the :func:`warp_basis` of (K, pose) at d's size.
+
+    Returns (xs, ys, in_front, dx_dd, dy_dd): xs/ys are source-view
+    coordinates, in_front flags transformed points with z above the near
+    plane, and dx_dd/dy_dd are d(x')/d(depth) and d(y')/d(depth) per pixel,
+    used by gradient-based training.  Bounds checking against the source
+    raster happens at sampling time."""
     qx, qy, qz, num_x, num_y = basis
     t = pose.translation
     z = qz * d + t[2]
@@ -163,21 +169,6 @@ def warp_from_basis(
     # d(u)/d(depth) = fx (qx tz - tx qz) / z^2
     z2 = zsafe**2
     return xs, ys, in_front, num_x / z2, num_y / z2
-
-
-def warp_coordinates(
-    d: np.ndarray, K: CameraIntrinsics, pose: Pose
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized warp of every pixel of a depth array into the source view.
-
-    Returns (xs, ys, in_front, dx_dd, dy_dd) where xs/ys are source-view
-    coordinates, in_front flags transformed points with z above the near
-    plane, and dx_dd/dy_dd are d(x')/d(depth) and d(y')/d(depth) per pixel,
-    used by gradient-based training.  Bounds checking against the source
-    raster happens at sampling time.
-    """
-    h, w = d.shape
-    return warp_from_basis(d, K, pose, warp_basis(K, pose, w, h))
 
 
 def synthesize_warped_image(
@@ -191,7 +182,8 @@ def synthesize_warped_image(
     """
     same_shape(I_src, d_tgt)
     d = d_tgt.data.astype(np.float64)
-    xs, ys, in_front, _, _ = warp_coordinates(d, K, pose)
+    xs, ys, in_front, _, _ = warp_from_basis(
+        d, K, pose, warp_basis(K, pose, d_tgt.width, d_tgt.height))
     pos = d > 0
     vals, _, _, samp_ok = bilinear_sample_planes(I_src.planes(), xs, ys)
     valid = pos & in_front & samp_ok

@@ -155,10 +155,6 @@ class Mask(_Raster):
             raise ValueError("Mask data must be 2-D")
         object.__setattr__(self, "data", _freeze(np.ascontiguousarray(arr)))
 
-    @staticmethod
-    def full(height: int, width: int, value: bool = True) -> "Mask":
-        return Mask(np.full((height, width), value, dtype=bool))
-
 
 def same_shape(*maps) -> None:
     """Raise ValueError unless all given rasters share (height, width)."""

@@ -11,6 +11,10 @@ residual and the scale:
   the scale widened to sqrt(teacher_var + student_aleatoric^2), by passing
   the teacher's std as ``sigma_label``
 
+:func:`supervised_nll_arrays` serves the first and the third,
+:func:`selfsup_nll_arrays` the second.  Both take float64 (h, w) arrays
+and a bool validity array; the trainer checks the rasters they come from.
+
 Any predicted scale is clamped from below at ``sigma_min`` before entering
 the loss; gradients are taken with respect to the raw (unclamped) scale,
 zero where the clamp is active, so they match finite differences of the
@@ -23,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .imagery import DepthMap, Mask, UncMap, same_shape
 
 
 @dataclass(frozen=True)
@@ -117,47 +119,3 @@ def prior_loss(theta: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
     """weight_decay * sum(theta^2) and its gradient."""
     theta = np.asarray(theta, dtype=np.float64)
     return cfg.weight_decay * float((theta**2).sum()), 2.0 * cfg.weight_decay * theta
-
-
-# ---------------------------------------------------------------------------
-# typed wrappers over the raster containers
-
-
-def _mask_or_full(mask: Mask | None, h: int, w: int) -> np.ndarray:
-    return np.full((h, w), True) if mask is None else mask.data
-
-
-def _require_std(u: UncMap, name: str) -> None:
-    if u.kind != "std":
-        raise ValueError(f"{name} must be a std-kind UncMap (call .to_std())")
-
-
-def supervised_nll(
-    d: DepthMap, d_hat: DepthMap, sigma_a: UncMap, mask: Mask | None,
-    cfg: LossConfig, sigma_label: UncMap | None = None,
-) -> LossValue:
-    """:func:`supervised_nll_arrays` on rasters; ``sigma_label`` is the
-    labels' own std (the uncertain student's teacher sigma), if any."""
-    same_shape(d, d_hat, sigma_a)
-    _require_std(sigma_a, "sigma_a")
-    if sigma_label is not None:
-        same_shape(d, sigma_label)
-        _require_std(sigma_label, "sigma_label")
-    valid = _mask_or_full(mask, d.height, d.width)
-    return supervised_nll_arrays(
-        d.data.astype(np.float64), d_hat.data.astype(np.float64),
-        sigma_a.data.astype(np.float64), valid, cfg,
-        None if sigma_label is None else sigma_label.data.astype(np.float64),
-    )
-
-
-def selfsup_nll(
-    f_p: np.ndarray, u_hat: UncMap, valid: Mask, cfg: LossConfig
-) -> LossValue:
-    _require_std(u_hat, "u_hat")
-    if f_p.shape != u_hat.data.shape:
-        raise ValueError("residual and uncertainty dimensions disagree")
-    return selfsup_nll_arrays(
-        np.asarray(f_p, dtype=np.float64), u_hat.data.astype(np.float64),
-        valid.data, cfg,
-    )

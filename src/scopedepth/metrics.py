@@ -4,8 +4,8 @@ calibration error).
 
 The relative-error denominators follow the evaluated prediction (d_hat) by
 default, switchable to the ground-truth denominator through
-``MetricsConfig(gt_denominator=True)`` for comparison against the more
-common convention.
+``depth_metrics(..., gt_denominator=True)`` for comparison against the
+more common convention.
 """
 
 from __future__ import annotations
@@ -18,11 +18,6 @@ import numpy as np
 from .imagery import DepthMap, Mask, UncMap, same_shape
 
 _STD_NORMAL = NormalDist()
-
-
-@dataclass(frozen=True)
-class MetricsConfig:
-    gt_denominator: bool = False  # False: AbsRel/SqRel divide by the prediction
 
 
 @dataclass(frozen=True)
@@ -91,14 +86,16 @@ def scale_correction(d_gt: DepthMap, d_pred: DepthMap, mask: Mask | None = None)
 
 def depth_metrics(
     d: DepthMap, d_hat: DepthMap, mask: Mask | None = None,
-    cfg: MetricsConfig | None = None,
+    gt_denominator: bool = False,
 ) -> DepthMetrics:
-    cfg = cfg or MetricsConfig()
+    """Depth errors of ``d_hat`` against ground truth ``d`` over valid
+    pixels; AbsRel and SqRel divide by the prediction unless
+    ``gt_denominator``."""
     gt, pred = _valid_arrays(mask, d, d_hat)
     if np.any(gt <= 0) or np.any(pred <= 0):
         raise ValueError("depths must be positive on valid pixels")
     diff = gt - pred
-    den = gt if cfg.gt_denominator else pred
+    den = gt if gt_denominator else pred
     abs_rel = float(np.mean(np.abs(diff) / den))
     sq_rel = float(np.mean(diff**2 / den))
     rmse = float(np.sqrt(np.mean(diff**2)))

@@ -10,11 +10,12 @@ its reverse-mode derivative and the residual work on (c, h, w) channel
 stacks in one call rather than a loop over channels.  Training needs that
 derivative to push photometric error back through warped images.
 
-The array-level entry points take channel-first float64 planes, the
-layout the bilinear sampler returns, so a training step moves no axes.
-What depends on the image alone (the target's SSIM moments, the
-smoothness :func:`edge_weights`) is an argument, so training computes it
-once per run; the :class:`Image`-level functions compute it per call.
+Each term has one entry point, on arrays: :func:`ssim_terms`,
+:func:`photometric_residual_arrays` and :func:`smoothness_and_grad`.
+They take channel-first float64 planes, the layout the bilinear sampler
+returns, so a training step moves no axes.  What depends on the image
+alone (the target's SSIM moments, the smoothness :func:`edge_weights`)
+is an argument, so training computes it once per run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagery import DepthMap, Image, Mask, same_shape
+from .imagery import Image
 
 
 @dataclass(frozen=True)
@@ -104,15 +105,6 @@ def ssim_terms(
     return (A1 * A2) / (B1 * B2), a, b, mu_a, mu_b, A1, A2, B1, B2
 
 
-def ssim_map(a: Image, b: Image, cfg: PhotometricConfig | None = None) -> np.ndarray:
-    """Per-pixel SSIM of two images, channel-mean, float64 in [-1, 1]."""
-    cfg = cfg or PhotometricConfig()
-    same_shape(a, b)
-    if a.channels != b.channels:
-        raise ValueError("channel counts disagree")
-    return ssim_terms(a.planes(), b.planes(), cfg)[0].mean(axis=0)
-
-
 def ssim_backward_channel(
     terms: tuple, upstream: np.ndarray, cfg: PhotometricConfig
 ) -> np.ndarray:
@@ -177,29 +169,9 @@ def photometric_residual_arrays(
     return f_p, valid, arg, terms
 
 
-def photometric_residual(
-    I_tgt: Image,
-    warps: list[tuple[Image, Mask]],
-    cfg: PhotometricConfig | None = None,
-) -> tuple[np.ndarray, Mask]:
-    """:func:`photometric_residual_arrays` over raster containers, after
-    checking that every image and mask shares the target's dimensions and
-    every image its channel count."""
-    cfg = cfg or PhotometricConfig()
-    same_shape(I_tgt, *[w for w, _ in warps], *[m for _, m in warps])
-    if any(I_w.channels != I_tgt.channels for I_w, _ in warps):
-        raise ValueError("channel counts disagree")
-    tgt = I_tgt.planes()
-    f_p, valid, _, _ = photometric_residual_arrays(
-        tgt, _ssim_moments(tgt, cfg),
-        [(I_w.planes(), mask.data) for I_w, mask in warps], cfg,
-    )
-    return f_p, Mask(valid)
-
-
 def edge_weights(I: Image) -> tuple[np.ndarray, np.ndarray]:
     """exp(-|dx gray|) and exp(-|dy gray|) of an image, one in the last
-    column/row: the weights of :func:`edge_aware_smoothness`."""
+    column/row: the weights of :func:`smoothness_and_grad`."""
     gray = I.gray()
     wx = np.ones_like(gray)
     wy = np.ones_like(gray)
@@ -208,22 +180,18 @@ def edge_weights(I: Image) -> tuple[np.ndarray, np.ndarray]:
     return wx, wy
 
 
-def edge_aware_smoothness(d, I: Image) -> np.ndarray:
-    """Edge-weighted first-order smoothness of mean-normalized depth.
+def smoothness_and_grad(
+    d: np.ndarray, weights: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-weighted first-order smoothness of mean-normalized depth ``d``
+    given the image's :func:`edge_weights`, and d(mean(smoothness))/d(d[j]),
+    including the coupling through the mean normalization.
 
     With d* = d / mean(d) and forward differences (zero in the last
-    row/column):  |dx d*| exp(-|dx gray|) + |dy d*| exp(-|dy gray|).
-    Raises when mean depth is not positive or the shapes disagree.
-    """
-    return smoothness_and_grad(d, edge_weights(I))[0]
-
-
-def smoothness_and_grad(d, weights: tuple[np.ndarray, np.ndarray]) -> tuple:
-    """:func:`edge_aware_smoothness` of depth ``d`` given the image's
-    :func:`edge_weights`, and d(mean(smoothness))/d(depth[j]), including
-    the coupling through the mean normalization.  Sign of a zero
-    difference is taken as zero."""
-    darr = np.asarray(d.data if isinstance(d, DepthMap) else d, dtype=np.float64)
+    row/column) the map is |dx d*| exp(-|dx gray|) + |dy d*| exp(-|dy gray|).
+    Sign of a zero difference is taken as zero.  Raises when mean depth is
+    not positive or the shapes disagree."""
+    darr = np.asarray(d, dtype=np.float64)
     mu = darr.mean()
     if mu <= 0:
         raise ValueError("mean depth must be positive")

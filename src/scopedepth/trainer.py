@@ -20,14 +20,8 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, warp_basis, warp_from_basis
 from .heap import keep_heap_mapped
-from .imagery import DepthMap, Image, Mask, UncMap, bilinear_sample_planes
-from .losses import (
-    LossConfig,
-    _mask_or_full,
-    prior_loss,
-    selfsup_nll_arrays,
-    supervised_nll_arrays,
-)
+from .imagery import DepthMap, Image, Mask, UncMap, bilinear_sample_planes, same_shape
+from .losses import LossConfig, prior_loss, selfsup_nll_arrays, supervised_nll_arrays
 from .photometry import (
     PhotometricConfig,
     _ssim_moments,
@@ -50,7 +44,7 @@ class Regime(enum.Enum):
 class NumericFailure(RuntimeError):
     """The loss or a gradient step became non-finite; carries the failing
     step, and the message also names the member's seed and learning rate.
-    ``args`` holds all four, so the error pickles like any exception."""
+    ``args`` holds all four."""
 
     def __init__(self, step: int, message: str, seed: int, learning_rate: float):
         super().__init__(step, message, seed, learning_rate)
@@ -87,10 +81,11 @@ class Triplet:
 
 def _frame_constants(frame: LabeledFrame) -> tuple:
     """What a label step reads of a frame but never changes: the float64
-    label, the float64 label sigma or None, and the validity mask."""
-    d, s = frame.depth, frame.sigma
+    label, the float64 label sigma or None, and the validity mask (every
+    pixel when the frame has none)."""
+    d, s, m = frame.depth, frame.sigma, frame.mask
     return (d.data.astype(np.float64), None if s is None else s.data.astype(np.float64),
-            _mask_or_full(frame.mask, d.height, d.width))
+            np.full((d.height, d.width), True) if m is None else m.data)
 
 
 def _triplet_constants(trip: Triplet, K: CameraIntrinsics, pcfg: PhotometricConfig) -> tuple:
@@ -157,7 +152,8 @@ def _check_bundle(regime: Regime, data: TrainData) -> None:
     """The one place that ties a regime to the data it needs: triplets and
     intrinsics for self-supervision, labeled frames otherwise, with a
     std-kind label sigma on every frame for the uncertain student and on
-    none for the other label regimes."""
+    none for the other label regimes, and one shape for every frame's
+    depth, sigma and mask."""
     if not isinstance(regime, Regime):
         raise ValueError(f"unknown regime {regime!r}, expected a Regime")
     if regime == Regime.SELF_SUPERVISED:
@@ -166,6 +162,8 @@ def _check_bundle(regime: Regime, data: TrainData) -> None:
         return
     if not data.frames:
         raise ValueError(f"{regime.value} needs labeled frames")
+    same_shape(*(m for f in data.frames for m in (f.depth, f.sigma, f.mask)
+                 if m is not None))
     for f in data.frames:
         if regime != Regime.UNCERTAIN_STUDENT:
             if f.sigma is not None:
@@ -389,33 +387,3 @@ def finite_diff_audit(
         denom = max(abs(fd), abs(analytic[i]), 1e-8)
         worst = max(worst, abs(fd - analytic[i]) / denom)
     return worst
-
-
-def audit_random_fields(
-    regime: Regime,
-    data: TrainData,
-    draws: int,
-    grid: int = 4,
-    depth_init_mm: float = 25.0,
-    jitter: float = 0.25,
-    seed0: int = 100,
-    step: float = 1e-4,
-    loss_cfg: LossConfig | None = None,
-    max_resample: int = 60,
-) -> list[float]:
-    """Run the audit over ``draws`` random fields, redrawing any field whose
-    probes straddle a kink of the piecewise-smooth objective."""
-    errors = []
-    seed = seed0
-    attempts = 0
-    while len(errors) < draws:
-        field = init_random(seed, grid, grid, depth_init_mm, jitter)
-        seed += 1
-        attempts += 1
-        if attempts > draws + max_resample:
-            raise RuntimeError("could not find enough kink-free samples")
-        try:
-            errors.append(finite_diff_audit(regime, data, field, step, loss_cfg))
-        except KinkStraddled:
-            continue
-    return errors

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _audit import audit_random_fields
 from _reference import backproject, project, warp_pixel
 
 from scopedepth.cli import main as cli_main
@@ -37,7 +38,12 @@ from scopedepth.metrics import (
     depth_metrics,
     scale_correction,
 )
-from scopedepth.photometry import PhotometricConfig, edge_aware_smoothness, ssim_map
+from scopedepth.photometry import (
+    PhotometricConfig,
+    edge_weights,
+    smoothness_and_grad,
+    ssim_terms,
+)
 from scopedepth.predictor import TrainConfig, forward
 from scopedepth.synthcolon import (
     LightModel,
@@ -51,7 +57,6 @@ from scopedepth.trainer import (
     Regime,
     TrainData,
     Triplet,
-    audit_random_fields,
     train_ensemble,
     train_member,
 )
@@ -364,18 +369,19 @@ def test_criterion_7_example_battery():
     a = Image(np.full((5, 5, 1), 0.2, np.float32))
     b = Image(np.full((5, 5, 1), 0.8, np.float32))
     want = (2 * 0.2 * 0.8 + cfg.c1) / (0.2**2 + 0.8**2 + cfg.c1)
-    ck(np.allclose(ssim_map(a, b, cfg), want, atol=1e-6), "ssim constants")
+    ssim = lambda x, y: ssim_terms(x.planes(), y.planes(), cfg)[0].mean(axis=0)
+    ck(np.allclose(ssim(a, b), want, atol=1e-6), "ssim constants")
     rng = np.random.default_rng(3)
     img = Image(rng.uniform(0, 1, (5, 5, 3)).astype(np.float32))
-    ck(np.allclose(ssim_map(img, img, cfg), 1.0), "ssim identity")
+    ck(np.allclose(ssim(img, img), 1.0), "ssim identity")
     step = DepthMap(np.array([[2.0, 4.0]], dtype=np.float32))
     flat = Image(np.full((1, 2, 1), 0.5, np.float32))
-    fs = edge_aware_smoothness(step, flat)
+    fs = smoothness_and_grad(step.data, edge_weights(flat))[0]
     ck(np.isclose(fs[0, 0], 2.0 / 3.0), "smoothness unit step")
     # [0,1] images cap |dx gray| at 1, so the steepest realizable edge
     # attenuates the step by e^-1
     edged = Image(np.array([[[0.0], [1.0]]], dtype=np.float32))
-    fs_e = edge_aware_smoothness(step, edged)
+    fs_e = smoothness_and_grad(step.data, edge_weights(edged))[0]
     ck(np.isclose(fs_e[0, 0], (2.0 / 3.0) * np.exp(-1.0)), "smoothness edge")
 
     # losses

@@ -3,6 +3,7 @@ import csv
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -556,12 +557,58 @@ class TestFuseEvalCalib:
             assert f"--levels must be >= 1, got {levels}" in err
             assert not out.exists()
 
-    def test_dimension_mismatch_exit_code(self, fused, tmp_path):
+    def test_dimension_mismatch_exit_code(self, fused, tmp_path, capsys):
         other = tmp_path / "other_ds"
         assert run("synth", "--out", other, "--seed", 1, "--frames", 3,
                    "--width", 16, "--height", 16) == 0
+        capsys.readouterr()
         rc = run("eval", "--pred", fused, "--data", other, "--out", tmp_path / "x.csv")
         assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"prediction {fused / 'depth_mean.pfm'} is 24x24 but ground truth "
+                f"{other / 'depth_0001.pfm'} is 16x16") in err
+
+
+def _break_json_input(case, dataset, trained, fused, tmp):
+    """Copy the inputs, spoil one JSON file as ``case`` says, and return
+    the argv that reads it and the spoiled file."""
+    ds, run_dir, pred = tmp / "ds", tmp / "run", tmp / "fused"
+    for src, dst in ((dataset, ds), (trained, run_dir), (fused, pred)):
+        shutil.copytree(src, dst)
+    score = ["eval", "--pred", pred, "--data", ds, "--out", tmp / "eval" / "m.csv"]
+    fuse = ["fuse", "--run", run_dir, "--out", tmp / "f"]
+    if case == "malformed-config":
+        bad = tmp / "config.json"
+        bad.write_text('{"frames": 3,')
+        return ["synth", "--out", tmp / "ds2", "--config", bad], bad
+    if case == "stray-member-file":
+        bad = run_dir / "member_x.json"
+        shutil.copy(run_dir / "member_3.json", bad)
+        return fuse, bad
+    if case == "train-manifest-without-resolution":
+        bad, key, argv = run_dir / "manifest.json", "resolution", fuse
+    elif case == "dataset-manifest-without-n-frames":
+        bad, key, argv = ds / "manifest.json", "n_frames", score
+    else:
+        bad = pred / "ensemble.json"
+        bad.write_text("[3, [3, 4]]")
+        return score, bad
+    manifest = json.loads(bad.read_text())
+    del manifest[key]
+    bad.write_text(json.dumps(manifest))
+    return argv, bad
+
+
+@pytest.mark.parametrize("case", ["malformed-config", "stray-member-file",
+                                  "train-manifest-without-resolution",
+                                  "dataset-manifest-without-n-frames",
+                                  "ensemble-sidecar-holding-a-list"])
+def test_bad_json_input_named_with_usage_error(case, dataset, trained, fused,
+                                                 tmp_path, capsys):
+    argv, bad = _break_json_input(case, dataset, trained, fused, tmp_path)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
 
 
 class TestDeterminismAcrossJobs:

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from scopedepth.imagery import DepthMap, Mask, UncMap
 from scopedepth.losses import (
     LossConfig,
     prior_loss,
-    selfsup_nll,
-    supervised_nll,
     supervised_nll_arrays,
     selfsup_nll_arrays,
 )
@@ -20,9 +17,8 @@ def one_pixel(v):
 
 class TestSupervised:
     def test_zero_residual_unit_sigma(self):
-        d = DepthMap(np.full((3, 3), 7.0, dtype=np.float32))
-        s = UncMap(np.ones((3, 3), dtype=np.float32), "std")
-        lv = supervised_nll(d, d, s, None, CFG)
+        d = np.full((3, 3), 7.0)
+        lv = supervised_nll_arrays(d, d, np.ones((3, 3)), np.full((3, 3), True), CFG)
         assert lv.scalar == pytest.approx(0.0)
 
     def test_unit_residual_unit_sigma(self):
@@ -109,11 +105,6 @@ class TestSelfSup:
         ]
         assert losses[1] < losses[0] and losses[1] < losses[2]
 
-    def test_typed_wrapper_requires_std(self):
-        var = UncMap(np.ones((2, 2), dtype=np.float32), "variance")
-        with pytest.raises(ValueError):
-            selfsup_nll(np.zeros((2, 2)), var, Mask.full(2, 2), CFG)
-
 
 class TestUncertainTeacher:
     def test_zero_teacher_variance_equals_supervised_bitwise(self):
@@ -166,38 +157,26 @@ class TestPlainStudent:
 
     def test_equals_uncertain_with_zero_teacher_sigma(self):
         rng = np.random.default_rng(4)
-        d_t = DepthMap(rng.uniform(5, 10, (4, 4)).astype(np.float32))
-        dh = DepthMap(rng.uniform(5, 10, (4, 4)).astype(np.float32))
-        s = UncMap(rng.uniform(0.3, 2.0, (4, 4)).astype(np.float32), "std")
-        zero = UncMap(np.zeros((4, 4), dtype=np.float32), "std")
-        a = supervised_nll(d_t, dh, s, None, CFG)
-        b = supervised_nll(d_t, dh, s, None, CFG, sigma_label=zero)
+        # float32 values, as the rasters store them
+        d_t = rng.uniform(5, 10, (4, 4)).astype(np.float32).astype(np.float64)
+        dh = rng.uniform(5, 10, (4, 4)).astype(np.float32).astype(np.float64)
+        s = rng.uniform(0.3, 2.0, (4, 4)).astype(np.float32).astype(np.float64)
+        valid = np.full((4, 4), True)
+        a = supervised_nll_arrays(d_t, dh, s, valid, CFG)
+        b = supervised_nll_arrays(d_t, dh, s, valid, CFG, sigma_label=np.zeros((4, 4)))
         assert a.scalar == b.scalar
 
-    def test_label_sigma_checked_like_sigma_a(self):
-        d = DepthMap(np.full((4, 4), 7.0, dtype=np.float32))
-        s = UncMap(np.ones((4, 4), dtype=np.float32), "std")
-        with pytest.raises(ValueError, match="sigma_label must be a std-kind"):
-            supervised_nll(d, d, s, None, CFG, sigma_label=s.to_variance())
-        small = UncMap(np.ones((3, 4), dtype=np.float32), "std")
-        with pytest.raises(ValueError, match="dimensions disagree"):
-            supervised_nll(d, d, s, None, CFG, sigma_label=small)
-
     def test_teacher_equals_prediction_leaves_log_sigma(self):
-        dh = DepthMap(np.full((3, 3), 9.0, dtype=np.float32))
-        s = UncMap(np.full((3, 3), 0.5, dtype=np.float32), "std")
-        lv = supervised_nll(dh, dh, s, None, CFG)
+        dh = np.full((3, 3), 9.0)
+        lv = supervised_nll_arrays(dh, dh, np.full((3, 3), 0.5), np.full((3, 3), True), CFG)
         assert lv.scalar == pytest.approx(np.log(0.5))
 
     def test_small_sigma_blows_up_on_wrong_label(self):
-        lv_small = supervised_nll(
-            DepthMap(one_pixel(10.0)), DepthMap(one_pixel(5.0)),
-            UncMap(one_pixel(0.01), "std"), None, CFG,
-        )
-        lv_large = supervised_nll(
-            DepthMap(one_pixel(10.0)), DepthMap(one_pixel(5.0)),
-            UncMap(one_pixel(5.0), "std"), None, CFG,
-        )
+        one = np.array([[True]])
+        lv_small = supervised_nll_arrays(one_pixel(10.0), one_pixel(5.0), one_pixel(0.01),
+                                         one, CFG)
+        lv_large = supervised_nll_arrays(one_pixel(10.0), one_pixel(5.0), one_pixel(5.0),
+                                         one, CFG)
         assert lv_small.scalar > 100 * lv_large.scalar
 
 

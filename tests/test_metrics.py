@@ -5,7 +5,6 @@ from scipy.special import ndtri
 from scopedepth.imagery import DepthMap, Mask, UncMap
 from scopedepth.metrics import (
     CalibrationCurve,
-    MetricsConfig,
     auce,
     calibration_curve,
     default_p_grid,
@@ -76,7 +75,7 @@ class TestDepthMetrics:
         assert rev.abs_rel == pytest.approx(0.5)
 
     def test_gt_denominator_flag(self):
-        m = depth_metrics(dm([[2.0]]), dm([[1.0]]), cfg=MetricsConfig(gt_denominator=True))
+        m = depth_metrics(dm([[2.0]]), dm([[1.0]]), gt_denominator=True)
         assert m.abs_rel == pytest.approx(0.5)
 
     def test_joint_rescaling_invariance(self):

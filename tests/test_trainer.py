@@ -9,6 +9,7 @@ from pathlib import Path
 import _reference
 import numpy as np
 import pytest
+from _audit import audit_random_fields
 
 from scopedepth import trainer
 from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, rotation_xyz
@@ -28,7 +29,6 @@ from scopedepth.trainer import (
     Regime,
     TrainData,
     Triplet,
-    audit_random_fields,
     finite_diff_audit,
     train_ensemble,
     train_member,
@@ -158,6 +158,12 @@ class TestTrainMember:
         variance = TrainData(frames=(replace(frame, sigma=frame.sigma.to_variance()),))
         with pytest.raises(ValueError, match="std-kind"):
             train_member(Regime.UNCERTAIN_STUDENT, variance, small_cfg())
+        # a label sigma or mask of another size than its depth map
+        small = np.ones((3, 4), dtype=np.float32)
+        for bad in (replace(frame, sigma=UncMap(small, "std")),
+                    replace(frame, mask=Mask(small > 0))):
+            with pytest.raises(ValueError, match="raster dimensions disagree"):
+                train_member(Regime.UNCERTAIN_STUDENT, TrainData(frames=(bad,)), small_cfg())
 
     def test_teacher_maps_not_mutated(self, student_data):
         frame = student_data.frames[0]
