@@ -6,8 +6,6 @@ random inits, then fused into mean depth plus aleatoric / epistemic /
 total variance maps. Evaluates depth metrics and interval calibration.
 """
 
-import numpy as np
-
 from scopedepth import (
     CameraIntrinsics,
     LabeledFrame,

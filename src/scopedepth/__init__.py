@@ -1,7 +1,7 @@
 """Single-view depth and uncertainty workbench on procedural tube scenes.
 
-The package provides, in dependency order: raster containers with PFM/PPM
-I/O (`imagery`), pinhole/SE(3) geometry and inverse warping (`geometry`),
+The package provides, in dependency order: raster containers and the
+PFM/PPM/JSON/CSV readers and writers (`imagery`), pinhole/SE(3) geometry and inverse warping (`geometry`),
 SSIM / photometric residual / edge-aware smoothness (`photometry`),
 heteroscedastic L1 likelihood losses with analytic gradients (`losses`),
 a coarse log-parameter depth field predictor (`predictor`), deep-ensemble

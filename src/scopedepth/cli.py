@@ -13,9 +13,12 @@ boolean keys take ``--key``/``--no-key``.  Other keys are set via --config,
 whose values must have the same types (an int may stand for a float).
 
 ``train`` trains the ensemble members one after another in the calling
-process.  Its ``jobs`` key (``--jobs``) is still checked to be >= 1 and
-recorded, so that older manifests replay, but it no longer changes how or
-where training runs.
+process, for any value of its ``jobs`` key (``--jobs``), which must be
+>= 1 and is recorded in the manifest.
+
+Every input file is read through :mod:`scopedepth.imagery`: a PFM, PPM
+or JSON file that does not parse, or whose entries have the wrong shape
+or type, is a usage error that names the file.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numeric failure.
 """
@@ -23,7 +26,6 @@ Exit codes: 0 success, 2 usage or validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from .ensemble import fuse, load_ensemble, save_ensemble, selfsup_fuse
 from .geometry import CameraIntrinsics, Pose, relative_pose
-from .imagery import DepthMap, UncMap, read_pfm, read_ppm
+from .imagery import DepthMap, UncMap, read_json, read_pfm, read_ppm, write_csv, write_json
 from .losses import LossConfig
 from .metrics import (auce, calibration_curve, default_p_grid, depth_metrics,
                       scale_correction)
@@ -130,26 +132,6 @@ def _at_least_one(cfg: dict, *keys: str) -> None:
             raise UsageError(f"{_flag(key)} must be >= 1, got {cfg[key]}")
 
 
-def _read_json_object(path, *keys: str, command: str | None = None) -> dict:
-    """The JSON object in ``path``, holding every entry in ``keys`` and, if
-    ``command`` is given, written by that command.  Any failure is a usage
-    error that names the file."""
-    with open(path) as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"{path} is not valid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise UsageError(f"{path} must hold a JSON object, got {type(obj).__name__}")
-    if command is not None and obj.get("command") != command:
-        raise UsageError(f"{path} is a {obj.get('command')!r} manifest, "
-                         f"not a {command} manifest")
-    for key in keys:
-        if key not in obj:
-            raise UsageError(f"{path} has no {key!r} entry")
-    return obj
-
-
 def _config_type_ok(value, default) -> bool:
     """Whether a config value may stand for ``default``: the same JSON
     type, an int for a float, a path string for a None default, and a
@@ -164,13 +146,20 @@ def _config_type_ok(value, default) -> bool:
     return type(value) is type(default)
 
 
+def _entry(obj: dict, key: str, default):
+    """``obj[key]``, which must be a value that may stand for ``default``."""
+    if not _config_type_ok(obj[key], default):
+        raise TypeError(f"entry {key!r} must be {type(default).__name__}, got {obj[key]!r}")
+    return obj[key]
+
+
 def _resolve(defaults: dict, args) -> dict:
     """``defaults``, then the ``--config`` file's entries, then every flag
     given whose ``dest`` is a key of ``defaults`` (flags win)."""
     out = dict(defaults)
     config = {}
     if args.config is not None:
-        config = _read_json_object(args.config)
+        config = read_json(args.config)
         # manifests wrap the resolved config under "config"
         if "config" in config and isinstance(config["config"], dict):
             config = config["config"]
@@ -192,16 +181,14 @@ def _resolve(defaults: dict, args) -> dict:
 def _write_manifest(out_dir: Path, command: str, config: dict, **extra) -> None:
     """Reproducibility record: ``config`` replays through --config; any
     ``extra`` entries are derived facts, stored alongside."""
-    with open(out_dir / "manifest.json", "w") as f:
-        json.dump({"command": command, "config": config, **extra}, f,
-                  indent=1, sort_keys=True)
-        f.write("\n")
+    write_json({"command": command, "config": config, **extra},
+               out_dir / "manifest.json", indent=1, sort_keys=True)
 
 
 def _target_index(data_dir: Path, requested: int) -> tuple[int, int]:
     """The frame ``requested`` (-1: the middle one) and the dataset's frame
     count."""
-    n_frames = _read_json_object(data_dir / "manifest.json", "n_frames")["n_frames"]
+    n_frames = read_json(data_dir / "manifest.json", lambda m: _entry(m, "n_frames", 0))
     if requested == -1:
         return n_frames // 2, n_frames
     if not 0 <= requested < n_frames:
@@ -251,8 +238,7 @@ def _build_train_data(cfg: dict, regime: Regime, data_dir: Path) -> tuple[TrainD
         )
         rels = tuple(relative_pose(poses[t_i], poses[t_i + o]) for o in offsets)
         image = read_ppm(data_dir / f"frame_{t_i:04d}.ppm")
-        K = CameraIntrinsics.from_json(
-            _read_json_object(data_dir / "intrinsics.json", "fx", "fy", "cx", "cy"))
+        K = read_json(data_dir / "intrinsics.json", CameraIntrinsics.from_json)
         data = TrainData(
             triplets=(Triplet(target=image, sources=sources, rel_poses=rels),),
             K=K,
@@ -299,7 +285,8 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for field, report in results:
         field.save(out_dir / f"member_{field.seed}.json")
-        report.write_csv(out_dir / f"loss_{field.seed}.csv")
+        write_csv([("step", "loss"), *enumerate(report.losses.tolist())],
+                  out_dir / f"loss_{field.seed}.csv")
     cfg["data"] = str(data_dir)
     _write_manifest(out_dir, "train", cfg, resolution=list(data.resolution()),
                     target_index=t_i)
@@ -315,20 +302,25 @@ def _member_seed(path: Path) -> int:
         raise UsageError(f"{path} is not named member_<seed>.json") from None
 
 
+def _train_manifest(manifest: dict) -> tuple[bool, int, int]:
+    """Whether a train manifest's run was self-supervised, and the width
+    and height it trained at."""
+    if manifest.get("command") != "train":
+        raise ValueError(f"a {manifest.get('command')!r} manifest, not a train manifest")
+    w, h = _entry(manifest, "resolution", [0])
+    return Regime(manifest["config"]["regime"]) == Regime.SELF_SUPERVISED, w, h
+
+
 def cmd_fuse(args) -> int:
     run_dir = Path(args.run)
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"no train manifest in {run_dir}")
-    train_manifest = _read_json_object(manifest_path, "config", "resolution",
-                                       command="train")
-    train_cfg = train_manifest["config"]
-    w, h = train_manifest["resolution"]
+    selfsup, w, h = read_json(manifest_path, _train_manifest)
     member_files = sorted(run_dir.glob("member_*.json"), key=_member_seed)
     if not member_files:
         raise UsageError(f"no member fields in {run_dir}")
     fields = [DepthField.load(p) for p in member_files]
-    selfsup = train_cfg["regime"] == Regime.SELF_SUPERVISED.value
     preds = [forward(f, w, h) for f in fields]
     seeds = [f.seed for f in fields]
     if selfsup:
@@ -370,9 +362,7 @@ def _write_scores(args, command: str, cfg: dict, t_i: int, rows: list) -> None:
     """``rows`` as CSV at ``--out``, and the manifest next to it."""
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as f:
-        for row in rows:
-            f.write(",".join(row) + "\r\n")
+    write_csv(rows, out)
     _write_manifest(out.parent, command, {**cfg, "pred": str(args.pred),
                                           "data": str(args.data)},
                     target_index=t_i)
@@ -385,7 +375,7 @@ def cmd_eval(args) -> int:
     signed, absolute = auce(calibration_curve(gt, d_pred, sigma))
     _write_scores(args, "eval", cfg, t_i, [
         list(dm.FIELDS) + ["auce_signed", "auce_abs"],
-        [repr(v) for v in dm.as_row() + [signed, absolute]],
+        dm.as_row() + [signed, absolute],
     ])
     print(f"abs_rel={dm.abs_rel:.4f} rmse={dm.rmse:.3f} auce_signed={signed:+.4f}")
     return 0
@@ -399,9 +389,8 @@ def cmd_calib(args) -> int:
         gt, d_pred, sigma, p_grid=default_p_grid(int(cfg["levels"]))
     )
     signed, absolute = auce(curve)
-    _write_scores(args, "calib", cfg, t_i, [["p", "coverage"]] + [
-        [repr(float(p)), repr(float(c))] for p, c in zip(curve.p_grid, curve.coverage)
-    ])
+    _write_scores(args, "calib", cfg, t_i, [("p", "coverage"), *zip(
+        curve.p_grid.tolist(), curve.coverage.tolist())])
     print(f"auce_signed={signed:+.4f} auce_abs={absolute:.4f}")
     return 0
 

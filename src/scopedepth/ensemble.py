@@ -11,13 +11,16 @@ makes fusion bitwise permutation-invariant.
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .imagery import DepthMap, UncMap, read_pfm, same_shape, write_pfm
+from .imagery import DepthMap, UncMap, read_json, read_pfm, same_shape, write_json, write_pfm
+
+# file names of the fused maps, in the order of EnsembleOutput's fields
+_MAPS = ("depth_mean.pfm", "var_aleatoric.pfm", "var_epistemic.pfm", "var_total.pfm")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,34 +111,21 @@ def save_ensemble(out: EnsembleOutput, directory) -> None:
     """Persist as four PFM maps plus a JSON sidecar (member count, seeds)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_pfm(out.d_hat, directory / "depth_mean.pfm")
-    write_pfm(out.var_a, directory / "var_aleatoric.pfm")
-    write_pfm(out.var_e, directory / "var_epistemic.pfm")
-    write_pfm(out.var_t, directory / "var_total.pfm")
-    with open(directory / "ensemble.json", "w") as f:
-        json.dump({"members": out.members, "seeds": list(out.seeds)}, f, indent=1)
-        f.write("\n")
+    for name, m in zip(_MAPS, (out.d_hat, out.var_a, out.var_e, out.var_t)):
+        write_pfm(m, directory / name)
+    write_json({"members": out.members, "seeds": list(out.seeds)},
+               directory / "ensemble.json", indent=1)
 
 
 def load_ensemble(directory) -> EnsembleOutput:
+    """Read what :func:`save_ensemble` wrote; maps that disagree in size are
+    a ValueError naming ``directory``."""
     directory = Path(directory)
-    sidecar = directory / "ensemble.json"
-    with open(sidecar) as f:
-        try:
-            meta = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{sidecar} is not valid JSON: {e}") from None
-    if not (isinstance(meta, dict) and "members" in meta and "seeds" in meta):
-        raise ValueError(f"{sidecar} must hold a JSON object with 'members' and 'seeds'")
-    d_hat = read_pfm(directory / "depth_mean.pfm")
-    var_a = read_pfm(directory / "var_aleatoric.pfm")
-    var_e = read_pfm(directory / "var_epistemic.pfm")
-    var_t = read_pfm(directory / "var_total.pfm")
-    return EnsembleOutput(
-        d_hat,
-        UncMap(var_a.data, "variance"),
-        UncMap(var_e.data, "variance"),
-        UncMap(var_t.data, "variance"),
-        int(meta["members"]),
-        tuple(meta["seeds"]),
-    )
+    members, seeds = read_json(directory / "ensemble.json",
+                               lambda m: (operator.index(m["members"]), tuple(m["seeds"])))
+    d_hat, *variances = (read_pfm(directory / name) for name in _MAPS)
+    try:
+        return EnsembleOutput(d_hat, *(UncMap(v.data, "variance") for v in variances),
+                              members, seeds)
+    except ValueError as e:
+        raise ValueError(f"{directory}: {e}") from None

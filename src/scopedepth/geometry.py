@@ -14,13 +14,13 @@ per step; :func:`synthesize_warped_image` chains the two for one image.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imagery import DepthMap, Image, Mask, bilinear_sample_planes, same_shape
+from .imagery import (DepthMap, Image, Mask, bilinear_sample_planes, read_json,
+                      same_shape, write_json)
 
 EPS_Z = 1e-6  # near-plane cutoff, mm
 
@@ -100,14 +100,11 @@ class Pose:
         return Pose(np.array(d["R"]).reshape(3, 3), np.array(d["t"]))
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=1)
-            f.write("\n")
+        write_json(self.to_json(), path, indent=1)
 
     @staticmethod
     def load(path) -> "Pose":
-        with open(path) as f:
-            return Pose.from_json(json.load(f))
+        return read_json(path, Pose.from_json)
 
 
 def rotation_xyz(rx: float, ry: float, rz: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Raster containers and float-image file I/O.
+"""Raster containers, and the reader and writer of every file format.
 
 All pixel data lives in row-major numpy arrays indexed ``data[y, x]`` (and
 ``data[y, x, c]`` for color).  Arrays are 32-bit floats, validated as finite
@@ -15,10 +15,19 @@ File formats:
   file reproduces every finite float bit pattern exactly.
 * PPM (binary ``P6``, maxval 255) — 8-bit color previews, values quantized
   linearly from [0, 1].
+* JSON objects (poses, intrinsics, fields, manifests), written with a
+  trailing newline, and CSV rows ended by CRLF.
+
+Every reader names the file in its errors: a PFM or PPM file that does
+not parse raises :class:`PfmParseError` or :class:`PpmParseError`, and a
+JSON file that does not parse, holds no object, or lacks an entry or has
+one of the wrong shape or type raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +36,13 @@ import numpy as np
 class PfmParseError(ValueError):
     """Raised for malformed PFM headers or payloads."""
 
+    kind = "PFM"
+
 
 class PpmParseError(ValueError):
     """Raised for malformed PPM headers or payloads."""
+
+    kind = "PPM"
 
 
 _MAX_PIXELS = 1 << 26  # dimension overflow guard for file headers
@@ -206,7 +219,45 @@ def bilinear_sample_planes(
 
 
 # ---------------------------------------------------------------------------
-# PFM
+# file formats: PFM and PPM rasters, JSON objects, CSV rows
+
+_TOKEN = re.compile(rb"\s*(\S+)\s")  # a header field and the byte that ends it
+
+
+def _read_raster(path, error: type[ValueError], channels: dict[bytes, int],
+                 number: type, dtype: str) -> tuple[np.ndarray, float]:
+    """The payload of the PFM or PPM file at ``path`` as an (h, w, c) array
+    of ``dtype`` in stored row order, and the header's third number.
+
+    Both headers are four fields, each ended by one whitespace byte: a
+    magic (a key of ``channels``, which gives the channel count), width,
+    height, and a number parsed by ``number`` (the PFM scale, the PPM
+    maxval).  Every failure raises ``error`` naming the file.
+    """
+    kind = error.kind
+    with open(path, "rb") as f:
+        blob = f.read()
+    fields, pos = [], 0
+    while len(fields) < 4:
+        m = _TOKEN.match(blob, pos)
+        if m is None:
+            raise error(f"{path}: unexpected end of data in the {kind} header")
+        fields.append(m[1])
+        pos = m.end()
+        if fields[0] not in channels:
+            raise error(f"{path}: not a {kind} file (magic {fields[0]!r})")
+    try:
+        w, h, third = int(fields[1]), int(fields[2]), number(fields[3])
+    except ValueError as e:
+        raise error(f"{path}: malformed {kind} header: {e}") from None
+    c = channels[fields[0]]
+    if w <= 0 or h <= 0 or w * h * c > _MAX_PIXELS:
+        raise error(f"{path}: bad {kind} dimensions {w}x{h}")
+    need = w * h * c * np.dtype(dtype).itemsize
+    if len(blob) - pos < need:
+        raise error(f"{path}: unexpected end of data, {len(blob) - pos} of "
+                    f"{need} payload bytes")
+    return np.frombuffer(blob, dtype, w * h * c, pos).reshape(h, w, c), third
 
 
 def write_pfm(map_or_image, path) -> None:
@@ -229,21 +280,6 @@ def write_pfm(map_or_image, path) -> None:
         f.write(payload)
 
 
-def _read_token(f, error: type[ValueError]) -> bytes:
-    # whitespace-delimited token, PFM/PPM header style; ``error`` is the
-    # format's parse error, raised when the header ends early
-    tok = b""
-    while True:
-        ch = f.read(1)
-        if ch == b"":
-            raise error("unexpected end of data in header")
-        if ch.isspace():
-            if tok:
-                return tok
-            continue
-        tok += ch
-
-
 def read_pfm(path):
     """Read a PFM file; "PF" yields an :class:`Image`, "Pf" a :class:`DepthMap`.
 
@@ -251,41 +287,13 @@ def read_pfm(path):
     semantics; callers loading uncertainty re-wrap the payload in an
     :class:`UncMap` with the right kind.
     """
-    with open(path, "rb") as f:
-        magic = _read_token(f, PfmParseError)
-        if magic == b"PF":
-            channels = 3
-        elif magic == b"Pf":
-            channels = 1
-        else:
-            raise PfmParseError(f"not a PFM file (magic {magic!r})")
-        try:
-            w = int(_read_token(f, PfmParseError))
-            h = int(_read_token(f, PfmParseError))
-            scale = float(_read_token(f, PfmParseError))
-        except ValueError as e:
-            raise PfmParseError(f"malformed PFM header: {e}") from None
-        if w <= 0 or h <= 0 or w * h * channels > _MAX_PIXELS:
-            raise PfmParseError(f"bad PFM dimensions {w}x{h}")
-        if scale >= 0:
-            raise PfmParseError("big-endian PFM (positive scale) not supported")
-        n = w * h * channels
-        payload = f.read(4 * n)
-        if len(payload) < 4 * n:
-            raise PfmParseError("unexpected end of data")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(
-            (h, w, channels) if channels == 3 else (h, w)
-        )
-        arr = np.flipud(arr).copy()
-        if not np.all(np.isfinite(arr)):
-            raise PfmParseError("non-finite PFM payload")
-    if channels == 3:
-        return Image(arr)
-    return DepthMap(arr)
-
-
-# ---------------------------------------------------------------------------
-# PPM (binary P6 color previews)
+    arr, scale = _read_raster(path, PfmParseError, {b"PF": 3, b"Pf": 1}, float, "<f4")
+    if scale >= 0:
+        raise PfmParseError(f"{path}: big-endian PFM (positive scale) not supported")
+    arr = np.flipud(arr).copy()
+    if not np.all(np.isfinite(arr)):
+        raise PfmParseError(f"{path}: non-finite PFM payload")
+    return Image(arr) if arr.shape[2] == 3 else DepthMap(arr[:, :, 0])
 
 
 def write_ppm(img: Image, path) -> None:
@@ -301,22 +309,45 @@ def write_ppm(img: Image, path) -> None:
 
 def read_ppm(path) -> Image:
     """Read a binary P6 file back into an :class:`Image` (values k/255)."""
-    with open(path, "rb") as f:
-        magic = _read_token(f, PpmParseError)
-        if magic != b"P6":
-            raise PpmParseError(f"not a binary PPM (magic {magic!r})")
-        try:
-            w = int(_read_token(f, PpmParseError))
-            h = int(_read_token(f, PpmParseError))
-            maxval = int(_read_token(f, PpmParseError))
-        except ValueError as e:
-            raise PpmParseError(f"malformed PPM header: {e}") from None
-        if w <= 0 or h <= 0 or w * h * 3 > _MAX_PIXELS:
-            raise PpmParseError(f"bad PPM dimensions {w}x{h}")
-        if maxval != 255:
-            raise PpmParseError("only maxval 255 supported")
-        payload = f.read(w * h * 3)
-        if len(payload) < w * h * 3:
-            raise PpmParseError("unexpected end of data")
-        arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
+    arr, maxval = _read_raster(path, PpmParseError, {b"P6": 3}, int, "u1")
+    if maxval != 255:
+        raise PpmParseError(f"{path}: only maxval 255 supported")
     return Image(arr.astype(np.float32) / 255.0)
+
+
+def write_json(obj, path, indent: int | None = None, sort_keys: bool = False) -> None:
+    """``obj`` as JSON, then a newline."""
+    with open(path, "w") as f:
+        f.write(json.dumps(obj, indent=indent, sort_keys=sort_keys) + "\n")
+
+
+def read_json(path, build=None):
+    """The JSON object in ``path``, passed through ``build`` when given.
+
+    A file that is not JSON or holds no object is a ValueError that names
+    the file, and so is a KeyError, TypeError or ValueError raised by
+    ``build``: a missing entry, or one of the wrong shape or type.
+    """
+    with open(path) as f:
+        try:
+            obj = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise ValueError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(obj).__name__}")
+    if build is None:
+        return obj
+    try:
+        return build(obj)
+    except KeyError as e:
+        raise ValueError(f"{path} has no {e.args[0]!r} entry") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def write_csv(rows, path) -> None:
+    """One CSV line per row, ended by CRLF; a cell is a string, written as
+    is, or a number, written as its ``repr`` (exact for a float)."""
+    with open(path, "w", newline="") as f:
+        for row in rows:
+            f.write(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\r\n")

@@ -15,12 +15,11 @@ give bitwise-equal fields on every platform.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imagery import DepthMap, UncMap
+from .imagery import DepthMap, UncMap, read_json, write_json
 from .losses import LossConfig
 from .rng import Xoshiro256
 
@@ -83,14 +82,11 @@ class DepthField:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f)
-            f.write("\n")
+        write_json(self.to_json(), path)
 
     @staticmethod
     def load(path) -> "DepthField":
-        with open(path) as f:
-            return DepthField.from_json(json.load(f))
+        return read_json(path, DepthField.from_json)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ high-gradient regions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, _pixel_rays, rotation_xyz
 from .heap import keep_heap_mapped
-from .imagery import DepthMap, Image, Mask, write_pfm, write_ppm
+from .imagery import DepthMap, Image, Mask, write_json, write_pfm, write_ppm
 from .rng import Xoshiro256, hash_unit_np, normal_field_np
 
 
@@ -591,9 +590,7 @@ def write_dataset(
         # dropped here, not when the next view is bound after its shading
         del img, depth, _hit
         pose.save(directory / f"pose_{i:04d}.json")
-    with open(directory / "intrinsics.json", "w") as f:
-        json.dump(K.to_json(), f, indent=1)
-        f.write("\n")
+    write_json(K.to_json(), directory / "intrinsics.json", indent=1)
     manifest = {
         "params": asdict(params),
         "light": asdict(light),
@@ -605,7 +602,5 @@ def write_dataset(
         "sway_mm": sway_mm,
         "frames": list(range(n_frames)),
     }
-    with open(directory / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=1)
-        f.write("\n")
+    write_json(manifest, directory / "manifest.json", indent=1)
     return manifest

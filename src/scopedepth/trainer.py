@@ -141,12 +141,6 @@ class TrainReport:
     wall_clock: float
     seed: int
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("step,loss\r\n")
-            for i, v in enumerate(self.losses):
-                f.write(f"{i},{float(v)!r}\r\n")
-
 
 def _check_bundle(regime: Regime, data: TrainData) -> None:
     """The one place that ties a regime to the data it needs: triplets and

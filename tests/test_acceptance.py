@@ -5,10 +5,7 @@ experiment configurations (scene geometry, learning rates, step counts)
 are frozen here; each test states its tolerance inline.
 """
 
-import csv
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +20,7 @@ from scopedepth.geometry import (
     relative_pose,
     synthesize_warped_image,
 )
-from scopedepth.imagery import DepthMap, Image, Mask, UncMap
+from scopedepth.imagery import DepthMap, Image, UncMap
 from scopedepth.losses import (
     LossConfig,
     prior_loss,

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import filecmp
 import json
 import os
 import shutil
@@ -16,7 +15,7 @@ import scopedepth
 from scopedepth import cli
 from scopedepth.cli import main
 from scopedepth.ensemble import load_ensemble
-from scopedepth.imagery import read_pfm
+from scopedepth.imagery import UncMap, read_pfm, write_pfm
 
 
 def run(*argv):
@@ -488,7 +487,6 @@ class TestFuseEvalCalib:
     def test_eval_perfect_prediction_zeros(self, dataset, tmp_path):
         # hand-assemble a "prediction" equal to the ground truth
         from scopedepth.ensemble import EnsembleOutput, save_ensemble
-        from scopedepth.imagery import UncMap
 
         gt = read_pfm(dataset / "depth_0002.pfm")
         zero = np.zeros((gt.height, gt.width), dtype=np.float32)
@@ -505,7 +503,7 @@ class TestFuseEvalCalib:
 
     def test_median_scale_restores_rescaled_prediction(self, dataset, tmp_path):
         from scopedepth.ensemble import EnsembleOutput, save_ensemble
-        from scopedepth.imagery import DepthMap, UncMap
+        from scopedepth.imagery import DepthMap
 
         gt = read_pfm(dataset / "depth_0002.pfm")
         zero = np.zeros((gt.height, gt.width), dtype=np.float32)
@@ -569,14 +567,17 @@ class TestFuseEvalCalib:
                 f"{other / 'depth_0001.pfm'} is 16x16") in err
 
 
-def _break_json_input(case, dataset, trained, fused, tmp):
-    """Copy the inputs, spoil one JSON file as ``case`` says, and return
-    the argv that reads it and the spoiled file."""
+def _spoil_input(case, dataset, trained, fused, tmp):
+    """Copy the inputs, spoil one file as ``case`` says, and return the
+    argv that reads it and the spoiled file (the fused directory when its
+    maps disagree in size)."""
     ds, run_dir, pred = tmp / "ds", tmp / "run", tmp / "fused"
     for src, dst in ((dataset, ds), (trained, run_dir), (fused, pred)):
         shutil.copytree(src, dst)
     score = ["eval", "--pred", pred, "--data", ds, "--out", tmp / "eval" / "m.csv"]
     fuse = ["fuse", "--run", run_dir, "--out", tmp / "f"]
+    selfsup = ["train", "--data", ds, "--out", tmp / "r", "--regime", "self-supervised",
+               "--members", 1, "--steps", 1, "--grid", 4]
     if case == "malformed-config":
         bad = tmp / "config.json"
         bad.write_text('{"frames": 3,')
@@ -585,30 +586,68 @@ def _break_json_input(case, dataset, trained, fused, tmp):
         bad = run_dir / "member_x.json"
         shutil.copy(run_dir / "member_3.json", bad)
         return fuse, bad
-    if case == "train-manifest-without-resolution":
-        bad, key, argv = run_dir / "manifest.json", "resolution", fuse
-    elif case == "dataset-manifest-without-n-frames":
-        bad, key, argv = ds / "manifest.json", "n_frames", score
-    else:
+    if case == "ensemble-sidecar-holding-a-list":
         bad = pred / "ensemble.json"
         bad.write_text("[3, [3, 4]]")
         return score, bad
+    if case == "fused-maps-of-two-sizes":
+        write_pfm(UncMap(np.zeros((16, 16)), "variance"), pred / "var_total.pfm")
+        return score, pred
+    truncated = {"truncated-depth": (ds / "depth_0002.pfm", score),
+                 "truncated-frame": (ds / "frame_0002.ppm", selfsup),
+                 "truncated-fused-variance": (pred / "var_total.pfm", score)}
+    if case in truncated:
+        bad, argv = truncated[case]
+        bad.write_bytes(bad.read_bytes()[:-8])
+        return argv, bad
+    bad, argv, spoil = {
+        "train-manifest-without-resolution":
+            (run_dir / "manifest.json", fuse, lambda m: m.pop("resolution")),
+        "dataset-manifest-without-n-frames":
+            (ds / "manifest.json", score, lambda m: m.pop("n_frames")),
+        "pose-rotation-of-three-entries":
+            (ds / "pose_0002.json", selfsup, lambda m: m.update(R=m["R"][:3])),
+        "empty-member-file": (run_dir / "member_3.json", fuse, lambda m: m.clear()),
+        "train-config-without-regime":
+            (run_dir / "manifest.json", fuse, lambda m: m["config"].pop("regime")),
+        "dataset-frame-count-as-string":
+            (ds / "manifest.json", score, lambda m: m.update(n_frames=str(m["n_frames"]))),
+        "train-resolution-as-number":
+            (run_dir / "manifest.json", fuse, lambda m: m.update(resolution=24)),
+    }[case]
     manifest = json.loads(bad.read_text())
-    del manifest[key]
+    spoil(manifest)
     bad.write_text(json.dumps(manifest))
     return argv, bad
+
+
+def _assert_named_usage_error(argv, bad, capsys):
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", ["malformed-config", "stray-member-file",
                                   "train-manifest-without-resolution",
                                   "dataset-manifest-without-n-frames",
-                                  "ensemble-sidecar-holding-a-list"])
+                                  "ensemble-sidecar-holding-a-list",
+                                  "pose-rotation-of-three-entries",
+                                  "empty-member-file", "train-config-without-regime",
+                                  "dataset-frame-count-as-string",
+                                  "train-resolution-as-number"])
 def test_bad_json_input_named_with_usage_error(case, dataset, trained, fused,
                                                  tmp_path, capsys):
-    argv, bad = _break_json_input(case, dataset, trained, fused, tmp_path)
-    assert run(*argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(bad) in err
+    _assert_named_usage_error(*_spoil_input(case, dataset, trained, fused, tmp_path),
+                              capsys)
+
+
+@pytest.mark.parametrize("case", ["truncated-depth", "truncated-frame",
+                                  "truncated-fused-variance", "fused-maps-of-two-sizes"])
+def test_bad_raster_input_named_with_usage_error(case, dataset, trained, fused,
+                                                   tmp_path, capsys):
+    _assert_named_usage_error(*_spoil_input(case, dataset, trained, fused, tmp_path),
+                              capsys)
 
 
 class TestDeterminismAcrossJobs:

@@ -13,7 +13,7 @@ from _audit import audit_random_fields
 
 from scopedepth import trainer
 from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, rotation_xyz
-from scopedepth.imagery import DepthMap, Image, Mask, UncMap
+from scopedepth.imagery import DepthMap, Image, Mask, UncMap, write_csv
 from scopedepth.losses import LossConfig, prior_loss
 from scopedepth.predictor import TrainConfig, forward_arrays, init_random
 from scopedepth.synthcolon import (
@@ -25,7 +25,6 @@ from scopedepth.synthcolon import (
 from scopedepth.trainer import (
     KinkStraddled,
     LabeledFrame,
-    NumericFailure,
     Regime,
     TrainData,
     Triplet,
@@ -208,7 +207,8 @@ class TestTrainMember:
 
     def test_report_csv(self, sup_data, tmp_path):
         _, report = train_member(Regime.SUPERVISED_GT, sup_data, small_cfg(steps=5))
-        report.write_csv(tmp_path / "loss.csv")
+        write_csv([("step", "loss"), *enumerate(report.losses.tolist())],
+                  tmp_path / "loss.csv")
         lines = (tmp_path / "loss.csv").read_text().splitlines()
         assert lines[0] == "step,loss"
         assert len(lines) == 6
