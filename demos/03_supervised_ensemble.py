@@ -30,7 +30,7 @@ traj = generate_trajectory(params, 12, 1.0, sway_mm=2.5)
 _, gt, _ = render_view(params, traj[6], K, 64, 64)
 
 data = TrainData(frames=(LabeledFrame(depth=gt),))
-cfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=16, grid_h=16,
+cfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
                   depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7))
 
 results = train_ensemble(Regime.SUPERVISED_GT, data, cfg, members=5, base_seed=100)

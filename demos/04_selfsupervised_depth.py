@@ -44,7 +44,7 @@ triplet = Triplet(
 )
 data = TrainData(triplets=(triplet,), K=K, photometric=PhotometricConfig())
 cfg = TrainConfig(
-    steps=1500, learning_rate=1.0, grid_w=16, grid_h=16, depth_init_mm=30.0,
+    steps=1500, learning_rate=1.0, grid=16, depth_init_mm=30.0,
     loss=LossConfig(weight_decay=1e-7, lambda_u=3.0, sigma_min=0.01), seed=5,
 )
 

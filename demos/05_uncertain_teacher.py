@@ -50,7 +50,7 @@ for k in range(6):
     _, gt, _ = scene_view(900 + k)
     frames.append(LabeledFrame(depth=gt))
 
-tcfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=16, grid_h=16,
+tcfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
                    depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7))
 members = train_ensemble(Regime.SUPERVISED_GT, TrainData(frames=tuple(frames)),
                          tcfg, members=5, base_seed=7000)
@@ -62,7 +62,7 @@ print(f"teacher sigma_T: median {np.median(sigma_T.data):.2f} mm "
 
 # domain B: fresh draw, different curvature/texture/light
 _, gtB, _ = scene_view(990, curve_scale=1.25, tex_scale=1.6, light_scale=0.7)
-scfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=16, grid_h=16,
+scfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
                    depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7),
                    seed=11)
 

@@ -270,7 +270,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"no dataset at {data_dir}")
     tcfg = TrainConfig(
         steps=int(cfg["steps"]), learning_rate=float(cfg["learning_rate"]),
-        grid_w=int(cfg["grid"]), grid_h=int(cfg["grid"]),
+        grid=int(cfg["grid"]),
         depth_init_mm=float(cfg["depth_init_mm"]), jitter=float(cfg["jitter"]),
         loss=LossConfig(
             sigma_min=float(cfg["sigma_min"]), lambda_u=float(cfg["lambda_u"]),

@@ -9,10 +9,11 @@ gathers and arithmetic loop over pixels, not over three channels.
 
 File formats:
 
-* PFM (Portable Float Map) — ``Pf`` single channel / ``PF`` three channels,
-  dimension line ``<w> <h>``, a negative scale line marking little-endian
-  float32 payload, scanlines stored bottom-to-top.  Reading back a written
-  file reproduces every finite float bit pattern exactly.
+* PFM (Portable Float Map) — single-channel ``Pf`` only (depth and
+  variance maps), dimension line ``<w> <h>``, a negative scale line
+  marking little-endian float32 payload, scanlines stored bottom-to-top.
+  Reading back a written file reproduces every finite float bit pattern
+  exactly.
 * PPM (binary ``P6``, maxval 255) — 8-bit color previews, values quantized
   linearly from [0, 1].
 * JSON objects (poses, intrinsics, fields, manifests), written with a
@@ -127,8 +128,7 @@ class DepthMap(_Raster):
 class UncMap(_Raster):
     """Per-pixel uncertainty, either a standard deviation or a variance.
 
-    The ``kind`` flag makes the unit explicit; conversions go through
-    :meth:`to_std` / :meth:`to_variance` only.
+    The ``kind`` flag makes the unit explicit; :meth:`to_std` converts.
     """
 
     data: np.ndarray
@@ -149,11 +149,6 @@ class UncMap(_Raster):
         if self.kind == "std":
             return self
         return UncMap(np.sqrt(self.data.astype(np.float64)), "std")
-
-    def to_variance(self) -> "UncMap":
-        if self.kind == "variance":
-            return self
-        return UncMap(self.data.astype(np.float64) ** 2, "variance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,15 +219,15 @@ def bilinear_sample_planes(
 _TOKEN = re.compile(rb"\s*(\S+)\s")  # a header field and the byte that ends it
 
 
-def _read_raster(path, error: type[ValueError], channels: dict[bytes, int],
+def _read_raster(path, error: type[ValueError], magic: bytes, c: int,
                  number: type, dtype: str) -> tuple[np.ndarray, float]:
     """The payload of the PFM or PPM file at ``path`` as an (h, w, c) array
     of ``dtype`` in stored row order, and the header's third number.
 
-    Both headers are four fields, each ended by one whitespace byte: a
-    magic (a key of ``channels``, which gives the channel count), width,
-    height, and a number parsed by ``number`` (the PFM scale, the PPM
-    maxval).  Every failure raises ``error`` naming the file.
+    Both headers are four fields, each ended by one whitespace byte:
+    ``magic``, width, height, and a number parsed by ``number`` (the PFM
+    scale, the PPM maxval).  Every failure raises ``error`` naming the
+    file.
     """
     kind = error.kind
     with open(path, "rb") as f:
@@ -244,13 +239,12 @@ def _read_raster(path, error: type[ValueError], channels: dict[bytes, int],
             raise error(f"{path}: unexpected end of data in the {kind} header")
         fields.append(m[1])
         pos = m.end()
-        if fields[0] not in channels:
-            raise error(f"{path}: not a {kind} file (magic {fields[0]!r})")
+        if fields[0] != magic:
+            raise error(f"{path}: unsupported {kind} magic {fields[0]!r}, expected {magic!r}")
     try:
         w, h, third = int(fields[1]), int(fields[2]), number(fields[3])
     except ValueError as e:
         raise error(f"{path}: malformed {kind} header: {e}") from None
-    c = channels[fields[0]]
     if w <= 0 or h <= 0 or w * h * c > _MAX_PIXELS:
         raise error(f"{path}: bad {kind} dimensions {w}x{h}")
     need = w * h * c * np.dtype(dtype).itemsize
@@ -260,40 +254,28 @@ def _read_raster(path, error: type[ValueError], channels: dict[bytes, int],
     return np.frombuffer(blob, dtype, w * h * c, pos).reshape(h, w, c), third
 
 
-def write_pfm(map_or_image, path) -> None:
-    """Write an Image (3-channel -> "PF") or single-channel map ("Pf")."""
-    if isinstance(map_or_image, Image):
-        arr = map_or_image.data
-        if arr.shape[2] == 1:
-            arr = arr[:, :, 0]
-    elif isinstance(map_or_image, (DepthMap, UncMap)):
-        arr = map_or_image.data
-    else:
-        raise TypeError("write_pfm expects Image, DepthMap or UncMap")
-    header = b"PF\n" if arr.ndim == 3 else b"Pf\n"
-    h, w = arr.shape[0], arr.shape[1]
-    payload = np.flipud(arr).astype("<f4").tobytes()
+def write_pfm(m: DepthMap | UncMap, path) -> None:
+    """Write a depth or uncertainty map as a single-channel "Pf" file."""
+    if not isinstance(m, (DepthMap, UncMap)):
+        raise TypeError("write_pfm expects a DepthMap or UncMap")
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(f"{w} {h}\n".encode("ascii"))
-        f.write(b"-1.0\n")
-        f.write(payload)
+        f.write(f"Pf\n{m.width} {m.height}\n-1.0\n".encode("ascii"))
+        f.write(np.flipud(m.data).astype("<f4").tobytes())
 
 
-def read_pfm(path):
-    """Read a PFM file; "PF" yields an :class:`Image`, "Pf" a :class:`DepthMap`.
+def read_pfm(path) -> DepthMap:
+    """Read a single-channel "Pf" file into a :class:`DepthMap`.
 
-    Single-channel maps are returned as DepthMap carriers regardless of
-    semantics; callers loading uncertainty re-wrap the payload in an
-    :class:`UncMap` with the right kind.
+    The map is a DepthMap whatever it holds; callers loading uncertainty
+    re-wrap the payload in an :class:`UncMap` with the right kind.
     """
-    arr, scale = _read_raster(path, PfmParseError, {b"PF": 3, b"Pf": 1}, float, "<f4")
+    arr, scale = _read_raster(path, PfmParseError, b"Pf", 1, float, "<f4")
     if scale >= 0:
         raise PfmParseError(f"{path}: big-endian PFM (positive scale) not supported")
-    arr = np.flipud(arr).copy()
+    arr = np.flipud(arr[:, :, 0]).copy()
     if not np.all(np.isfinite(arr)):
         raise PfmParseError(f"{path}: non-finite PFM payload")
-    return Image(arr) if arr.shape[2] == 3 else DepthMap(arr[:, :, 0])
+    return DepthMap(arr)
 
 
 def write_ppm(img: Image, path) -> None:
@@ -309,7 +291,7 @@ def write_ppm(img: Image, path) -> None:
 
 def read_ppm(path) -> Image:
     """Read a binary P6 file back into an :class:`Image` (values k/255)."""
-    arr, maxval = _read_raster(path, PpmParseError, {b"P6": 3}, int, "u1")
+    arr, maxval = _read_raster(path, PpmParseError, b"P6", 3, int, "u1")
     if maxval != 255:
         raise PpmParseError(f"{path}: only maxval 255 supported")
     return Image(arr.astype(np.float32) / 255.0)

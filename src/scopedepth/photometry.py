@@ -28,26 +28,29 @@ import numpy as np
 from .imagery import Image
 
 
+# the SSIM stabilisers for [0, 1] intensities (Wang et al. 2004, "Image
+# quality assessment: from error visibility to structural similarity")
+_C1 = 0.01**2
+_C2 = 0.03**2
+
+
 @dataclass(frozen=True)
 class PhotometricConfig:
     """Weights of the residual: ``(1-alpha) L1 + (alpha/2)(1 - SSIM)``.
 
     Defaults follow the standard view-synthesis configuration on [0, 1]
-    intensities: alpha 0.85, 3x3 window, c1 = 0.01^2, c2 = 0.03^2.
+    intensities: alpha 0.85 and a 3x3 window.  The SSIM stabilisers are
+    the fixed ``_C1`` = 0.01^2 and ``_C2`` = 0.03^2.
     """
 
     alpha: float = 0.85
     ssim_window: int = 3
-    c1: float = 0.01**2
-    c2: float = 0.03**2
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.ssim_window < 3 or self.ssim_window % 2 == 0:
             raise ValueError("ssim_window must be odd and >= 3")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("c1, c2 must be positive")
 
 
 @functools.lru_cache(maxsize=64)
@@ -85,23 +88,24 @@ def _ssim_moments(x: np.ndarray, cfg: PhotometricConfig) -> tuple:
 
 def ssim_terms(
     a: np.ndarray, b: np.ndarray, cfg: PhotometricConfig,
-    a_moments: tuple[np.ndarray, np.ndarray] | None = None,
+    a_moments: tuple[np.ndarray, np.ndarray],
 ) -> tuple:
     """One pass over the windowed statistics of float64 (h, w) channels or
     (c, h, w) channel stacks: returns (S, a, b, mu_a, mu_b, A1, A2, B1, B2),
     the per-channel SSIM map S = (A1 A2) / (B1 B2) followed by what
     :func:`ssim_backward_channel` needs to differentiate it.  ``a_moments``
-    are the :func:`_ssim_moments` of ``a`` when the caller already has them."""
+    are the :func:`_ssim_moments` of ``a``, which training computes once
+    per run."""
     win = cfg.ssim_window
-    mu_a, a2 = a_moments if a_moments is not None else _ssim_moments(a, cfg)
+    mu_a, a2 = a_moments
     mu_b, b2 = _ssim_moments(b, cfg)
     var_a = a2 - mu_a**2
     var_b = b2 - mu_b**2
     cov = box_filter(a * b, win) - mu_a * mu_b
-    A1 = 2 * mu_a * mu_b + cfg.c1
-    A2 = 2 * cov + cfg.c2
-    B1 = mu_a**2 + mu_b**2 + cfg.c1
-    B2 = var_a + var_b + cfg.c2
+    A1 = 2 * mu_a * mu_b + _C1
+    A2 = 2 * cov + _C2
+    B1 = mu_a**2 + mu_b**2 + _C1
+    B2 = var_a + var_b + _C2
     return (A1 * A2) / (B1 * B2), a, b, mu_a, mu_b, A1, A2, B1, B2
 
 

@@ -91,10 +91,13 @@ class DepthField:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Gradient-descent settings of one member: ``steps`` fixed-rate steps
+    on a square ``grid`` x ``grid`` field initialised around
+    ``depth_init_mm`` (:func:`init_random`), under the ``loss`` weights."""
+
     steps: int = 1500
     learning_rate: float = 1.0
-    grid_w: int = 16
-    grid_h: int = 16
+    grid: int = 16
     depth_init_mm: float = 30.0
     jitter: float = 0.05
     loss: LossConfig = LossConfig()
@@ -106,9 +109,8 @@ class TrainConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.grid_w < 1 or self.grid_h < 1:
-            raise ValueError(
-                f"grid must be at least 1x1 cells, got {self.grid_w}x{self.grid_h}")
+        if self.grid < 1:
+            raise ValueError(f"grid must be at least 1 cell a side, got {self.grid}")
 
 
 def init_random(
@@ -117,6 +119,8 @@ def init_random(
 ) -> DepthField:
     """Uniform log-depth around ln(depth_init_mm), log-scale around ln 1,
     both jittered by U(-jitter, +jitter) per cell."""
+    if grid_w < 1 or grid_h < 1:
+        raise ValueError(f"grid must be at least 1 cell a side, got {grid_w}x{grid_h}")
     if depth_init_mm <= 0:
         raise ValueError("depth_init_mm must be positive")
     gen = Xoshiro256(seed).substream("init")

@@ -29,8 +29,10 @@ from .rng import Xoshiro256, hash_unit_np, normal_field_np
 
 
 _MAX_LENGTH_MM = 1e6
-_LENGTHS_MM = ("radius_mm", "curve_amp_mm", "ridge_amp_mm", "ridge_period_mm",
-               "texture_scale_mm", "far_cap_mm")
+_LENGTHS_MM = ("radius_mm", "curve_amp_mm", "ridge_amp_mm", "ridge_period_mm", "far_cap_mm")
+_TEXTURE_SCALE_MM = 6.0  # base wavelength of the albedo noise
+_SPEC_STRENGTH = 1.5  # > 1 so specular disc cores saturate after clamping
+_SPEC_POWER = 16.0
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,6 @@ class SceneParams:
     ridge_period_mm: float = 14.0
     texture_octaves: int = 3
     texture_contrast: float = 0.55
-    texture_scale_mm: float = 6.0  # base wavelength of the albedo noise
     far_cap_mm: float = 80.0
     seed: int = 0
 
@@ -57,7 +58,7 @@ class SceneParams:
                                  f"in magnitude, got {getattr(self, name)}")
         if not self.radius_mm > self.ridge_amp_mm >= 0:
             raise ValueError("need radius > ridge amplitude >= 0")
-        for name in ("ridge_period_mm", "texture_scale_mm", "far_cap_mm"):
+        for name in ("ridge_period_mm", "far_cap_mm"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"scene {name} must be positive, got {getattr(self, name)}")
         if self.texture_octaves < 1:
@@ -67,18 +68,16 @@ class SceneParams:
 @dataclass(frozen=True)
 class LightModel:
     """Head-mounted point light: intensity * cos / distance^2 Lambertian
-    shading, optionally topped by view-aligned specular saturation discs."""
+    shading, optionally topped by view-aligned specular saturation discs of
+    ``_SPEC_STRENGTH`` * cos^``_SPEC_POWER``."""
 
     intensity: float = 1000.0
     specular: bool = False
-    spec_strength: float = 1.5  # > 1 so disc cores saturate after clamping
-    spec_power: float = 16.0
 
     def __post_init__(self):
-        for name in ("intensity", "spec_strength", "spec_power"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"light {name} must be positive and finite, got {value}")
+        if not (np.isfinite(self.intensity) and self.intensity > 0):
+            raise ValueError(
+                f"light intensity must be positive and finite, got {self.intensity}")
 
 
 def _axis_center(params: SceneParams, z):
@@ -156,14 +155,14 @@ def _wall_frame(params: SceneParams, p: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def surface_normal(params: SceneParams, points: np.ndarray,
-                   frame: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                   frame: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Inward unit normal (gradient of :func:`surface_field`): with u the
-    unit radial direction of :func:`_wall_frame`, or ``frame`` when given,
-    the normalised (-u, r'(z) + u . c'(z)).  Its rho = sqrt(dx*dx + dy*dy)
+    points' unit radial direction ``frame`` (:func:`_wall_frame`), the
+    normalised (-u, r'(z) + u . c'(z)).  Its rho = sqrt(dx*dx + dy*dy)
     differs by about an ulp from np.hypot, which changes no rendered byte
     of the tested scenes."""
     p = np.asarray(points, dtype=np.float64)
-    ux, uy = _wall_frame(params, p) if frame is None else frame
+    ux, uy = frame
     dcx, dcy = _axis_tangent(params, p[..., 2])
     gz = _ridge_radius_dz(params, p[..., 2]) + ux * dcx + uy * dcy
     g = np.stack([-ux, -uy, gz], axis=-1)
@@ -335,15 +334,15 @@ def _albedo(params: SceneParams, points: np.ndarray,
             frame: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Procedural mucosa-like color at surface points: value noise over
     texture coordinates (wrap cos(theta), wrap sin(theta), z / scale),
-    with wrap = radius / scale and (cos(theta), sin(theta)) = (dx / rho,
-    dy / rho), the points' :func:`_wall_frame` ``frame``.  That is about
-    an ulp from cos and sin of arctan2(dy, dx), and gives the tested
-    scenes the same bytes."""
+    with scale ``_TEXTURE_SCALE_MM``, wrap = radius / scale and
+    (cos(theta), sin(theta)) = (dx / rho, dy / rho), the points'
+    :func:`_wall_frame` ``frame``.  That is about an ulp from cos and sin
+    of arctan2(dy, dx), and gives the tested scenes the same bytes."""
     p = np.asarray(points, dtype=np.float64)
     ux, uy = frame
-    wrap = params.radius_mm / params.texture_scale_mm
+    wrap = params.radius_mm / _TEXTURE_SCALE_MM
     # component-major, so the noise reads each coordinate as a contiguous row
-    uv = np.stack([wrap * ux, wrap * uy, p[..., 2] / params.texture_scale_mm]).T
+    uv = np.stack([wrap * ux, wrap * uy, p[..., 2] / _TEXTURE_SCALE_MM]).T
     noise = _value_noise(params.seed, uv, params.texture_octaves)
     mod = 1.0 + params.texture_contrast * (noise - 0.5)
     base = np.array([0.80, 0.46, 0.38])
@@ -384,7 +383,7 @@ def _shade(params: SceneParams, light: LightModel, origin: np.ndarray,
     alb = _albedo(params, pts, frame)
     shade = alb * (light.intensity * cosi / dist2)[:, None]
     if light.specular:
-        spec = light.spec_strength * np.power(cosi, light.spec_power)
+        spec = _SPEC_STRENGTH * np.power(cosi, _SPEC_POWER)
         shade = shade + spec[:, None]
     shade = np.where(hit[:, None], shade, 0.0)
     return np.clip(shade, 0.0, 1.0)
@@ -572,8 +571,9 @@ def write_dataset(
 ) -> dict:
     """Render a trajectory into the on-disk layout:
 
-    frame_%04d.ppm, depth_%04d.pfm, pose_%04d.json, intrinsics.json,
-    manifest.json.  Poses are camera-to-world.  Returns the manifest dict.
+    frame_%04d.ppm, depth_%04d.pfm, pose_%04d.json, intrinsics.json.
+    Poses are camera-to-world.  Returns the dataset description, which
+    the caller writes as ``manifest.json``.
     """
     light = light or LightModel()
     poses = generate_trajectory(params, n_frames, step_mm, heading_noise_rad,
@@ -591,7 +591,7 @@ def write_dataset(
         del img, depth, _hit
         pose.save(directory / f"pose_{i:04d}.json")
     write_json(K.to_json(), directory / "intrinsics.json", indent=1)
-    manifest = {
+    return {
         "params": asdict(params),
         "light": asdict(light),
         "width": w,
@@ -602,5 +602,3 @@ def write_dataset(
         "sway_mm": sway_mm,
         "frames": list(range(n_frames)),
     }
-    write_json(manifest, directory / "manifest.json", indent=1)
-    return manifest

@@ -43,16 +43,12 @@ class Regime(enum.Enum):
 
 class NumericFailure(RuntimeError):
     """The loss or a gradient step became non-finite; carries the failing
-    step, and the message also names the member's seed and learning rate.
-    ``args`` holds all four."""
+    step, and the message also names the member's seed and learning rate."""
 
     def __init__(self, step: int, message: str, seed: int, learning_rate: float):
-        super().__init__(step, message, seed, learning_rate)
+        super().__init__(
+            f"member seed {seed}, learning rate {learning_rate!r}, step {step}: {message}")
         self.step = step
-
-    def __str__(self) -> str:
-        step, message, seed, learning_rate = self.args
-        return f"member seed {seed}, learning rate {learning_rate!r}, step {step}: {message}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +281,7 @@ def train_member(
     # without this, each 256x256 step faults its freed temporaries back in
     keep_heap_mapped()
     w, h = data.resolution()
-    field = init_random(cfg.seed, cfg.grid_w, cfg.grid_h, cfg.depth_init_mm, cfg.jitter)
+    field = init_random(cfg.seed, cfg.grid, cfg.grid, cfg.depth_init_mm, cfg.jitter)
     losses = np.empty(cfg.steps)
     t0 = time.perf_counter()
     # a diverging run overflows on its way to a non-finite loss; the checks

@@ -360,10 +360,10 @@ def _albedo(params, points):
     dx = p[..., 0] - cx
     dy = p[..., 1] - cy
     theta = np.arctan2(dy, dx)
-    wrap = params.radius_mm / params.texture_scale_mm
+    wrap = params.radius_mm / synthcolon._TEXTURE_SCALE_MM
     uv = np.stack(
         [wrap * np.cos(theta), wrap * np.sin(theta),
-         p[..., 2] / params.texture_scale_mm], axis=-1,
+         p[..., 2] / synthcolon._TEXTURE_SCALE_MM], axis=-1,
     )
     noise = synthcolon._value_noise(params.seed, uv, params.texture_octaves)
     mod = 1.0 + params.texture_contrast * (noise - 0.5)
@@ -387,7 +387,7 @@ def wall_shade(params, light, origin, dirs, t, hit):
     alb = _albedo(params, pts)
     shade = alb * (light.intensity * cosi / dist2)[:, None]
     if light.specular:
-        spec = light.spec_strength * np.power(cosi, light.spec_power)
+        spec = synthcolon._SPEC_STRENGTH * np.power(cosi, synthcolon._SPEC_POWER)
         shade = shade + spec[:, None]
     shade = np.where(hit[:, None], shade, 0.0)
     return np.clip(shade, 0.0, 1.0)

@@ -36,7 +36,9 @@ from scopedepth.metrics import (
     scale_correction,
 )
 from scopedepth.photometry import (
+    _C1,
     PhotometricConfig,
+    _ssim_moments,
     edge_weights,
     smoothness_and_grad,
     ssim_terms,
@@ -208,7 +210,7 @@ def test_criterion_4_supervision_ladder():
     views = [render_view(ACCEPT_SCENE, p, K64, 64, 64) for p in traj]
     img, gt, _ = views[6]
 
-    sup_cfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=20, grid_h=20,
+    sup_cfg = TrainConfig(steps=800, learning_rate=1.0, grid=20,
                           depth_init_mm=30.0, jitter=0.05,
                           loss=LossConfig(weight_decay=1e-7), seed=0)
     a_gt = _fused_absrel(
@@ -226,7 +228,7 @@ def test_criterion_4_supervision_ladder():
         target=img, sources=(views[5][0], views[7][0]),
         rel_poses=tuple(relative_pose(traj[6], traj[6 + o]) for o in (-1, 1)),
     )
-    ss_cfg = TrainConfig(steps=1500, learning_rate=1.0, grid_w=16, grid_h=16,
+    ss_cfg = TrainConfig(steps=1500, learning_rate=1.0, grid=16,
                          depth_init_mm=30.0, jitter=0.05,
                          loss=LossConfig(weight_decay=1e-7, lambda_u=3.0,
                                          sigma_min=0.01), seed=0)
@@ -287,7 +289,7 @@ def _student_scores(rep_seed):
         _, gt_a, _ = _domain_view(rep_seed * 100 + k)
         frames.append(LabeledFrame(depth=gt_a))
     frames = tuple(frames)
-    tcfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=16, grid_h=16,
+    tcfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
                        depth_init_mm=30.0, jitter=0.05,
                        loss=LossConfig(weight_decay=1e-7), seed=0)
     members = train_ensemble(Regime.SUPERVISED_GT, TrainData(frames=frames),
@@ -298,7 +300,7 @@ def _student_scores(rep_seed):
     # domain B: fresh draw, shifted curvature / texture / light
     _, gtB, _ = _domain_view(rep_seed * 100 + 77, curve_scale=1.25,
                              tex_scale=1.6, light_scale=0.7)
-    scfg = TrainConfig(steps=800, learning_rate=1.0, grid_w=16, grid_h=16,
+    scfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
                        depth_init_mm=30.0, jitter=0.05,
                        loss=LossConfig(weight_decay=1e-7), seed=rep_seed * 2000)
     out = {}
@@ -365,8 +367,9 @@ def test_criterion_7_example_battery():
     cfg = PhotometricConfig()
     a = Image(np.full((5, 5, 1), 0.2, np.float32))
     b = Image(np.full((5, 5, 1), 0.8, np.float32))
-    want = (2 * 0.2 * 0.8 + cfg.c1) / (0.2**2 + 0.8**2 + cfg.c1)
-    ssim = lambda x, y: ssim_terms(x.planes(), y.planes(), cfg)[0].mean(axis=0)
+    want = (2 * 0.2 * 0.8 + _C1) / (0.2**2 + 0.8**2 + _C1)
+    ssim = lambda x, y: ssim_terms(x.planes(), y.planes(), cfg,
+                                   _ssim_moments(x.planes(), cfg))[0].mean(axis=0)
     ck(np.allclose(ssim(a, b), want, atol=1e-6), "ssim constants")
     rng = np.random.default_rng(3)
     img = Image(rng.uniform(0, 1, (5, 5, 3)).astype(np.float32))

@@ -1,5 +1,7 @@
 import argparse
+import builtins
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -16,6 +18,10 @@ from scopedepth import cli
 from scopedepth.cli import main
 from scopedepth.ensemble import load_ensemble
 from scopedepth.imagery import UncMap, read_pfm, write_pfm
+from scopedepth.losses import LossConfig
+from scopedepth.photometry import PhotometricConfig
+from scopedepth.predictor import TrainConfig
+from scopedepth.synthcolon import LightModel, SceneParams
 
 
 def run(*argv):
@@ -103,7 +109,57 @@ EXPECTED_FLAGS = {
 }
 
 
+# each field of the five config dataclasses: the config key that sets it
+# and a valid value other than its default (TrainConfig.loss is the
+# LossConfig row)
+CONFIG_KNOBS = {
+    SceneParams: {
+        "radius_mm": ("radius_mm", 13.0), "curve_amp_mm": ("curve_amp_mm", 9.0),
+        "curve_freq": ("curve_freq", 0.04), "ridge_amp_mm": ("ridge_amp_mm", 2.5),
+        "ridge_period_mm": ("ridge_period_mm", 12.0),
+        "texture_octaves": ("texture_octaves", 2),
+        "texture_contrast": ("texture_contrast", 0.5), "far_cap_mm": ("far_cap_mm", 70.0),
+        "seed": ("seed", 4),
+    },
+    LightModel: {"intensity": ("light_intensity", 900.0), "specular": ("specular", True)},
+    PhotometricConfig: {"alpha": ("alpha", 0.8), "ssim_window": ("ssim_window", 5)},
+    LossConfig: {"sigma_min": ("sigma_min", 0.002), "lambda_u": ("lambda_u", 0.02),
+                 "weight_decay": ("weight_decay", 1e-6)},
+    TrainConfig: {
+        "steps": ("steps", 7), "learning_rate": ("learning_rate", 0.5), "grid": ("grid", 5),
+        "depth_init_mm": ("depth_init_mm", 25.0), "jitter": ("jitter", 0.04),
+        "loss": None, "seed": ("seed", 9),
+    },
+}
+
+
 class TestFlagWiring:
+    def test_every_config_field_is_set_by_a_key(self, dataset, tmp_path, monkeypatch):
+        for cls, knobs in CONFIG_KNOBS.items():
+            assert [f.name for f in dataclasses.fields(cls)] == list(knobs), cls.__name__
+        synth_cfg = {k: v for cls in (SceneParams, LightModel)
+                     for k, v in CONFIG_KNOBS[cls].values()}
+        train_cfg = {k: v for cls in (PhotometricConfig, LossConfig, TrainConfig)
+                     for k, v in filter(None, CONFIG_KNOBS[cls].values())}
+        (tmp_path / "synth.json").write_text(json.dumps(synth_cfg))
+        (tmp_path / "train.json").write_text(json.dumps(train_cfg))
+        assert run("synth", "--config", tmp_path / "synth.json", "--out", tmp_path / "s",
+                   "--frames", 3, "--width", 8, "--height", 8) == 0
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        trained = []
+        monkeypatch.setattr(cli, "train_ensemble",
+                            lambda regime, data, cfg, *_: trained.append((data, cfg)) or [])
+        assert run("train", "--config", tmp_path / "train.json", "--data", dataset,
+                   "--out", tmp_path / "t", "--regime", "self-supervised") == 0
+        [(data, tcfg)] = trained
+        configs = {SceneParams: manifest["params"], LightModel: manifest["light"],
+                   PhotometricConfig: vars(data.photometric), LossConfig: vars(tcfg.loss),
+                   TrainConfig: vars(tcfg)}
+        for cls, knobs in CONFIG_KNOBS.items():
+            for name, knob in knobs.items():
+                if knob is not None:
+                    assert configs[cls][name] == knob[1] != getattr(cls, name), (cls, name)
+
     def test_flag_sets_and_types(self):
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -198,6 +254,21 @@ def test_synth_bytes_do_not_depend_on_simd_dispatch(tmp_path, argv):
 
 
 class TestSynth:
+    def test_manifest_written_once(self, tmp_path, monkeypatch):
+        manifest = tmp_path / "ds" / "manifest.json"
+        writes = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "w" in mode and isinstance(file, (str, os.PathLike)) and Path(file) == manifest:
+                writes.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert run("synth", "--out", manifest.parent, "--frames", 3, "--width", 8,
+                   "--height", 8) == 0
+        assert len(writes) == 1
+
     def test_layout_and_manifest(self, dataset):
         names = {p.name for p in dataset.iterdir()}
         assert "manifest.json" in names and "intrinsics.json" in names
@@ -590,6 +661,10 @@ def _spoil_input(case, dataset, trained, fused, tmp):
         bad = pred / "ensemble.json"
         bad.write_text("[3, [3, 4]]")
         return score, bad
+    if case == "three-channel-fused-variance":
+        bad = pred / "var_total.pfm"
+        bad.write_bytes(b"PF\n24 24\n-1.0\n" + np.zeros((24, 24, 3), "<f4").tobytes())
+        return score, bad
     if case == "fused-maps-of-two-sizes":
         write_pfm(UncMap(np.zeros((16, 16)), "variance"), pred / "var_total.pfm")
         return score, pred
@@ -643,7 +718,8 @@ def test_bad_json_input_named_with_usage_error(case, dataset, trained, fused,
 
 
 @pytest.mark.parametrize("case", ["truncated-depth", "truncated-frame",
-                                  "truncated-fused-variance", "fused-maps-of-two-sizes"])
+                                  "truncated-fused-variance", "three-channel-fused-variance",
+                                  "fused-maps-of-two-sizes"])
 def test_bad_raster_input_named_with_usage_error(case, dataset, trained, fused,
                                                    tmp_path, capsys):
     _assert_named_usage_error(*_spoil_input(case, dataset, trained, fused, tmp_path),

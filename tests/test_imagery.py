@@ -34,7 +34,7 @@ class TestContainers:
         s = u.to_std()
         assert s.kind == "std"
         assert np.allclose(s.data, [[2.0, 3.0]])
-        assert np.allclose(s.to_variance().data, u.data)
+        assert s.to_std() is s
 
     def test_uncmap_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -134,15 +134,15 @@ class TestPfm:
         write_pfm(d, tmp_path / "r.pfm")
         assert read_pfm(tmp_path / "r.pfm").data.tobytes() == arr.tobytes()
 
-    def test_color_header_selects_image(self, tmp_path):
-        rng = np.random.default_rng(4)
-        img = Image(rng.uniform(0, 1, (3, 4, 3)).astype(np.float32))
-        write_pfm(img, tmp_path / "c.pfm")
-        back = read_pfm(tmp_path / "c.pfm")
-        assert isinstance(back, Image) and back.channels == 3
-        assert back.data.tobytes() == img.data.tobytes()
-        with open(tmp_path / "c.pfm", "rb") as f:
-            assert f.read(2) == b"PF"
+    def test_three_channel_pf_rejected(self, tmp_path):
+        # only single-channel "Pf" maps are read or written
+        payload = np.zeros((3, 4, 3), dtype="<f4").tobytes()
+        (tmp_path / "c.pfm").write_bytes(b"PF\n4 3\n-1.0\n" + payload)
+        with pytest.raises(PfmParseError, match="b'PF'") as raised:
+            read_pfm(tmp_path / "c.pfm")
+        assert str(raised.value).startswith(f"{tmp_path / 'c.pfm'}: ")
+        with pytest.raises(TypeError):
+            write_pfm(Image(np.zeros((3, 4, 3), dtype=np.float32)), tmp_path / "c.pfm")
 
     def test_truncated_payload(self, tmp_path):
         d = DepthMap(np.ones((4, 4), dtype=np.float32))

@@ -1,8 +1,11 @@
 """Every module under ``src/``, ``tests/`` and ``demos/`` uses each name it
 imports.  Package ``__init__`` modules are exempt: their imports are the
-package's public names."""
+package's public names.  And every module-level private name (``_name``)
+that a package module defines is read somewhere in ``src/`` or ``tests/``,
+so a retired constant or helper cannot linger."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")
+PACKAGE_MODULES = sorted((ROOT / "src" / "scopedepth").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -50,3 +54,48 @@ def test_no_unused_import(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items()
               if name not in used]
     assert not unused, f"{path.relative_to(ROOT)} imports unused: {', '.join(unused)}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name (``_name``, not a dunder) that a module-level
+    function, class or assignment binds, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign):
+            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound = [node.target.id]
+        else:
+            bound = []
+        names.update((name, node.lineno) for name in bound
+                     if name.startswith("_") and not name.startswith("__"))
+    return names
+
+
+@functools.cache
+def _read_names() -> frozenset[str]:
+    """Every name that a module under ``src/`` or ``tests/`` loads, reads
+    as an attribute, imports, or spells as a string (``monkeypatch.setattr``
+    and ``getattr`` take names so)."""
+    names = set()
+    for path in (p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_private_name(path):
+    read = _read_names()
+    unread = [f"{name} (line {line})" for name, line in
+              _private_definitions(ast.parse(path.read_text())).items() if name not in read]
+    assert not unread, f"{path.relative_to(ROOT)} defines unread: {', '.join(unread)}"

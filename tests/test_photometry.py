@@ -3,6 +3,8 @@ import pytest
 
 from scopedepth.imagery import Image
 from scopedepth.photometry import (
+    _C1,
+    _C2,
     PhotometricConfig,
     _box_matrix,
     _ssim_moments,
@@ -46,14 +48,19 @@ def brute_force_window_stats(a, b, win):
 
 def brute_force_ssim(a, b, cfg):
     mu_a, mu_b, var_a, var_b, cov = brute_force_window_stats(a, b, cfg.ssim_window)
-    return ((2 * mu_a * mu_b + cfg.c1) * (2 * cov + cfg.c2)) / (
-        (mu_a**2 + mu_b**2 + cfg.c1) * (var_a + var_b + cfg.c2)
+    return ((2 * mu_a * mu_b + _C1) * (2 * cov + _C2)) / (
+        (mu_a**2 + mu_b**2 + _C1) * (var_a + var_b + _C2)
     )
+
+
+def terms_of(a, b, cfg):
+    """:func:`ssim_terms` of ``a`` and ``b``, with the moments of ``a``."""
+    return ssim_terms(a, b, cfg, _ssim_moments(a, cfg))
 
 
 def ssim(a: Image, b: Image, cfg=PhotometricConfig()) -> np.ndarray:
     """Channel-mean SSIM map of two images."""
-    return ssim_terms(a.planes(), b.planes(), cfg)[0].mean(axis=0)
+    return terms_of(a.planes(), b.planes(), cfg)[0].mean(axis=0)
 
 
 def residual(t: Image, sources, cfg=PhotometricConfig()):
@@ -116,11 +123,11 @@ class TestChannelStacks:
         if layout == "contiguous":
             sa, sb = np.ascontiguousarray(sa), np.ascontiguousarray(sb)
         box = box_filter(sb, cfg.ssim_window)
-        terms = ssim_terms(sa, sb, cfg)
+        terms = terms_of(sa, sb, cfg)
         grad = ssim_backward_channel(terms, up, cfg)
         for c in range(3):
             np.testing.assert_array_equal(box[c], box_filter(b[:, :, c], cfg.ssim_window))
-            chan = ssim_terms(a[:, :, c], b[:, :, c], cfg)
+            chan = terms_of(a[:, :, c], b[:, :, c], cfg)
             for got, want in zip(terms, chan):
                 np.testing.assert_array_equal(got[c], want)
             np.testing.assert_array_equal(grad[c], ssim_backward_channel(chan, up, cfg))
@@ -137,7 +144,7 @@ class TestSsim:
         a = Image(np.full((5, 5, 1), 0.2, dtype=np.float32))
         b = Image(np.full((5, 5, 1), 0.8, dtype=np.float32))
         # direct formula evaluation: variances vanish, c2 cancels
-        expected = (2 * 0.2 * 0.8 + cfg.c1) / (0.2**2 + 0.8**2 + cfg.c1)
+        expected = (2 * 0.2 * 0.8 + _C1) / (0.2**2 + 0.8**2 + _C1)
         np.testing.assert_allclose(ssim(a, b, cfg), expected, atol=1e-6)
         assert expected == pytest.approx(0.4707, abs=2e-4)
 
@@ -179,7 +186,7 @@ class TestSsim:
         a = rng.uniform(0, 1, (5, 6))
         b = rng.uniform(0, 1, (5, 6))
         up = rng.normal(size=(5, 6))
-        grad = ssim_backward_channel(ssim_terms(a, b, cfg), up, cfg)
+        grad = ssim_backward_channel(terms_of(a, b, cfg), up, cfg)
         eps = 1e-6
         fd = np.zeros_like(b)
         for i in range(5):
@@ -189,8 +196,8 @@ class TestSsim:
                 bm = b.copy()
                 bm[i, j] -= eps
                 fd[i, j] = (
-                    (up * ssim_terms(a, bp, cfg)[0]).sum()
-                    - (up * ssim_terms(a, bm, cfg)[0]).sum()
+                    (up * terms_of(a, bp, cfg)[0]).sum()
+                    - (up * terms_of(a, bm, cfg)[0]).sum()
                 ) / (2 * eps)
         np.testing.assert_allclose(grad, fd, atol=1e-6)
 

@@ -47,7 +47,9 @@ class TestInit:
     @pytest.mark.parametrize("grid_w, grid_h", [(0, 4), (4, 0), (-1, -1)])
     def test_empty_grid_config_rejected(self, grid_w, grid_h):
         with pytest.raises(ValueError, match="grid"):
-            TrainConfig(grid_w=grid_w, grid_h=grid_h)
+            init_random(0, grid_w, grid_h)
+        with pytest.raises(ValueError, match="grid"):
+            TrainConfig(grid=min(grid_w, grid_h))
 
 
 class TestForward:

@@ -79,7 +79,7 @@ def selfsup_data():
 
 
 def small_cfg(**kw):
-    base = dict(steps=60, learning_rate=0.5, grid_w=4, grid_h=4,
+    base = dict(steps=60, learning_rate=0.5, grid=4,
                 depth_init_mm=25.0, jitter=0.05,
                 loss=LossConfig(weight_decay=1e-6), seed=3)
     base.update(kw)
@@ -154,7 +154,7 @@ class TestTrainMember:
         with pytest.raises(ValueError):
             train_member(Regime.UNCERTAIN_STUDENT, missing_sigma, small_cfg())
         frame = student_data.frames[0]
-        variance = TrainData(frames=(replace(frame, sigma=frame.sigma.to_variance()),))
+        variance = TrainData(frames=(replace(frame, sigma=UncMap(frame.sigma.data ** 2, "variance")),))
         with pytest.raises(ValueError, match="std-kind"):
             train_member(Regime.UNCERTAIN_STUDENT, variance, small_cfg())
         # a label sigma or mask of another size than its depth map
@@ -355,7 +355,7 @@ class TestObjectiveMatchesReference:
 
     def test_training_run_matches_reference(self, monkeypatch):
         data = _triplet_bundle(**REFERENCE_CASES["rgb-64"])
-        cfg = small_cfg(steps=20, grid_w=6, grid_h=6,
+        cfg = small_cfg(steps=20, grid=6,
                         loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
         field, report = train_member(Regime.SELF_SUPERVISED, data, cfg)
 
