@@ -6,7 +6,7 @@ SSIM / photometric residual / edge-aware smoothness (`photometry`),
 heteroscedastic L1 likelihood losses with analytic gradients (`losses`),
 a coarse log-parameter depth field predictor (`predictor`), deep-ensemble
 fusion with variance decomposition (`ensemble`), gradient-descent training
-under five supervision regimes plus a finite-difference audit (`trainer`),
+under five supervision regimes (`trainer`),
 depth and calibration metrics (`metrics`), a procedural colon-like scene
 generator (`synthcolon`), and the `scopedepth` command line (`cli`).
 """
@@ -56,7 +56,6 @@ from .trainer import (
     TrainData,
     TrainReport,
     Triplet,
-    finite_diff_audit,
     train_ensemble,
     train_member,
 )

@@ -279,6 +279,9 @@ def cmd_train(args) -> int:
         seed=int(cfg["seed"]),
     )
     data, t_i = _build_train_data(cfg, regime, data_dir)
+    w, h = data.resolution()
+    if tcfg.grid > min(w, h):
+        raise UsageError(f"--grid {tcfg.grid} exceeds the {w}x{h} dataset at {data_dir}")
     results = train_ensemble(regime, data, tcfg, int(cfg["members"]), int(cfg["seed"]))
     # only a run that trained gets a directory
     out_dir = Path(args.out)
@@ -288,7 +291,7 @@ def cmd_train(args) -> int:
         write_csv([("step", "loss"), *enumerate(report.losses.tolist())],
                   out_dir / f"loss_{field.seed}.csv")
     cfg["data"] = str(data_dir)
-    _write_manifest(out_dir, "train", cfg, resolution=list(data.resolution()),
+    _write_manifest(out_dir, "train", cfg, resolution=[w, h],
                     target_index=t_i)
     print(f"trained {len(results)} member(s) [{regime.value}] into {out_dir}")
     return 0

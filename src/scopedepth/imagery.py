@@ -110,7 +110,7 @@ class DepthMap(_Raster):
     """Per-pixel depth in millimetres, shape (height, width).
 
     Entries must be finite; positivity is required only where an
-    accompanying :class:`Mask` marks a pixel valid, and is enforced by the
+    accompanying :class:`Mask` flags a pixel valid, and is enforced by the
     operations that consume depth.
     """
 

@@ -65,7 +65,7 @@ def default_p_grid(levels: int = 99) -> np.ndarray:
 
 
 def _valid_arrays(mask: Mask | None, *maps) -> list[np.ndarray]:
-    """Float64 values of each map at the pixels ``mask`` marks valid (all
+    """Float64 values of each map at the pixels ``mask`` flags valid (all
     pixels without one), after checking every raster's dimensions."""
     same_shape(*maps, *([] if mask is None else [mask]))
     sel = np.full((maps[0].height, maps[0].width), True) if mask is None else mask.data

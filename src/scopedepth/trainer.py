@@ -4,9 +4,11 @@ Supervision comes from ground-truth depth, simulated SfM labels, multi-view
 photometric consistency, or a frozen teacher ensemble (with or without the
 teacher's predictive variance folded into the loss scale).  Optimization is
 plain fixed-step gradient descent on the MAP objective, which keeps every
-run bitwise reproducible from (regime, data, config, seed) and lets the
-finite-difference audit check the assembled analytic gradient end to end,
-warp, sampling, SSIM and minimum-over-sources included.
+run bitwise reproducible from (regime, data, config, seed).  The objective
+computes the training step only: the loss and its analytic gradient, warp,
+sampling, SSIM and minimum-over-sources included.  The finite-difference
+audit of that gradient, with its record of the objective's piecewise
+switches, lives with the tests in ``tests/_audit.py``.
 """
 
 from __future__ import annotations
@@ -166,43 +168,27 @@ def _check_bundle(regime: Regime, data: TrainData) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Objective:
-    """Scalar MAP loss and its gradient with respect to the grids.
-
-    ``fingerprint`` optionally captures every integer-valued switch of the
-    piecewise-smooth objective (L1 signs, clamp gates, bilinear cell
-    indices, warp validity, argmin selections, smoothness signs).  Two
-    parameter points with equal fingerprints lie on the same smooth piece.
-    """
+    """Scalar MAP loss and its gradient with respect to the grids."""
 
     loss: float
     grad_log_depth: np.ndarray
     grad_log_sigma: np.ndarray
-    fingerprint: tuple | None = None
 
 
-def _fingerprints_equal(a: tuple, b: tuple) -> bool:
-    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
-def _label_term(const, d_hat, sigma, loss_cfg, n, total, grad_d, grad_s, marks) -> float:
+def _label_term(const, d_hat, sigma, loss_cfg, n, total, grad_d, grad_s) -> float:
     """Add one labeled frame's 1/n share of the data term to the running
-    sums: return the new total, add into ``grad_d`` and ``grad_s`` in place
-    and, when ``marks`` is a list, append the frame's L1 signs."""
+    sums: return the new total and add into ``grad_d`` and ``grad_s`` in
+    place."""
     label, sigma_label, valid = const
     lv = supervised_nll_arrays(label, d_hat, sigma, valid, loss_cfg, sigma_label)
-    if marks is not None:
-        marks.append(np.sign(label - d_hat).astype(np.int8) * valid)
     grad_d += lv.grad_depth / n
     grad_s += lv.grad_sigma / n
     return total + lv.scalar / n
 
 
-def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, total, grad_d, grad_u,
-                  marks) -> float:
+def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, total, grad_d, grad_u) -> float:
     """:func:`_label_term` for one triplet: the photometric term through the
-    warp of its argmin source, plus the edge-aware smoothness term.  Marks
-    are the warp validity, bilinear cells and L1 signs of every source, the
-    argmin and the smoothness signs."""
+    warp of its argmin source, plus the edge-aware smoothness term."""
     tgt, tgt_moments, sources, poses, bases, weights = const
     alpha = pcfg.alpha
     nchan = tgt.shape[0]
@@ -213,14 +199,7 @@ def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, total, grad_d, grad
         valid = in_front & samp_ok
         warps.append((vals, valid))
         jacobians.append((ddx, ddy, dxd, dyd))
-        if marks is not None:
-            marks.append(valid.astype(np.int8))
-            marks.append(np.floor(np.where(valid, xs, -1)).astype(np.int32))
-            marks.append(np.floor(np.where(valid, ys, -1)).astype(np.int32))
-            marks.append(np.sign(tgt - vals).astype(np.int8) * valid)
     f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, tgt_moments, warps, pcfg)
-    if marks is not None:
-        marks.append(arg.astype(np.int8))
     lv = selfsup_nll_arrays(f_p, u_hat, valid_px, loss_cfg)
     total += lv.scalar / n
     grad_u += lv.grad_sigma / n
@@ -237,15 +216,11 @@ def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, total, grad_d, grad
         smooth, smooth_grad = smoothness_and_grad(d_hat, weights)
         total += loss_cfg.lambda_u * smooth.mean() / n
         grad_d += loss_cfg.lambda_u * smooth_grad / n
-        if marks is not None:
-            marks.append(np.sign(np.diff(d_hat, axis=1)).astype(np.int8))
-            marks.append(np.sign(np.diff(d_hat, axis=0)).astype(np.int8))
     return total
 
 
 def _objective(
-    regime: Regime, data: TrainData, field: DepthField, loss_cfg: LossConfig,
-    w: int, h: int, collect_fingerprint: bool = False,
+    regime: Regime, data: TrainData, field: DepthField, loss_cfg: LossConfig, w: int, h: int
 ) -> _Objective:
     """The MAP loss of every regime: one forward pass, the data term of each
     frame or triplet from the bundle's per-run constants, one backward pass
@@ -259,9 +234,8 @@ def _objective(
     total = 0.0
     grad_d = np.zeros((h, w))
     grad_s = np.zeros((h, w))
-    marks = [(sigma > loss_cfg.sigma_min).astype(np.int8)] if collect_fingerprint else None
     for const in consts:
-        total = term(const, d_hat, sigma, loss_cfg, len(consts), total, grad_d, grad_s, marks)
+        total = term(const, d_hat, sigma, loss_cfg, len(consts), total, grad_d, grad_s)
     g_ld, g_ls = backward(field, grad_d, grad_s, d_hat, sigma)
     if loss_cfg.weight_decay > 0:
         p_loss, p_grad = prior_loss(field.params(), loss_cfg)
@@ -269,7 +243,7 @@ def _objective(
         total += p_loss
         g_ld += p_grad[:n].reshape(field.log_depth.shape)
         g_ls += p_grad[n:].reshape(field.log_sigma.shape)
-    return _Objective(total, g_ld, g_ls, None if marks is None else tuple(marks))
+    return _Objective(total, g_ld, g_ls)
 
 
 def train_member(
@@ -325,55 +299,3 @@ def train_ensemble(
     return [train_member(regime, data, replace(cfg, seed=base_seed + i))
             for i in range(members)]
 
-
-# ---------------------------------------------------------------------------
-# finite-difference audit
-
-
-class KinkStraddled(RuntimeError):
-    """A finite-difference probe crossed a non-smooth switch of the
-    objective (L1 sign, argmin flip, bilinear cell edge, validity change or
-    clamp), so central differences do not measure the analytic branch."""
-
-
-def finite_diff_audit(
-    regime: Regime,
-    data: TrainData,
-    field: DepthField,
-    step: float = 1e-4,
-    loss_cfg: LossConfig | None = None,
-) -> float:
-    """Worst relative disagreement between the assembled analytic gradient
-    of the full MAP objective and central finite differences, per grid
-    parameter (relative step; denominator floored at 1e-8).
-
-    Every evaluation carries an integer fingerprint of the objective's
-    piecewise switches; a probe whose fingerprint differs from the base
-    point raises :class:`KinkStraddled` instead of returning a corrupted
-    comparison.
-    """
-    if field.grid_w > 8 or field.grid_h > 8:
-        raise ValueError("audit fields are limited to 8x8 grids")
-    _check_bundle(regime, data)
-    keep_heap_mapped()
-    loss_cfg = loss_cfg if loss_cfg is not None else LossConfig()
-    w, h = data.resolution()
-    obj = _objective(regime, data, field, loss_cfg, w, h, collect_fingerprint=True)
-    analytic = np.concatenate([obj.grad_log_depth.ravel(), obj.grad_log_sigma.ravel()])
-    theta0 = field.params()
-    worst = 0.0
-    for i in range(theta0.size):
-        hstep = step * max(1.0, abs(theta0[i]))
-        probes = []
-        for sgn in (1.0, -1.0):
-            theta = theta0.copy()
-            theta[i] += sgn * hstep
-            p = _objective(regime, data, field.with_params(theta), loss_cfg, w, h,
-                           collect_fingerprint=True)
-            if not _fingerprints_equal(p.fingerprint, obj.fingerprint):
-                raise KinkStraddled(f"parameter {i} probe crossed a switch")
-            probes.append(p.loss)
-        fd = (probes[0] - probes[1]) / (2 * hstep)
-        denom = max(abs(fd), abs(analytic[i]), 1e-8)
-        worst = max(worst, abs(fd - analytic[i]) / denom)
-    return worst

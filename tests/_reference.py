@@ -6,8 +6,9 @@ The scalar functions (:func:`bilinear_sample`, :func:`project`,
 :func:`backproject`, :func:`warp_pixel`) state the camera model and the
 sampling rule one point at a time; the tests compare the vectorized
 library code against them.  :func:`_selfsup_objective` and the helpers
-below it are kept verbatim, so a test can assert that the library's
-objective reproduces its loss, gradients and kink fingerprint bit for bit.
+below it are kept as they stood, apart from the result type, so a test
+can assert that the library's objective reproduces its loss and gradients
+bit for bit, and the audit in :mod:`_audit` takes its kink fingerprint.
 
 :func:`wall_field` and :func:`wall_shade` are the renderer's wall
 geometry in its plain form: the field with ``np.hypot`` and the ridge as
@@ -18,6 +19,8 @@ against them.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from scopedepth.photometry import (
     ssim_terms,
 )
 from scopedepth.predictor import DepthField, backward, forward_arrays
-from scopedepth.trainer import TrainData, _Objective
+from scopedepth.trainer import TrainData
 
 
 class BehindCameraError(ValueError):
@@ -268,10 +271,21 @@ def edge_aware_smoothness_grad(d, I: Image) -> np.ndarray:
     return gterm / (n * mu) - t_raw / (n * n * mu * mu)
 
 
+@dataclass(frozen=True, eq=False)
+class SelfsupObjective:
+    """Loss, gradients and, when asked for, the fingerprint: the clamp gate,
+    warp validity, bilinear cells, L1 signs, argmin and smoothness signs."""
+
+    loss: float
+    grad_log_depth: np.ndarray
+    grad_log_sigma: np.ndarray
+    fingerprint: tuple | None
+
+
 def _selfsup_objective(
     field: DepthField, data: TrainData, w: int, h: int, loss_cfg: LossConfig,
     collect_fingerprint: bool = False,
-) -> _Objective:
+) -> SelfsupObjective:
     pcfg = data.photometric
     alpha = pcfg.alpha
     d_hat, u_hat = forward_arrays(field, w, h)
@@ -324,7 +338,7 @@ def _selfsup_objective(
                 marks.append(np.sign(np.diff(d_hat, axis=1)).astype(np.int8))
                 marks.append(np.sign(np.diff(d_hat, axis=0)).astype(np.int8))
     g_ld, g_ls = backward(field, grad_d, grad_u, d_hat, u_hat)
-    return _Objective(total, g_ld, g_ls, tuple(marks) if collect_fingerprint else None)
+    return SelfsupObjective(total, g_ld, g_ls, tuple(marks) if collect_fingerprint else None)
 
 
 def _ridge_radius(params, z):

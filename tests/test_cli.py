@@ -452,6 +452,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "grid" in err
 
+    def test_grid_above_dataset_resolution_usage_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert run("synth", "--out", ds, "--width", 8, "--height", 8, "--frames", 3) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run("train", "--data", ds, "--out", out, "--members", 1, "--steps", 5,
+                   "--grid", 30) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--grid 30" in err and str(ds) in err and "8x8" in err
+        assert not out.exists()
+
     def test_selfsup_on_image_smaller_than_ssim_window(self, tmp_path):
         ds = tmp_path / "ds"
         assert run("synth", "--out", ds, "--width", 8, "--height", 2, "--frames", 3) == 0

@@ -1,8 +1,10 @@
 """Every module under ``src/``, ``tests/`` and ``demos/`` uses each name it
 imports.  Package ``__init__`` modules are exempt: their imports are the
-package's public names.  And every module-level private name (``_name``)
+package's public names.  Every module-level private name (``_name``)
 that a package module defines is read somewhere in ``src/`` or ``tests/``,
-so a retired constant or helper cannot linger."""
+so a retired constant or helper cannot linger.  And every public function
+and class is read by the package or the demos, so no public API serves the
+tests alone."""
 
 import ast
 import functools
@@ -75,12 +77,13 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
 
 
 @functools.cache
-def _read_names() -> frozenset[str]:
-    """Every name that a module under ``src/`` or ``tests/`` loads, reads
-    as an attribute, imports, or spells as a string (``monkeypatch.setattr``
-    and ``getattr`` take names so)."""
+def _read_names(dirs: tuple[str, ...]) -> frozenset[str]:
+    """Every name that a module under ``dirs`` loads, reads as an
+    attribute, imports, or spells as a string (``monkeypatch.setattr`` and
+    ``getattr`` take names so).  A package ``__init__`` re-exports names
+    without reading them, so it is left out."""
     names = set()
-    for path in (p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")):
+    for path in (p for d in dirs for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -95,7 +98,17 @@ def _read_names() -> frozenset[str]:
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unread_private_name(path):
-    read = _read_names()
+    read = _read_names(("src", "tests"))
     unread = [f"{name} (line {line})" for name, line in
               _private_definitions(ast.parse(path.read_text())).items() if name not in read]
     assert not unread, f"{path.relative_to(ROOT)} defines unread: {', '.join(unread)}"
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_public_name_read_by_tests_alone(path):
+    read = _read_names(("src", "demos"))
+    unread = [f"{node.name} (line {node.lineno})" for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read]
+    assert not unread, (f"{path.relative_to(ROOT)} defines public names that no module "
+                        f"under src/ or demos/ reads: {', '.join(unread)}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import _reference
 import numpy as np
 import pytest
-from _audit import audit_random_fields
+from _audit import KinkStraddled, audit_random_fields, finite_diff_audit
 
 from scopedepth import trainer
 from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, rotation_xyz
@@ -23,12 +23,10 @@ from scopedepth.synthcolon import (
     render_views,
 )
 from scopedepth.trainer import (
-    KinkStraddled,
     LabeledFrame,
     Regime,
     TrainData,
     Triplet,
-    finite_diff_audit,
     train_ensemble,
     train_member,
 )
@@ -264,14 +262,15 @@ class TestAudit:
             from scopedepth import heap
             from scopedepth.imagery import DepthMap
             from scopedepth.predictor import init_random
-            from scopedepth.trainer import LabeledFrame, Regime, TrainData, finite_diff_audit
+            from _audit import finite_diff_audit
+            from scopedepth.trainer import LabeledFrame, Regime, TrainData
             labels = DepthMap(np.full((6, 6), 90.0, dtype=np.float32))
             data = TrainData(frames=(LabeledFrame(depth=labels),))
             finite_diff_audit(Regime.SUPERVISED_GT, data, init_random(0, 2, 2))
             print(heap.keep_heap_mapped.cache_info().currsize)
         """)
         src = str(Path(trainer.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, str(Path(__file__).parent)))}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.strip() == "1"
@@ -289,6 +288,15 @@ class TestAudit:
         field = init_random(0, 4, 4, 25.0, 0.0)
         with pytest.raises(KinkStraddled):
             finite_diff_audit(Regime.SUPERVISED_GT, data, field)
+
+    def test_kink_detection_in_selfsup_switches(self, selfsup_data):
+        # a coarse step on the first depth node flips smoothness signs, and
+        # downwards also warped L1 signs and the argmin over sources: switches
+        # that only the reference objective's fingerprint records
+        field = init_random(100, 4, 4, 25.0, 0.25)
+        with pytest.raises(KinkStraddled, match="parameter 0 probe crossed a switch"):
+            finite_diff_audit(Regime.SELF_SUPERVISED, selfsup_data, field, 1e-1,
+                              LossConfig(lambda_u=0.05))
 
     def test_zero_learning_rate_leaves_field(self, sup_data):
         # harness sanity: gradients are computed but never applied
@@ -331,7 +339,7 @@ class TestObjectiveMatchesReference:
     (h, w, c) objective it replaced, bit for bit."""
 
     @pytest.mark.parametrize("case", list(REFERENCE_CASES))
-    def test_loss_gradients_and_fingerprint(self, case):
+    def test_loss_and_gradients(self, case):
         data = _triplet_bundle(**REFERENCE_CASES[case])
         w, h = data.resolution()
         if case == "out-of-view-32":
@@ -342,16 +350,11 @@ class TestObjectiveMatchesReference:
         for seed, grid, lambda_u in ((0, 4, 0.05), (1, 8, 0.05), (2, 5, 0.0), (3, 3, 0.5)):
             field = init_random(seed, grid, grid, 25.0, 0.25)
             lc = LossConfig(lambda_u=lambda_u)
-            new = trainer._objective(Regime.SELF_SUPERVISED, data, field, lc, w, h, True)
-            ref = _reference._selfsup_objective(field, data, w, h, lc, True)
+            new = trainer._objective(Regime.SELF_SUPERVISED, data, field, lc, w, h)
+            ref = _reference._selfsup_objective(field, data, w, h, lc)
             assert new.loss == ref.loss
             assert np.array_equal(new.grad_log_depth, ref.grad_log_depth)
             assert np.array_equal(new.grad_log_sigma, ref.grad_log_sigma)
-            assert len(new.fingerprint) == len(ref.fingerprint)
-            for a, b in zip(new.fingerprint, ref.fingerprint):
-                if a.ndim == 3:  # the L1 sign mark, (c, h, w) here
-                    a = np.moveaxis(a, 0, -1)
-                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_training_run_matches_reference(self, monkeypatch):
         data = _triplet_bundle(**REFERENCE_CASES["rgb-64"])
@@ -359,10 +362,10 @@ class TestObjectiveMatchesReference:
                         loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
         field, report = train_member(Regime.SELF_SUPERVISED, data, cfg)
 
-        def reference_objective(regime, data, field, loss_cfg, w, h, collect_fingerprint=False):
+        def reference_objective(regime, data, field, loss_cfg, w, h):
             # the reference is the data term alone; the weight prior is added
             # as the library adds it
-            obj = _reference._selfsup_objective(field, data, w, h, loss_cfg, collect_fingerprint)
+            obj = _reference._selfsup_objective(field, data, w, h, loss_cfg)
             p_loss, p_grad = prior_loss(field.params(), loss_cfg)
             n = field.log_depth.size
             return replace(
