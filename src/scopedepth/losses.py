@@ -9,11 +9,12 @@ residual and the scale:
   uncertainty
 * uncertain teacher-student: the supervised loss on teacher depth with
   the scale widened to sqrt(teacher_var + student_aleatoric^2), by passing
-  the teacher's std as ``sigma_label``
+  the teacher's variance as ``var_label``
 
 :func:`supervised_nll_arrays` serves the first and the third,
 :func:`selfsup_nll_arrays` the second.  Both take float64 (h, w) arrays
-and a bool validity array; the trainer checks the rasters they come from.
+finite at masked pixels too, and the :func:`pixel_weights` of the mask;
+the trainer checks the rasters they come from.
 
 Any predicted scale is clamped from below at ``sigma_min`` before entering
 the loss; gradients are taken with respect to the raw (unclamped) scale,
@@ -55,49 +56,56 @@ class LossValue:
     grad_sigma: np.ndarray
 
 
-def _reduce(term: np.ndarray, valid: np.ndarray) -> tuple[float, int]:
+def pixel_weights(valid: np.ndarray) -> tuple[np.ndarray, int]:
+    """The 0/1 float64 map of a bool mask and its count, as both likelihoods take it."""
     n = int(valid.sum())
     if n == 0:
         raise ValueError("no valid pixels")
-    return float(np.where(valid, term, 0.0).sum() / n), n
+    return valid.astype(np.float64), n
+
+
+def _reduce(term: np.ndarray, weights: np.ndarray, n: int) -> float:
+    term *= weights  # the caller's scratch map, weighted in place
+    return float(term.sum() / n)
 
 
 def supervised_nll_arrays(
     d: np.ndarray,
     d_hat: np.ndarray,
     sigma_a: np.ndarray,
-    valid: np.ndarray,
+    weights: np.ndarray, n: int,
     cfg: LossConfig,
-    sigma_label: np.ndarray | None = None,
+    var_label: np.ndarray | None = None,
 ) -> LossValue:
     """Mean over valid pixels of |d - d_hat| / s + log s.
 
-    ``s`` is the clamped ``sigma_a``, or ``hypot(sigma_label, clamp(sigma_a))``
-    when the labels carry their own std (the uncertain student's teacher
-    sigma).  ``grad_sigma`` is the derivative with respect to the raw
-    ``sigma_a``; with ``sigma_label == 0`` the result is bitwise identical
-    to passing no label std, since ``hypot(0, x) == x`` exactly.
+    ``s`` is the clamped ``sigma_a``, or ``sqrt(var_label + clamp(sigma_a)^2)``
+    when the labels carry their own variance (the uncertain student's
+    teacher variance).  ``grad_sigma`` is the derivative with respect to
+    the raw ``sigma_a``; with ``var_label == 0`` the result is bitwise that
+    of no label variance, since ``sqrt(x * x) == x`` exactly.
     """
     s_a = np.maximum(sigma_a, cfg.sigma_min)
     gate = (sigma_a > cfg.sigma_min).astype(np.float64)
-    s = s_a if sigma_label is None else np.hypot(sigma_label, s_a)
+    s = s_a if var_label is None else s_a * s_a + var_label
+    if var_label is not None:
+        np.sqrt(s, out=s)  # in place: the scale costs one new map
     r = d - d_hat
     abs_r = np.abs(r)
     term = abs_r / s + np.log(s)
-    scalar, n = _reduce(term, valid)
-    v = valid.astype(np.float64)
-    grad_depth = -np.sign(r) / s * v / n
+    scalar = _reduce(term, weights, n)
+    grad_depth = -np.sign(r) / s * weights / n
     d_s = -abs_r / s**2 + 1.0 / s
-    if sigma_label is not None:
+    if var_label is not None:
         d_s = d_s * (s_a / s)
-    grad_sigma = d_s * gate * v / n
+    grad_sigma = d_s * gate * weights / n
     return LossValue(scalar, grad_depth, grad_sigma)
 
 
 def selfsup_nll_arrays(
     f_p: np.ndarray,
     u_hat: np.ndarray,
-    valid: np.ndarray,
+    weights: np.ndarray, n: int,
     cfg: LossConfig,
 ) -> LossValue:
     """Mean over valid pixels of F_p / u + log u.
@@ -108,10 +116,9 @@ def selfsup_nll_arrays(
     u = np.maximum(u_hat, cfg.sigma_min)
     gate = (u_hat > cfg.sigma_min).astype(np.float64)
     term = f_p / u + np.log(u)
-    scalar, n = _reduce(term, valid)
-    v = valid.astype(np.float64)
-    grad_fp = (1.0 / u) * v / n
-    grad_sigma = (-f_p / u**2 + 1.0 / u) * gate * v / n
+    scalar = _reduce(term, weights, n)
+    grad_fp = (1.0 / u) * weights / n
+    grad_sigma = (-f_p / u**2 + 1.0 / u) * gate * weights / n
     return LossValue(scalar, grad_fp, grad_sigma)
 
 

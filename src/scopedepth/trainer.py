@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import CameraIntrinsics, Pose, warp_basis, warp_from_basis
 from .heap import keep_heap_mapped
 from .imagery import DepthMap, Image, Mask, UncMap, bilinear_sample_planes, same_shape
-from .losses import LossConfig, prior_loss, selfsup_nll_arrays, supervised_nll_arrays
+from .losses import LossConfig, pixel_weights, prior_loss, selfsup_nll_arrays, supervised_nll_arrays
 from .photometry import (
     PhotometricConfig,
     _ssim_moments,
@@ -79,11 +79,12 @@ class Triplet:
 
 def _frame_constants(frame: LabeledFrame) -> tuple:
     """What a label step reads of a frame but never changes: the float64
-    label, the float64 label sigma or None, and the validity mask (every
-    pixel when the frame has none)."""
+    label, zeroed where masked so it is finite; the label variance or None;
+    the :func:`pixel_weights` of the mask (every pixel if it has none)."""
     d, s, m = frame.depth, frame.sigma, frame.mask
-    return (d.data.astype(np.float64), None if s is None else s.data.astype(np.float64),
-            np.full((d.height, d.width), True) if m is None else m.data)
+    valid = np.full((d.height, d.width), True) if m is None else m.data
+    return (np.where(valid, d.data.astype(np.float64), 0.0),
+            None if s is None else np.square(s.data.astype(np.float64)), *pixel_weights(valid))
 
 
 def _triplet_constants(trip: Triplet, K: CameraIntrinsics, pcfg: PhotometricConfig) -> tuple:
@@ -175,21 +176,24 @@ class _Objective:
     grad_log_sigma: np.ndarray
 
 
-def _label_term(const, d_hat, sigma, loss_cfg, n, total, grad_d, grad_s) -> float:
-    """Add one labeled frame's 1/n share of the data term to the running
-    sums: return the new total and add into ``grad_d`` and ``grad_s`` in
-    place."""
-    label, sigma_label, valid = const
-    lv = supervised_nll_arrays(label, d_hat, sigma, valid, loss_cfg, sigma_label)
+def _label_term(const, d_hat, sigma, loss_cfg, n, sums) -> tuple:
+    """Add one labeled frame's 1/n share of the data term to the running sums
+    (total, grad_d, grad_s) and return them; the first share becomes them."""
+    label, var_label, weights, count = const
+    lv = supervised_nll_arrays(label, d_hat, sigma, weights, count, loss_cfg, var_label)
+    if sums is None:
+        return lv.scalar / n, lv.grad_depth / n, lv.grad_sigma / n
+    total, grad_d, grad_s = sums
     grad_d += lv.grad_depth / n
     grad_s += lv.grad_sigma / n
-    return total + lv.scalar / n
+    return total + lv.scalar / n, grad_d, grad_s
 
 
-def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, total, grad_d, grad_u) -> float:
+def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, sums) -> tuple:
     """:func:`_label_term` for one triplet: the photometric term through the
     warp of its argmin source, plus the edge-aware smoothness term."""
     tgt, tgt_moments, sources, poses, bases, weights = const
+    total, grad_d, grad_u = sums or (0.0, np.zeros(d_hat.shape), np.zeros(d_hat.shape))
     alpha = pcfg.alpha
     nchan = tgt.shape[0]
     warps, jacobians = [], []
@@ -200,7 +204,7 @@ def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, total, grad_d, grad
         warps.append((vals, valid))
         jacobians.append((ddx, ddy, dxd, dyd))
     f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, tgt_moments, warps, pcfg)
-    lv = selfsup_nll_arrays(f_p, u_hat, valid_px, loss_cfg)
+    lv = selfsup_nll_arrays(f_p, u_hat, *pixel_weights(valid_px), loss_cfg)
     total += lv.scalar / n
     grad_u += lv.grad_sigma / n
     # route d(scalar)/d(F_p) through the argmin source only
@@ -216,7 +220,7 @@ def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, total, grad_d, grad
         smooth, smooth_grad = smoothness_and_grad(d_hat, weights)
         total += loss_cfg.lambda_u * smooth.mean() / n
         grad_d += loss_cfg.lambda_u * smooth_grad / n
-    return total
+    return total, grad_d, grad_u
 
 
 def _objective(
@@ -231,11 +235,10 @@ def _objective(
     else:
         consts, term = data._label_constants, _label_term
     d_hat, sigma = forward_arrays(field, w, h)
-    total = 0.0
-    grad_d = np.zeros((h, w))
-    grad_s = np.zeros((h, w))
+    sums = None
     for const in consts:
-        total = term(const, d_hat, sigma, loss_cfg, len(consts), total, grad_d, grad_s)
+        sums = term(const, d_hat, sigma, loss_cfg, len(consts), sums)
+    total, grad_d, grad_s = sums
     g_ld, g_ls = backward(field, grad_d, grad_s, d_hat, sigma)
     if loss_cfg.weight_decay > 0:
         p_loss, p_grad = prior_loss(field.params(), loss_cfg)

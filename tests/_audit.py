@@ -6,14 +6,26 @@ smooth piece."""
 
 from __future__ import annotations
 
-import _reference
 import numpy as np
 
 from scopedepth import trainer
+from scopedepth.geometry import warp_from_basis
 from scopedepth.heap import keep_heap_mapped
+from scopedepth.imagery import bilinear_sample_planes
 from scopedepth.losses import LossConfig
+from scopedepth.photometry import photometric_residual_arrays
 from scopedepth.predictor import DepthField, forward_arrays, init_random
 from scopedepth.trainer import Regime, TrainData
+
+# the random fields of audit_random_fields: grid cells a side, initial
+# depth and jitter, the first seed, the relative probe step, and how many
+# fields it may redraw before it gives up
+GRID = 4
+DEPTH_INIT_MM = 25.0
+JITTER = 0.25
+SEED0 = 100
+STEP = 1e-4
+MAX_RESAMPLE = 60
 
 
 class KinkStraddled(RuntimeError):
@@ -22,19 +34,40 @@ class KinkStraddled(RuntimeError):
     clamp), so central differences do not measure the analytic branch."""
 
 
+def _selfsup_marks(data: TrainData, d_hat: np.ndarray, lambda_u: float) -> list:
+    """Each triplet's switches, as far into the step as they reach: every
+    source's warp validity, bilinear cell and L1 signs, the argmin over
+    sources, and the smoothness signs when smoothness is on.  The SSIM
+    backward and the chain rule are left out, since they switch nothing."""
+    marks = []
+    for tgt, tgt_moments, sources, poses, bases, _ in data._selfsup_constants:
+        warps = []
+        for src, pose, basis in zip(sources, poses, bases):
+            xs, ys, in_front, _, _ = warp_from_basis(d_hat, data.K, pose, basis)
+            vals, _, _, samp_ok = bilinear_sample_planes(src, xs, ys)
+            valid = in_front & samp_ok
+            warps.append((vals, valid))
+            marks += [valid, np.floor(np.where(valid, xs, -1)), np.floor(np.where(valid, ys, -1)),
+                      np.sign(tgt - vals) * valid]
+        marks.append(photometric_residual_arrays(tgt, tgt_moments, warps, data.photometric)[2])
+        if lambda_u > 0:
+            marks += [np.sign(np.diff(d_hat, axis=1)), np.sign(np.diff(d_hat, axis=0))]
+    return marks
+
+
 def _fingerprint(regime: Regime, data: TrainData, field: DepthField, loss_cfg: LossConfig,
                  w: int, h: int) -> tuple:
-    """The scale clamp gate and each frame's L1 signs for a label regime;
-    the reference objective's fingerprint for self-supervision."""
-    if regime == Regime.SELF_SUPERVISED:
-        return _reference._selfsup_objective(field, data, w, h, loss_cfg, True).fingerprint
+    """The scale clamp gate, then each frame's L1 signs for a label regime
+    or each triplet's :func:`_selfsup_marks` for self-supervision."""
     d_hat, sigma = forward_arrays(field, w, h)
-    return ((sigma > loss_cfg.sigma_min).astype(np.int8),
-            *(np.sign(label - d_hat).astype(np.int8) * valid
-              for label, _, valid in data._label_constants))
+    gate = sigma > loss_cfg.sigma_min
+    if regime == Regime.SELF_SUPERVISED:
+        return gate, *_selfsup_marks(data, d_hat, loss_cfg.lambda_u)
+    return gate, *(np.sign(label - d_hat) * weights
+                   for label, _, weights, _ in data._label_constants)
 
 
-def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: float = 1e-4,
+def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: float = STEP,
                       loss_cfg: LossConfig | None = None) -> float:
     """Worst relative disagreement between the assembled analytic gradient
     of the full MAP objective and central finite differences, per grid
@@ -71,31 +104,20 @@ def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: 
     return worst
 
 
-def audit_random_fields(
-    regime: Regime,
-    data: TrainData,
-    draws: int,
-    grid: int = 4,
-    depth_init_mm: float = 25.0,
-    jitter: float = 0.25,
-    seed0: int = 100,
-    step: float = 1e-4,
-    loss_cfg: LossConfig | None = None,
-    max_resample: int = 60,
-) -> list[float]:
-    """Run the audit over ``draws`` random fields, redrawing any field whose
-    probes straddle a kink of the piecewise-smooth objective."""
+def audit_random_fields(regime: Regime, data: TrainData, draws: int,
+                        loss_cfg: LossConfig | None = None) -> list[float]:
+    """Run the audit over ``draws`` random fields, seeded from ``SEED0`` on,
+    redrawing any field whose probes straddle a kink of the
+    piecewise-smooth objective."""
     errors = []
-    seed = seed0
-    attempts = 0
+    seed = SEED0
     while len(errors) < draws:
-        field = init_random(seed, grid, grid, depth_init_mm, jitter)
-        seed += 1
-        attempts += 1
-        if attempts > draws + max_resample:
+        if seed - SEED0 >= draws + MAX_RESAMPLE:
             raise RuntimeError("could not find enough kink-free samples")
+        field = init_random(seed, GRID, GRID, DEPTH_INIT_MM, JITTER)
+        seed += 1
         try:
-            errors.append(finite_diff_audit(regime, data, field, step, loss_cfg))
+            errors.append(finite_diff_audit(regime, data, field, STEP, loss_cfg))
         except KinkStraddled:
             continue
     return errors

@@ -6,9 +6,15 @@ The scalar functions (:func:`bilinear_sample`, :func:`project`,
 :func:`backproject`, :func:`warp_pixel`) state the camera model and the
 sampling rule one point at a time; the tests compare the vectorized
 library code against them.  :func:`_selfsup_objective` and the helpers
-below it are kept as they stood, apart from the result type, so a test
-can assert that the library's objective reproduces its loss and gradients
-bit for bit, and the audit in :mod:`_audit` takes its kink fingerprint.
+above it are kept as they stood, so a test can assert that the library's
+objective reproduces its loss and gradients bit for bit.
+
+The two likelihoods are kept as they stood before the mask became a
+per-run 0/1 weight map and the uncertain student's scale became
+``sqrt(var_label + s_a^2)``: a bool mask applied by ``np.where`` and the
+scale ``np.hypot(sigma_label, s_a)``.  :func:`_label_objective` is the
+label regimes' data term built on them, reading every frame each step and
+summing into zero-filled maps.
 
 :func:`wall_field` and :func:`wall_shade` are the renderer's wall
 geometry in its plain form: the field with ``np.hypot`` and the ridge as
@@ -20,14 +26,12 @@ against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from scopedepth import synthcolon
 from scopedepth.geometry import EPS_Z, CameraIntrinsics, Pose, _pixel_rays
 from scopedepth.imagery import DepthMap, Image
-from scopedepth.losses import LossConfig, selfsup_nll_arrays
+from scopedepth.losses import LossConfig, LossValue
 from scopedepth.photometry import (
     PhotometricConfig,
     _ssim_moments,
@@ -35,7 +39,7 @@ from scopedepth.photometry import (
     ssim_terms,
 )
 from scopedepth.predictor import DepthField, backward, forward_arrays
-from scopedepth.trainer import TrainData
+from scopedepth.trainer import TrainData, _Objective
 
 
 class BehindCameraError(ValueError):
@@ -271,21 +275,78 @@ def edge_aware_smoothness_grad(d, I: Image) -> np.ndarray:
     return gterm / (n * mu) - t_raw / (n * n * mu * mu)
 
 
-@dataclass(frozen=True, eq=False)
-class SelfsupObjective:
-    """Loss, gradients and, when asked for, the fingerprint: the clamp gate,
-    warp validity, bilinear cells, L1 signs, argmin and smoothness signs."""
+def _reduce(term: np.ndarray, valid: np.ndarray) -> tuple[float, int]:
+    n = int(valid.sum())
+    if n == 0:
+        raise ValueError("no valid pixels")
+    return float(np.where(valid, term, 0.0).sum() / n), n
 
-    loss: float
-    grad_log_depth: np.ndarray
-    grad_log_sigma: np.ndarray
-    fingerprint: tuple | None
+
+def supervised_nll_arrays(
+    d: np.ndarray,
+    d_hat: np.ndarray,
+    sigma_a: np.ndarray,
+    valid: np.ndarray,
+    cfg: LossConfig,
+    sigma_label: np.ndarray | None = None,
+) -> LossValue:
+    """The label likelihood with a bool mask that ``np.where`` applies and
+    the scale ``hypot(sigma_label, clamp(sigma_a))``."""
+    s_a = np.maximum(sigma_a, cfg.sigma_min)
+    gate = (sigma_a > cfg.sigma_min).astype(np.float64)
+    s = s_a if sigma_label is None else np.hypot(sigma_label, s_a)
+    r = d - d_hat
+    abs_r = np.abs(r)
+    term = abs_r / s + np.log(s)
+    scalar, n = _reduce(term, valid)
+    v = valid.astype(np.float64)
+    grad_depth = -np.sign(r) / s * v / n
+    d_s = -abs_r / s**2 + 1.0 / s
+    if sigma_label is not None:
+        d_s = d_s * (s_a / s)
+    grad_sigma = d_s * gate * v / n
+    return LossValue(scalar, grad_depth, grad_sigma)
+
+
+def selfsup_nll_arrays(
+    f_p: np.ndarray, u_hat: np.ndarray, valid: np.ndarray, cfg: LossConfig
+) -> LossValue:
+    """The photometric likelihood with a bool mask that ``np.where`` applies."""
+    u = np.maximum(u_hat, cfg.sigma_min)
+    gate = (u_hat > cfg.sigma_min).astype(np.float64)
+    term = f_p / u + np.log(u)
+    scalar, n = _reduce(term, valid)
+    v = valid.astype(np.float64)
+    grad_fp = (1.0 / u) * v / n
+    grad_sigma = (-f_p / u**2 + 1.0 / u) * gate * v / n
+    return LossValue(scalar, grad_fp, grad_sigma)
+
+
+def _label_objective(
+    field: DepthField, data: TrainData, w: int, h: int, loss_cfg: LossConfig
+) -> _Objective:
+    """The data term of a label regime, read from the frames each step and
+    summed into zero-filled maps."""
+    d_hat, sigma = forward_arrays(field, w, h)
+    total = 0.0
+    grad_d = np.zeros((h, w))
+    grad_s = np.zeros((h, w))
+    n = len(data.frames)
+    for f in data.frames:
+        valid = np.full((h, w), True) if f.mask is None else f.mask.data
+        sigma_label = None if f.sigma is None else f.sigma.data.astype(np.float64)
+        lv = supervised_nll_arrays(f.depth.data.astype(np.float64), d_hat, sigma, valid,
+                                   loss_cfg, sigma_label)
+        grad_d += lv.grad_depth / n
+        grad_s += lv.grad_sigma / n
+        total += lv.scalar / n
+    g_ld, g_ls = backward(field, grad_d, grad_s, d_hat, sigma)
+    return _Objective(total, g_ld, g_ls)
 
 
 def _selfsup_objective(
-    field: DepthField, data: TrainData, w: int, h: int, loss_cfg: LossConfig,
-    collect_fingerprint: bool = False,
-) -> SelfsupObjective:
+    field: DepthField, data: TrainData, w: int, h: int, loss_cfg: LossConfig
+) -> _Objective:
     pcfg = data.photometric
     alpha = pcfg.alpha
     d_hat, u_hat = forward_arrays(field, w, h)
@@ -293,9 +354,6 @@ def _selfsup_objective(
     grad_d = np.zeros((h, w))
     grad_u = np.zeros((h, w))
     nt = len(data.triplets)
-    marks: list[np.ndarray] = []
-    if collect_fingerprint:
-        marks.append((u_hat > loss_cfg.sigma_min).astype(np.int8))
     for trip in data.triplets:
         tgt = trip.target.data.astype(np.float64)
         nchan = tgt.shape[2]
@@ -306,16 +364,7 @@ def _selfsup_objective(
             valid = in_front & samp_ok
             warps.append((vals, valid))
             jacobians.append((ddx, ddy, dxd, dyd))
-            if collect_fingerprint:
-                marks.append(valid.astype(np.int8))
-                marks.append(np.floor(np.where(valid, xs, -1)).astype(np.int32))
-                marks.append(np.floor(np.where(valid, ys, -1)).astype(np.int32))
-                marks.append(
-                    np.sign(tgt - vals).astype(np.int8) * valid[..., None]
-                )
         f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, warps, pcfg)
-        if collect_fingerprint:
-            marks.append(arg.astype(np.int8))
         lv = selfsup_nll_arrays(f_p, u_hat, valid_px, loss_cfg)
         total += lv.scalar / nt
         grad_u += lv.grad_sigma / nt
@@ -334,11 +383,8 @@ def _selfsup_objective(
         if loss_cfg.lambda_u > 0:
             total += loss_cfg.lambda_u * edge_aware_smoothness(d_hat, trip.target).mean() / nt
             grad_d += loss_cfg.lambda_u * edge_aware_smoothness_grad(d_hat, trip.target) / nt
-            if collect_fingerprint:
-                marks.append(np.sign(np.diff(d_hat, axis=1)).astype(np.int8))
-                marks.append(np.sign(np.diff(d_hat, axis=0)).astype(np.int8))
     g_ld, g_ls = backward(field, grad_d, grad_u, d_hat, u_hat)
-    return SelfsupObjective(total, g_ld, g_ls, tuple(marks) if collect_fingerprint else None)
+    return _Objective(total, g_ld, g_ls)
 
 
 def _ridge_radius(params, z):

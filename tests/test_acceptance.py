@@ -23,6 +23,7 @@ from scopedepth.geometry import (
 from scopedepth.imagery import DepthMap, Image, UncMap
 from scopedepth.losses import (
     LossConfig,
+    pixel_weights,
     prior_loss,
     selfsup_nll_arrays,
     supervised_nll_arrays,
@@ -386,17 +387,17 @@ def test_criterion_7_example_battery():
 
     # losses
     one = lambda v: np.array([[v]], dtype=np.float64)
-    t = np.array([[True]])
+    t = pixel_weights(np.array([[True]]))
     lc = LossConfig()
     ck(np.isclose(
-        supervised_nll_arrays(one(3.0), one(1.0), one(2.0), t, lc).scalar,
+        supervised_nll_arrays(one(3.0), one(1.0), one(2.0), *t, lc).scalar,
         1.0 + np.log(2.0)), "supervised 1+ln2")
     ck(np.isclose(
-        selfsup_nll_arrays(one(0.2), one(0.1), t, lc).scalar,
+        selfsup_nll_arrays(one(0.2), one(0.1), *t, lc).scalar,
         0.2 / 0.1 + np.log(0.1)), "selfsup hand case")
     ck(np.isclose(
-        supervised_nll_arrays(one(2.0), one(1.0), one(1.0), t, lc,
-                              sigma_label=one(1.0)).scalar,
+        supervised_nll_arrays(one(2.0), one(1.0), one(1.0), *t, lc,
+                              var_label=one(1.0)).scalar,
         1 / np.sqrt(2) + np.log(np.sqrt(2))), "uncertain sqrt2")
     pl, pg = prior_loss(np.array([3.0, 4.0]), LossConfig(weight_decay=1.0))
     ck(pl == 25.0 and np.allclose(pg, [6.0, 8.0]), "prior 3-4-5")

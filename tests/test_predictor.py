@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scopedepth.losses import LossConfig, supervised_nll_arrays
+from scopedepth.losses import LossConfig, pixel_weights, supervised_nll_arrays
 from scopedepth.predictor import (
     DepthField,
     TrainConfig,
@@ -151,15 +151,15 @@ class TestBackward:
         field = init_random(5, 4, 4, 25.0, 0.3)
         w = h = 12
         labels = rng.uniform(10, 40, (h, w))
-        valid = rng.uniform(size=(h, w)) > 0.2
+        weights, n = pixel_weights(rng.uniform(size=(h, w)) > 0.2)
         cfg = LossConfig()
 
         def loss_of(theta):
             d, s = forward_arrays(field.with_params(theta), w, h)
-            return supervised_nll_arrays(labels, d, s, valid, cfg).scalar
+            return supervised_nll_arrays(labels, d, s, weights, n, cfg).scalar
 
         d0, s0 = forward_arrays(field, w, h)
-        lv = supervised_nll_arrays(labels, d0, s0, valid, cfg)
+        lv = supervised_nll_arrays(labels, d0, s0, weights, n, cfg)
         g_ld, g_ls = backward(field, lv.grad_depth, lv.grad_sigma, d0, s0)
         analytic = np.concatenate([g_ld.ravel(), g_ls.ravel()])
         theta0 = field.params()

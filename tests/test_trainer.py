@@ -21,9 +21,11 @@ from scopedepth.synthcolon import (
     generate_trajectory,
     render_view,
     render_views,
+    simulate_sfm_labels,
 )
 from scopedepth.trainer import (
     LabeledFrame,
+    NumericFailure,
     Regime,
     TrainData,
     Triplet,
@@ -292,7 +294,7 @@ class TestAudit:
     def test_kink_detection_in_selfsup_switches(self, selfsup_data):
         # a coarse step on the first depth node flips smoothness signs, and
         # downwards also warped L1 signs and the argmin over sources: switches
-        # that only the reference objective's fingerprint records
+        # that only the self-supervised fingerprint records
         field = init_random(100, 4, 4, 25.0, 0.25)
         with pytest.raises(KinkStraddled, match="parameter 0 probe crossed a switch"):
             finite_diff_audit(Regime.SELF_SUPERVISED, selfsup_data, field, 1e-1,
@@ -323,6 +325,22 @@ def _triplet_bundle(K, w, h, gray=False, far_pose=False):
                           rel_poses=tuple(rels)),),
         K=K,
     )
+
+
+def _reference_step(data_term):
+    """A stand-in for ``trainer._objective`` built on a reference data
+    term, which leaves out the weight prior: the prior is added as the
+    library adds it."""
+    def objective(regime, data, field, loss_cfg, w, h):
+        obj = data_term(field, data, w, h, loss_cfg)
+        p_loss, p_grad = prior_loss(field.params(), loss_cfg)
+        n = field.log_depth.size
+        return replace(
+            obj, loss=obj.loss + p_loss,
+            grad_log_depth=obj.grad_log_depth + p_grad[:n].reshape(field.log_depth.shape),
+            grad_log_sigma=obj.grad_log_sigma + p_grad[n:].reshape(field.log_sigma.shape),
+        )
+    return objective
 
 
 REFERENCE_CASES = {
@@ -361,20 +379,8 @@ class TestObjectiveMatchesReference:
         cfg = small_cfg(steps=20, grid=6,
                         loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
         field, report = train_member(Regime.SELF_SUPERVISED, data, cfg)
-
-        def reference_objective(regime, data, field, loss_cfg, w, h):
-            # the reference is the data term alone; the weight prior is added
-            # as the library adds it
-            obj = _reference._selfsup_objective(field, data, w, h, loss_cfg)
-            p_loss, p_grad = prior_loss(field.params(), loss_cfg)
-            n = field.log_depth.size
-            return replace(
-                obj, loss=obj.loss + p_loss,
-                grad_log_depth=obj.grad_log_depth + p_grad[:n].reshape(field.log_depth.shape),
-                grad_log_sigma=obj.grad_log_sigma + p_grad[n:].reshape(field.log_sigma.shape),
-            )
-
-        monkeypatch.setattr(trainer, "_objective", reference_objective)
+        monkeypatch.setattr(trainer, "_objective",
+                            _reference_step(_reference._selfsup_objective))
         ref_field, ref_report = train_member(Regime.SELF_SUPERVISED, data, cfg)
         assert field.log_depth.tobytes() == ref_field.log_depth.tobytes()
         assert field.log_sigma.tobytes() == ref_field.log_sigma.tobytes()
@@ -414,21 +420,99 @@ class TestObjectiveMatchesReference:
             assert r2.losses.tobytes() == report.losses.tobytes()
 
 
-def _label_bundle():
-    """Two uncertain-student frames, one of them masked."""
-    rng = np.random.default_rng(5)
-    frames = tuple(
-        LabeledFrame(depth=DepthMap(rng.uniform(15, 40, (12, 12)).astype(np.float32)),
-                     sigma=UncMap(rng.uniform(0.4, 2.0, (12, 12)).astype(np.float32), "std"),
-                     mask=mask)
-        for mask in (None, Mask(rng.uniform(size=(12, 12)) < 0.8))
-    )
-    return TrainData(frames=frames)
+LABEL_REGIMES = [Regime.SUPERVISED_GT, Regime.SUPERVISED_SFM, Regime.PLAIN_STUDENT,
+                 Regime.UNCERTAIN_STUDENT]
+DIVERGING_LR = 30.0
+
+
+def _label_bundles() -> dict:
+    """Two 24x24 frames per label regime, the second with SfM holes, so the
+    step sums over frames and masks."""
+    rng = np.random.default_rng(7)
+    depth = DepthMap(rng.uniform(15, 40, (24, 24)).astype(np.float32))
+    d_sfm, holes = simulate_sfm_labels(depth, seed=8, hole_fraction=0.2, noise_rel=0.05)
+    sigma = UncMap(rng.uniform(0.4, 2.0, (24, 24)).astype(np.float32), "std")
+    plain = (LabeledFrame(depth=depth), LabeledFrame(depth=d_sfm, mask=holes))
+    return {
+        Regime.SUPERVISED_GT: TrainData(frames=plain[:1] * 2),
+        Regime.SUPERVISED_SFM: TrainData(frames=plain),
+        Regime.PLAIN_STUDENT: TrainData(frames=plain),
+        Regime.UNCERTAIN_STUDENT: TrainData(
+            frames=tuple(replace(f, sigma=sigma) for f in plain)),
+    }
+
+
+def _poisoned(frame: LabeledFrame, value: float) -> LabeledFrame:
+    """``frame`` with ``value`` as the label of every masked pixel.
+    DepthMap refuses non-finite entries; the step must not depend on it."""
+    data = np.array(frame.depth.data)
+    data[~frame.mask.data] = value
+    depth = DepthMap(frame.depth.data)
+    object.__setattr__(depth, "data", data)
+    return replace(frame, depth=depth)
+
+
+class TestLabelStepMatchesReference:
+    """The label step, with per-run weights and label variance and no
+    zero-filled sums, reproduces the step it replaced (``np.where`` mask,
+    ``np.hypot`` scale): bit for bit without a label std, within a few
+    ulps with one."""
+
+    @pytest.mark.parametrize("regime", LABEL_REGIMES[:3])
+    def test_training_run_bitwise(self, regime, monkeypatch):
+        data = _label_bundles()[regime]
+        cfg = small_cfg(steps=30)
+        field, report = train_member(regime, data, cfg)
+        monkeypatch.setattr(trainer, "_objective",
+                            _reference_step(_reference._label_objective))
+        ref_field, ref_report = train_member(regime, data, cfg)
+        assert field.log_depth.tobytes() == ref_field.log_depth.tobytes()
+        assert field.log_sigma.tobytes() == ref_field.log_sigma.tobytes()
+        assert report.losses.tobytes() == ref_report.losses.tobytes()
+
+    def test_uncertain_student_step_within_ulps(self):
+        data = _label_bundles()[Regime.UNCERTAIN_STUDENT]
+        lc = LossConfig(weight_decay=1e-6)
+        for seed in range(5):
+            field = init_random(seed, 4, 4, 25.0, 0.25)
+            new = trainer._objective(Regime.UNCERTAIN_STUDENT, data, field, lc, 24, 24)
+            ref = _reference_step(_reference._label_objective)(
+                Regime.UNCERTAIN_STUDENT, data, field, lc, 24, 24)
+            assert abs(new.loss - ref.loss) <= 4 * np.spacing(ref.loss)
+            for got, want in ((new.grad_log_depth, ref.grad_log_depth),
+                              (new.grad_log_sigma, ref.grad_log_sigma)):
+                assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max())
+
+    @pytest.mark.parametrize("regime", [Regime.SUPERVISED_SFM, Regime.UNCERTAIN_STUDENT])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_masked_labels_leave_the_step(self, regime, bad):
+        data = _label_bundles()[regime]
+        poisoned = TrainData(frames=(data.frames[0], _poisoned(data.frames[1], bad)))
+        lc = LossConfig(weight_decay=1e-6)
+        for seed in range(3):
+            field = init_random(seed, 4, 4, 25.0, 0.25)
+            a = trainer._objective(regime, data, field, lc, 24, 24)
+            b = trainer._objective(regime, poisoned, field, lc, 24, 24)
+            assert a.loss == b.loss
+            assert a.grad_log_depth.tobytes() == b.grad_log_depth.tobytes()
+            assert a.grad_log_sigma.tobytes() == b.grad_log_sigma.tobytes()
+
+    @pytest.mark.parametrize("regime", LABEL_REGIMES)
+    def test_diverging_run_fails_at_reference_step(self, regime, monkeypatch):
+        data = _label_bundles()[regime]
+        cfg = small_cfg(learning_rate=DIVERGING_LR)
+        with pytest.raises(NumericFailure) as new:
+            train_member(regime, data, cfg)
+        monkeypatch.setattr(trainer, "_objective",
+                            _reference_step(_reference._label_objective))
+        with pytest.raises(NumericFailure) as ref:
+            train_member(regime, data, cfg)
+        assert new.value.step == ref.value.step > 0
 
 
 class TestLabelConstants:
-    """Label frames keep their float64 label, label sigma and validity mask
-    for the lifetime of the bundle, as triplets keep theirs."""
+    """Label frames keep their float64 label, label variance and pixel
+    weights for the lifetime of the bundle, as triplets keep theirs."""
 
     def test_constants_built_once_per_bundle(self, monkeypatch):
         builds = []
@@ -439,7 +523,7 @@ class TestLabelConstants:
             return build(frame)
 
         monkeypatch.setattr(trainer, "_frame_constants", counted)
-        data = _label_bundle()
+        data = _label_bundles()[Regime.UNCERTAIN_STUDENT]
         train_member(Regime.UNCERTAIN_STUDENT, data, small_cfg(steps=10))
         assert builds == list(data.frames)
         train_member(Regime.UNCERTAIN_STUDENT, data, small_cfg(steps=10, seed=4))
@@ -449,10 +533,23 @@ class TestLabelConstants:
         train_member(Regime.UNCERTAIN_STUDENT, fresh, small_cfg(steps=10))
         assert len(builds) == 4
 
+    def test_constants_of_a_frame(self):
+        # the label, zero where masked; the teacher's variance; the 0/1
+        # weights of the valid pixels and their count (all of them unmasked)
+        data = _label_bundles()[Regime.UNCERTAIN_STUDENT]
+        for frame, (label, var_label, weights, count) in zip(data.frames,
+                                                            data._label_constants):
+            valid = np.full((24, 24), True) if frame.mask is None else frame.mask.data
+            assert label.dtype == var_label.dtype == weights.dtype == np.float64
+            assert np.array_equal(label, np.where(valid, frame.depth.data, 0.0))
+            assert np.array_equal(var_label, frame.sigma.data.astype(np.float64) ** 2)
+            assert np.array_equal(weights, valid) and count == valid.sum()
+        assert data._label_constants[0][3] == 24 * 24 > data._label_constants[1][3]
+
     def test_pickled_bundle_trains_to_same_bytes(self):
         # a bundle pickled before or after its constants exist (for another
         # process) trains to the same bytes as the original
-        data = _label_bundle()
+        data = _label_bundles()[Regime.UNCERTAIN_STUDENT]
         cfg = small_cfg(steps=15)
         before = pickle.dumps(data)
         field, report = train_member(Regime.UNCERTAIN_STUDENT, data, cfg)
