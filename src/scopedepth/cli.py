@@ -78,18 +78,16 @@ SYNTH_DEFAULTS = {
     "sway_mm": 0.0,
 }
 
+# TrainConfig and LossConfig fields that are config keys of the same name
+TRAIN_KEYS = ("steps", "learning_rate", "grid", "depth_init_mm", "jitter")
+LOSS_KEYS = ("sigma_min", "lambda_u", "weight_decay")
+
 TRAIN_DEFAULTS = {
     "seed": 0,
     "regime": "supervised-gt",
     "members": 5,
-    "steps": 800,
-    "learning_rate": 1.0,
-    "grid": 16,
-    "depth_init_mm": 30.0,
-    "jitter": 0.05,
-    "sigma_min": 1e-3,
-    "lambda_u": 0.01,
-    "weight_decay": 1e-7,
+    **{k: getattr(TrainConfig, k) for k in TRAIN_KEYS},
+    **{k: getattr(LossConfig, k) for k in LOSS_KEYS},
     "alpha": 0.85,
     "ssim_window": 3,
     "target_frame": -1,  # -1: middle frame
@@ -268,16 +266,8 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data if args.data else cfg.get("data", ""))
     if not (data_dir / "manifest.json").exists():
         raise UsageError(f"no dataset at {data_dir}")
-    tcfg = TrainConfig(
-        steps=int(cfg["steps"]), learning_rate=float(cfg["learning_rate"]),
-        grid=int(cfg["grid"]),
-        depth_init_mm=float(cfg["depth_init_mm"]), jitter=float(cfg["jitter"]),
-        loss=LossConfig(
-            sigma_min=float(cfg["sigma_min"]), lambda_u=float(cfg["lambda_u"]),
-            weight_decay=float(cfg["weight_decay"]),
-        ),
-        seed=int(cfg["seed"]),
-    )
+    tcfg = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS},
+                       loss=LossConfig(**{k: cfg[k] for k in LOSS_KEYS}), seed=cfg["seed"])
     data, t_i = _build_train_data(cfg, regime, data_dir)
     w, h = data.resolution()
     if tcfg.grid > min(w, h):

@@ -33,8 +33,8 @@ import numpy as np
 @dataclass(frozen=True)
 class LossConfig:
     sigma_min: float = 1e-3
-    lambda_u: float = 0.0
-    weight_decay: float = 0.0
+    lambda_u: float = 0.01
+    weight_decay: float = 1e-7
 
     def __post_init__(self):
         if self.sigma_min <= 0:
@@ -94,10 +94,11 @@ def supervised_nll_arrays(
     abs_r = np.abs(r)
     term = abs_r / s + np.log(s)
     scalar = _reduce(term, weights, n)
-    grad_depth = -np.sign(r) / s * weights / n
-    d_s = -abs_r / s**2 + 1.0 / s
+    inv_s = 1.0 / s  # -sign(r) * (1 / s) == -sign(r) / s exactly
+    grad_depth = -np.sign(r) * inv_s * weights / n
+    d_s = inv_s - abs_r / s**2
     if var_label is not None:
-        d_s = d_s * (s_a / s)
+        d_s *= s_a / s
     grad_sigma = d_s * gate * weights / n
     return LossValue(scalar, grad_depth, grad_sigma)
 
@@ -117,8 +118,9 @@ def selfsup_nll_arrays(
     gate = (u_hat > cfg.sigma_min).astype(np.float64)
     term = f_p / u + np.log(u)
     scalar = _reduce(term, weights, n)
-    grad_fp = (1.0 / u) * weights / n
-    grad_sigma = (-f_p / u**2 + 1.0 / u) * gate * weights / n
+    inv_u = 1.0 / u
+    grad_fp = inv_u * weights / n
+    grad_sigma = (inv_u - f_p / u**2) * gate * weights / n
     return LossValue(scalar, grad_fp, grad_sigma)
 
 

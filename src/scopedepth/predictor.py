@@ -1,12 +1,13 @@
 """Learnable parameter field producing per-pixel depth and aleatoric scale.
 
-The predictor is a pair of coarse grids holding log-depth and log-scale.
-A forward pass bilinearly upsamples each grid to the requested resolution
-(align-corners mapping: grid corners coincide with image corners) and
-exponentiates, so outputs are strictly positive for any finite parameters.
-The upsample is two matrix products with cached per-axis weight matrices,
-``Wy @ grid @ Wx.T``, so the backward pass ``Wy.T @ g @ Wx`` is its exact
-adjoint by construction.
+The predictor is one (2, gh, gw) stack of coarse grids: log-depth in
+plane 0 and log-scale in plane 1.  A forward pass bilinearly upsamples
+the stack to the requested resolution (align-corners mapping: grid corners
+coincide with image corners) and exponentiates, so outputs are strictly
+positive for any finite parameters.  The upsample is one batched pair of
+matrix products with cached per-axis weight matrices,
+``Wy @ grids @ Wx.T`` over both planes, so the backward pass
+``Wy.T @ g @ Wx`` is its exact adjoint by construction.
 
 Field initialization uses the package xoshiro generator, so equal seeds
 give bitwise-equal fields on every platform.
@@ -26,42 +27,43 @@ from .rng import Xoshiro256
 
 @dataclass(frozen=True, eq=False)
 class DepthField:
-    """Coarse log-depth / log-scale grids plus the seed that created them."""
+    """A member's parameters, one read-only float64 (2, gh, gw) stack of
+    the log-depth and log-scale grids, plus the seed that created it."""
 
-    log_depth: np.ndarray
-    log_sigma: np.ndarray
+    grids: np.ndarray
     seed: int
 
     def __post_init__(self):
-        ld = np.asarray(self.log_depth, dtype=np.float64)
-        ls = np.asarray(self.log_sigma, dtype=np.float64)
-        if ld.ndim != 2 or ls.shape != ld.shape:
-            raise ValueError("parameter grids must be equal-shape 2-D arrays")
-        if not (np.all(np.isfinite(ld)) and np.all(np.isfinite(ls))):
+        grids = np.array(self.grids, dtype=np.float64)
+        if grids.ndim != 3 or grids.shape[0] != 2:
+            raise ValueError("parameters must be a (2, gh, gw) stack of grids")
+        if not np.all(np.isfinite(grids)):
             raise ValueError("parameter grids must be finite")
-        object.__setattr__(self, "log_depth", ld)
-        object.__setattr__(self, "log_sigma", ls)
+        grids.setflags(write=False)
+        object.__setattr__(self, "grids", grids)
+
+    @property
+    def log_depth(self) -> np.ndarray:
+        return self.grids[0]
+
+    @property
+    def log_sigma(self) -> np.ndarray:
+        return self.grids[1]
 
     @property
     def grid_h(self) -> int:
-        return self.log_depth.shape[0]
+        return self.grids.shape[1]
 
     @property
     def grid_w(self) -> int:
-        return self.log_depth.shape[1]
+        return self.grids.shape[2]
 
     def params(self) -> np.ndarray:
-        """Flattened parameter vector (log_depth then log_sigma)."""
-        return np.concatenate([self.log_depth.ravel(), self.log_sigma.ravel()])
+        """Flattened parameter vector (log_depth then log_sigma), read-only."""
+        return self.grids.ravel()
 
     def with_params(self, theta: np.ndarray) -> "DepthField":
-        n = self.log_depth.size
-        theta = np.asarray(theta, dtype=np.float64)
-        return DepthField(
-            theta[:n].reshape(self.log_depth.shape),
-            theta[n:].reshape(self.log_sigma.shape),
-            self.seed,
-        )
+        return DepthField(np.reshape(theta, self.grids.shape), self.seed)
 
     def to_json(self) -> dict:
         return {
@@ -75,11 +77,8 @@ class DepthField:
     @staticmethod
     def from_json(d: dict) -> "DepthField":
         gh, gw = d["grid_h"], d["grid_w"]
-        return DepthField(
-            np.array(d["log_depth"], dtype=np.float64).reshape(gh, gw),
-            np.array(d["log_sigma"], dtype=np.float64).reshape(gh, gw),
-            int(d["seed"]),
-        )
+        grids = np.array([d["log_depth"], d["log_sigma"]], dtype=np.float64)
+        return DepthField(grids.reshape(2, gh, gw), int(d["seed"]))
 
     def save(self, path) -> None:
         write_json(self.to_json(), path)
@@ -95,7 +94,7 @@ class TrainConfig:
     on a square ``grid`` x ``grid`` field initialised around
     ``depth_init_mm`` (:func:`init_random`), under the ``loss`` weights."""
 
-    steps: int = 1500
+    steps: int = 800
     learning_rate: float = 1.0
     grid: int = 16
     depth_init_mm: float = 30.0
@@ -127,7 +126,7 @@ def init_random(
     n = grid_w * grid_h
     ld = np.log(depth_init_mm) + np.array(gen.uniforms(n, -jitter, jitter))
     ls = np.array(gen.uniforms(n, -jitter, jitter))
-    return DepthField(ld.reshape(grid_h, grid_w), ls.reshape(grid_h, grid_w), seed)
+    return DepthField(np.stack([ld, ls]).reshape(2, grid_h, grid_w), seed)
 
 
 def _axis_weights(n_out: int, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,9 +153,10 @@ def _axis_matrix(n_out: int, n_grid: int) -> np.ndarray:
 
 
 def upsample_bilinear(grid: np.ndarray, w: int, h: int) -> np.ndarray:
-    """Bilinear upsample of a coarse grid to (h, w), align-corners:
-    ``Wy @ grid @ Wx.T`` with the per-axis weight matrices."""
-    gh, gw = grid.shape
+    """Bilinear upsample of coarse grids, over the last two axes, to
+    (..., h, w), align-corners: ``Wy @ grid @ Wx.T`` with the per-axis
+    weight matrices."""
+    gh, gw = grid.shape[-2:]
     if w < gw or h < gh:
         raise ValueError("output resolution must be >= grid resolution")
     g = np.asarray(grid, dtype=np.float64)
@@ -164,37 +164,40 @@ def upsample_bilinear(grid: np.ndarray, w: int, h: int) -> np.ndarray:
 
 
 def upsample_bilinear_adjoint(grad: np.ndarray, gw: int, gh: int) -> np.ndarray:
-    """Adjoint of :func:`upsample_bilinear`: ``Wy.T @ grad @ Wx``."""
-    h, w = grad.shape
+    """Adjoint of :func:`upsample_bilinear` over the last two axes:
+    ``Wy.T @ grad @ Wx``."""
+    h, w = grad.shape[-2:]
     return _axis_matrix(h, gh).T @ grad @ _axis_matrix(w, gw)
 
 
-def forward_arrays(field: DepthField, w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 (depth, sigma) maps; the numeric path used in training."""
-    d = np.exp(upsample_bilinear(field.log_depth, w, h))
-    s = np.exp(upsample_bilinear(field.log_sigma, w, h))
+def forward_arrays(grids: np.ndarray, w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 (depth, sigma) maps of a (2, gh, gw) parameter stack, from
+    one upsample and one exp of both planes; the numeric path of training."""
+    d, s = np.exp(upsample_bilinear(grids, w, h))
     return d, s
 
 
 def forward(field: DepthField, w: int, h: int) -> tuple[DepthMap, UncMap]:
     """Public forward pass returning raster containers."""
-    d, s = forward_arrays(field, w, h)
+    d, s = forward_arrays(field.grids, w, h)
     return DepthMap(d), UncMap(s, "std")
 
 
 def backward(
-    field: DepthField,
+    grids: np.ndarray,
     grad_depth: np.ndarray,
     grad_sigma: np.ndarray,
     d: np.ndarray,
     s: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain incoming per-pixel gradients to the parameter grids.
+) -> np.ndarray:
+    """Chain incoming per-pixel gradients to the (2, gh, gw) parameter stack.
 
     ``d`` and ``s`` are the maps :func:`forward_arrays` returned for
-    ``field``.  Each is exp(upsample(grid)), so the cell gradient is the
-    upsample adjoint of (map * incoming gradient).
+    ``grids``.  Each is exp(upsample(plane)), so a plane's gradient is the
+    upsample adjoint of (map * incoming gradient); both run as one adjoint.
     """
-    g_ld = upsample_bilinear_adjoint(np.asarray(grad_depth) * d, field.grid_w, field.grid_h)
-    g_ls = upsample_bilinear_adjoint(np.asarray(grad_sigma) * s, field.grid_w, field.grid_h)
-    return g_ld, g_ls
+    chained = np.empty((2, *d.shape))
+    np.multiply(grad_depth, d, out=chained[0])
+    np.multiply(grad_sigma, s, out=chained[1])
+    _, gh, gw = grids.shape
+    return upsample_bilinear_adjoint(chained, gw, gh)

@@ -167,20 +167,13 @@ def _check_bundle(regime: Regime, data: TrainData) -> None:
             raise ValueError("teacher sigma must be std-kind")
 
 
-@dataclass(frozen=True, eq=False)
-class _Objective:
-    """Scalar MAP loss and its gradient with respect to the grids."""
-
-    loss: float
-    grad_log_depth: np.ndarray
-    grad_log_sigma: np.ndarray
-
-
 def _label_term(const, d_hat, sigma, loss_cfg, n, sums) -> tuple:
     """Add one labeled frame's 1/n share of the data term to the running sums
     (total, grad_d, grad_s) and return them; the first share becomes them."""
     label, var_label, weights, count = const
     lv = supervised_nll_arrays(label, d_hat, sigma, weights, count, loss_cfg, var_label)
+    if n == 1:  # a lone frame's share is the whole term
+        return lv.scalar, lv.grad_depth, lv.grad_sigma
     if sums is None:
         return lv.scalar / n, lv.grad_depth / n, lv.grad_sigma / n
     total, grad_d, grad_s = sums
@@ -224,29 +217,29 @@ def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, sums) -> tuple:
 
 
 def _objective(
-    regime: Regime, data: TrainData, field: DepthField, loss_cfg: LossConfig, w: int, h: int
-) -> _Objective:
-    """The MAP loss of every regime: one forward pass, the data term of each
-    frame or triplet from the bundle's per-run constants, one backward pass
-    and the weight prior.  ``regime`` must have passed :func:`_check_bundle`."""
+    regime: Regime, data: TrainData, grids: np.ndarray, loss_cfg: LossConfig, w: int, h: int
+) -> tuple[float, np.ndarray]:
+    """The MAP loss of every regime at the (2, gh, gw) parameter stack
+    ``grids``, and its gradient, a stack of the same shape: one forward
+    pass, the data term of each frame or triplet from the bundle's per-run
+    constants, one backward pass and the weight prior.  ``regime`` must
+    have passed :func:`_check_bundle`."""
     if regime == Regime.SELF_SUPERVISED:
         consts = data._selfsup_constants
         term = functools.partial(_triplet_term, data.K, data.photometric)
     else:
         consts, term = data._label_constants, _label_term
-    d_hat, sigma = forward_arrays(field, w, h)
+    d_hat, sigma = forward_arrays(grids, w, h)
     sums = None
     for const in consts:
         sums = term(const, d_hat, sigma, loss_cfg, len(consts), sums)
     total, grad_d, grad_s = sums
-    g_ld, g_ls = backward(field, grad_d, grad_s, d_hat, sigma)
+    grad = backward(grids, grad_d, grad_s, d_hat, sigma)
     if loss_cfg.weight_decay > 0:
-        p_loss, p_grad = prior_loss(field.params(), loss_cfg)
-        n = field.log_depth.size
+        p_loss, p_grad = prior_loss(grids, loss_cfg)
         total += p_loss
-        g_ld += p_grad[:n].reshape(field.log_depth.shape)
-        g_ls += p_grad[n:].reshape(field.log_sigma.shape)
-    return _Objective(total, g_ld, g_ls)
+        grad += p_grad
+    return total, grad
 
 
 def train_member(
@@ -258,29 +251,24 @@ def train_member(
     # without this, each 256x256 step faults its freed temporaries back in
     keep_heap_mapped()
     w, h = data.resolution()
-    field = init_random(cfg.seed, cfg.grid, cfg.grid, cfg.depth_init_mm, cfg.jitter)
+    grids = init_random(cfg.seed, cfg.grid, cfg.grid, cfg.depth_init_mm, cfg.jitter).grids
     losses = np.empty(cfg.steps)
     t0 = time.perf_counter()
     # a diverging run overflows on its way to a non-finite loss; the checks
     # below report that once, so numpy's per-operation warnings are muted
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(cfg.steps):
-            obj = _objective(regime, data, field, cfg.loss, w, h)
-            if not np.isfinite(obj.loss):
-                raise NumericFailure(
-                    step, f"non-finite loss {obj.loss}", cfg.seed, cfg.learning_rate
-                )
-            losses[step] = obj.loss
+            loss, grad = _objective(regime, data, grids, cfg.loss, w, h)
+            if not np.isfinite(loss):
+                raise NumericFailure(step, f"non-finite loss {loss}", cfg.seed, cfg.learning_rate)
+            losses[step] = loss
+            grids = grids - cfg.learning_rate * grad
             # a non-finite gradient, or a finite one that overflows once
             # scaled by the learning rate
-            log_depth = field.log_depth - cfg.learning_rate * obj.grad_log_depth
-            log_sigma = field.log_sigma - cfg.learning_rate * obj.grad_log_sigma
-            if not (np.all(np.isfinite(log_depth)) and np.all(np.isfinite(log_sigma))):
+            if not np.all(np.isfinite(grids)):
                 raise NumericFailure(
-                    step, "non-finite gradient step", cfg.seed, cfg.learning_rate
-                )
-            field = DepthField(log_depth, log_sigma, field.seed)
-    return field, TrainReport(losses, time.perf_counter() - t0, cfg.seed)
+                    step, "non-finite gradient step", cfg.seed, cfg.learning_rate)
+    return DepthField(grids, cfg.seed), TrainReport(losses, time.perf_counter() - t0, cfg.seed)
 
 
 def train_ensemble(

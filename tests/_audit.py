@@ -59,7 +59,7 @@ def _fingerprint(regime: Regime, data: TrainData, field: DepthField, loss_cfg: L
                  w: int, h: int) -> tuple:
     """The scale clamp gate, then each frame's L1 signs for a label regime
     or each triplet's :func:`_selfsup_marks` for self-supervision."""
-    d_hat, sigma = forward_arrays(field, w, h)
+    d_hat, sigma = forward_arrays(field.grids, w, h)
     gate = sigma > loss_cfg.sigma_min
     if regime == Regime.SELF_SUPERVISED:
         return gate, *_selfsup_marks(data, d_hat, loss_cfg.lambda_u)
@@ -68,7 +68,8 @@ def _fingerprint(regime: Regime, data: TrainData, field: DepthField, loss_cfg: L
 
 
 def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: float = STEP,
-                      loss_cfg: LossConfig | None = None) -> float:
+                      loss_cfg: LossConfig = LossConfig(lambda_u=0.0, weight_decay=0.0)
+                      ) -> float:
     """Worst relative disagreement between the assembled analytic gradient
     of the full MAP objective and central finite differences, per grid
     parameter (relative step; denominator floored at 1e-8).
@@ -80,11 +81,10 @@ def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: 
         raise ValueError("audit fields are limited to 8x8 grids")
     trainer._check_bundle(regime, data)
     keep_heap_mapped()
-    loss_cfg = loss_cfg if loss_cfg is not None else LossConfig()
     w, h = data.resolution()
-    obj = trainer._objective(regime, data, field, loss_cfg, w, h)
+    _, grad = trainer._objective(regime, data, field.grids, loss_cfg, w, h)
     base = _fingerprint(regime, data, field, loss_cfg, w, h)
-    analytic = np.concatenate([obj.grad_log_depth.ravel(), obj.grad_log_sigma.ravel()])
+    analytic = grad.ravel()
     theta0 = field.params()
     worst = 0.0
     for i in range(theta0.size):
@@ -97,7 +97,7 @@ def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: 
             marks = _fingerprint(regime, data, probe, loss_cfg, w, h)
             if not all(np.array_equal(a, b) for a, b in zip(marks, base)):
                 raise KinkStraddled(f"parameter {i} probe crossed a switch")
-            probes.append(trainer._objective(regime, data, probe, loss_cfg, w, h).loss)
+            probes.append(trainer._objective(regime, data, probe.grids, loss_cfg, w, h)[0])
         fd = (probes[0] - probes[1]) / (2 * hstep)
         denom = max(abs(fd), abs(analytic[i]), 1e-8)
         worst = max(worst, abs(fd - analytic[i]) / denom)
@@ -105,7 +105,7 @@ def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: 
 
 
 def audit_random_fields(regime: Regime, data: TrainData, draws: int,
-                        loss_cfg: LossConfig | None = None) -> list[float]:
+                        loss_cfg: LossConfig) -> list[float]:
     """Run the audit over ``draws`` random fields, seeded from ``SEED0`` on,
     redrawing any field whose probes straddle a kink of the
     piecewise-smooth objective."""

@@ -16,6 +16,13 @@ scale ``np.hypot(sigma_label, s_a)``.  :func:`_label_objective` is the
 label regimes' data term built on them, reading every frame each step and
 summing into zero-filled maps.
 
+The predictor is kept as it stood before its two grids became one
+(2, gh, gw) stack: :func:`forward_pair`, :func:`backward_pair` and
+:func:`prior_pair` upsample, back-project and regularise each grid on its
+own, and :func:`train_member` steps the two grids apart.  The reference
+objectives run on them, so a test can hold the stacked step and the whole
+training loop to the per-grid ones bit for bit.
+
 :func:`wall_field` and :func:`wall_shade` are the renderer's wall
 geometry in its plain form: the field with ``np.hypot`` and the ridge as
 ``R - A (0.5 + 0.5 cos(2 pi z / P))``, and shading that finds the axis
@@ -32,14 +39,15 @@ from scopedepth import synthcolon
 from scopedepth.geometry import EPS_Z, CameraIntrinsics, Pose, _pixel_rays
 from scopedepth.imagery import DepthMap, Image
 from scopedepth.losses import LossConfig, LossValue
+from scopedepth.losses import supervised_nll_arrays as library_nll
 from scopedepth.photometry import (
     PhotometricConfig,
     _ssim_moments,
     ssim_backward_channel,
     ssim_terms,
 )
-from scopedepth.predictor import DepthField, backward, forward_arrays
-from scopedepth.trainer import TrainData, _Objective
+from scopedepth.predictor import TrainConfig, _axis_matrix, init_random
+from scopedepth.trainer import NumericFailure, Regime, TrainData
 
 
 class BehindCameraError(ValueError):
@@ -322,12 +330,93 @@ def selfsup_nll_arrays(
     return LossValue(scalar, grad_fp, grad_sigma)
 
 
+def forward_pair(log_depth: np.ndarray, log_sigma: np.ndarray, w: int,
+                 h: int) -> tuple[np.ndarray, np.ndarray]:
+    """(depth, sigma) maps, one ``exp(Wy @ grid @ Wx.T)`` per grid."""
+    def up(grid):
+        gh, gw = grid.shape
+        return _axis_matrix(h, gh) @ grid @ _axis_matrix(w, gw).T
+    return np.exp(up(log_depth)), np.exp(up(log_sigma))
+
+
+def backward_pair(log_depth: np.ndarray, grad_depth: np.ndarray, grad_sigma: np.ndarray,
+                  d: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel gradients chained to each grid, one ``Wy.T @ g @ Wx`` each."""
+    gh, gw = log_depth.shape
+    def adjoint(grad):
+        h, w = grad.shape
+        return _axis_matrix(h, gh).T @ grad @ _axis_matrix(w, gw)
+    return adjoint(np.asarray(grad_depth) * d), adjoint(np.asarray(grad_sigma) * s)
+
+
+def prior_pair(log_depth: np.ndarray, log_sigma: np.ndarray,
+               cfg: LossConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """weight_decay * sum(theta^2) over the concatenated grids, and its
+    gradient split back into the two grids."""
+    theta = np.concatenate([log_depth.ravel(), log_sigma.ravel()])
+    grad = 2.0 * cfg.weight_decay * theta
+    n = log_depth.size
+    return (cfg.weight_decay * float((theta**2).sum()), grad[:n].reshape(log_depth.shape),
+            grad[n:].reshape(log_sigma.shape))
+
+
+def _label_shares(log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData, w: int,
+                  h: int, loss_cfg: LossConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """The label regimes' data term on the bundle's per-run constants: each
+    frame's 1/n share of the library likelihood, the first share becoming
+    the running sums."""
+    d_hat, sigma = forward_pair(log_depth, log_sigma, w, h)
+    n = len(data._label_constants)
+    sums = None
+    for label, var_label, weights, count in data._label_constants:
+        lv = library_nll(label, d_hat, sigma, weights, count, loss_cfg, var_label)
+        if sums is None:
+            sums = [lv.scalar / n, lv.grad_depth / n, lv.grad_sigma / n]
+            continue
+        sums[0] += lv.scalar / n
+        sums[1] += lv.grad_depth / n
+        sums[2] += lv.grad_sigma / n
+    total, grad_d, grad_s = sums
+    return total, *backward_pair(log_depth, grad_d, grad_s, d_hat, sigma)
+
+
+def train_member(regime: Regime, data: TrainData,
+                 cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The training loop with the two grids stepped apart: the label data
+    term of :func:`_label_shares` or the self-supervised one of
+    :func:`_selfsup_objective`, plus :func:`prior_pair`.  Returns the final
+    log-depth and log-scale grids and the loss of every step."""
+    w, h = data.resolution()
+    data_term = _selfsup_objective if regime == Regime.SELF_SUPERVISED else _label_shares
+    init = init_random(cfg.seed, cfg.grid, cfg.grid, cfg.depth_init_mm, cfg.jitter)
+    log_depth, log_sigma = init.log_depth, init.log_sigma
+    losses = np.empty(cfg.steps)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(cfg.steps):
+            total, g_ld, g_ls = data_term(log_depth, log_sigma, data, w, h, cfg.loss)
+            if cfg.loss.weight_decay > 0:
+                p_loss, p_ld, p_ls = prior_pair(log_depth, log_sigma, cfg.loss)
+                total += p_loss
+                g_ld += p_ld
+                g_ls += p_ls
+            if not np.isfinite(total):
+                raise NumericFailure(step, "non-finite loss", cfg.seed, cfg.learning_rate)
+            losses[step] = total
+            log_depth = log_depth - cfg.learning_rate * g_ld
+            log_sigma = log_sigma - cfg.learning_rate * g_ls
+            if not (np.all(np.isfinite(log_depth)) and np.all(np.isfinite(log_sigma))):
+                raise NumericFailure(step, "non-finite gradient step", cfg.seed,
+                                     cfg.learning_rate)
+    return log_depth, log_sigma, losses
+
+
 def _label_objective(
-    field: DepthField, data: TrainData, w: int, h: int, loss_cfg: LossConfig
-) -> _Objective:
+    log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData, w: int, h: int,
+    loss_cfg: LossConfig,
+) -> tuple[float, np.ndarray, np.ndarray]:
     """The data term of a label regime, read from the frames each step and
     summed into zero-filled maps."""
-    d_hat, sigma = forward_arrays(field, w, h)
+    d_hat, sigma = forward_pair(log_depth, log_sigma, w, h)
     total = 0.0
     grad_d = np.zeros((h, w))
     grad_s = np.zeros((h, w))
@@ -340,16 +429,16 @@ def _label_objective(
         grad_d += lv.grad_depth / n
         grad_s += lv.grad_sigma / n
         total += lv.scalar / n
-    g_ld, g_ls = backward(field, grad_d, grad_s, d_hat, sigma)
-    return _Objective(total, g_ld, g_ls)
+    return total, *backward_pair(log_depth, grad_d, grad_s, d_hat, sigma)
 
 
 def _selfsup_objective(
-    field: DepthField, data: TrainData, w: int, h: int, loss_cfg: LossConfig
-) -> _Objective:
+    log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData, w: int, h: int,
+    loss_cfg: LossConfig,
+) -> tuple[float, np.ndarray, np.ndarray]:
     pcfg = data.photometric
     alpha = pcfg.alpha
-    d_hat, u_hat = forward_arrays(field, w, h)
+    d_hat, u_hat = forward_pair(log_depth, log_sigma, w, h)
     total = 0.0
     grad_d = np.zeros((h, w))
     grad_u = np.zeros((h, w))
@@ -383,8 +472,7 @@ def _selfsup_objective(
         if loss_cfg.lambda_u > 0:
             total += loss_cfg.lambda_u * edge_aware_smoothness(d_hat, trip.target).mean() / nt
             grad_d += loss_cfg.lambda_u * edge_aware_smoothness_grad(d_hat, trip.target) / nt
-    g_ld, g_ls = backward(field, grad_d, grad_u, d_hat, u_hat)
-    return _Objective(total, g_ld, g_ls)
+    return total, *backward_pair(log_depth, grad_d, grad_u, d_hat, u_hat)
 
 
 def _ridge_radius(params, z):

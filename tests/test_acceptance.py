@@ -388,7 +388,7 @@ def test_criterion_7_example_battery():
     # losses
     one = lambda v: np.array([[v]], dtype=np.float64)
     t = pixel_weights(np.array([[True]]))
-    lc = LossConfig()
+    lc = LossConfig(lambda_u=0.0, weight_decay=0.0)
     ck(np.isclose(
         supervised_nll_arrays(one(3.0), one(1.0), one(2.0), *t, lc).scalar,
         1.0 + np.log(2.0)), "supervised 1+ln2")

@@ -160,6 +160,19 @@ class TestFlagWiring:
                 if knob is not None:
                     assert configs[cls][name] == knob[1] != getattr(cls, name), (cls, name)
 
+    def test_train_defaults_are_the_dataclass_defaults(self, dataset, tmp_path, monkeypatch):
+        # a default ``train`` and a library caller that keeps the defaults
+        # optimise one objective
+        for cls in (TrainConfig, LossConfig):
+            for name, knob in CONFIG_KNOBS[cls].items():
+                if knob is not None:
+                    assert cli.TRAIN_DEFAULTS[knob[0]] == getattr(cls, name), (cls, name)
+        trained = []
+        monkeypatch.setattr(cli, "train_ensemble",
+                            lambda regime, data, cfg, *_: trained.append(cfg) or [])
+        assert run("train", "--data", dataset, "--out", tmp_path / "t") == 0
+        assert trained == [TrainConfig()]
+
     def test_flag_sets_and_types(self):
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))

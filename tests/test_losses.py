@@ -10,7 +10,7 @@ from scopedepth.losses import (
     selfsup_nll_arrays,
 )
 
-CFG = LossConfig()
+CFG = LossConfig(lambda_u=0.0, weight_decay=0.0)
 ONE = pixel_weights(np.array([[True]]))
 
 

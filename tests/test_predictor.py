@@ -18,7 +18,7 @@ from scopedepth.predictor import (
 class TestInit:
     def test_zero_jitter_gives_constant_field(self):
         f = init_random(3, 4, 4, depth_init_mm=20.0, jitter=0.0)
-        d, s = forward_arrays(f, 16, 16)
+        d, s = forward_arrays(f.grids, 16, 16)
         np.testing.assert_allclose(d, 20.0)
         np.testing.assert_allclose(s, 1.0)
 
@@ -54,34 +54,34 @@ class TestInit:
 
 class TestForward:
     def test_constant_grid_exponentiates(self):
-        f = DepthField(np.full((3, 3), 2.0), np.zeros((3, 3)), 0)
-        d, s = forward_arrays(f, 9, 9)
+        f = DepthField(np.stack([np.full((3, 3), 2.0), np.zeros((3, 3))]), 0)
+        d, s = forward_arrays(f.grids, 9, 9)
         np.testing.assert_allclose(d, np.exp(2.0))
 
     def test_two_cell_midpoint(self):
-        f = DepthField(np.array([[0.0, 1.0]]), np.zeros((1, 2)), 0)
-        d, _ = forward_arrays(f, 9, 1)
+        f = DepthField(np.array([[[0.0, 1.0]], [[0.0, 0.0]]]), 0)
+        d, _ = forward_arrays(f.grids, 9, 1)
         assert d[0, 4] == pytest.approx(np.exp(0.5))
 
     def test_outputs_strictly_positive(self):
         rng = np.random.default_rng(0)
-        f = DepthField(rng.normal(0, 5, (4, 4)), rng.normal(0, 5, (4, 4)), 0)
-        d, s = forward_arrays(f, 12, 12)
+        f = DepthField(rng.normal(0, 5, (2, 4, 4)), 0)
+        d, s = forward_arrays(f.grids, 12, 12)
         assert (d > 0).all() and (s > 0).all()
 
     def test_log_shift_scales_output_exactly(self):
         rng = np.random.default_rng(1)
         f = init_random(5, 4, 4, 25.0, 0.2)
-        d0, _ = forward_arrays(f, 10, 10)
+        d0, _ = forward_arrays(f.grids, 10, 10)
         delta = 0.37
-        f2 = DepthField(f.log_depth + delta, f.log_sigma, f.seed)
-        d1, _ = forward_arrays(f2, 10, 10)
+        f2 = DepthField(np.stack([f.log_depth + delta, f.log_sigma]), f.seed)
+        d1, _ = forward_arrays(f2.grids, 10, 10)
         np.testing.assert_allclose(d1, d0 * np.exp(delta), rtol=1e-12)
 
     def test_resolution_must_cover_grid(self):
         f = init_random(0, 8, 8)
         with pytest.raises(ValueError):
-            forward_arrays(f, 4, 4)
+            forward_arrays(f.grids, 4, 4)
 
     def test_typed_forward_kinds(self):
         f = init_random(0, 4, 4)
@@ -116,6 +116,18 @@ class TestBackward:
         rhs = (grid * upsample_bilinear_adjoint(img, gw, gh)).sum()
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-10)
 
+    @pytest.mark.parametrize("gh, gw, h, w", [(1, 1, 5, 3), (4, 5, 13, 11), (16, 16, 64, 64)])
+    def test_stacked_planes_match_one_plane_at_a_time(self, gh, gw, h, w):
+        rng = np.random.default_rng(gh * 100 + w)
+        grids = rng.normal(size=(2, gh, gw))
+        img = rng.normal(size=(2, h, w))
+        up = upsample_bilinear(grids, w, h)
+        adj = upsample_bilinear_adjoint(img, gw, gh)
+        assert up.shape == (2, h, w) and adj.shape == (2, gh, gw)
+        for k in range(2):
+            assert up[k].tobytes() == upsample_bilinear(grids[k], w, h).tobytes()
+            assert adj[k].tobytes() == upsample_bilinear_adjoint(img[k], gw, gh).tobytes()
+
     def test_grid_equal_to_output_is_identity(self):
         grid = np.random.default_rng(6).normal(size=(7, 5))
         np.testing.assert_allclose(upsample_bilinear(grid, 5, 7), grid, atol=1e-15)
@@ -132,18 +144,18 @@ class TestBackward:
 
     def test_zero_upstream_zero_gradient(self):
         f = init_random(1, 4, 4)
-        d, s = forward_arrays(f, 8, 8)
-        g_ld, g_ls = backward(f, np.zeros((8, 8)), np.zeros((8, 8)), d, s)
-        assert not g_ld.any() and not g_ls.any()
+        d, s = forward_arrays(f.grids, 8, 8)
+        grad = backward(f.grids, np.zeros((8, 8)), np.zeros((8, 8)), d, s)
+        assert grad.shape == (2, 4, 4) and not grad.any()
 
     def test_single_cell_chain_rule(self):
         # 1x1 grid: cell gradient is sum over pixels of exp(c) * upstream
         c = 1.3
-        f = DepthField(np.array([[c]]), np.array([[0.0]]), 0)
+        f = DepthField(np.array([[[c]], [[0.0]]]), 0)
         rng = np.random.default_rng(3)
         up = rng.normal(size=(4, 4))
-        d, s = forward_arrays(f, 4, 4)
-        g_ld, _ = backward(f, up, np.zeros((4, 4)), d, s)
+        d, s = forward_arrays(f.grids, 4, 4)
+        g_ld = backward(f.grids, up, np.zeros((4, 4)), d, s)[0]
         assert g_ld[0, 0] == pytest.approx(np.exp(c) * up.sum())
 
     def test_matches_finite_differences_through_loss(self):
@@ -152,16 +164,15 @@ class TestBackward:
         w = h = 12
         labels = rng.uniform(10, 40, (h, w))
         weights, n = pixel_weights(rng.uniform(size=(h, w)) > 0.2)
-        cfg = LossConfig()
+        cfg = LossConfig(lambda_u=0.0, weight_decay=0.0)
 
         def loss_of(theta):
-            d, s = forward_arrays(field.with_params(theta), w, h)
+            d, s = forward_arrays(field.with_params(theta).grids, w, h)
             return supervised_nll_arrays(labels, d, s, weights, n, cfg).scalar
 
-        d0, s0 = forward_arrays(field, w, h)
+        d0, s0 = forward_arrays(field.grids, w, h)
         lv = supervised_nll_arrays(labels, d0, s0, weights, n, cfg)
-        g_ld, g_ls = backward(field, lv.grad_depth, lv.grad_sigma, d0, s0)
-        analytic = np.concatenate([g_ld.ravel(), g_ls.ravel()])
+        analytic = backward(field.grids, lv.grad_depth, lv.grad_sigma, d0, s0).ravel()
         theta0 = field.params()
         step = 1e-5
         for i in range(0, theta0.size, 7):
@@ -182,4 +193,4 @@ class TestSerialization:
 
     def test_rejects_non_finite_grids(self):
         with pytest.raises(ValueError):
-            DepthField(np.array([[np.nan]]), np.array([[0.0]]), 0)
+            DepthField(np.array([[[np.nan]], [[0.0]]]), 0)

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from _audit import KinkStraddled, audit_random_fields, finite_diff_audit
 
-from scopedepth import trainer
+from scopedepth import predictor, trainer
 from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, rotation_xyz
 from scopedepth.imagery import DepthMap, Image, Mask, UncMap, write_csv
-from scopedepth.losses import LossConfig, prior_loss
-from scopedepth.predictor import TrainConfig, forward_arrays, init_random
+from scopedepth.losses import LossConfig
+from scopedepth.predictor import DepthField, TrainConfig, forward_arrays, init_random
 from scopedepth.synthcolon import (
     SceneParams,
     generate_trajectory,
@@ -81,7 +81,7 @@ def selfsup_data():
 def small_cfg(**kw):
     base = dict(steps=60, learning_rate=0.5, grid=4,
                 depth_init_mm=25.0, jitter=0.05,
-                loss=LossConfig(weight_decay=1e-6), seed=3)
+                loss=LossConfig(weight_decay=1e-6, lambda_u=0.0), seed=3)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -110,7 +110,7 @@ class TestTrainMember:
         # jitter 0.01 keeps the initial depth within 1% of the labels, so
         # the first loss is dominated by log(sigma_init) = 0
         assert report.losses[0] == pytest.approx(0.0, abs=0.3)
-        d, _ = forward_arrays(field, 12, 12)
+        d, _ = forward_arrays(field.grids, 12, 12)
         assert np.abs(d / 25.0 - 1).mean() < 1e-3
 
     def test_uncertain_student_with_zero_sigma_matches_plain_bitwise(self):
@@ -298,7 +298,7 @@ class TestAudit:
         field = init_random(100, 4, 4, 25.0, 0.25)
         with pytest.raises(KinkStraddled, match="parameter 0 probe crossed a switch"):
             finite_diff_audit(Regime.SELF_SUPERVISED, selfsup_data, field, 1e-1,
-                              LossConfig(lambda_u=0.05))
+                              LossConfig(lambda_u=0.05, weight_decay=0.0))
 
     def test_zero_learning_rate_leaves_field(self, sup_data):
         # harness sanity: gradients are computed but never applied
@@ -329,17 +329,12 @@ def _triplet_bundle(K, w, h, gray=False, far_pose=False):
 
 def _reference_step(data_term):
     """A stand-in for ``trainer._objective`` built on a reference data
-    term, which leaves out the weight prior: the prior is added as the
-    library adds it."""
-    def objective(regime, data, field, loss_cfg, w, h):
-        obj = data_term(field, data, w, h, loss_cfg)
-        p_loss, p_grad = prior_loss(field.params(), loss_cfg)
-        n = field.log_depth.size
-        return replace(
-            obj, loss=obj.loss + p_loss,
-            grad_log_depth=obj.grad_log_depth + p_grad[:n].reshape(field.log_depth.shape),
-            grad_log_sigma=obj.grad_log_sigma + p_grad[n:].reshape(field.log_sigma.shape),
-        )
+    term, which leaves out the weight prior: the prior is added per grid,
+    as it was before the grids were stacked."""
+    def objective(regime, data, grids, loss_cfg, w, h):
+        loss, g_ld, g_ls = data_term(grids[0], grids[1], data, w, h, loss_cfg)
+        p_loss, p_ld, p_ls = _reference.prior_pair(grids[0], grids[1], loss_cfg)
+        return loss + p_loss, np.stack([g_ld + p_ld, g_ls + p_ls])
     return objective
 
 
@@ -367,12 +362,13 @@ class TestObjectiveMatchesReference:
             assert 0 < seen.mean() < 0.25
         for seed, grid, lambda_u in ((0, 4, 0.05), (1, 8, 0.05), (2, 5, 0.0), (3, 3, 0.5)):
             field = init_random(seed, grid, grid, 25.0, 0.25)
-            lc = LossConfig(lambda_u=lambda_u)
-            new = trainer._objective(Regime.SELF_SUPERVISED, data, field, lc, w, h)
-            ref = _reference._selfsup_objective(field, data, w, h, lc)
-            assert new.loss == ref.loss
-            assert np.array_equal(new.grad_log_depth, ref.grad_log_depth)
-            assert np.array_equal(new.grad_log_sigma, ref.grad_log_sigma)
+            lc = LossConfig(lambda_u=lambda_u, weight_decay=0.0)
+            loss, grad = trainer._objective(Regime.SELF_SUPERVISED, data, field.grids, lc, w, h)
+            ref_loss, ref_ld, ref_ls = _reference._selfsup_objective(
+                field.log_depth, field.log_sigma, data, w, h, lc)
+            assert loss == ref_loss
+            assert np.array_equal(grad[0], ref_ld)
+            assert np.array_equal(grad[1], ref_ls)
 
     def test_training_run_matches_reference(self, monkeypatch):
         data = _triplet_bundle(**REFERENCE_CASES["rgb-64"])
@@ -474,13 +470,12 @@ class TestLabelStepMatchesReference:
         data = _label_bundles()[Regime.UNCERTAIN_STUDENT]
         lc = LossConfig(weight_decay=1e-6)
         for seed in range(5):
-            field = init_random(seed, 4, 4, 25.0, 0.25)
-            new = trainer._objective(Regime.UNCERTAIN_STUDENT, data, field, lc, 24, 24)
-            ref = _reference_step(_reference._label_objective)(
-                Regime.UNCERTAIN_STUDENT, data, field, lc, 24, 24)
-            assert abs(new.loss - ref.loss) <= 4 * np.spacing(ref.loss)
-            for got, want in ((new.grad_log_depth, ref.grad_log_depth),
-                              (new.grad_log_sigma, ref.grad_log_sigma)):
+            grids = init_random(seed, 4, 4, 25.0, 0.25).grids
+            loss, grad = trainer._objective(Regime.UNCERTAIN_STUDENT, data, grids, lc, 24, 24)
+            ref_loss, ref_grad = _reference_step(_reference._label_objective)(
+                Regime.UNCERTAIN_STUDENT, data, grids, lc, 24, 24)
+            assert abs(loss - ref_loss) <= 4 * np.spacing(ref_loss)
+            for got, want in ((grad[0], ref_grad[0]), (grad[1], ref_grad[1])):
                 assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max())
 
     @pytest.mark.parametrize("regime", [Regime.SUPERVISED_SFM, Regime.UNCERTAIN_STUDENT])
@@ -490,12 +485,12 @@ class TestLabelStepMatchesReference:
         poisoned = TrainData(frames=(data.frames[0], _poisoned(data.frames[1], bad)))
         lc = LossConfig(weight_decay=1e-6)
         for seed in range(3):
-            field = init_random(seed, 4, 4, 25.0, 0.25)
-            a = trainer._objective(regime, data, field, lc, 24, 24)
-            b = trainer._objective(regime, poisoned, field, lc, 24, 24)
-            assert a.loss == b.loss
-            assert a.grad_log_depth.tobytes() == b.grad_log_depth.tobytes()
-            assert a.grad_log_sigma.tobytes() == b.grad_log_sigma.tobytes()
+            grids = init_random(seed, 4, 4, 25.0, 0.25).grids
+            a_loss, a_grad = trainer._objective(regime, data, grids, lc, 24, 24)
+            b_loss, b_grad = trainer._objective(regime, poisoned, grids, lc, 24, 24)
+            assert a_loss == b_loss
+            assert a_grad[0].tobytes() == b_grad[0].tobytes()
+            assert a_grad[1].tobytes() == b_grad[1].tobytes()
 
     @pytest.mark.parametrize("regime", LABEL_REGIMES)
     def test_diverging_run_fails_at_reference_step(self, regime, monkeypatch):
@@ -507,7 +502,10 @@ class TestLabelStepMatchesReference:
                             _reference_step(_reference._label_objective))
         with pytest.raises(NumericFailure) as ref:
             train_member(regime, data, cfg)
-        assert new.value.step == ref.value.step > 0
+        # and the loop that stepped and checked the two grids apart
+        with pytest.raises(NumericFailure) as per_grid:
+            _reference.train_member(regime, data, cfg)
+        assert new.value.step == ref.value.step == per_grid.value.step > 0
 
 
 class TestLabelConstants:
@@ -571,3 +569,75 @@ class TestLabelConstants:
                 train_member(regime, sup_data, small_cfg())
             with pytest.raises(ValueError, match=f"unknown regime {regime!r}"):
                 finite_diff_audit(regime, sup_data, field)
+
+
+class TestStackedParameters:
+    """A member's two grids are one (2, g, g) stack: each step upsamples and
+    back-projects both in one call each, and training reproduces the loop
+    that stepped the two grids apart, bit for bit."""
+
+    @pytest.mark.parametrize("bundle", ["sup_data", "selfsup_data"])
+    def test_one_upsample_and_one_adjoint_per_step(self, bundle, request, monkeypatch):
+        data = request.getfixturevalue(bundle)
+        regime = Regime.SELF_SUPERVISED if data.triplets else Regime.SUPERVISED_GT
+        calls = {}
+        for name in ("upsample_bilinear", "upsample_bilinear_adjoint"):
+            def counted(*args, _name=name, _fn=getattr(predictor, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(predictor, name, counted)
+        train_member(regime, data, small_cfg(steps=7))
+        assert calls == {"upsample_bilinear": 7, "upsample_bilinear_adjoint": 7}
+
+    def test_field_is_one_read_only_stack(self):
+        field = init_random(3, 5, 4, 25.0, 0.1)
+        assert field.grids.shape == (2, 4, 5) and not field.grids.flags.writeable
+        assert np.shares_memory(field.log_depth, field.grids)
+        assert np.shares_memory(field.log_sigma, field.grids)
+        assert np.shares_memory(field.params(), field.grids)
+        theta = np.arange(40.0)
+        again = field.with_params(theta)
+        assert again.params().tobytes() == theta.tobytes()
+        theta[0] = -1.0  # the field keeps its own copy
+        assert again.log_depth[0, 0] == 0.0
+        with pytest.raises(ValueError, match="stack"):
+            DepthField(np.zeros((3, 4, 5)), 0)
+
+    def test_quick_start_ensemble_matches_per_grid_loop(self):
+        # the README quick start's shape: five supervised-gt members of 200
+        # steps on a grid of 16, labelled by one 64x64 frame, under the
+        # dataclass (and CLI) defaults
+        params = SceneParams(seed=21)
+        pose = generate_trajectory(params, 12, 1.0, sway_mm=2.5)[6]
+        _, depth, _ = render_view(params, pose, CameraIntrinsics(48, 48, 31.5, 31.5), 64, 64)
+        data = TrainData(frames=(LabeledFrame(depth=depth),))
+        cfg = TrainConfig(steps=200)
+        for field, report in train_ensemble(Regime.SUPERVISED_GT, data, cfg, 5, 1):
+            ld, ls, losses = _reference.train_member(Regime.SUPERVISED_GT, data,
+                                                     replace(cfg, seed=field.seed))
+            assert field.log_depth.tobytes() == ld.tobytes()
+            assert field.log_sigma.tobytes() == ls.tobytes()
+            assert report.losses.tobytes() == losses.tobytes()
+
+    @pytest.mark.parametrize("regime, case", [
+        *((r, c) for r in LABEL_REGIMES for c in ("two-frame", "lone-frame")),
+        (Regime.SELF_SUPERVISED, "selfsup-16"), (Regime.SELF_SUPERVISED, "selfsup-64"),
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_short_runs_match_per_grid_loop(self, regime, case, student_data, selfsup_data):
+        if case == "two-frame":
+            data, cfg = _label_bundles()[regime], small_cfg(steps=30)
+        elif case == "lone-frame":
+            frame = student_data.frames[0]
+            if regime != Regime.UNCERTAIN_STUDENT:
+                frame = replace(frame, sigma=None)
+            data, cfg = TrainData(frames=(frame,)), small_cfg(steps=30)
+        else:
+            data = (selfsup_data if case == "selfsup-16"
+                    else _triplet_bundle(**REFERENCE_CASES["rgb-64"]))
+            cfg = small_cfg(steps=15, grid=6,
+                            loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
+        field, report = train_member(regime, data, cfg)
+        ld, ls, losses = _reference.train_member(regime, data, cfg)
+        assert field.log_depth.tobytes() == ld.tobytes()
+        assert field.log_sigma.tobytes() == ls.tobytes()
+        assert report.losses.tobytes() == losses.tobytes()
