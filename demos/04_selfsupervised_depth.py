@@ -13,7 +13,6 @@ from scopedepth import (
     CameraIntrinsics,
     DepthMap,
     LossConfig,
-    PhotometricConfig,
     Regime,
     SceneParams,
     TrainConfig,
@@ -42,7 +41,7 @@ triplet = Triplet(
     sources=(views[5][0], views[7][0]),
     rel_poses=tuple(relative_pose(traj[6], traj[6 + o]) for o in (-1, 1)),
 )
-data = TrainData(triplets=(triplet,), K=K, photometric=PhotometricConfig())
+data = TrainData(triplets=(triplet,), K=K)
 cfg = TrainConfig(
     steps=1500, learning_rate=1.0, grid=16, depth_init_mm=30.0,
     loss=LossConfig(weight_decay=1e-7, lambda_u=3.0, sigma_min=0.01), seed=5,

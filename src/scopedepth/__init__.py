@@ -39,7 +39,6 @@ from .metrics import (
     normal_ppf,
     scale_correction,
 )
-from .photometry import PhotometricConfig
 from .predictor import DepthField, TrainConfig, backward, forward, init_random
 from .synthcolon import (
     LightModel,

@@ -12,6 +12,16 @@ A command's flags are the config keys in its ``*_FLAGS`` tuple, spelled
 boolean keys take ``--key``/``--no-key``.  Other keys are set via --config,
 whose values must have the same types (an int may stand for a float).
 
+Train keys of earlier releases whose values are now fixed are listed in
+``RETIRED_KEYS`` with their values: self-supervision always weighs SSIM
+by alpha 0.85 over 3x3 windows and takes the target's two neighbours as
+sources.  A --config (an old train manifest, say) may hold such a key at
+its fixed value, and the key is dropped from the new manifest; any other
+value is a usage error.
+
+Every dataset is read through its synth manifest, whose ``config`` holds
+the frame count.
+
 ``train`` trains the ensemble members one after another in the calling
 process, for any value of its ``jobs`` key (``--jobs``), which must be
 >= 1 and is recorded in the manifest.
@@ -37,7 +47,6 @@ from .imagery import DepthMap, UncMap, read_json, read_pfm, read_ppm, write_csv,
 from .losses import LossConfig
 from .metrics import (auce, calibration_curve, default_p_grid, depth_metrics,
                       scale_correction)
-from .photometry import PhotometricConfig
 from .predictor import DepthField, TrainConfig, forward
 from .rng import Xoshiro256
 from .synthcolon import LightModel, SceneParams, simulate_sfm_labels, write_dataset
@@ -88,16 +97,16 @@ TRAIN_DEFAULTS = {
     "members": 5,
     **{k: getattr(TrainConfig, k) for k in TRAIN_KEYS},
     **{k: getattr(LossConfig, k) for k in LOSS_KEYS},
-    "alpha": 0.85,
-    "ssim_window": 3,
     "target_frame": -1,  # -1: middle frame
-    "source_offsets": [-1, 1],
     "sfm_holes": 0.3,
     "sfm_noise": 0.05,
     "sfm_scale": 0.7,
     "teacher": None,
     "jobs": 1,  # checked and recorded only; see the module docstring
 }
+
+# retired config keys and the values they are fixed at
+RETIRED_KEYS = {"alpha": 0.85, "ssim_window": 3, "source_offsets": [-1, 1]}
 
 EVAL_DEFAULTS = {
     "target_frame": -1,
@@ -153,7 +162,9 @@ def _entry(obj: dict, key: str, default):
 
 def _resolve(defaults: dict, args) -> dict:
     """``defaults``, then the ``--config`` file's entries, then every flag
-    given whose ``dest`` is a key of ``defaults`` (flags win)."""
+    given whose ``dest`` is a key of ``defaults`` (flags win).  A config
+    entry for a key in ``RETIRED_KEYS`` must hold its fixed value, and is
+    dropped."""
     out = dict(defaults)
     config = {}
     if args.config is not None:
@@ -162,6 +173,12 @@ def _resolve(defaults: dict, args) -> dict:
         if "config" in config and isinstance(config["config"], dict):
             config = config["config"]
     for k, v in config.items():
+        if k in RETIRED_KEYS:
+            fixed = RETIRED_KEYS[k]
+            if not (_config_type_ok(v, fixed) and v == fixed):
+                raise UsageError(f"config key {k!r} in {args.config} is fixed at "
+                                 f"{fixed!r}, got {v!r}")
+            continue
         if k not in out and k not in ("data", "out", "pred", "run"):
             raise UsageError(f"unknown config key {k!r}")
         default = defaults.get(k, "")  # the path keys are strings
@@ -183,10 +200,17 @@ def _write_manifest(out_dir: Path, command: str, config: dict, **extra) -> None:
                out_dir / "manifest.json", indent=1, sort_keys=True)
 
 
+def _synth_frames(manifest: dict) -> int:
+    """The frame count a synth manifest's configuration holds."""
+    if manifest.get("command") != "synth":
+        raise ValueError(f"a {manifest.get('command')!r} manifest, not a synth manifest")
+    return _entry(manifest["config"], "frames", 0)
+
+
 def _target_index(data_dir: Path, requested: int) -> tuple[int, int]:
     """The frame ``requested`` (-1: the middle one) and the dataset's frame
     count."""
-    n_frames = read_json(data_dir / "manifest.json", lambda m: _entry(m, "n_frames", 0))
+    n_frames = read_json(data_dir / "manifest.json", _synth_frames)
     if requested == -1:
         return n_frames // 2, n_frames
     if not 0 <= requested < n_frames:
@@ -203,13 +227,11 @@ def cmd_synth(args) -> int:
     K = CameraIntrinsics(cfg["fx"], cfg["fy"], cfg["cx"], cfg["cy"])
     light = LightModel(intensity=cfg["light_intensity"], specular=cfg["specular"])
     out_dir = Path(args.out)
-    ds_manifest = write_dataset(
+    write_dataset(
         out_dir, params, K, cfg["frames"], cfg["step_mm"], cfg["width"],
         cfg["height"], light, cfg["heading_noise_rad"], sway_mm=cfg["sway_mm"],
     )
-    # one manifest carries both the dataset description and the resolved
-    # command configuration for bit-identical re-runs
-    _write_manifest(out_dir, "synth", cfg, **ds_manifest)
+    _write_manifest(out_dir, "synth", cfg)
     print(f"wrote {cfg['frames']} frames to {out_dir}")
     return 0
 
@@ -226,24 +248,17 @@ def _build_train_data(cfg: dict, regime: Regime, data_dir: Path) -> tuple[TrainD
         )
         data = TrainData(frames=(LabeledFrame(depth=d_sfm, mask=mask),))
     elif regime == Regime.SELF_SUPERVISED:
-        offsets = [int(o) for o in cfg["source_offsets"]]
-        if any(not 0 <= t_i + o < n for o in offsets):
-            raise UsageError("source offsets leave the trajectory")
-        poses = {i: Pose.load(data_dir / f"pose_{i:04d}.json")
-                 for i in (t_i, *(t_i + o for o in offsets))}
-        sources = tuple(
-            read_ppm(data_dir / f"frame_{t_i + o:04d}.ppm") for o in offsets
-        )
-        rels = tuple(relative_pose(poses[t_i], poses[t_i + o]) for o in offsets)
+        if not 0 < t_i < n - 1:
+            raise UsageError(f"target frame {t_i} ends the {n}-frame trajectory in "
+                             f"{data_dir}: self-supervision needs both neighbours")
+        near = (t_i - 1, t_i + 1)
+        poses = {i: Pose.load(data_dir / f"pose_{i:04d}.json") for i in (t_i, *near)}
+        sources = tuple(read_ppm(data_dir / f"frame_{i:04d}.ppm") for i in near)
+        rels = tuple(relative_pose(poses[t_i], poses[i]) for i in near)
         image = read_ppm(data_dir / f"frame_{t_i:04d}.ppm")
         K = read_json(data_dir / "intrinsics.json", CameraIntrinsics.from_json)
         data = TrainData(
-            triplets=(Triplet(target=image, sources=sources, rel_poses=rels),),
-            K=K,
-            photometric=PhotometricConfig(
-                alpha=cfg["alpha"], ssim_window=cfg["ssim_window"]
-            ),
-        )
+            triplets=(Triplet(target=image, sources=sources, rel_poses=rels),), K=K)
     else:
         if not cfg.get("teacher"):
             raise UsageError(f"{regime.value} needs --teacher pointing at fused maps")
@@ -263,6 +278,9 @@ def cmd_train(args) -> int:
             f"invalid regime {cfg['regime']!r}; valid: "
             + ", ".join(r.value for r in Regime)
         ) from None
+    if cfg["teacher"] and regime not in (Regime.PLAIN_STUDENT, Regime.UNCERTAIN_STUDENT):
+        raise UsageError(f"--teacher is for the student regimes; {regime.value} "
+                         "reads no teacher")
     data_dir = Path(args.data if args.data else cfg.get("data", ""))
     if not (data_dir / "manifest.json").exists():
         raise UsageError(f"no dataset at {data_dir}")

@@ -1,6 +1,10 @@
 """Appearance terms: SSIM, the per-pixel photometric residual, and the
 edge-aware smoothness prior.
 
+The recipe is fixed: the residual weighs SSIM against L1 by alpha = 0.85
+(``_ALPHA``), and SSIM takes its statistics over 3x3 windows
+(``_WINDOW``) with the stabilisers c1 = 0.01^2 and c2 = 0.03^2.
+
 Windowed SSIM statistics use a box filter with edge replication, so every
 value is checkable against a brute-force loop over clamped windows.  The
 filter is two matrix products with cached per-axis moving-mean matrices,
@@ -21,7 +25,6 @@ is an argument, so training computes it once per run.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,63 +35,48 @@ from .imagery import Image
 # quality assessment: from error visibility to structural similarity")
 _C1 = 0.01**2
 _C2 = 0.03**2
-
-
-@dataclass(frozen=True)
-class PhotometricConfig:
-    """Weights of the residual: ``(1-alpha) L1 + (alpha/2)(1 - SSIM)``.
-
-    Defaults follow the standard view-synthesis configuration on [0, 1]
-    intensities: alpha 0.85 and a 3x3 window.  The SSIM stabilisers are
-    the fixed ``_C1`` = 0.01^2 and ``_C2`` = 0.03^2.
-    """
-
-    alpha: float = 0.85
-    ssim_window: int = 3
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if self.ssim_window < 3 or self.ssim_window % 2 == 0:
-            raise ValueError("ssim_window must be odd and >= 3")
+# the Eq.-4 weight of SSIM against L1 and the SSIM window's side, the
+# standard view-synthesis recipe (Godard et al. 2019, "Digging into
+# self-supervised monocular depth estimation")
+_ALPHA = 0.85
+_WINDOW = 3
 
 
 @functools.lru_cache(maxsize=64)
-def _box_matrix(n: int, window: int) -> np.ndarray:
+def _box_matrix(n: int) -> np.ndarray:
     """Read-only (n, n) moving mean of one axis with edge replication: row i
-    averages the entries at clip(i - window//2 .. i + window//2, 0, n - 1)."""
+    averages the entries at clip(i - 1 .. i + 1, 0, n - 1)."""
     i = np.arange(n)[:, None]
-    r = window // 2
+    r = _WINDOW // 2
     m = np.zeros((n, n))
     np.add.at(m, (i, np.clip(i + np.arange(-r, r + 1), 0, n - 1)), 1.0)
-    m /= window
+    m /= _WINDOW
     m.setflags(write=False)
     return m
 
 
-def box_filter(x: np.ndarray, window: int) -> np.ndarray:
-    """Windowed mean with edge replication over the last two axes:
+def box_filter(x: np.ndarray) -> np.ndarray:
+    """3x3 windowed mean with edge replication over the last two axes:
     ``B_h @ x @ B_w.T``."""
     x = np.asarray(x, dtype=np.float64)
     h, w = x.shape[-2:]
-    return _box_matrix(h, window) @ x @ _box_matrix(w, window).T
+    return _box_matrix(h) @ x @ _box_matrix(w).T
 
 
-def box_filter_adjoint(g: np.ndarray, window: int) -> np.ndarray:
+def box_filter_adjoint(g: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`box_filter`: <box(x), g> == <x, adjoint(g)>."""
     g = np.asarray(g, dtype=np.float64)
     h, w = g.shape[-2:]
-    return _box_matrix(h, window).T @ g @ _box_matrix(w, window)
+    return _box_matrix(h).T @ g @ _box_matrix(w)
 
 
-def _ssim_moments(x: np.ndarray, cfg: PhotometricConfig) -> tuple:
+def _ssim_moments(x: np.ndarray) -> tuple:
     """Windowed mean and windowed second moment of a channel (stack)."""
-    return box_filter(x, cfg.ssim_window), box_filter(x * x, cfg.ssim_window)
+    return box_filter(x), box_filter(x * x)
 
 
 def ssim_terms(
-    a: np.ndarray, b: np.ndarray, cfg: PhotometricConfig,
-    a_moments: tuple[np.ndarray, np.ndarray],
+    a: np.ndarray, b: np.ndarray, a_moments: tuple[np.ndarray, np.ndarray]
 ) -> tuple:
     """One pass over the windowed statistics of float64 (h, w) channels or
     (c, h, w) channel stacks: returns (S, a, b, mu_a, mu_b, A1, A2, B1, B2),
@@ -96,12 +84,11 @@ def ssim_terms(
     :func:`ssim_backward_channel` needs to differentiate it.  ``a_moments``
     are the :func:`_ssim_moments` of ``a``, which training computes once
     per run."""
-    win = cfg.ssim_window
     mu_a, a2 = a_moments
-    mu_b, b2 = _ssim_moments(b, cfg)
+    mu_b, b2 = _ssim_moments(b)
     var_a = a2 - mu_a**2
     var_b = b2 - mu_b**2
-    cov = box_filter(a * b, win) - mu_a * mu_b
+    cov = box_filter(a * b) - mu_a * mu_b
     A1 = 2 * mu_a * mu_b + _C1
     A2 = 2 * cov + _C2
     B1 = mu_a**2 + mu_b**2 + _C1
@@ -109,13 +96,10 @@ def ssim_terms(
     return (A1 * A2) / (B1 * B2), a, b, mu_a, mu_b, A1, A2, B1, B2
 
 
-def ssim_backward_channel(
-    terms: tuple, upstream: np.ndarray, cfg: PhotometricConfig
-) -> np.ndarray:
+def ssim_backward_channel(terms: tuple, upstream: np.ndarray) -> np.ndarray:
     """d(sum(upstream * ssim(a, b)))/db per channel, a held fixed, from the
     :func:`ssim_terms` of (a, b); an (h, w) ``upstream`` broadcasts over a
     (c, h, w) stack."""
-    win = cfg.ssim_window
     S, a, b, mu_a, mu_b, A1, A2, B1, B2 = terms
     dS_dA1 = A2 / (B1 * B2)
     dS_dA2 = A1 / (B1 * B2)
@@ -128,9 +112,9 @@ def ssim_backward_channel(
     g_eab = upstream * dS_dA2 * 2
     g_eb2 = upstream * dS_dB2
     return (
-        box_filter_adjoint(g_mu, win)
-        + box_filter_adjoint(g_eab, win) * a
-        + box_filter_adjoint(g_eb2, win) * 2 * b
+        box_filter_adjoint(g_mu)
+        + box_filter_adjoint(g_eab) * a
+        + box_filter_adjoint(g_eb2) * 2 * b
     )
 
 
@@ -138,7 +122,6 @@ def photometric_residual_arrays(
     tgt: np.ndarray,
     tgt_moments: tuple[np.ndarray, np.ndarray],
     warps: list[tuple[np.ndarray, np.ndarray]],
-    cfg: PhotometricConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
     """Minimum-over-sources photometric error of Eq.-4 form on arrays.
 
@@ -147,21 +130,21 @@ def photometric_residual_arrays(
     computes them once per run), and each warp a pair of the (c, h, w)
     float64 warped source and its (h, w) bool validity.  Per pixel and per
     valid source the candidate is ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)``
-    with L1 the channel-mean absolute difference; the residual keeps the
-    smallest candidate, and a pixel is valid when at least one source is.
+    at alpha = ``_ALPHA``, with L1 the channel-mean absolute difference;
+    the residual keeps the smallest candidate, and a pixel is valid when
+    at least one source is.
 
     Returns (f_p, valid, argmin source index (-1 where invalid), one
     :func:`ssim_terms` tuple of (c, h, w) stacks per source).
     """
     if not warps:
         raise ValueError("need at least one warped source")
-    alpha = cfg.alpha
     candidates = []
     terms = []
     for vals, valid in warps:
         l1 = np.abs(tgt - vals).mean(axis=0)
-        t = ssim_terms(tgt, vals, cfg, tgt_moments)
-        cand = (1 - alpha) * l1 + 0.5 * alpha * (1 - t[0].mean(axis=0))
+        t = ssim_terms(tgt, vals, tgt_moments)
+        cand = (1 - _ALPHA) * l1 + 0.5 * _ALPHA * (1 - t[0].mean(axis=0))
         candidates.append(np.where(valid, cand, np.inf))
         terms.append(t)
     stack = np.stack(candidates, axis=0)

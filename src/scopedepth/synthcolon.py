@@ -568,12 +568,12 @@ def write_dataset(
     light: LightModel | None = None,
     heading_noise_rad: float = 0.008,
     sway_mm: float = 0.0,
-) -> dict:
+) -> None:
     """Render a trajectory into the on-disk layout:
 
     frame_%04d.ppm, depth_%04d.pfm, pose_%04d.json, intrinsics.json.
-    Poses are camera-to-world.  Returns the dataset description, which
-    the caller writes as ``manifest.json``.
+    Poses are camera-to-world.  The ``synth`` command writes the
+    settings, as its resolved configuration, into ``manifest.json``.
     """
     light = light or LightModel()
     poses = generate_trajectory(params, n_frames, step_mm, heading_noise_rad,
@@ -591,14 +591,3 @@ def write_dataset(
         del img, depth, _hit
         pose.save(directory / f"pose_{i:04d}.json")
     write_json(K.to_json(), directory / "intrinsics.json", indent=1)
-    return {
-        "params": asdict(params),
-        "light": asdict(light),
-        "width": w,
-        "height": h,
-        "n_frames": n_frames,
-        "step_mm": step_mm,
-        "heading_noise_rad": heading_noise_rad,
-        "sway_mm": sway_mm,
-        "frames": list(range(n_frames)),
-    }

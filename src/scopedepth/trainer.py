@@ -2,13 +2,16 @@
 
 Supervision comes from ground-truth depth, simulated SfM labels, multi-view
 photometric consistency, or a frozen teacher ensemble (with or without the
-teacher's predictive variance folded into the loss scale).  Optimization is
-plain fixed-step gradient descent on the MAP objective, which keeps every
-run bitwise reproducible from (regime, data, config, seed).  The objective
-computes the training step only: the loss and its analytic gradient, warp,
-sampling, SSIM and minimum-over-sources included.  The finite-difference
-audit of that gradient, with its record of the objective's piecewise
-switches, lives with the tests in ``tests/_audit.py``.
+teacher's predictive variance folded into the loss scale).  Photometric
+consistency follows the fixed Eq.-4 recipe of :mod:`scopedepth.photometry`
+(alpha 0.85, 3x3 SSIM windows, minimum over a triplet's sources).
+Optimization is plain fixed-step gradient descent on the MAP objective,
+which keeps every run bitwise reproducible from (regime, data, config,
+seed).  The objective computes the training step only: the loss and its
+analytic gradient, warp, sampling, SSIM and minimum-over-sources
+included.  The finite-difference audit of that gradient, with its record
+of the objective's piecewise switches, lives with the tests in
+``tests/_audit.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .heap import keep_heap_mapped
 from .imagery import DepthMap, Image, Mask, UncMap, bilinear_sample_planes, same_shape
 from .losses import LossConfig, pixel_weights, prior_loss, selfsup_nll_arrays, supervised_nll_arrays
 from .photometry import (
-    PhotometricConfig,
+    _ALPHA,
     _ssim_moments,
     edge_weights,
     photometric_residual_arrays,
@@ -87,14 +90,14 @@ def _frame_constants(frame: LabeledFrame) -> tuple:
             None if s is None else np.square(s.data.astype(np.float64)), *pixel_weights(valid))
 
 
-def _triplet_constants(trip: Triplet, K: CameraIntrinsics, pcfg: PhotometricConfig) -> tuple:
+def _triplet_constants(trip: Triplet, K: CameraIntrinsics) -> tuple:
     """What a self-supervised step reads of a triplet but never changes:
     the target's (c, h, w) float64 planes and their SSIM moments, the
     sources' planes and poses, the :func:`warp_basis` of each pose, and the
     target's smoothness edge weights."""
     target = trip.target.planes()
     return (
-        target, _ssim_moments(target, pcfg), tuple(src.planes() for src in trip.sources),
+        target, _ssim_moments(target), tuple(src.planes() for src in trip.sources),
         trip.rel_poses,
         tuple(warp_basis(K, pose, trip.target.width, trip.target.height)
               for pose in trip.rel_poses),
@@ -110,7 +113,6 @@ class TrainData:
     frames: tuple[LabeledFrame, ...] = ()
     triplets: tuple[Triplet, ...] = ()
     K: CameraIntrinsics | None = None
-    photometric: PhotometricConfig = PhotometricConfig()
 
     def resolution(self) -> tuple[int, int]:
         if self.frames:
@@ -130,15 +132,15 @@ class TrainData:
     def _selfsup_constants(self) -> tuple[tuple, ...]:
         """Per-triplet constants of the self-supervised step, built on first
         use and kept for the lifetime of the bundle."""
-        return tuple(_triplet_constants(t, self.K, self.photometric)
-                     for t in self.triplets)
+        return tuple(_triplet_constants(t, self.K) for t in self.triplets)
 
 
 @dataclass(frozen=True, eq=False)
 class TrainReport:
+    """Per-step losses and the member's training wall time in seconds."""
+
     losses: np.ndarray
     wall_clock: float
-    seed: int
 
 
 def _check_bundle(regime: Regime, data: TrainData) -> None:
@@ -182,12 +184,11 @@ def _label_term(const, d_hat, sigma, loss_cfg, n, sums) -> tuple:
     return total + lv.scalar / n, grad_d, grad_s
 
 
-def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, sums) -> tuple:
+def _triplet_term(K, const, d_hat, u_hat, loss_cfg, n, sums) -> tuple:
     """:func:`_label_term` for one triplet: the photometric term through the
     warp of its argmin source, plus the edge-aware smoothness term."""
     tgt, tgt_moments, sources, poses, bases, weights = const
     total, grad_d, grad_u = sums or (0.0, np.zeros(d_hat.shape), np.zeros(d_hat.shape))
-    alpha = pcfg.alpha
     nchan = tgt.shape[0]
     warps, jacobians = [], []
     for src, pose, basis in zip(sources, poses, bases):
@@ -196,7 +197,7 @@ def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, sums) -> tuple:
         valid = in_front & samp_ok
         warps.append((vals, valid))
         jacobians.append((ddx, ddy, dxd, dyd))
-    f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, tgt_moments, warps, pcfg)
+    f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, tgt_moments, warps)
     lv = selfsup_nll_arrays(f_p, u_hat, *pixel_weights(valid_px), loss_cfg)
     total += lv.scalar / n
     grad_u += lv.grad_sigma / n
@@ -205,8 +206,8 @@ def _triplet_term(K, pcfg, const, d_hat, u_hat, loss_cfg, n, sums) -> tuple:
         up = np.where(arg == s_idx, lv.grad_depth, 0.0) / n
         if not np.any(up):
             continue
-        g_vals = (1 - alpha) / nchan * (-np.sign(tgt - vals)) * up
-        g_vals += ssim_backward_channel(terms[s_idx], -0.5 * alpha / nchan * up, pcfg)
+        g_vals = (1 - _ALPHA) / nchan * (-np.sign(tgt - vals)) * up
+        g_vals += ssim_backward_channel(terms[s_idx], -0.5 * _ALPHA / nchan * up)
         d_dd = (g_vals * ddx).sum(axis=0) * dxd + (g_vals * ddy).sum(axis=0) * dyd
         grad_d += np.where(valid, d_dd, 0.0)
     if loss_cfg.lambda_u > 0:
@@ -226,7 +227,7 @@ def _objective(
     have passed :func:`_check_bundle`."""
     if regime == Regime.SELF_SUPERVISED:
         consts = data._selfsup_constants
-        term = functools.partial(_triplet_term, data.K, data.photometric)
+        term = functools.partial(_triplet_term, data.K)
     else:
         consts, term = data._label_constants, _label_term
     d_hat, sigma = forward_arrays(grids, w, h)
@@ -268,7 +269,7 @@ def train_member(
             if not np.all(np.isfinite(grids)):
                 raise NumericFailure(
                     step, "non-finite gradient step", cfg.seed, cfg.learning_rate)
-    return DepthField(grids, cfg.seed), TrainReport(losses, time.perf_counter() - t0, cfg.seed)
+    return DepthField(grids, cfg.seed), TrainReport(losses, time.perf_counter() - t0)
 
 
 def train_ensemble(

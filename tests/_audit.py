@@ -49,7 +49,7 @@ def _selfsup_marks(data: TrainData, d_hat: np.ndarray, lambda_u: float) -> list:
             warps.append((vals, valid))
             marks += [valid, np.floor(np.where(valid, xs, -1)), np.floor(np.where(valid, ys, -1)),
                       np.sign(tgt - vals) * valid]
-        marks.append(photometric_residual_arrays(tgt, tgt_moments, warps, data.photometric)[2])
+        marks.append(photometric_residual_arrays(tgt, tgt_moments, warps)[2])
         if lambda_u > 0:
             marks += [np.sign(np.diff(d_hat, axis=1)), np.sign(np.diff(d_hat, axis=0))]
     return marks

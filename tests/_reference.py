@@ -41,7 +41,7 @@ from scopedepth.imagery import DepthMap, Image
 from scopedepth.losses import LossConfig, LossValue
 from scopedepth.losses import supervised_nll_arrays as library_nll
 from scopedepth.photometry import (
-    PhotometricConfig,
+    _ALPHA,
     _ssim_moments,
     ssim_backward_channel,
     ssim_terms,
@@ -191,31 +191,30 @@ def bilinear_sample_map(
 def photometric_residual_arrays(
     tgt: np.ndarray,
     warps: list[tuple[np.ndarray, np.ndarray]],
-    cfg: PhotometricConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
     """Minimum-over-sources photometric error of Eq.-4 form on arrays.
 
     ``tgt`` is the (h, w, c) float64 target and each warp a pair of the
     (h, w, c) float64 warped source and its (h, w) bool validity.  Per
     pixel and per valid source the candidate is
-    ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)`` with L1 the channel-mean
-    absolute difference; the residual keeps the smallest candidate, and a
-    pixel is valid when at least one source is.
+    ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)`` at alpha = ``_ALPHA``, with
+    L1 the channel-mean absolute difference; the residual keeps the
+    smallest candidate, and a pixel is valid when at least one source is.
 
     Returns (f_p, valid, argmin source index (-1 where invalid), one
     :func:`ssim_terms` tuple of (c, h, w) stacks per source).
     """
     if not warps:
         raise ValueError("need at least one warped source")
-    alpha = cfg.alpha
+    alpha = _ALPHA
     # the target's moments do not depend on the source
     tgt_c = np.moveaxis(tgt, 2, 0)
-    tgt_moments = _ssim_moments(tgt_c, cfg)
+    tgt_moments = _ssim_moments(tgt_c)
     candidates = []
     terms = []
     for vals, valid in warps:
         l1 = np.abs(tgt - vals).mean(axis=2)
-        t = ssim_terms(tgt_c, np.moveaxis(vals, 2, 0), cfg, tgt_moments)
+        t = ssim_terms(tgt_c, np.moveaxis(vals, 2, 0), tgt_moments)
         cand = (1 - alpha) * l1 + 0.5 * alpha * (1 - t[0].mean(axis=0))
         candidates.append(np.where(valid, cand, np.inf))
         terms.append(t)
@@ -436,8 +435,7 @@ def _selfsup_objective(
     log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData, w: int, h: int,
     loss_cfg: LossConfig,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    pcfg = data.photometric
-    alpha = pcfg.alpha
+    alpha = _ALPHA
     d_hat, u_hat = forward_pair(log_depth, log_sigma, w, h)
     total = 0.0
     grad_d = np.zeros((h, w))
@@ -453,7 +451,7 @@ def _selfsup_objective(
             valid = in_front & samp_ok
             warps.append((vals, valid))
             jacobians.append((ddx, ddy, dxd, dyd))
-        f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, warps, pcfg)
+        f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, warps)
         lv = selfsup_nll_arrays(f_p, u_hat, valid_px, loss_cfg)
         total += lv.scalar / nt
         grad_u += lv.grad_sigma / nt
@@ -466,7 +464,7 @@ def _selfsup_objective(
                 continue
             g_vals = (1 - alpha) / nchan * (-np.sign(tgt - vals)) * up[..., None]
             g_vals += np.moveaxis(ssim_backward_channel(
-                terms[s_idx], -0.5 * alpha / nchan * up, pcfg), 0, 2)
+                terms[s_idx], -0.5 * alpha / nchan * up), 0, 2)
             d_dd = (g_vals * ddx).sum(axis=2) * dxd + (g_vals * ddy).sum(axis=2) * dyd
             grad_d += np.where(valid, d_dd, 0.0)
         if loss_cfg.lambda_u > 0:

@@ -38,7 +38,6 @@ from scopedepth.metrics import (
 )
 from scopedepth.photometry import (
     _C1,
-    PhotometricConfig,
     _ssim_moments,
     edge_weights,
     smoothness_and_grad,
@@ -235,7 +234,7 @@ def test_criterion_4_supervision_ladder():
                                          sigma_min=0.01), seed=0)
     a_ss = _fused_absrel(
         gt, Regime.SELF_SUPERVISED,
-        TrainData(triplets=(trip,), K=K64, photometric=PhotometricConfig()),
+        TrainData(triplets=(trip,), K=K64),
         ss_cfg, 100, selfsup=True, median=True,
     )
     elapsed = time.perf_counter() - t0
@@ -365,12 +364,11 @@ def test_criterion_7_example_battery():
     ck(okf and np.allclose(jp, (7.5, 3.25), atol=1e-12), "warp identity")
 
     # photometry
-    cfg = PhotometricConfig()
     a = Image(np.full((5, 5, 1), 0.2, np.float32))
     b = Image(np.full((5, 5, 1), 0.8, np.float32))
     want = (2 * 0.2 * 0.8 + _C1) / (0.2**2 + 0.8**2 + _C1)
-    ssim = lambda x, y: ssim_terms(x.planes(), y.planes(), cfg,
-                                   _ssim_moments(x.planes(), cfg))[0].mean(axis=0)
+    ssim = lambda x, y: ssim_terms(x.planes(), y.planes(),
+                                   _ssim_moments(x.planes()))[0].mean(axis=0)
     ck(np.allclose(ssim(a, b), want, atol=1e-6), "ssim constants")
     rng = np.random.default_rng(3)
     img = Image(rng.uniform(0, 1, (5, 5, 3)).astype(np.float32))

@@ -19,7 +19,6 @@ from scopedepth.cli import main
 from scopedepth.ensemble import load_ensemble
 from scopedepth.imagery import UncMap, read_pfm, write_pfm
 from scopedepth.losses import LossConfig
-from scopedepth.photometry import PhotometricConfig
 from scopedepth.predictor import TrainConfig
 from scopedepth.synthcolon import LightModel, SceneParams
 
@@ -109,7 +108,7 @@ EXPECTED_FLAGS = {
 }
 
 
-# each field of the five config dataclasses: the config key that sets it
+# each field of the four config dataclasses: the config key that sets it
 # and a valid value other than its default (TrainConfig.loss is the
 # LossConfig row)
 CONFIG_KNOBS = {
@@ -122,7 +121,6 @@ CONFIG_KNOBS = {
         "seed": ("seed", 4),
     },
     LightModel: {"intensity": ("light_intensity", 900.0), "specular": ("specular", True)},
-    PhotometricConfig: {"alpha": ("alpha", 0.8), "ssim_window": ("ssim_window", 5)},
     LossConfig: {"sigma_min": ("sigma_min", 0.002), "lambda_u": ("lambda_u", 0.02),
                  "weight_decay": ("weight_decay", 1e-6)},
     TrainConfig: {
@@ -139,22 +137,26 @@ class TestFlagWiring:
             assert [f.name for f in dataclasses.fields(cls)] == list(knobs), cls.__name__
         synth_cfg = {k: v for cls in (SceneParams, LightModel)
                      for k, v in CONFIG_KNOBS[cls].values()}
-        train_cfg = {k: v for cls in (PhotometricConfig, LossConfig, TrainConfig)
+        train_cfg = {k: v for cls in (LossConfig, TrainConfig)
                      for k, v in filter(None, CONFIG_KNOBS[cls].values())}
         (tmp_path / "synth.json").write_text(json.dumps(synth_cfg))
         (tmp_path / "train.json").write_text(json.dumps(train_cfg))
+        # synth hands write_dataset the scene and the light, positionally
+        written = []
+        write_dataset = cli.write_dataset
+        monkeypatch.setattr(cli, "write_dataset",
+                            lambda *a, **kw: written.append(a) or write_dataset(*a, **kw))
         assert run("synth", "--config", tmp_path / "synth.json", "--out", tmp_path / "s",
                    "--frames", 3, "--width", 8, "--height", 8) == 0
-        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        [(_, params, _, _, _, _, _, light, _)] = written
         trained = []
         monkeypatch.setattr(cli, "train_ensemble",
-                            lambda regime, data, cfg, *_: trained.append((data, cfg)) or [])
+                            lambda regime, data, cfg, *_: trained.append(cfg) or [])
         assert run("train", "--config", tmp_path / "train.json", "--data", dataset,
                    "--out", tmp_path / "t", "--regime", "self-supervised") == 0
-        [(data, tcfg)] = trained
-        configs = {SceneParams: manifest["params"], LightModel: manifest["light"],
-                   PhotometricConfig: vars(data.photometric), LossConfig: vars(tcfg.loss),
-                   TrainConfig: vars(tcfg)}
+        [tcfg] = trained
+        configs = {SceneParams: vars(params), LightModel: vars(light),
+                   LossConfig: vars(tcfg.loss), TrainConfig: vars(tcfg)}
         for cls, knobs in CONFIG_KNOBS.items():
             for name, knob in knobs.items():
                 if knob is not None:
@@ -289,6 +291,26 @@ class TestSynth:
         with open(dataset / "manifest.json") as f:
             m = json.load(f)
         assert m["command"] == "synth" and m["config"]["seed"] == 7
+        # each setting once: the resolved configuration is the whole record
+        assert set(m) == {"command", "config"} and m["config"]["frames"] == 5
+
+    def test_dataset_with_an_older_manifest_still_loads(self, dataset, fused, tmp_path):
+        # synth manifests once repeated the dataset description beside the
+        # resolved configuration; such a dataset scores and replays as before
+        old = tmp_path / "old"
+        shutil.copytree(dataset, old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest.update(n_frames=5, frames=list(range(5)), width=24, height=24,
+                        step_mm=1.0, heading_noise_rad=0.008, sway_mm=0.0,
+                        params={"seed": 7}, light={"intensity": 1000.0})
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        scores = [tmp_path / "scores" / name / "m.csv" for name in ("new", "old")]
+        for data, out in zip((dataset, old), scores):
+            assert run("eval", "--pred", fused, "--data", data, "--out", out) == 0
+        assert scores[0].read_bytes() == scores[1].read_bytes()
+        assert run("synth", "--config", old / "manifest.json", "--out", tmp_path / "again") == 0
+        assert ((tmp_path / "again" / "manifest.json").read_bytes()
+                == (dataset / "manifest.json").read_bytes())
 
     def test_single_frame_usage_error(self, tmp_path):
         assert run("synth", "--out", tmp_path / "x", "--frames", 1) == 2
@@ -403,7 +425,7 @@ class TestSynth:
     def test_config_value_of_the_wrong_type_usage_error(self, tmp_path, capsys):
         cases = (("synth", "frames", "5"), ("synth", "width", 8.0),
                  ("synth", "specular", 1), ("synth", "fx", True), ("synth", "fx", None),
-                 ("train", "teacher", 3), ("train", "source_offsets", [0.5, 1]))
+                 ("train", "teacher", 3))
         for command, key, value in cases:
             cfg = tmp_path / "bad.json"
             cfg.write_text(json.dumps({key: value}))
@@ -446,6 +468,41 @@ class TestTrain:
         rc = run("train", "--data", dataset, "--out", tmp_path / "x",
                  "--regime", "uncertain-student", "--steps", 5)
         assert rc == 2
+
+    def test_teacher_for_a_regime_that_reads_none_usage_error(self, dataset, fused,
+                                                             tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli, "train_ensemble", lambda *a: trained.append(a) or [])
+        for regime in ("supervised-gt", "supervised-sfm", "self-supervised"):
+            out = tmp_path / regime
+            assert run("train", "--data", dataset, "--out", out, "--regime", regime,
+                       "--teacher", fused, "--members", 1, "--steps", 2, "--grid", 4) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--teacher" in err and regime in err
+            assert not out.exists()
+        assert not trained
+
+    def test_selfsup_target_at_a_trajectory_end_usage_error(self, dataset, tmp_path, capsys):
+        for frame in (0, 4):
+            out = tmp_path / str(frame)
+            assert run("train", "--data", dataset, "--out", out, "--regime", "self-supervised",
+                       "--target-frame", frame, "--members", 1, "--steps", 2,
+                       "--grid", 4) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"target frame {frame}" in err
+            assert "self-supervision needs both neighbours" in err
+            assert not out.exists()
+
+    def test_data_that_is_not_a_synth_dataset_usage_error(self, trained, fused, tmp_path,
+                                                          capsys):
+        out = tmp_path / "run"
+        argvs = (["train", "--data", trained, "--out", out, "--steps", 2, "--grid", 4],
+                 ["eval", "--pred", fused, "--data", trained, "--out", out / "m.csv"])
+        for argv in argvs:
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert str(trained / "manifest.json") in err and "not a synth manifest" in err
+            assert not out.exists()
 
     def test_failed_run_leaves_no_directory(self, dataset, tmp_path):
         # a usage error found while building the data, and a numeric
@@ -561,6 +618,43 @@ class TestTrain:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "learning_rate" in err
             assert f"got {value}" in err
+            assert not out.exists()
+
+
+class TestRetiredTrainKeys:
+    FIXED = {"alpha": 0.85, "ssim_window": 3, "source_offsets": [-1, 1]}
+
+    def _selfsup(self, dataset, out, *argv):
+        return run("train", "--data", dataset, "--out", out, "--regime", "self-supervised",
+                   "--members", 2, "--seed", 2, "--steps", 4, "--grid", 4, *argv)
+
+    def test_manifest_holding_the_fixed_values_replays(self, dataset, tmp_path):
+        assert cli.RETIRED_KEYS == self.FIXED
+        new = tmp_path / "new"
+        assert self._selfsup(dataset, new) == 0
+        manifest = json.loads((new / "manifest.json").read_text())
+        assert not set(self.FIXED) & set(manifest["config"])
+        # a manifest as train wrote it before the keys were retired
+        old = tmp_path / "old.json"
+        manifest["config"].update(self.FIXED)
+        old.write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        assert run("train", "--config", old, "--out", replay) == 0
+        for name in ("member_2.json", "member_3.json", "loss_2.csv", "loss_3.csv"):
+            assert (replay / name).read_bytes() == (new / name).read_bytes(), name
+        assert (replay / "manifest.json").read_bytes() == (new / "manifest.json").read_bytes()
+
+    def test_any_other_value_usage_error(self, dataset, tmp_path, capsys):
+        cases = (("alpha", 0.8), ("ssim_window", 5), ("source_offsets", [-2, 2]),
+                 ("source_offsets", [0.5, 1]), ("ssim_window", 3.0))
+        for key, value in cases:
+            cfg = tmp_path / "old.json"
+            cfg.write_text(json.dumps({key: value}))
+            out = tmp_path / "run"
+            assert self._selfsup(dataset, out, "--config", cfg) == 2, (key, value)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and repr(key) in err and str(cfg) in err
+            assert f"fixed at {self.FIXED[key]!r}, got {value!r}" in err
             assert not out.exists()
 
 
@@ -704,14 +798,15 @@ def _spoil_input(case, dataset, trained, fused, tmp):
         "train-manifest-without-resolution":
             (run_dir / "manifest.json", fuse, lambda m: m.pop("resolution")),
         "dataset-manifest-without-n-frames":
-            (ds / "manifest.json", score, lambda m: m.pop("n_frames")),
+            (ds / "manifest.json", score, lambda m: m["config"].pop("frames")),
         "pose-rotation-of-three-entries":
             (ds / "pose_0002.json", selfsup, lambda m: m.update(R=m["R"][:3])),
         "empty-member-file": (run_dir / "member_3.json", fuse, lambda m: m.clear()),
         "train-config-without-regime":
             (run_dir / "manifest.json", fuse, lambda m: m["config"].pop("regime")),
         "dataset-frame-count-as-string":
-            (ds / "manifest.json", score, lambda m: m.update(n_frames=str(m["n_frames"]))),
+            (ds / "manifest.json", score,
+             lambda m: m["config"].update(frames=str(m["config"]["frames"]))),
         "train-resolution-as-number":
             (run_dir / "manifest.json", fuse, lambda m: m.update(resolution=24)),
     }[case]

@@ -3,9 +3,9 @@ import pytest
 
 from scopedepth.imagery import Image
 from scopedepth.photometry import (
+    _ALPHA,
     _C1,
     _C2,
-    PhotometricConfig,
     _box_matrix,
     _ssim_moments,
     box_filter,
@@ -46,28 +46,37 @@ def brute_force_window_stats(a, b, win):
     return mu_a, mu_b, var_a, var_b, cov
 
 
-def brute_force_ssim(a, b, cfg):
-    mu_a, mu_b, var_a, var_b, cov = brute_force_window_stats(a, b, cfg.ssim_window)
+def brute_force_ssim(a, b):
+    mu_a, mu_b, var_a, var_b, cov = brute_force_window_stats(a, b, 3)
     return ((2 * mu_a * mu_b + _C1) * (2 * cov + _C2)) / (
         (mu_a**2 + mu_b**2 + _C1) * (var_a + var_b + _C2)
     )
 
 
-def terms_of(a, b, cfg):
+def brute_force_eq4(t: Image, s: Image) -> np.ndarray:
+    """Loop oracle of one source's Eq.-4 candidate at the fixed alpha:
+    (1 - alpha) * channel-mean L1 + (alpha / 2) * (1 - channel-mean SSIM)."""
+    a, b = t.planes(), s.planes()
+    l1 = np.abs(a - b).mean(axis=0)
+    mean_ssim = np.mean([brute_force_ssim(a[c], b[c]) for c in range(len(a))], axis=0)
+    return (1 - _ALPHA) * l1 + 0.5 * _ALPHA * (1 - mean_ssim)
+
+
+def terms_of(a, b):
     """:func:`ssim_terms` of ``a`` and ``b``, with the moments of ``a``."""
-    return ssim_terms(a, b, cfg, _ssim_moments(a, cfg))
+    return ssim_terms(a, b, _ssim_moments(a))
 
 
-def ssim(a: Image, b: Image, cfg=PhotometricConfig()) -> np.ndarray:
+def ssim(a: Image, b: Image) -> np.ndarray:
     """Channel-mean SSIM map of two images."""
-    return terms_of(a.planes(), b.planes(), cfg)[0].mean(axis=0)
+    return terms_of(a.planes(), b.planes())[0].mean(axis=0)
 
 
-def residual(t: Image, sources, cfg=PhotometricConfig()):
+def residual(t: Image, sources):
     """(f_p, valid) of target ``t`` against (image, bool mask) sources."""
     tgt = t.planes()
     f_p, valid, _, _ = photometric_residual_arrays(
-        tgt, _ssim_moments(tgt, cfg), [(s.planes(), m) for s, m in sources], cfg)
+        tgt, _ssim_moments(tgt), [(s.planes(), m) for s, m in sources])
     return f_p, valid
 
 
@@ -76,36 +85,36 @@ def smoothness(d, img: Image) -> np.ndarray:
 
 
 def box_cases(shape):
-    """(window, shape) cases: ``shape`` at windows 3 and 5 (ids "3", "5"),
-    then images as small as, or smaller than, the window."""
-    small = [(3, (1, 1)), (3, (2, 5)), (5, (4, 4)), (5, (1, 7))]
-    return [pytest.param(win, shape, id=str(win)) for win in (3, 5)] + [
-        pytest.param(win, s, id=f"{win}-{s[0]}x{s[1]}") for win, s in small
+    """Image shapes for the 3x3 window: ``shape`` (id "3"), then images
+    smaller than the window (ids "3-<h>x<w>")."""
+    small = [(1, 1), (2, 5)]
+    return [pytest.param(shape, id="3")] + [
+        pytest.param(s, id=f"3-{s[0]}x{s[1]}") for s in small
     ]
 
 
 class TestBoxFilter:
-    @pytest.mark.parametrize("win,shape", box_cases((7, 9)))
-    def test_matches_brute_force(self, win, shape):
+    @pytest.mark.parametrize("shape", box_cases((7, 9)))
+    def test_matches_brute_force(self, shape):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, shape)
-        got = box_filter(x, win)
-        mu, *_ = brute_force_window_stats(x, x, win)
+        got = box_filter(x)
+        mu, *_ = brute_force_window_stats(x, x, 3)
         np.testing.assert_allclose(got, mu, atol=1e-12)
 
-    @pytest.mark.parametrize("win,shape", box_cases((8, 11)))
-    def test_adjoint_dot_product(self, win, shape):
+    @pytest.mark.parametrize("shape", box_cases((8, 11)))
+    def test_adjoint_dot_product(self, shape):
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = rng.normal(size=shape)
             g = rng.normal(size=shape)
-            lhs = (box_filter(x, win) * g).sum()
-            rhs = (x * box_filter_adjoint(g, win)).sum()
+            lhs = (box_filter(x) * g).sum()
+            rhs = (x * box_filter_adjoint(g)).sum()
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_axis_matrix_cached_read_only(self):
-        m = _box_matrix(6, 3)
-        assert _box_matrix(6, 3) is m
+        m = _box_matrix(6)
+        assert _box_matrix(6) is m
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
@@ -114,7 +123,6 @@ class TestBoxFilter:
 class TestChannelStacks:
     @pytest.mark.parametrize("layout", ["contiguous", "moveaxis"])
     def test_stack_equals_per_channel_calls(self, layout):
-        cfg = PhotometricConfig()
         rng = np.random.default_rng(12)
         a = rng.uniform(0, 1, (6, 7, 3))
         b = rng.uniform(0, 1, (6, 7, 3))
@@ -122,15 +130,15 @@ class TestChannelStacks:
         sa, sb = np.moveaxis(a, 2, 0), np.moveaxis(b, 2, 0)
         if layout == "contiguous":
             sa, sb = np.ascontiguousarray(sa), np.ascontiguousarray(sb)
-        box = box_filter(sb, cfg.ssim_window)
-        terms = terms_of(sa, sb, cfg)
-        grad = ssim_backward_channel(terms, up, cfg)
+        box = box_filter(sb)
+        terms = terms_of(sa, sb)
+        grad = ssim_backward_channel(terms, up)
         for c in range(3):
-            np.testing.assert_array_equal(box[c], box_filter(b[:, :, c], cfg.ssim_window))
-            chan = terms_of(a[:, :, c], b[:, :, c], cfg)
+            np.testing.assert_array_equal(box[c], box_filter(b[:, :, c]))
+            chan = terms_of(a[:, :, c], b[:, :, c])
             for got, want in zip(terms, chan):
                 np.testing.assert_array_equal(got[c], want)
-            np.testing.assert_array_equal(grad[c], ssim_backward_channel(chan, up, cfg))
+            np.testing.assert_array_equal(grad[c], ssim_backward_channel(chan, up))
 
 
 class TestSsim:
@@ -140,35 +148,32 @@ class TestSsim:
         np.testing.assert_allclose(ssim(img, img), 1.0, atol=1e-9)
 
     def test_constant_images_formula(self):
-        cfg = PhotometricConfig()
         a = Image(np.full((5, 5, 1), 0.2, dtype=np.float32))
         b = Image(np.full((5, 5, 1), 0.8, dtype=np.float32))
         # direct formula evaluation: variances vanish, c2 cancels
         expected = (2 * 0.2 * 0.8 + _C1) / (0.2**2 + 0.8**2 + _C1)
-        np.testing.assert_allclose(ssim(a, b, cfg), expected, atol=1e-6)
+        np.testing.assert_allclose(ssim(a, b), expected, atol=1e-6)
         assert expected == pytest.approx(0.4707, abs=2e-4)
 
     def test_anticorrelated_windows_negative(self):
-        cfg = PhotometricConfig()
         # zero-mean alternating pattern around 0.5: b = 1 - a flips the sign
         # of every windowed covariance
         base = 0.5 + 0.3 * ((-1.0) ** np.add.outer(np.arange(6), np.arange(6)))
         a = base.astype(np.float32)
         b = (1.0 - base).astype(np.float32)
-        got = ssim(Image(a[..., None]), Image(b[..., None]), cfg)
+        got = ssim(Image(a[..., None]), Image(b[..., None]))
         oracle = brute_force_ssim(
-            np.clip(a, 0, 1).astype(np.float64), np.clip(b, 0, 1).astype(np.float64), cfg
+            np.clip(a, 0, 1).astype(np.float64), np.clip(b, 0, 1).astype(np.float64)
         )
         np.testing.assert_allclose(got, oracle, atol=1e-9)
         assert (got[1:-1, 1:-1] < 0).all()
 
     def test_matches_brute_force_random(self):
-        cfg = PhotometricConfig(ssim_window=3)
         rng = np.random.default_rng(3)
         a = rng.uniform(0, 1, (7, 7)).astype(np.float32)
         b = rng.uniform(0, 1, (7, 7)).astype(np.float32)
-        got = ssim(Image(a[..., None]), Image(b[..., None]), cfg)
-        oracle = brute_force_ssim(a.astype(np.float64), b.astype(np.float64), cfg)
+        got = ssim(Image(a[..., None]), Image(b[..., None]))
+        oracle = brute_force_ssim(a.astype(np.float64), b.astype(np.float64))
         np.testing.assert_allclose(got, oracle, atol=1e-9)
 
     def test_symmetry_and_bounds(self):
@@ -181,12 +186,11 @@ class TestSsim:
         assert ab.max() <= 1.0 + 1e-12 and ab.min() >= -1.0 - 1e-12
 
     def test_backward_matches_finite_differences(self):
-        cfg = PhotometricConfig()
         rng = np.random.default_rng(5)
         a = rng.uniform(0, 1, (5, 6))
         b = rng.uniform(0, 1, (5, 6))
         up = rng.normal(size=(5, 6))
-        grad = ssim_backward_channel(terms_of(a, b, cfg), up, cfg)
+        grad = ssim_backward_channel(terms_of(a, b), up)
         eps = 1e-6
         fd = np.zeros_like(b)
         for i in range(5):
@@ -196,8 +200,8 @@ class TestSsim:
                 bm = b.copy()
                 bm[i, j] -= eps
                 fd[i, j] = (
-                    (up * terms_of(a, bp, cfg)[0]).sum()
-                    - (up * terms_of(a, bm, cfg)[0]).sum()
+                    (up * terms_of(a, bp)[0]).sum()
+                    - (up * terms_of(a, bm)[0]).sum()
                 ) / (2 * eps)
         np.testing.assert_allclose(grad, fd, atol=1e-6)
 
@@ -210,24 +214,24 @@ class TestPhotometricResidual:
         assert valid.all()
         np.testing.assert_allclose(f_p, 0.0, atol=1e-9)
 
-    def test_alpha_zero_reduces_to_l1(self):
+    def test_matches_eq4_at_the_fixed_alpha(self):
         rng = np.random.default_rng(7)
-        cfg = PhotometricConfig(alpha=0.0)
         t = Image(rng.uniform(0, 1, (5, 5, 3)).astype(np.float32))
         s = Image(rng.uniform(0, 1, (5, 5, 3)).astype(np.float32))
-        f_p, _ = residual(t, [(s, np.full((5, 5), True))], cfg)
-        l1 = np.abs(t.data.astype(np.float64) - s.data.astype(np.float64)).mean(axis=2)
-        np.testing.assert_allclose(f_p, l1, atol=1e-12)
+        f_p, _ = residual(t, [(s, np.full((5, 5), True))])
+        assert _ALPHA == 0.85
+        np.testing.assert_allclose(f_p, brute_force_eq4(t, s), atol=1e-12)
 
     def test_min_over_sources(self):
         t = Image(np.full((4, 4, 1), 0.5, dtype=np.float32))
         near = Image(np.full((4, 4, 1), 0.6, dtype=np.float32))
         far = Image(np.full((4, 4, 1), 0.8, dtype=np.float32))
-        cfg = PhotometricConfig(alpha=0.0)
         f_both, _ = residual(
-            t, [(far, np.full((4, 4), True)), (near, np.full((4, 4), True))], cfg
+            t, [(far, np.full((4, 4), True)), (near, np.full((4, 4), True))]
         )
-        np.testing.assert_allclose(f_both, 0.1, atol=1e-7)
+        want = brute_force_eq4(t, near)
+        assert (want < brute_force_eq4(t, far)).all()
+        np.testing.assert_allclose(f_both, want, atol=1e-12)
 
     def test_adding_source_never_increases(self):
         rng = np.random.default_rng(8)
