@@ -28,11 +28,11 @@ run("train", "--data", root / "ds", "--out", root / "run",
     "--steps", 400, "--grid", 12)
 run("fuse", "--run", root / "run", "--out", root / "fused")
 run("eval", "--pred", root / "fused", "--data", root / "ds",
-    "--out", root / "metrics.csv")
+    "--out", root / "eval" / "metrics.csv")
 run("calib", "--pred", root / "fused", "--data", root / "ds",
-    "--out", root / "curve.csv", "--levels", 19)
+    "--out", root / "calib" / "curve.csv", "--levels", 19)
 
-with open(root / "metrics.csv") as f:
+with open(root / "eval" / "metrics.csv") as f:
     rows = list(csv.reader(f))
 print()
 print("metrics row:")

@@ -349,7 +349,14 @@ def cmd_fuse(args) -> int:
 def _load_eval_inputs(args, cfg: dict) -> tuple[DepthMap, DepthMap, UncMap, int]:
     """Ground truth, predicted depth and its total std (both median-scaled
     to the ground truth when ``cfg`` asks, std floored at 1e-12), and the
-    target frame index."""
+    target frame index.  First refuses an ``--out`` whose directory holds
+    another command's manifest, which the scores' manifest would replace."""
+    manifest = Path(args.out).parent / "manifest.json"
+    if manifest.exists():
+        command = read_json(manifest).get("command")
+        if command not in ("eval", "calib"):
+            raise UsageError(f"--out {args.out} would replace the {command!r} "
+                             f"manifest {manifest}")
     ens = load_ensemble(Path(args.pred))
     data_dir = Path(args.data)
     t_i, _ = _target_index(data_dir, int(cfg["target_frame"]))

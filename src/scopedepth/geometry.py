@@ -69,10 +69,6 @@ class Pose:
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
     def compose(self, other: "Pose") -> "Pose":
         """self after other: compose(self, other)(p) = self(other(p))."""
         return Pose(
@@ -83,11 +79,6 @@ class Pose:
     def inverse(self) -> "Pose":
         Rt = self.rotation.T
         return Pose(Rt, -Rt @ self.translation)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform points of shape (..., 3)."""
-        p = np.asarray(points, dtype=np.float64)
-        return p @ self.rotation.T + self.translation
 
     def to_json(self) -> dict:
         return {
@@ -123,7 +114,7 @@ def relative_pose(target_c2w: Pose, source_c2w: Pose) -> Pose:
     return source_c2w.inverse().compose(target_c2w)
 
 
-def _pixel_rays(K: CameraIntrinsics, width: int, height: int) -> np.ndarray:
+def pixel_rays(K: CameraIntrinsics, width: int, height: int) -> np.ndarray:
     """Back-projection directions ((x-cx)/fx, (y-cy)/fy, 1), shape (h, w, 3)."""
     xs = np.arange(width, dtype=np.float64)
     ys = np.arange(height, dtype=np.float64)
@@ -139,7 +130,7 @@ def warp_basis(
     q_x, q_y, q_z of ``q = ((x-cx)/fx, (y-cy)/fy, 1) @ R.T`` and the
     numerators fx (q_x t_z - t_x q_z), fy (q_y t_z - t_y q_z) of the depth
     Jacobian.  Training builds it once per source pose."""
-    q = _pixel_rays(K, width, height) @ pose.rotation.T
+    q = pixel_rays(K, width, height) @ pose.rotation.T
     t = pose.translation
     qx, qy, qz = (np.ascontiguousarray(q[..., i]) for i in range(3))
     return qx, qy, qz, K.fx * (qx * t[2] - t[0] * qz), K.fy * (qy * t[2] - t[1] * qz)

@@ -92,10 +92,6 @@ class Image(_Raster):
         arr = np.clip(arr, 0.0, 1.0)
         object.__setattr__(self, "data", _freeze(np.ascontiguousarray(arr)))
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
     def planes(self) -> np.ndarray:
         """Channel-first float64 copy, shape (channels, h, w), C-contiguous."""
         return np.ascontiguousarray(np.moveaxis(self.data, 2, 0), dtype=np.float64)

@@ -11,8 +11,10 @@ residual and the scale:
   the scale widened to sqrt(teacher_var + student_aleatoric^2), by passing
   the teacher's variance as ``var_label``
 
-:func:`supervised_nll_arrays` serves the first and the third,
-:func:`selfsup_nll_arrays` the second.  Both take float64 (h, w) arrays
+:func:`l1_nll_arrays` is that shape, written once: it takes a non-negative
+residual, so the self-supervised step hands it the photometric error
+directly.  :func:`supervised_nll_arrays` applies it to the absolute depth
+error and serves the first and the third.  Both take float64 (h, w) arrays
 finite at masked pixels too, and the :func:`pixel_weights` of the mask;
 the trainer checks the rasters they come from.
 
@@ -48,7 +50,9 @@ class LossValue:
     """Scalar loss and its gradient maps.
 
     ``scalar`` is the mean of the per-pixel term over the valid pixels;
-    gradient maps are d(scalar)/d(input) and are zero at masked-out pixels.
+    gradient maps are d(scalar)/d(input), the input being predicted depth
+    or, from :func:`l1_nll_arrays`, the residual, and are zero at
+    masked-out pixels.
     """
 
     scalar: float
@@ -57,16 +61,43 @@ class LossValue:
 
 
 def pixel_weights(valid: np.ndarray) -> tuple[np.ndarray, int]:
-    """The 0/1 float64 map of a bool mask and its count, as both likelihoods take it."""
+    """The 0/1 float64 map of a bool mask and its count, as :func:`l1_nll_arrays` takes it."""
     n = int(valid.sum())
     if n == 0:
         raise ValueError("no valid pixels")
     return valid.astype(np.float64), n
 
 
-def _reduce(term: np.ndarray, weights: np.ndarray, n: int) -> float:
-    term *= weights  # the caller's scratch map, weighted in place
-    return float(term.sum() / n)
+def l1_nll_arrays(
+    residual: np.ndarray,
+    scale: np.ndarray,
+    weights: np.ndarray, n: int,
+    cfg: LossConfig,
+    var_label: np.ndarray | None = None,
+) -> LossValue:
+    """Mean over valid pixels of r / s + log s for a non-negative residual r.
+
+    ``s`` is the clamped ``scale``, or ``sqrt(var_label + clamp(scale)^2)``
+    when the labels carry their own variance (the uncertain student's
+    teacher variance).  ``grad_depth`` carries d(scalar)/d(r) and
+    ``grad_sigma`` the derivative with respect to the raw ``scale``; with
+    ``var_label == 0`` the result is bitwise that of no label variance,
+    since ``sqrt(x * x) == x`` exactly.
+    """
+    s_a = np.maximum(scale, cfg.sigma_min)
+    gate = (scale > cfg.sigma_min).astype(np.float64)
+    s = s_a if var_label is None else s_a * s_a + var_label
+    if var_label is not None:
+        np.sqrt(s, out=s)  # in place: the scale costs one new map
+    term = residual / s + np.log(s)
+    term *= weights  # a scratch map, weighted in place
+    scalar = float(term.sum() / n)
+    inv_s = 1.0 / s
+    grad_r = inv_s * weights / n
+    d_s = inv_s - residual / s**2
+    if var_label is not None:
+        d_s *= s_a / s
+    return LossValue(scalar, grad_r, d_s * gate * weights / n)
 
 
 def supervised_nll_arrays(
@@ -77,51 +108,13 @@ def supervised_nll_arrays(
     cfg: LossConfig,
     var_label: np.ndarray | None = None,
 ) -> LossValue:
-    """Mean over valid pixels of |d - d_hat| / s + log s.
-
-    ``s`` is the clamped ``sigma_a``, or ``sqrt(var_label + clamp(sigma_a)^2)``
-    when the labels carry their own variance (the uncertain student's
-    teacher variance).  ``grad_sigma`` is the derivative with respect to
-    the raw ``sigma_a``; with ``var_label == 0`` the result is bitwise that
-    of no label variance, since ``sqrt(x * x) == x`` exactly.
-    """
-    s_a = np.maximum(sigma_a, cfg.sigma_min)
-    gate = (sigma_a > cfg.sigma_min).astype(np.float64)
-    s = s_a if var_label is None else s_a * s_a + var_label
-    if var_label is not None:
-        np.sqrt(s, out=s)  # in place: the scale costs one new map
+    """Mean over valid pixels of |d - d_hat| / s + log s: the
+    :func:`l1_nll_arrays` of the absolute depth error, its ``grad_depth``
+    taken with respect to ``d_hat``."""
     r = d - d_hat
-    abs_r = np.abs(r)
-    term = abs_r / s + np.log(s)
-    scalar = _reduce(term, weights, n)
-    inv_s = 1.0 / s  # -sign(r) * (1 / s) == -sign(r) / s exactly
-    grad_depth = -np.sign(r) * inv_s * weights / n
-    d_s = inv_s - abs_r / s**2
-    if var_label is not None:
-        d_s *= s_a / s
-    grad_sigma = d_s * gate * weights / n
-    return LossValue(scalar, grad_depth, grad_sigma)
-
-
-def selfsup_nll_arrays(
-    f_p: np.ndarray,
-    u_hat: np.ndarray,
-    weights: np.ndarray, n: int,
-    cfg: LossConfig,
-) -> LossValue:
-    """Mean over valid pixels of F_p / u + log u.
-
-    ``grad_depth`` here carries d(scalar)/d(F_p); the chain through the warp
-    into actual depth parameters happens in the trainer.
-    """
-    u = np.maximum(u_hat, cfg.sigma_min)
-    gate = (u_hat > cfg.sigma_min).astype(np.float64)
-    term = f_p / u + np.log(u)
-    scalar = _reduce(term, weights, n)
-    inv_u = 1.0 / u
-    grad_fp = inv_u * weights / n
-    grad_sigma = (inv_u - f_p / u**2) * gate * weights / n
-    return LossValue(scalar, grad_fp, grad_sigma)
+    lv = l1_nll_arrays(np.abs(r), sigma_a, weights, n, cfg, var_label)
+    # multiplying by -1, 0 or +1 is exact, signed zeros included
+    return LossValue(lv.scalar, -np.sign(r) * lv.grad_depth, lv.grad_sigma)
 
 
 def prior_loss(theta: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:

@@ -15,11 +15,12 @@ stacks in one call rather than a loop over channels.  Training needs that
 derivative to push photometric error back through warped images.
 
 Each term has one entry point, on arrays: :func:`ssim_terms`,
-:func:`photometric_residual_arrays` and :func:`smoothness_and_grad`.
+:func:`photometric_residual_arrays` with its reverse-mode derivative
+:func:`photometric_residual_backward`, and :func:`smoothness_and_grad`.
 They take channel-first float64 planes, the layout the bilinear sampler
 returns, so a training step moves no axes.  What depends on the image
-alone (the target's SSIM moments, the smoothness :func:`edge_weights`)
-is an argument, so training computes it once per run.
+alone (the target's :func:`ssim_moments`, the smoothness
+:func:`edge_weights`) is an argument, so training computes it once per run.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def box_filter_adjoint(g: np.ndarray) -> np.ndarray:
     return _box_matrix(h).T @ g @ _box_matrix(w)
 
 
-def _ssim_moments(x: np.ndarray) -> tuple:
+def ssim_moments(x: np.ndarray) -> tuple:
     """Windowed mean and windowed second moment of a channel (stack)."""
     return box_filter(x), box_filter(x * x)
 
@@ -82,10 +83,10 @@ def ssim_terms(
     (c, h, w) channel stacks: returns (S, a, b, mu_a, mu_b, A1, A2, B1, B2),
     the per-channel SSIM map S = (A1 A2) / (B1 B2) followed by what
     :func:`ssim_backward_channel` needs to differentiate it.  ``a_moments``
-    are the :func:`_ssim_moments` of ``a``, which training computes once
+    are the :func:`ssim_moments` of ``a``, which training computes once
     per run."""
     mu_a, a2 = a_moments
-    mu_b, b2 = _ssim_moments(b)
+    mu_b, b2 = ssim_moments(b)
     var_a = a2 - mu_a**2
     var_b = b2 - mu_b**2
     cov = box_filter(a * b) - mu_a * mu_b
@@ -126,7 +127,7 @@ def photometric_residual_arrays(
     """Minimum-over-sources photometric error of Eq.-4 form on arrays.
 
     ``tgt`` is the (c, h, w) float64 target, ``tgt_moments`` its
-    :func:`_ssim_moments` (they do not depend on the source, so training
+    :func:`ssim_moments` (they do not depend on the source, so training
     computes them once per run), and each warp a pair of the (c, h, w)
     float64 warped source and its (h, w) bool validity.  Per pixel and per
     valid source the candidate is ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)``
@@ -154,6 +155,20 @@ def photometric_residual_arrays(
     f_p = np.where(valid, f_p, 0.0)
     arg = np.where(valid, arg, -1)
     return f_p, valid, arg, terms
+
+
+def photometric_residual_backward(terms: tuple, upstream: np.ndarray) -> np.ndarray:
+    """d(sum(upstream * candidate))/d(source) for one source's Eq.-4
+    candidate ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)``, the target held
+    fixed: ``terms`` is that source's :func:`ssim_terms` tuple from
+    :func:`photometric_residual_arrays`, which carries the (c, h, w) target
+    and warped source, and ``upstream`` an (h, w) map.  The L1 subgradient
+    at a zero difference is zero."""
+    tgt, vals = terms[1], terms[2]
+    nchan = tgt.shape[0]
+    grad = (1 - _ALPHA) / nchan * (-np.sign(tgt - vals)) * upstream
+    grad += ssim_backward_channel(terms, -0.5 * _ALPHA / nchan * upstream)
+    return grad
 
 
 def edge_weights(I: Image) -> tuple[np.ndarray, np.ndarray]:

@@ -58,13 +58,6 @@ class DepthField:
     def grid_w(self) -> int:
         return self.grids.shape[2]
 
-    def params(self) -> np.ndarray:
-        """Flattened parameter vector (log_depth then log_sigma), read-only."""
-        return self.grids.ravel()
-
-    def with_params(self, theta: np.ndarray) -> "DepthField":
-        return DepthField(np.reshape(theta, self.grids.shape), self.seed)
-
     def to_json(self) -> dict:
         return {
             "grid_w": self.grid_w,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, _pixel_rays, rotation_xyz
+from .geometry import CameraIntrinsics, Pose, pixel_rays, rotation_xyz
 from .heap import keep_heap_mapped
 from .imagery import DepthMap, Image, Mask, write_json, write_pfm, write_ppm
 from .rng import Xoshiro256, hash_unit_np, normal_field_np
@@ -355,7 +355,7 @@ def _albedo(params: SceneParams, points: np.ndarray,
 
 def _unit_rays(K: CameraIntrinsics, w: int, h: int) -> np.ndarray:
     """(h, w, 3) unit ray directions of a view's pixels, camera frame."""
-    rays_cam = _pixel_rays(K, w, h)
+    rays_cam = pixel_rays(K, w, h)
     return rays_cam / np.linalg.norm(rays_cam, axis=-1, keepdims=True)
 
 

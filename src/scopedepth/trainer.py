@@ -2,9 +2,12 @@
 
 Supervision comes from ground-truth depth, simulated SfM labels, multi-view
 photometric consistency, or a frozen teacher ensemble (with or without the
-teacher's predictive variance folded into the loss scale).  Photometric
+teacher's predictive variance folded into the loss scale).  Every regime's
+data term is the one likelihood of :mod:`scopedepth.losses`.  Photometric
 consistency follows the fixed Eq.-4 recipe of :mod:`scopedepth.photometry`
-(alpha 0.85, 3x3 SSIM windows, minimum over a triplet's sources).
+(alpha 0.85, 3x3 SSIM windows, minimum over a triplet's sources), which
+computes both its residual and that residual's derivative with respect to
+a warped source; the trainer chains the latter through the warp.
 Optimization is plain fixed-step gradient descent on the MAP objective,
 which keeps every run bitwise reproducible from (regime, data, config,
 seed).  The objective computes the training step only: the loss and its
@@ -26,14 +29,13 @@ import numpy as np
 from .geometry import CameraIntrinsics, Pose, warp_basis, warp_from_basis
 from .heap import keep_heap_mapped
 from .imagery import DepthMap, Image, Mask, UncMap, bilinear_sample_planes, same_shape
-from .losses import LossConfig, pixel_weights, prior_loss, selfsup_nll_arrays, supervised_nll_arrays
+from .losses import LossConfig, l1_nll_arrays, pixel_weights, prior_loss, supervised_nll_arrays
 from .photometry import (
-    _ALPHA,
-    _ssim_moments,
     edge_weights,
     photometric_residual_arrays,
+    photometric_residual_backward,
     smoothness_and_grad,
-    ssim_backward_channel,
+    ssim_moments,
 )
 from .predictor import DepthField, TrainConfig, backward, forward_arrays, init_random
 
@@ -97,7 +99,7 @@ def _triplet_constants(trip: Triplet, K: CameraIntrinsics) -> tuple:
     target's smoothness edge weights."""
     target = trip.target.planes()
     return (
-        target, _ssim_moments(target), tuple(src.planes() for src in trip.sources),
+        target, ssim_moments(target), tuple(src.planes() for src in trip.sources),
         trip.rel_poses,
         tuple(warp_basis(K, pose, trip.target.width, trip.target.height)
               for pose in trip.rel_poses),
@@ -189,7 +191,6 @@ def _triplet_term(K, const, d_hat, u_hat, loss_cfg, n, sums) -> tuple:
     warp of its argmin source, plus the edge-aware smoothness term."""
     tgt, tgt_moments, sources, poses, bases, weights = const
     total, grad_d, grad_u = sums or (0.0, np.zeros(d_hat.shape), np.zeros(d_hat.shape))
-    nchan = tgt.shape[0]
     warps, jacobians = [], []
     for src, pose, basis in zip(sources, poses, bases):
         xs, ys, in_front, dxd, dyd = warp_from_basis(d_hat, K, pose, basis)
@@ -198,16 +199,15 @@ def _triplet_term(K, const, d_hat, u_hat, loss_cfg, n, sums) -> tuple:
         warps.append((vals, valid))
         jacobians.append((ddx, ddy, dxd, dyd))
     f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, tgt_moments, warps)
-    lv = selfsup_nll_arrays(f_p, u_hat, *pixel_weights(valid_px), loss_cfg)
+    lv = l1_nll_arrays(f_p, u_hat, *pixel_weights(valid_px), loss_cfg)  # F_p >= 0
     total += lv.scalar / n
     grad_u += lv.grad_sigma / n
     # route d(scalar)/d(F_p) through the argmin source only
-    for s_idx, ((vals, valid), (ddx, ddy, dxd, dyd)) in enumerate(zip(warps, jacobians)):
+    for s_idx, ((_, valid), (ddx, ddy, dxd, dyd)) in enumerate(zip(warps, jacobians)):
         up = np.where(arg == s_idx, lv.grad_depth, 0.0) / n
         if not np.any(up):
             continue
-        g_vals = (1 - _ALPHA) / nchan * (-np.sign(tgt - vals)) * up
-        g_vals += ssim_backward_channel(terms[s_idx], -0.5 * _ALPHA / nchan * up)
+        g_vals = photometric_residual_backward(terms[s_idx], up)
         d_dd = (g_vals * ddx).sum(axis=0) * dxd + (g_vals * ddy).sum(axis=0) * dyd
         grad_d += np.where(valid, d_dd, 0.0)
     if loss_cfg.lambda_u > 0:

@@ -85,7 +85,7 @@ def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: 
     _, grad = trainer._objective(regime, data, field.grids, loss_cfg, w, h)
     base = _fingerprint(regime, data, field, loss_cfg, w, h)
     analytic = grad.ravel()
-    theta0 = field.params()
+    theta0 = field.grids.ravel()
     worst = 0.0
     for i in range(theta0.size):
         hstep = step * max(1.0, abs(theta0[i]))
@@ -93,7 +93,7 @@ def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: 
         for sgn in (1.0, -1.0):
             theta = theta0.copy()
             theta[i] += sgn * hstep
-            probe = field.with_params(theta)
+            probe = DepthField(theta.reshape(field.grids.shape), field.seed)
             marks = _fingerprint(regime, data, probe, loss_cfg, w, h)
             if not all(np.array_equal(a, b) for a, b in zip(marks, base)):
                 raise KinkStraddled(f"parameter {i} probe crossed a switch")

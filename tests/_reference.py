@@ -36,14 +36,14 @@ from __future__ import annotations
 import numpy as np
 
 from scopedepth import synthcolon
-from scopedepth.geometry import EPS_Z, CameraIntrinsics, Pose, _pixel_rays
+from scopedepth.geometry import EPS_Z, CameraIntrinsics, Pose, pixel_rays
 from scopedepth.imagery import DepthMap, Image
 from scopedepth.losses import LossConfig, LossValue
 from scopedepth.losses import supervised_nll_arrays as library_nll
 from scopedepth.photometry import (
     _ALPHA,
-    _ssim_moments,
     ssim_backward_channel,
+    ssim_moments,
     ssim_terms,
 )
 from scopedepth.predictor import TrainConfig, _axis_matrix, init_random
@@ -86,7 +86,7 @@ def warp_pixel(
     """
     if d <= 0:
         raise InvalidDepthError(f"depth {d} must be positive")
-    P = pose.apply(backproject(K, j, d))
+    P = pose.rotation @ backproject(K, j, d) + pose.translation
     if P[2] <= EPS_Z:
         return (0.0, 0.0), False
     u = K.fx * P[0] / P[2] + K.cx
@@ -109,7 +109,7 @@ def warp_coordinates(
     raster happens at sampling time.
     """
     h, w = d.shape
-    rays = _pixel_rays(K, w, h)
+    rays = pixel_rays(K, w, h)
     q = rays @ pose.rotation.T  # rotated ray per pixel
     t = pose.translation
     P = q * d[..., None] + t
@@ -133,7 +133,7 @@ def bilinear_sample(img: Image, x: float, y: float) -> tuple[np.ndarray, bool]:
     with valid=False rather than clamping.
     """
     h, w = img.height, img.width
-    c = img.channels
+    c = img.data.shape[2]
     if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):
         return np.zeros(c, dtype=np.float64), False
     x0 = min(int(np.floor(x)), w - 2) if w > 1 else 0
@@ -209,7 +209,7 @@ def photometric_residual_arrays(
     alpha = _ALPHA
     # the target's moments do not depend on the source
     tgt_c = np.moveaxis(tgt, 2, 0)
-    tgt_moments = _ssim_moments(tgt_c)
+    tgt_moments = ssim_moments(tgt_c)
     candidates = []
     terms = []
     for vals, valid in warps:

@@ -745,6 +745,28 @@ class TestFuseEvalCalib:
             assert f"--levels must be >= 1, got {levels}" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "calib"])
+    def test_scores_refuse_to_replace_an_input_manifest(self, command, fused, dataset,
+                                                        tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        manifest = (ds / "manifest.json").read_bytes()
+        rc = run(command, "--pred", fused, "--data", ds, "--out", ds / "scores.csv")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(ds / "manifest.json") in err and "'synth'" in err
+        assert (ds / "manifest.json").read_bytes() == manifest
+        assert not (ds / "scores.csv").exists()
+        # so the dataset still trains
+        assert run("train", "--data", ds, "--out", tmp_path / "run", "--regime",
+                   "supervised-gt", "--members", 1, "--steps", 1, "--grid", 4) == 0
+
+    def test_scores_replace_a_scores_manifest(self, fused, dataset, tmp_path):
+        out = tmp_path / "scores"
+        for command, name in (("eval", "m.csv"), ("calib", "c.csv"), ("eval", "m.csv")):
+            assert run(command, "--pred", fused, "--data", dataset, "--out", out / name) == 0
+        assert json.loads((out / "manifest.json").read_text())["command"] == "eval"
+
     def test_dimension_mismatch_exit_code(self, fused, tmp_path, capsys):
         other = tmp_path / "other_ds"
         assert run("synth", "--out", other, "--seed", 1, "--frames", 3,

@@ -129,7 +129,7 @@ class TestWarp:
         for _ in range(100):
             j = (rng.uniform(0, 100), rng.uniform(0, 100))
             d = rng.uniform(0.5, 50)
-            jp, ok = warp_pixel(j, d, K, Pose.identity())
+            jp, ok = warp_pixel(j, d, K, Pose(np.eye(3), np.zeros(3)))
             assert ok
             assert jp[0] == pytest.approx(j[0], abs=1e-12)
             assert jp[1] == pytest.approx(j[1], abs=1e-12)
@@ -147,7 +147,7 @@ class TestWarp:
     def test_warp_rejects_nonpositive_depth(self):
         K = CameraIntrinsics(100, 100, 50, 50)
         with pytest.raises(InvalidDepthError):
-            warp_pixel((0, 0), -1.0, K, Pose.identity())
+            warp_pixel((0, 0), -1.0, K, Pose(np.eye(3), np.zeros(3)))
 
     def test_forward_backward_returns_to_start_on_plane(self):
         # fronto-parallel plane at z0 in the target frame: the source-frame
@@ -164,7 +164,7 @@ class TestWarp:
             jp, ok = warp_pixel(j, z0, K, g)
             if not ok:
                 continue
-            p_src = g.apply(backproject(K, j, z0))
+            p_src = g.rotation @ backproject(K, j, z0) + g.translation
             back, ok2 = warp_pixel(jp, p_src[2], K, g.inverse())
             assert ok2
             assert back[0] == pytest.approx(j[0], abs=1e-4)
@@ -205,7 +205,7 @@ class TestSynthesize:
         K = CameraIntrinsics(40, 40, 15.5, 15.5)
         img = Image(rng.uniform(0, 1, (32, 32, 3)).astype(np.float32))
         depth = DepthMap(rng.uniform(5, 20, (32, 32)).astype(np.float32))
-        warped, valid = synthesize_warped_image(img, depth, Pose.identity(), K)
+        warped, valid = synthesize_warped_image(img, depth, Pose(np.eye(3), np.zeros(3)), K)
         assert valid.data[1:-1, 1:-1].all()
         sel = valid.data
         np.testing.assert_allclose(warped.data[sel], img.data[sel], atol=1e-6)
@@ -225,7 +225,7 @@ class TestSynthesize:
         img = Image(np.zeros((8, 8, 3), dtype=np.float32))
         depth = DepthMap(np.ones((9, 8), dtype=np.float32))
         with pytest.raises(ValueError):
-            synthesize_warped_image(img, depth, Pose.identity(), K)
+            synthesize_warped_image(img, depth, Pose(np.eye(3), np.zeros(3)), K)
 
 
 def test_relative_pose_direction():
@@ -234,5 +234,5 @@ def test_relative_pose_direction():
     tgt = Pose(np.eye(3), [0, 0, 5.0])
     src = Pose(np.eye(3), [0, 0, 4.0])
     rel = relative_pose(tgt, src)
-    p_src = rel.apply(np.array([0.0, 0.0, 10.0]))
+    p_src = rel.rotation @ np.array([0.0, 0.0, 10.0]) + rel.translation
     np.testing.assert_allclose(p_src, [0, 0, 11.0])

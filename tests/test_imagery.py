@@ -189,7 +189,7 @@ class TestPpm:
         img = Image(np.full((2, 2, 1), 0.25, dtype=np.float32))
         write_ppm(img, tmp_path / "g.ppm")
         back = read_ppm(tmp_path / "g.ppm")
-        assert back.channels == 3
+        assert back.data.shape[2] == 3
         assert np.allclose(back.data, np.round(0.25 * 255) / 255)
 
     def test_empty_or_blank_file_is_a_ppm_error(self, tmp_path):

@@ -4,10 +4,10 @@ import pytest
 
 from scopedepth.losses import (
     LossConfig,
+    l1_nll_arrays,
     pixel_weights,
     prior_loss,
     supervised_nll_arrays,
-    selfsup_nll_arrays,
 )
 
 CFG = LossConfig(lambda_u=0.0, weight_decay=0.0)
@@ -90,19 +90,21 @@ class TestSupervised:
 
 
 class TestSelfSup:
+    """The kernel on a photometric error, as the self-supervised step calls it."""
+
     def test_zero_residual(self):
-        lv = selfsup_nll_arrays(one_pixel(0.0), one_pixel(1.0), *ONE, CFG)
+        lv = l1_nll_arrays(one_pixel(0.0), one_pixel(1.0), *ONE, CFG)
         assert lv.scalar == pytest.approx(0.0)
 
     def test_hand_case(self):
-        lv = selfsup_nll_arrays(one_pixel(0.2), one_pixel(0.1), *ONE, CFG)
+        lv = l1_nll_arrays(one_pixel(0.2), one_pixel(0.1), *ONE, CFG)
         assert lv.scalar == pytest.approx(0.2 / 0.1 + np.log(0.1), abs=1e-9)
         assert lv.scalar == pytest.approx(-0.3026, abs=1e-4)
 
     def test_optimal_u_equals_residual(self):
         f_p = 0.37
         losses = [
-            selfsup_nll_arrays(one_pixel(f_p), one_pixel(u), *ONE, CFG).scalar
+            l1_nll_arrays(one_pixel(f_p), one_pixel(u), *ONE, CFG).scalar
             for u in (f_p * 0.9, f_p, f_p * 1.1)
         ]
         assert losses[1] < losses[0] and losses[1] < losses[2]
@@ -212,14 +214,15 @@ def test_losses_are_permutation_invariant():
 
 
 class TestAgainstReference:
-    """The label likelihood against the one it replaced, which masks with
-    ``np.where`` and takes the scale from ``np.hypot``, on random masked
-    256x256 inputs."""
+    """The likelihoods against the ones they replaced, which mask with
+    ``np.where``, take the label scale from ``np.hypot`` and write the
+    photometric likelihood apart from the label one, on random masked
+    inputs (256x256 unless a test says otherwise)."""
 
     @staticmethod
-    def _inputs(seed):
+    def _inputs(seed, size=256):
         rng = np.random.default_rng(seed)
-        shape = (256, 256)
+        shape = (size, size)
         d = rng.uniform(5, 60, shape)
         d_hat = rng.uniform(5, 60, shape)
         # scales below the clamp, around the residuals and far above them
@@ -258,3 +261,42 @@ class TestAgainstReference:
         for got, want in ((new.grad_depth, ref.grad_depth), (new.grad_sigma, ref.grad_sigma)):
             assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max())
             assert np.array_equal(got[~valid], want[~valid])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_kernel_on_photometric_error_bitwise(self, size, seed):
+        d, d_hat, u_hat, valid, _ = self._inputs(seed, size)
+        # an Eq.-4 error is non-negative and of order 0.1
+        f_p = np.abs(d - d_hat) / 500.0
+        ref = _reference.selfsup_nll_arrays(f_p, u_hat, valid, CFG)
+        new = l1_nll_arrays(f_p, u_hat, *pixel_weights(valid), CFG)
+        assert new.scalar == ref.scalar
+        assert new.grad_depth.tobytes() == ref.grad_depth.tobytes()
+        assert new.grad_sigma.tobytes() == ref.grad_sigma.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("size", [64, 256])
+    @pytest.mark.parametrize("label_std", ["none", "zero", "teacher"])
+    def test_kernel_on_depth_error(self, label_std, size, seed):
+        """The kernel on |d - d_hat|, signed by -sign(d - d_hat), is the
+        reference label likelihood: bitwise, signed zeros included, without
+        a label variance or with a zero one, and within the ulps of
+        ``np.hypot`` otherwise."""
+        d, d_hat, sigma_a, valid, s_t = self._inputs(seed, size)
+        d_hat[:2] = d[:2]  # zero residuals, whose subgradient is a signed zero
+        s_t = {"none": None, "zero": np.zeros_like(s_t), "teacher": s_t}[label_std]
+        r = d - d_hat
+        ref = _reference.supervised_nll_arrays(d, d_hat, sigma_a, valid, CFG, s_t)
+        new = l1_nll_arrays(np.abs(r), sigma_a, *pixel_weights(valid), CFG,
+                            None if s_t is None else s_t**2)
+        got = (new.scalar, -np.sign(r) * new.grad_depth, new.grad_sigma)
+        want = (ref.scalar, ref.grad_depth, ref.grad_sigma)
+        if label_std != "teacher":
+            assert got[0] == want[0]
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
+            return
+        # the bounds of test_with_label_std_within_ulps
+        assert abs(got[0] - want[0]) <= 4 * np.spacing(abs(want[0]))
+        for g, w in zip(got[1:], want[1:]):
+            assert np.abs(g - w).max() <= 8 * np.spacing(np.abs(w).max())
+            assert np.array_equal(g[~valid], w[~valid])

@@ -7,13 +7,14 @@ from scopedepth.photometry import (
     _C1,
     _C2,
     _box_matrix,
-    _ssim_moments,
     box_filter,
     box_filter_adjoint,
     edge_weights,
     photometric_residual_arrays,
+    photometric_residual_backward,
     smoothness_and_grad,
     ssim_backward_channel,
+    ssim_moments,
     ssim_terms,
 )
 
@@ -64,7 +65,7 @@ def brute_force_eq4(t: Image, s: Image) -> np.ndarray:
 
 def terms_of(a, b):
     """:func:`ssim_terms` of ``a`` and ``b``, with the moments of ``a``."""
-    return ssim_terms(a, b, _ssim_moments(a))
+    return ssim_terms(a, b, ssim_moments(a))
 
 
 def ssim(a: Image, b: Image) -> np.ndarray:
@@ -76,7 +77,7 @@ def residual(t: Image, sources):
     """(f_p, valid) of target ``t`` against (image, bool mask) sources."""
     tgt = t.planes()
     f_p, valid, _, _ = photometric_residual_arrays(
-        tgt, _ssim_moments(tgt), [(s.planes(), m) for s, m in sources])
+        tgt, ssim_moments(tgt), [(s.planes(), m) for s, m in sources])
     return f_p, valid
 
 
@@ -254,6 +255,33 @@ class TestPhotometricResidual:
         t = Image(np.zeros((4, 4, 3), dtype=np.float32))
         with pytest.raises(ValueError):
             residual(t, [])
+
+
+class TestPhotometricResidualBackward:
+    def test_matches_central_differences(self):
+        """The derivative of one source's Eq.-4 candidate with respect to
+        the warped source, against central differences.  A lone source has
+        no argmin switch, and every |target - source| is at least 0.05, far
+        from the L1 kink at zero."""
+        rng = np.random.default_rng(9)
+        tgt = rng.uniform(0, 1, (3, 5, 6))
+        src = tgt + rng.choice([-1.0, 1.0], tgt.shape) * rng.uniform(0.05, 0.3, tgt.shape)
+        up = rng.normal(size=(5, 6))
+        valid = np.full((5, 6), True)
+        moments = ssim_moments(tgt)
+
+        def weighted_residual(vals):
+            return (up * photometric_residual_arrays(tgt, moments, [(vals, valid)])[0]).sum()
+
+        terms = photometric_residual_arrays(tgt, moments, [(src, valid)])[3][0]
+        grad = photometric_residual_backward(terms, up)
+        eps = 1e-6
+        fd = np.zeros_like(src)
+        for idx in np.ndindex(src.shape):
+            step = np.zeros_like(src)
+            step[idx] = eps
+            fd[idx] = (weighted_residual(src + step) - weighted_residual(src - step)) / (2 * eps)
+        np.testing.assert_allclose(grad, fd, atol=1e-7)
 
 
 class TestSmoothness:

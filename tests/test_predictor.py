@@ -167,13 +167,13 @@ class TestBackward:
         cfg = LossConfig(lambda_u=0.0, weight_decay=0.0)
 
         def loss_of(theta):
-            d, s = forward_arrays(field.with_params(theta).grids, w, h)
+            d, s = forward_arrays(theta.reshape(field.grids.shape), w, h)
             return supervised_nll_arrays(labels, d, s, weights, n, cfg).scalar
 
         d0, s0 = forward_arrays(field.grids, w, h)
         lv = supervised_nll_arrays(labels, d0, s0, weights, n, cfg)
         analytic = backward(field.grids, lv.grad_depth, lv.grad_sigma, d0, s0).ravel()
-        theta0 = field.params()
+        theta0 = field.grids.ravel()
         step = 1e-5
         for i in range(0, theta0.size, 7):
             e = np.zeros_like(theta0)

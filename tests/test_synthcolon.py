@@ -32,7 +32,7 @@ class TestRender:
         params = SceneParams(radius_mm=10, curve_amp_mm=0, ridge_amp_mm=0,
                              far_cap_mm=60, seed=3)
         K = CameraIntrinsics(32, 32, 31.5, 31.5)
-        img, depth, hit = render_view(params, Pose.identity(), K, 64, 64)
+        img, depth, hit = render_view(params, Pose(np.eye(3), np.zeros(3)), K, 64, 64)
         for (px, py) in [(5, 31), (60, 50), (0, 0), (20, 10)]:
             rx = (px - 31.5) / 32.0
             ry = (py - 31.5) / 32.0
@@ -45,7 +45,7 @@ class TestRender:
         params = SceneParams(radius_mm=10, curve_amp_mm=0, ridge_amp_mm=0,
                              far_cap_mm=60, seed=3)
         K = CameraIntrinsics(32, 32, 31.5, 31.5)
-        img, depth, hit = render_view(params, Pose.identity(), K, 63, 63)
+        img, depth, hit = render_view(params, Pose(np.eye(3), np.zeros(3)), K, 63, 63)
         assert not hit.data[31, 31]
         assert depth.data[31, 31] == pytest.approx(60.0, rel=1e-5)
 
@@ -306,7 +306,7 @@ class TestMatchesReference:
         params = SceneParams(radius_mm=10, curve_amp_mm=0, ridge_amp_mm=0,
                              far_cap_mm=60, seed=3)
         K = CameraIntrinsics(32, 32, 31.5, 31.5)
-        _, hit, _ = _assert_matches_reference(monkeypatch, params, Pose.identity(),
+        _, hit, _ = _assert_matches_reference(monkeypatch, params, Pose(np.eye(3), np.zeros(3)),
                                               K, 64, 64)
         assert not hit.all()
 
@@ -718,7 +718,7 @@ class TestTrajectory:
         params = SceneParams(seed=9)
         traj = generate_trajectory(params, 8, 1.5)
         # chain of per-hop transforms frame0 -> frame7, left to right
-        acc = Pose.identity()
+        acc = Pose(np.eye(3), np.zeros(3))
         for i in range(len(traj) - 1):
             acc = relative_pose(traj[i], traj[i + 1]).compose(acc)
         want = relative_pose(traj[0], traj[-1])
