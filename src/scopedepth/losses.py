@@ -15,14 +15,16 @@ residual and the scale:
 residual, so the self-supervised step hands it the photometric error
 directly.  :func:`supervised_nll_arrays` applies it to the absolute depth
 error and serves the first and the third.  Both take float64 (h, w) arrays
-finite at masked pixels too, and the :func:`pixel_weights` of the mask;
-the trainer checks the rasters they come from.
+finite at masked pixels too, and the :func:`pixel_weights` of the mask
+(``None`` when every pixel is valid), and write into none of them; the
+trainer checks the rasters they come from.
 
 Any predicted scale is clamped from below at ``sigma_min`` before entering
 the loss; gradients are taken with respect to the raw (unclamped) scale,
 zero where the clamp is active, so they match finite differences of the
-actual computation.  Gradient maps hold the derivative of the *scalar*
-(mean-reduced) loss, and the L1 subgradient at zero residual is zero.
+actual computation; a scale that no pixel clamps skips the clamp.
+Gradient maps hold the derivative of the *scalar* (mean-reduced) loss, and
+the L1 subgradient at zero residual is zero.
 """
 
 from __future__ import annotations
@@ -60,18 +62,19 @@ class LossValue:
     grad_sigma: np.ndarray
 
 
-def pixel_weights(valid: np.ndarray) -> tuple[np.ndarray, int]:
-    """The 0/1 float64 map of a bool mask and its count, as :func:`l1_nll_arrays` takes it."""
+def pixel_weights(valid: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """The 0/1 float64 map of a bool mask, or ``None`` when every pixel is
+    valid, and its count, as :func:`l1_nll_arrays` takes them."""
     n = int(valid.sum())
     if n == 0:
         raise ValueError("no valid pixels")
-    return valid.astype(np.float64), n
+    return None if n == valid.size else valid.astype(np.float64), n
 
 
 def l1_nll_arrays(
     residual: np.ndarray,
     scale: np.ndarray,
-    weights: np.ndarray, n: int,
+    weights: np.ndarray | None, n: int,
     cfg: LossConfig,
     var_label: np.ndarray | None = None,
 ) -> LossValue:
@@ -80,31 +83,42 @@ def l1_nll_arrays(
     ``s`` is the clamped ``scale``, or ``sqrt(var_label + clamp(scale)^2)``
     when the labels carry their own variance (the uncertain student's
     teacher variance).  ``grad_depth`` carries d(scalar)/d(r) and
-    ``grad_sigma`` the derivative with respect to the raw ``scale``; with
-    ``var_label == 0`` the result is bitwise that of no label variance,
-    since ``sqrt(x * x) == x`` exactly.
+    ``grad_sigma`` the derivative with respect to the raw ``scale``.  The
+    bits are those of an all-ones map for ``weights=None``, since x * 1.0
+    == x, and of no label variance for ``var_label == 0``, since
+    ``sqrt(x * x) == x`` exactly.
     """
-    s_a = np.maximum(scale, cfg.sigma_min)
-    gate = (scale > cfg.sigma_min).astype(np.float64)
-    s = s_a if var_label is None else s_a * s_a + var_label
+    # NaN compares false, so a NaN scale takes the unclamped path to a NaN loss
+    clamped = scale.min() <= cfg.sigma_min
+    s_a = np.maximum(scale, cfg.sigma_min) if clamped else scale
+    s = s_a if var_label is None else s_a * s_a + var_label  # may be ``scale``: read only
     if var_label is not None:
         np.sqrt(s, out=s)  # in place: the scale costs one new map
-    term = residual / s + np.log(s)
-    term *= weights  # a scratch map, weighted in place
+    term, scratch = residual / s, np.log(s)
+    term += scratch
+    if weights is not None:
+        term *= weights
     scalar = float(term.sum() / n)
-    inv_s = 1.0 / s
-    grad_r = inv_s * weights / n
-    d_s = inv_s - residual / s**2
+    inv_s = np.divide(1.0, s, out=term)
+    d_s = np.square(s, out=scratch)
+    np.divide(residual, d_s, out=d_s)
+    np.subtract(inv_s, d_s, out=d_s)
     if var_label is not None:
         d_s *= s_a / s
-    return LossValue(scalar, grad_r, d_s * gate * weights / n)
+    if clamped:
+        d_s *= scale > cfg.sigma_min  # the gate: zero where the clamp is active
+    for grad in (inv_s, d_s):  # (g * weights) / n, in place
+        if weights is not None:
+            grad *= weights
+        grad /= n
+    return LossValue(scalar, inv_s, d_s)
 
 
 def supervised_nll_arrays(
     d: np.ndarray,
     d_hat: np.ndarray,
     sigma_a: np.ndarray,
-    weights: np.ndarray, n: int,
+    weights: np.ndarray | None, n: int,
     cfg: LossConfig,
     var_label: np.ndarray | None = None,
 ) -> LossValue:
@@ -113,8 +127,10 @@ def supervised_nll_arrays(
     taken with respect to ``d_hat``."""
     r = d - d_hat
     lv = l1_nll_arrays(np.abs(r), sigma_a, weights, n, cfg, var_label)
-    # multiplying by -1, 0 or +1 is exact, signed zeros included
-    return LossValue(lv.scalar, -np.sign(r) * lv.grad_depth, lv.grad_sigma)
+    # -sign(r) * grad, in r's buffer: exact, signed zeros included
+    np.negative(np.sign(r, out=r), out=r)
+    r *= lv.grad_depth
+    return LossValue(lv.scalar, r, lv.grad_sigma)
 
 
 def prior_loss(theta: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:

@@ -208,11 +208,10 @@ def smoothness_and_grad(
     n = darr.size
     sx = np.zeros_like(darr)
     sy = np.zeros_like(darr)
-    sx[:, :-1] = np.sign(np.diff(darr, axis=1))
-    sy[:-1, :] = np.sign(np.diff(darr, axis=0))
-    t_raw = (np.abs(np.diff(darr, axis=1)) * wx[:, :-1]).sum() + (
-        np.abs(np.diff(darr, axis=0)) * wy[:-1, :]
-    ).sum()
+    ddx, ddy = np.diff(darr, axis=1), np.diff(darr, axis=0)
+    sx[:, :-1] = np.sign(ddx)
+    sy[:-1, :] = np.sign(ddy)
+    t_raw = (np.abs(ddx) * wx[:, :-1]).sum() + (np.abs(ddy) * wy[:-1, :]).sum()
     # dT/dd: the pixel loses its own forward differences, gains its
     # predecessors'
     gterm = -(sx * wx) - (sy * wy)

@@ -165,9 +165,11 @@ def upsample_bilinear_adjoint(grad: np.ndarray, gw: int, gh: int) -> np.ndarray:
 
 def forward_arrays(grids: np.ndarray, w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Float64 (depth, sigma) maps of a (2, gh, gw) parameter stack, from
-    one upsample and one exp of both planes; the numeric path of training."""
-    d, s = np.exp(upsample_bilinear(grids, w, h))
-    return d, s
+    one upsample and one exp of both planes; the numeric path of training.
+    They are the two planes of one buffer, exponentiated in place; read only."""
+    maps = upsample_bilinear(grids, w, h)
+    np.exp(maps, out=maps)
+    return maps[0], maps[1]
 
 
 def forward(field: DepthField, w: int, h: int) -> tuple[DepthMap, UncMap]:

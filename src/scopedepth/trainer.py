@@ -200,11 +200,13 @@ def _triplet_term(K, const, d_hat, u_hat, loss_cfg, n, sums) -> tuple:
         jacobians.append((ddx, ddy, dxd, dyd))
     f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, tgt_moments, warps)
     lv = l1_nll_arrays(f_p, u_hat, *pixel_weights(valid_px), loss_cfg)  # F_p >= 0
+    # x / 1 == x, so a lone triplet's share skips the divisions
+    grad_fp, grad_sigma = (g if n == 1 else g / n for g in (lv.grad_depth, lv.grad_sigma))
     total += lv.scalar / n
-    grad_u += lv.grad_sigma / n
+    grad_u += grad_sigma
     # route d(scalar)/d(F_p) through the argmin source only
     for s_idx, ((_, valid), (ddx, ddy, dxd, dyd)) in enumerate(zip(warps, jacobians)):
-        up = np.where(arg == s_idx, lv.grad_depth, 0.0) / n
+        up = np.where(arg == s_idx, grad_fp, 0.0)
         if not np.any(up):
             continue
         g_vals = photometric_residual_backward(terms[s_idx], up)
@@ -213,7 +215,8 @@ def _triplet_term(K, const, d_hat, u_hat, loss_cfg, n, sums) -> tuple:
     if loss_cfg.lambda_u > 0:
         smooth, smooth_grad = smoothness_and_grad(d_hat, weights)
         total += loss_cfg.lambda_u * smooth.mean() / n
-        grad_d += loss_cfg.lambda_u * smooth_grad / n
+        smooth_grad *= loss_cfg.lambda_u
+        grad_d += smooth_grad if n == 1 else smooth_grad / n
     return total, grad_d, grad_u
 
 

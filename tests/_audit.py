@@ -58,12 +58,13 @@ def _selfsup_marks(data: TrainData, d_hat: np.ndarray, lambda_u: float) -> list:
 def _fingerprint(regime: Regime, data: TrainData, field: DepthField, loss_cfg: LossConfig,
                  w: int, h: int) -> tuple:
     """The scale clamp gate, then each frame's L1 signs for a label regime
-    or each triplet's :func:`_selfsup_marks` for self-supervision."""
+    (weights ``None`` meaning every pixel) or each triplet's
+    :func:`_selfsup_marks` for self-supervision."""
     d_hat, sigma = forward_arrays(field.grids, w, h)
     gate = sigma > loss_cfg.sigma_min
     if regime == Regime.SELF_SUPERVISED:
         return gate, *_selfsup_marks(data, d_hat, loss_cfg.lambda_u)
-    return gate, *(np.sign(label - d_hat) * weights
+    return gate, *(np.sign(label - d_hat) * (1.0 if weights is None else weights)
                    for label, _, weights, _ in data._label_constants)
 
 

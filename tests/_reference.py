@@ -14,7 +14,10 @@ per-run 0/1 weight map and the uncertain student's scale became
 ``sqrt(var_label + s_a^2)``: a bool mask applied by ``np.where`` and the
 scale ``np.hypot(sigma_label, s_a)``.  :func:`_label_objective` is the
 label regimes' data term built on them, reading every frame each step and
-summing into zero-filled maps.
+summing into zero-filled maps.  :func:`weighted_l1_nll_arrays` is the one
+kernel that replaced them, as it stood before it skipped all-ones weights
+and an idle clamp: it always clamps and gates the scale, and always
+multiplies by a 0/1 weight map.
 
 The predictor is kept as it stood before its two grids became one
 (2, gh, gw) stack: :func:`forward_pair`, :func:`backward_pair` and
@@ -327,6 +330,28 @@ def selfsup_nll_arrays(
     grad_fp = (1.0 / u) * v / n
     grad_sigma = (-f_p / u**2 + 1.0 / u) * gate * v / n
     return LossValue(scalar, grad_fp, grad_sigma)
+
+
+def weighted_l1_nll_arrays(
+    residual: np.ndarray, scale: np.ndarray, weights: np.ndarray, n: int, cfg: LossConfig,
+    var_label: np.ndarray | None = None,
+) -> LossValue:
+    """The heteroscedastic L1 kernel with its clamp, gate and weight map
+    applied at every pixel, whether or not they change any."""
+    s_a = np.maximum(scale, cfg.sigma_min)
+    gate = (scale > cfg.sigma_min).astype(np.float64)
+    s = s_a if var_label is None else s_a * s_a + var_label
+    if var_label is not None:
+        np.sqrt(s, out=s)
+    term = residual / s + np.log(s)
+    term *= weights
+    scalar = float(term.sum() / n)
+    inv_s = 1.0 / s
+    grad_r = inv_s * weights / n
+    d_s = inv_s - residual / s**2
+    if var_label is not None:
+        d_s *= s_a / s
+    return LossValue(scalar, grad_r, d_s * gate * weights / n)
 
 
 def forward_pair(log_depth: np.ndarray, log_sigma: np.ndarray, w: int,

@@ -300,3 +300,109 @@ class TestAgainstReference:
         for g, w in zip(got[1:], want[1:]):
             assert np.abs(g - w).max() <= 8 * np.spacing(np.abs(w).max())
             assert np.array_equal(g[~valid], w[~valid])
+
+
+def test_pixel_weights_are_none_for_a_full_mask():
+    assert pixel_weights(np.full((4, 5), True)) == (None, 20)
+    mask = np.random.default_rng(6).uniform(size=(4, 5)) < 0.6
+    weights, n = pixel_weights(mask)
+    assert weights.dtype == np.float64 and np.array_equal(weights, mask)
+    assert n == mask.sum() < 20
+
+
+class TestFastPaths:
+    """The kernel skips the weight map when every pixel is valid and the
+    clamp when no pixel reaches it, and neither changes a bit: it is held
+    to :func:`_reference.weighted_l1_nll_arrays`, which applies both at
+    every pixel."""
+
+    @staticmethod
+    def _inputs(size, floor):
+        # residuals of depth labels, scales from ``floor`` to far above the
+        # residuals, a teacher's variance and a mask
+        rng = np.random.default_rng(size)
+        shape = (size, size)
+        r = np.abs(rng.uniform(5, 60, shape) - rng.uniform(5, 60, shape))
+        scale = np.exp(rng.uniform(np.log(floor), np.log(1e3), shape))
+        var_label = np.square(rng.uniform(0.05, 5.0, shape))
+        return r, scale, var_label, rng.uniform(size=shape) < 0.7
+
+    @staticmethod
+    def _bits(lv):
+        return lv.scalar, lv.grad_depth.tobytes(), lv.grad_sigma.tobytes()
+
+    @pytest.mark.parametrize("floor", [1e-4, 2 * CFG.sigma_min], ids=["clamped", "unclamped"])
+    @pytest.mark.parametrize("label_var", [False, True])
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_no_weights_are_all_ones(self, size, label_var, floor):
+        r, scale, var_label, _ = self._inputs(size, floor)
+        var_label = var_label if label_var else None
+        ones = np.ones(r.shape)
+        new = self._bits(l1_nll_arrays(r, scale, None, r.size, CFG, var_label))
+        assert new == self._bits(l1_nll_arrays(r, scale, ones, r.size, CFG, var_label))
+        assert new == self._bits(
+            _reference.weighted_l1_nll_arrays(r, scale, ones, r.size, CFG, var_label))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("label_var", [False, True])
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_unclamped_scale_keeps_the_clamp_bits(self, size, label_var, masked):
+        r, scale, var_label, valid = self._inputs(size, CFG.sigma_min * (1 + 1e-9))
+        scale[0, 0] = np.nextafter(CFG.sigma_min, 1.0)  # the least scale above it
+        assert scale.min() > CFG.sigma_min
+        var_label = var_label if label_var else None
+        valid = valid if masked else np.full(r.shape, True)
+        new = l1_nll_arrays(r, scale, *pixel_weights(valid), CFG, var_label)
+        ref = _reference.weighted_l1_nll_arrays(r, scale, valid.astype(np.float64),
+                                                int(valid.sum()), CFG, var_label)
+        assert self._bits(new) == self._bits(ref)
+
+    @pytest.mark.parametrize("low", [(CFG.sigma_min,),
+                                     (CFG.sigma_min, CFG.sigma_min / 2, 1e-300, 0.0)],
+                             ids=["at", "at-and-below"])
+    @pytest.mark.parametrize("label_var", [False, True])
+    def test_scale_at_and_below_the_clamp_has_zero_gradient(self, label_var, low):
+        r, scale, var_label, _ = self._inputs(64, 2 * CFG.sigma_min)
+        k = len(low)
+        scale[0, :k] = low
+        var_label = var_label if label_var else None
+        new = l1_nll_arrays(r, scale, None, r.size, CFG, var_label)
+        assert not new.grad_sigma[0, :k].any() and new.grad_sigma[0, k:].all()
+        ref = _reference.weighted_l1_nll_arrays(r, scale, np.ones(r.shape), r.size, CFG,
+                                                var_label)
+        assert self._bits(new) == self._bits(ref)
+
+    @pytest.mark.parametrize("floor", [1e-4, 2 * CFG.sigma_min], ids=["clamped", "unclamped"])
+    @pytest.mark.parametrize("label_var", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_inputs_may_be_read_only(self, masked, label_var, floor):
+        # an unclamped scale is the loss scale itself, which the kernel must
+        # not write into; neither may it write into the labels or variance
+        r, scale, var_label, valid = self._inputs(64, floor)
+        d_hat = np.full(r.shape, 30.0)
+        d = d_hat + r
+        weights = pixel_weights(valid if masked else np.full(r.shape, True))
+        var_label = var_label if label_var else None
+        inputs = [a for a in (r, scale, var_label, d, d_hat, weights[0]) if a is not None]
+        copies = [a.copy() for a in inputs]
+        for a in inputs:
+            a.setflags(write=False)
+        for lv in (l1_nll_arrays(r, scale, *weights, CFG, var_label),
+                   supervised_nll_arrays(d, d_hat, scale, *weights, CFG, var_label)):
+            assert np.isfinite(lv.scalar)
+            for out in (lv.grad_depth, lv.grad_sigma):
+                assert not any(np.shares_memory(out, a) for a in inputs)
+        assert all(np.array_equal(a, c) for a, c in zip(inputs, copies))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scale_gives_a_non_finite_loss(self, bad, masked):
+        # NaN makes the minimum NaN, so the scale takes the unclamped path;
+        # a clamped pixel beside it must not hide it, nor may a mask
+        r, scale, _, _ = self._inputs(64, 2 * CFG.sigma_min)
+        scale[3, 3], scale[0, 0] = bad, CFG.sigma_min / 2
+        valid = np.full(r.shape, True)
+        valid[3, 3] = not masked
+        with np.errstate(invalid="ignore"):
+            lv = l1_nll_arrays(r, scale, *pixel_weights(valid), CFG)
+        assert not np.isfinite(lv.scalar)

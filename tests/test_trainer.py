@@ -370,6 +370,21 @@ class TestObjectiveMatchesReference:
             assert np.array_equal(grad[0], ref_ld)
             assert np.array_equal(grad[1], ref_ls)
 
+    def test_two_triplets_take_half_shares(self):
+        # a bundle of two triplets (gray and colour, one mostly out of view)
+        # divides each triplet's share by two, where a lone one skips that
+        gray, far = (_triplet_bundle(**REFERENCE_CASES[c]) for c in ("gray-32", "out-of-view-32"))
+        data = TrainData(triplets=gray.triplets + far.triplets, K=gray.K)
+        for seed, lambda_u in ((0, 0.05), (1, 0.0)):
+            field = init_random(seed, 4, 4, 25.0, 0.25)
+            lc = LossConfig(lambda_u=lambda_u, weight_decay=0.0)
+            loss, grad = trainer._objective(Regime.SELF_SUPERVISED, data, field.grids, lc, 32, 32)
+            ref_loss, ref_ld, ref_ls = _reference._selfsup_objective(
+                field.log_depth, field.log_sigma, data, 32, 32, lc)
+            assert loss == ref_loss
+            assert grad[0].tobytes() == ref_ld.tobytes()
+            assert grad[1].tobytes() == ref_ls.tobytes()
+
     def test_training_run_matches_reference(self, monkeypatch):
         data = _triplet_bundle(**REFERENCE_CASES["rgb-64"])
         cfg = small_cfg(steps=20, grid=6,
@@ -533,15 +548,20 @@ class TestLabelConstants:
 
     def test_constants_of_a_frame(self):
         # the label, zero where masked; the teacher's variance; the 0/1
-        # weights of the valid pixels and their count (all of them unmasked)
+        # weights of the valid pixels (None when unmasked) and their count
+        # (all of them unmasked)
         data = _label_bundles()[Regime.UNCERTAIN_STUDENT]
         for frame, (label, var_label, weights, count) in zip(data.frames,
                                                             data._label_constants):
             valid = np.full((24, 24), True) if frame.mask is None else frame.mask.data
-            assert label.dtype == var_label.dtype == weights.dtype == np.float64
+            assert label.dtype == var_label.dtype == np.float64
+            if frame.mask is None:
+                assert weights is None
+            else:
+                assert weights.dtype == np.float64 and np.array_equal(weights, valid)
             assert np.array_equal(label, np.where(valid, frame.depth.data, 0.0))
             assert np.array_equal(var_label, frame.sigma.data.astype(np.float64) ** 2)
-            assert np.array_equal(weights, valid) and count == valid.sum()
+            assert count == valid.sum()
         assert data._label_constants[0][3] == 24 * 24 > data._label_constants[1][3]
 
     def test_pickled_bundle_trains_to_same_bytes(self):
