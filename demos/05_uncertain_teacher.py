@@ -51,9 +51,9 @@ for k in range(6):
     frames.append(LabeledFrame(depth=gt))
 
 tcfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
-                   depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7))
+                   depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7), seed=7000)
 members = train_ensemble(Regime.SUPERVISED_GT, TrainData(frames=tuple(frames)),
-                         tcfg, members=5, base_seed=7000)
+                         tcfg, members=5)
 teacher = fuse([forward(f, 64, 64) for f, _ in members],
                [f.seed for f, _ in members])
 sigma_T = teacher.sigma_t()

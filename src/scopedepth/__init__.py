@@ -39,7 +39,7 @@ from .metrics import (
     normal_ppf,
     scale_correction,
 )
-from .predictor import DepthField, TrainConfig, backward, forward, init_random
+from .predictor import DepthField, backward, forward, init_random
 from .synthcolon import (
     LightModel,
     SceneParams,
@@ -52,6 +52,7 @@ from .synthcolon import (
 from .trainer import (
     LabeledFrame,
     Regime,
+    TrainConfig,
     TrainData,
     TrainReport,
     Triplet,

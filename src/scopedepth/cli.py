@@ -47,13 +47,14 @@ from .imagery import DepthMap, UncMap, read_json, read_pfm, read_ppm, write_csv,
 from .losses import LossConfig
 from .metrics import (auce, calibration_curve, default_p_grid, depth_metrics,
                       scale_correction)
-from .predictor import DepthField, TrainConfig, forward
+from .predictor import DepthField, forward
 from .rng import Xoshiro256
 from .synthcolon import LightModel, SceneParams, simulate_sfm_labels, write_dataset
 from .trainer import (
     LabeledFrame,
     NumericFailure,
     Regime,
+    TrainConfig,
     TrainData,
     Triplet,
     train_ensemble,
@@ -135,7 +136,7 @@ def _flag(key: str) -> str:
 
 def _at_least_one(cfg: dict, *keys: str) -> None:
     for key in keys:
-        if int(cfg[key]) < 1:
+        if cfg[key] < 1:
             raise UsageError(f"{_flag(key)} must be >= 1, got {cfg[key]}")
 
 
@@ -237,12 +238,12 @@ def cmd_synth(args) -> int:
 
 
 def _build_train_data(cfg: dict, regime: Regime, data_dir: Path) -> tuple[TrainData, int]:
-    t_i, n = _target_index(data_dir, int(cfg["target_frame"]))
+    t_i, n = _target_index(data_dir, cfg["target_frame"])
     depth_path = data_dir / f"depth_{t_i:04d}.pfm"
     if regime == Regime.SUPERVISED_GT:
         data = TrainData(frames=(LabeledFrame(depth=read_pfm(depth_path)),))
     elif regime == Regime.SUPERVISED_SFM:
-        sfm_seed = Xoshiro256(int(cfg["seed"])).substream("sfm-noise").seed
+        sfm_seed = Xoshiro256(cfg["seed"]).substream("sfm-noise").seed
         d_sfm, mask = simulate_sfm_labels(
             read_pfm(depth_path), sfm_seed, cfg["sfm_holes"], cfg["sfm_noise"], cfg["sfm_scale"],
         )
@@ -290,7 +291,7 @@ def cmd_train(args) -> int:
     w, h = data.resolution()
     if tcfg.grid > min(w, h):
         raise UsageError(f"--grid {tcfg.grid} exceeds the {w}x{h} dataset at {data_dir}")
-    results = train_ensemble(regime, data, tcfg, int(cfg["members"]), int(cfg["seed"]))
+    results = train_ensemble(regime, data, tcfg, cfg["members"])
     # only a run that trained gets a directory
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -359,7 +360,7 @@ def _load_eval_inputs(args, cfg: dict) -> tuple[DepthMap, DepthMap, UncMap, int]
                              f"manifest {manifest}")
     ens = load_ensemble(Path(args.pred))
     data_dir = Path(args.data)
-    t_i, _ = _target_index(data_dir, int(cfg["target_frame"]))
+    t_i, _ = _target_index(data_dir, cfg["target_frame"])
     gt_path = data_dir / f"depth_{t_i:04d}.pfm"
     gt = read_pfm(gt_path)
     if (gt.height, gt.width) != (ens.d_hat.height, ens.d_hat.width):
@@ -404,7 +405,7 @@ def cmd_calib(args) -> int:
     _at_least_one(cfg, "levels")
     gt, d_pred, sigma, t_i = _load_eval_inputs(args, cfg)
     curve = calibration_curve(
-        gt, d_pred, sigma, p_grid=default_p_grid(int(cfg["levels"]))
+        gt, d_pred, sigma, p_grid=default_p_grid(cfg["levels"])
     )
     signed, absolute = auce(curve)
     _write_scores(args, "calib", cfg, t_i, [("p", "coverage"), *zip(

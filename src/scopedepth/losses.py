@@ -29,7 +29,7 @@ the L1 subgradient at zero residual is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,6 +41,9 @@ class LossConfig:
     weight_decay: float = 1e-7
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma_min <= 0:
             raise ValueError("sigma_min must be positive")
         if self.lambda_u < 0 or self.weight_decay < 0:

@@ -8,11 +8,11 @@ The recipe is fixed: the residual weighs SSIM against L1 by alpha = 0.85
 Windowed SSIM statistics use a box filter with edge replication, so every
 value is checkable against a brute-force loop over clamped windows.  The
 filter is two matrix products with cached per-axis moving-mean matrices,
-``B_h @ x @ B_w.T``, so its adjoint ``B_h.T @ g @ B_w`` is exact by
-construction, for any image size.  Both act on the last two axes, so SSIM,
-its reverse-mode derivative and the residual work on (c, h, w) channel
-stacks in one call rather than a loop over channels.  Training needs that
-derivative to push photometric error back through warped images.
+which are symmetric, so the filter is its own adjoint: SSIM's reverse-mode
+derivative, which training needs to push photometric error back through
+warped images, applies the same filter.  It acts on the last two axes, so
+SSIM, its derivative and the residual work on (c, h, w) channel stacks in
+one call rather than a loop over channels.
 
 Each term has one entry point, on arrays: :func:`ssim_terms`,
 :func:`photometric_residual_arrays` with its reverse-mode derivative
@@ -46,7 +46,9 @@ _WINDOW = 3
 @functools.lru_cache(maxsize=64)
 def _box_matrix(n: int) -> np.ndarray:
     """Read-only (n, n) moving mean of one axis with edge replication: row i
-    averages the entries at clip(i - 1 .. i + 1, 0, n - 1)."""
+    averages the entries at clip(i - 1 .. i + 1, 0, n - 1).  It is exactly
+    symmetric: thirds on the three central diagonals, whose clipped ends
+    add to the two corner entries."""
     i = np.arange(n)[:, None]
     r = _WINDOW // 2
     m = np.zeros((n, n))
@@ -58,17 +60,11 @@ def _box_matrix(n: int) -> np.ndarray:
 
 def box_filter(x: np.ndarray) -> np.ndarray:
     """3x3 windowed mean with edge replication over the last two axes:
-    ``B_h @ x @ B_w.T``."""
+    ``B_h.T @ x @ B_w``, that is ``B_h @ x @ B_w.T``, since both matrices
+    are symmetric; so the filter is its own adjoint."""
     x = np.asarray(x, dtype=np.float64)
     h, w = x.shape[-2:]
-    return _box_matrix(h) @ x @ _box_matrix(w).T
-
-
-def box_filter_adjoint(g: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`box_filter`: <box(x), g> == <x, adjoint(g)>."""
-    g = np.asarray(g, dtype=np.float64)
-    h, w = g.shape[-2:]
-    return _box_matrix(h).T @ g @ _box_matrix(w)
+    return _box_matrix(h).T @ x @ _box_matrix(w)
 
 
 def ssim_moments(x: np.ndarray) -> tuple:
@@ -100,7 +96,8 @@ def ssim_terms(
 def ssim_backward_channel(terms: tuple, upstream: np.ndarray) -> np.ndarray:
     """d(sum(upstream * ssim(a, b)))/db per channel, a held fixed, from the
     :func:`ssim_terms` of (a, b); an (h, w) ``upstream`` broadcasts over a
-    (c, h, w) stack."""
+    (c, h, w) stack.  The statistics pass back through :func:`box_filter`,
+    its own adjoint."""
     S, a, b, mu_a, mu_b, A1, A2, B1, B2 = terms
     dS_dA1 = A2 / (B1 * B2)
     dS_dA2 = A1 / (B1 * B2)
@@ -113,9 +110,9 @@ def ssim_backward_channel(terms: tuple, upstream: np.ndarray) -> np.ndarray:
     g_eab = upstream * dS_dA2 * 2
     g_eb2 = upstream * dS_dB2
     return (
-        box_filter_adjoint(g_mu)
-        + box_filter_adjoint(g_eab) * a
-        + box_filter_adjoint(g_eb2) * 2 * b
+        box_filter(g_mu)
+        + box_filter(g_eab) * a
+        + box_filter(g_eb2) * 2 * b
     )
 
 

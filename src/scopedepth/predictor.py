@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imagery import DepthMap, UncMap, read_json, write_json
-from .losses import LossConfig
 from .rng import Xoshiro256
 
 
@@ -81,30 +80,6 @@ class DepthField:
         return read_json(path, DepthField.from_json)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Gradient-descent settings of one member: ``steps`` fixed-rate steps
-    on a square ``grid`` x ``grid`` field initialised around
-    ``depth_init_mm`` (:func:`init_random`), under the ``loss`` weights."""
-
-    steps: int = 800
-    learning_rate: float = 1.0
-    grid: int = 16
-    depth_init_mm: float = 30.0
-    jitter: float = 0.05
-    loss: LossConfig = LossConfig()
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.grid < 1:
-            raise ValueError(f"grid must be at least 1 cell a side, got {self.grid}")
-
-
 def init_random(
     seed: int, grid_w: int, grid_h: int, depth_init_mm: float = 30.0,
     jitter: float = 0.05,
@@ -122,21 +97,14 @@ def init_random(
     return DepthField(np.stack([ld, ls]).reshape(2, grid_h, grid_w), seed)
 
 
-def _axis_weights(n_out: int, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Align-corners bilinear mapping of output index -> (left cell, frac)."""
-    if n_grid == 1:
-        return np.zeros(n_out, dtype=np.int64), np.zeros(n_out)
-    if n_out == 1:
-        return np.zeros(1, dtype=np.int64), np.zeros(1)
-    u = np.arange(n_out, dtype=np.float64) * (n_grid - 1) / (n_out - 1)
-    i0 = np.minimum(np.floor(u).astype(np.int64), n_grid - 2)
-    return i0, u - i0
-
-
 @functools.lru_cache(maxsize=64)
 def _axis_matrix(n_out: int, n_grid: int) -> np.ndarray:
-    """Read-only (n_out, n_grid) align-corners bilinear weights of one axis."""
-    i0, frac = _axis_weights(n_out, n_grid)
+    """Read-only (n_out, n_grid) align-corners bilinear weights of one axis:
+    output i sits at u = i (n_grid - 1) / (n_out - 1) and splits its weight
+    between cells floor(u) and floor(u) + 1 (one cell: all on cell 0)."""
+    u = np.arange(n_out, dtype=np.float64) * (n_grid - 1) / max(n_out - 1, 1)
+    i0 = np.minimum(np.floor(u).astype(np.int64), max(n_grid - 2, 0))
+    frac = u - i0
     rows = np.arange(n_out)
     m = np.zeros((n_out, n_grid))
     m[rows, i0] = 1 - frac

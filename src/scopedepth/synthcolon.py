@@ -404,19 +404,17 @@ def render_view(
 
     Returns the shaded image, the camera-frame z-depth map (far-cap depth
     where the ray leaves the tube unhit), and the hit-validity mask.
-    ``traced`` is the view's (t, hit) from a march that already ran, and
-    ``rays`` its camera-frame unit rays ``_unit_rays(K, w, h)``, as
-    :func:`render_views` passes them; without them both are made here.
-    Rays are shaded ``_RAY_BLOCK`` at a time, each with the same
-    operations, so no byte depends on the block.
+    Without ``traced`` this is the one-pose :func:`render_views`.  That
+    march passes each view's (t, hit) as ``traced``, together with the
+    camera-frame unit rays ``rays`` (``_unit_rays(K, w, h)``), and the view
+    is shaded from them.  Rays are shaded ``_RAY_BLOCK`` at a time, each
+    with the same operations, so no byte depends on the block.
     """
-    light = light or LightModel()
-    dirs_cam = _unit_rays(K, w, h) if rays is None else rays
-    z_rate = dirs_cam[..., 2].reshape(-1)
-    origin, dirs_flat = _world_rays(params, pose, dirs_cam)
     if traced is None:
-        t, hit = _trace(params, z_rate, 1, lambda _: (origin, dirs_flat))
-        traced = t[0], hit[0]
+        return render_views(params, [pose], K, w, h, light)[0]
+    light = light or LightModel()
+    z_rate = rays[..., 2].reshape(-1)
+    origin, dirs_flat = _world_rays(params, pose, rays)
     t, hit = traced
     depth = np.where(hit, t * z_rate, params.far_cap_mm)
     # an empty view shades one empty block
@@ -530,8 +528,10 @@ def simulate_sfm_labels(
     """
     if not 0.0 <= hole_fraction < 1.0:
         raise ValueError("hole_fraction must be in [0, 1)")
-    if noise_rel < 0 or global_scale <= 0:
-        raise ValueError("noise_rel must be >= 0 and global_scale > 0")
+    if not (np.isfinite(noise_rel) and noise_rel >= 0):
+        raise ValueError(f"noise_rel must be finite and >= 0, got {noise_rel}")
+    if not (np.isfinite(global_scale) and global_scale > 0):
+        raise ValueError(f"global_scale must be positive and finite, got {global_scale}")
     d = d_gt.data.astype(np.float64)
     h, w = d.shape
     n = d.size
@@ -575,7 +575,6 @@ def write_dataset(
     Poses are camera-to-world.  The ``synth`` command writes the
     settings, as its resolved configuration, into ``manifest.json``.
     """
-    light = light or LightModel()
     poses = generate_trajectory(params, n_frames, step_mm, heading_noise_rad,
                                 sway_mm=sway_mm)
     directory = Path(directory)

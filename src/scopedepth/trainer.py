@@ -37,7 +37,7 @@ from .photometry import (
     smoothness_and_grad,
     ssim_moments,
 )
-from .predictor import DepthField, TrainConfig, backward, forward_arrays, init_random
+from .predictor import DepthField, backward, forward_arrays, init_random
 
 
 class Regime(enum.Enum):
@@ -246,6 +246,33 @@ def _objective(
     return total, grad
 
 
+@dataclass(frozen=True)
+class TrainConfig:
+    """Gradient-descent settings of one member: ``steps`` fixed-rate steps
+    on a square ``grid`` x ``grid`` field initialised around
+    ``depth_init_mm`` (:func:`init_random`), under the ``loss`` weights."""
+
+    steps: int = 800
+    learning_rate: float = 1.0
+    grid: int = 16
+    depth_init_mm: float = 30.0
+    jitter: float = 0.05
+    loss: LossConfig = LossConfig()
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        for name in ("learning_rate", "depth_init_mm"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not np.isfinite(self.jitter):
+            raise ValueError(f"jitter must be finite, got {self.jitter}")
+        if self.grid < 1:
+            raise ValueError(f"grid must be at least 1 cell a side, got {self.grid}")
+
+
 def train_member(
     regime: Regime, data: TrainData, cfg: TrainConfig
 ) -> tuple[DepthField, TrainReport]:
@@ -280,10 +307,10 @@ def train_ensemble(
     data: TrainData,
     cfg: TrainConfig,
     members: int,
-    base_seed: int,
 ) -> list[tuple[DepthField, TrainReport]]:
-    """Train ``members`` independent fields seeded base_seed + i, one after
-    another in the calling process, ordered by seed.
+    """Train ``members`` independent fields, member i as :func:`train_member`
+    with seed ``cfg.seed + i``, one after another in the calling process,
+    ordered by seed.
 
     The members share ``data`` and so its per-run constants, which are
     built once.  A process pool is no faster here: on a 2-vCPU host two
@@ -291,6 +318,5 @@ def train_ensemble(
     pool workers took 2-2.5x as long as in-process."""
     if members < 1:
         raise ValueError("need at least one member")
-    return [train_member(regime, data, replace(cfg, seed=base_seed + i))
+    return [train_member(regime, data, replace(cfg, seed=cfg.seed + i))
             for i in range(members)]
-

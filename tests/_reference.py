@@ -49,8 +49,8 @@ from scopedepth.photometry import (
     ssim_moments,
     ssim_terms,
 )
-from scopedepth.predictor import TrainConfig, _axis_matrix, init_random
-from scopedepth.trainer import NumericFailure, Regime, TrainData
+from scopedepth.predictor import _axis_matrix, init_random
+from scopedepth.trainer import NumericFailure, Regime, TrainConfig, TrainData
 
 
 class BehindCameraError(ValueError):

@@ -19,8 +19,8 @@ from scopedepth.cli import main
 from scopedepth.ensemble import load_ensemble
 from scopedepth.imagery import UncMap, read_pfm, write_pfm
 from scopedepth.losses import LossConfig
-from scopedepth.predictor import TrainConfig
 from scopedepth.synthcolon import LightModel, SceneParams
+from scopedepth.trainer import TrainConfig
 
 
 def run(*argv):
@@ -514,6 +514,22 @@ class TestTrain:
             assert run("train", "--data", dataset, "--out", out, "--members", 1,
                        "--steps", 2, "--grid", 4, *argv) == code
             assert not out.exists()
+
+    def test_non_finite_training_setting_usage_error(self, dataset, tmp_path, capsys):
+        # json reads NaN and Infinity; a NaN weight once skipped its term and
+        # trained on, and an infinite one failed as a numeric step
+        for key in ("lambda_u", "weight_decay", "sigma_min", "depth_init_mm", "jitter"):
+            for value in (float("nan"), float("inf")):
+                cfg = tmp_path / f"{key}{value}.json"
+                cfg.write_text(json.dumps({key: value}))
+                for regime in ("supervised-sfm", "self-supervised"):
+                    out = tmp_path / f"{key}{value}{regime}"
+                    assert run("train", "--data", dataset, "--out", out, "--config", cfg,
+                               "--regime", regime, "--members", 1, "--steps", 2,
+                               "--grid", 4) == 2, (key, value, regime)
+                    err = capsys.readouterr().err
+                    assert err.startswith("error:") and key in err and f"got {value}" in err
+                    assert not out.exists()
 
     def test_zero_grid_usage_error(self, dataset, tmp_path, capsys):
         rc = run("train", "--data", dataset, "--out", tmp_path / "x",

@@ -1,5 +1,6 @@
-"""The demos are not run by the suite, so check statically that every name
-they import from the package still exists."""
+"""The suite does not run the demos (the CI workflow's "Demos" step runs
+each in an empty directory), so check statically that every name they
+import from the package still exists."""
 
 import ast
 from pathlib import Path

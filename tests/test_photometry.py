@@ -8,7 +8,6 @@ from scopedepth.photometry import (
     _C2,
     _box_matrix,
     box_filter,
-    box_filter_adjoint,
     edge_weights,
     photometric_residual_arrays,
     photometric_residual_backward,
@@ -110,8 +109,23 @@ class TestBoxFilter:
             x = rng.normal(size=shape)
             g = rng.normal(size=shape)
             lhs = (box_filter(x) * g).sum()
-            rhs = (x * box_filter_adjoint(g)).sum()
+            rhs = (x * box_filter(g)).sum()
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 256])
+    def test_axis_matrix_symmetric(self, n):
+        # so the filter is its own adjoint
+        m = _box_matrix(n)
+        assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("n", [3, 16, 64, 256])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_equals_forward_layout(self, c, n):
+        # the filter evaluates B_h.T @ x @ B_w; at the sizes training uses
+        # that is bit for bit the forward layout B_h @ x @ B_w.T
+        x = np.random.default_rng(n).uniform(0, 1, (c, n, n))
+        b = _box_matrix(n)
+        assert box_filter(x).tobytes() == (b @ x @ b.T).tobytes()
 
     def test_axis_matrix_cached_read_only(self):
         m = _box_matrix(6)

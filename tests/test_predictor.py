@@ -4,7 +4,6 @@ import pytest
 from scopedepth.losses import LossConfig, pixel_weights, supervised_nll_arrays
 from scopedepth.predictor import (
     DepthField,
-    TrainConfig,
     _axis_matrix,
     backward,
     forward,
@@ -13,6 +12,7 @@ from scopedepth.predictor import (
     upsample_bilinear,
     upsample_bilinear_adjoint,
 )
+from scopedepth.trainer import TrainConfig
 
 
 class TestInit:

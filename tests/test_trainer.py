@@ -15,7 +15,7 @@ from scopedepth import predictor, trainer
 from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, rotation_xyz
 from scopedepth.imagery import DepthMap, Image, Mask, UncMap, write_csv
 from scopedepth.losses import LossConfig
-from scopedepth.predictor import DepthField, TrainConfig, forward_arrays, init_random
+from scopedepth.predictor import DepthField, forward_arrays, init_random
 from scopedepth.synthcolon import (
     SceneParams,
     generate_trajectory,
@@ -27,6 +27,7 @@ from scopedepth.trainer import (
     LabeledFrame,
     NumericFailure,
     Regime,
+    TrainConfig,
     TrainData,
     Triplet,
     train_ensemble,
@@ -220,16 +221,26 @@ class TestTrainMember:
 
 class TestTrainEnsemble:
     def test_members_distinct_and_seed_ordered(self, sup_data):
-        results = train_ensemble(Regime.SUPERVISED_GT, sup_data, small_cfg(), 3, 10)
+        results = train_ensemble(Regime.SUPERVISED_GT, sup_data, small_cfg(seed=10), 3)
         seeds = [f.seed for f, _ in results]
         assert seeds == [10, 11, 12]
         assert results[0][0].log_depth.tobytes() != results[1][0].log_depth.tobytes()
 
     def test_single_member_equals_train_member(self, sup_data):
         cfg = small_cfg(seed=7)
-        (field, _), = train_ensemble(Regime.SUPERVISED_GT, sup_data, cfg, 1, 7)
+        (field, _), = train_ensemble(Regime.SUPERVISED_GT, sup_data, cfg, 1)
         ref, _ = train_member(Regime.SUPERVISED_GT, sup_data, cfg)
         assert field.log_depth.tobytes() == ref.log_depth.tobytes()
+
+    def test_config_seed_seeds_the_members(self, sup_data):
+        cfg = small_cfg(seed=20, steps=20)
+        results = train_ensemble(Regime.SUPERVISED_GT, sup_data, cfg, 2)
+        assert [f.seed for f, _ in results] == [20, 21]
+        for i, (field, report) in enumerate(results):
+            ref, ref_report = train_member(Regime.SUPERVISED_GT, sup_data,
+                                           replace(cfg, seed=20 + i))
+            assert field.grids.tobytes() == ref.grids.tobytes()
+            assert report.losses.tobytes() == ref_report.losses.tobytes()
 
 
 class TestAudit:
@@ -630,8 +641,8 @@ class TestStackedParameters:
         pose = generate_trajectory(params, 12, 1.0, sway_mm=2.5)[6]
         _, depth, _ = render_view(params, pose, CameraIntrinsics(48, 48, 31.5, 31.5), 64, 64)
         data = TrainData(frames=(LabeledFrame(depth=depth),))
-        cfg = TrainConfig(steps=200)
-        for field, report in train_ensemble(Regime.SUPERVISED_GT, data, cfg, 5, 1):
+        cfg = TrainConfig(steps=200, seed=1)
+        for field, report in train_ensemble(Regime.SUPERVISED_GT, data, cfg, 5):
             ld, ls, losses = _reference.train_member(Regime.SUPERVISED_GT, data,
                                                      replace(cfg, seed=field.seed))
             assert field.log_depth.tobytes() == ld.tobytes()
