@@ -20,7 +20,10 @@ its fixed value, and the key is dropped from the new manifest; any other
 value is a usage error.
 
 Every dataset is read through its synth manifest, whose ``config`` holds
-the frame count.
+the frame count.  A fused directory is its four maps, and its fuse
+manifest records the members' seeds.  A command writes its manifest into
+``--out`` (eval and calib beside it), and before writing anything refuses
+an ``--out`` whose manifest another command (eval and calib are one) wrote.
 
 ``train`` trains the ensemble members one after another in the calling
 process, for any value of its ``jobs`` key (``--jobs``), which must be
@@ -105,6 +108,9 @@ TRAIN_DEFAULTS = {
     "teacher": None,
     "jobs": 1,  # checked and recorded only; see the module docstring
 }
+
+# simulate_sfm_labels' parameters and the config keys that set them
+SFM_KEYS = {"hole_fraction": "sfm_holes", "noise_rel": "sfm_noise", "global_scale": "sfm_scale"}
 
 # retired config keys and the values they are fixed at
 RETIRED_KEYS = {"alpha": 0.85, "ssim_window": 3, "source_offsets": [-1, 1]}
@@ -201,6 +207,17 @@ def _write_manifest(out_dir: Path, command: str, config: dict, **extra) -> None:
                out_dir / "manifest.json", indent=1, sort_keys=True)
 
 
+def _refuse_foreign_manifest(out_dir: Path, *commands: str) -> None:
+    """Refuse to write into ``out_dir`` when its ``manifest.json`` was
+    written by a command other than ``commands``, since the manifest about
+    to be written would replace it."""
+    manifest = out_dir / "manifest.json"
+    if manifest.exists():
+        command = read_json(manifest).get("command")
+        if command not in commands:
+            raise UsageError(f"--out would replace the {command!r} manifest {manifest}")
+
+
 def _synth_frames(manifest: dict) -> int:
     """The frame count a synth manifest's configuration holds."""
     if manifest.get("command") != "synth":
@@ -228,6 +245,7 @@ def cmd_synth(args) -> int:
     K = CameraIntrinsics(cfg["fx"], cfg["fy"], cfg["cx"], cfg["cy"])
     light = LightModel(intensity=cfg["light_intensity"], specular=cfg["specular"])
     out_dir = Path(args.out)
+    _refuse_foreign_manifest(out_dir, "synth")
     write_dataset(
         out_dir, params, K, cfg["frames"], cfg["step_mm"], cfg["width"],
         cfg["height"], light, cfg["heading_noise_rad"], sway_mm=cfg["sway_mm"],
@@ -237,16 +255,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _build_train_data(cfg: dict, regime: Regime, data_dir: Path) -> tuple[TrainData, int]:
+def _build_train_data(cfg: dict, regime: Regime, data_dir: Path,
+                      config: str | None) -> tuple[TrainData, int]:
+    """The regime's training bundle and the target frame index; a bad SfM
+    setting is a usage error naming its key in the ``config`` file."""
     t_i, n = _target_index(data_dir, cfg["target_frame"])
     depth_path = data_dir / f"depth_{t_i:04d}.pfm"
     if regime == Regime.SUPERVISED_GT:
         data = TrainData(frames=(LabeledFrame(depth=read_pfm(depth_path)),))
     elif regime == Regime.SUPERVISED_SFM:
         sfm_seed = Xoshiro256(cfg["seed"]).substream("sfm-noise").seed
-        d_sfm, mask = simulate_sfm_labels(
-            read_pfm(depth_path), sfm_seed, cfg["sfm_holes"], cfg["sfm_noise"], cfg["sfm_scale"],
-        )
+        d_gt = read_pfm(depth_path)
+        try:
+            d_sfm, mask = simulate_sfm_labels(
+                d_gt, sfm_seed, **{param: cfg[key] for param, key in SFM_KEYS.items()})
+        except ValueError as e:
+            message = str(e)
+            for param, key in SFM_KEYS.items():
+                message = message.replace(param, f"config key {key!r} in {config}")
+            raise UsageError(message) from None
         data = TrainData(frames=(LabeledFrame(depth=d_sfm, mask=mask),))
     elif regime == Regime.SELF_SUPERVISED:
         if not 0 < t_i < n - 1:
@@ -285,15 +312,16 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data if args.data else cfg.get("data", ""))
     if not (data_dir / "manifest.json").exists():
         raise UsageError(f"no dataset at {data_dir}")
+    out_dir = Path(args.out)
+    _refuse_foreign_manifest(out_dir, "train")
     tcfg = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS},
                        loss=LossConfig(**{k: cfg[k] for k in LOSS_KEYS}), seed=cfg["seed"])
-    data, t_i = _build_train_data(cfg, regime, data_dir)
+    data, t_i = _build_train_data(cfg, regime, data_dir, args.config)
     w, h = data.resolution()
     if tcfg.grid > min(w, h):
         raise UsageError(f"--grid {tcfg.grid} exceeds the {w}x{h} dataset at {data_dir}")
     results = train_ensemble(regime, data, tcfg, cfg["members"])
     # only a run that trained gets a directory
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for field, report in results:
         field.save(out_dir / f"member_{field.seed}.json")
@@ -324,7 +352,8 @@ def _train_manifest(manifest: dict) -> tuple[bool, int, int]:
 
 
 def cmd_fuse(args) -> int:
-    run_dir = Path(args.run)
+    run_dir, out_dir = Path(args.run), Path(args.out)
+    _refuse_foreign_manifest(out_dir, "fuse")
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise UsageError(f"no train manifest in {run_dir}")
@@ -335,11 +364,7 @@ def cmd_fuse(args) -> int:
     fields = [DepthField.load(p) for p in member_files]
     preds = [forward(f, w, h) for f in fields]
     seeds = [f.seed for f in fields]
-    if selfsup:
-        out = selfsup_fuse([d for d, _ in preds], seeds)
-    else:
-        out = fuse(preds, seeds)
-    out_dir = Path(args.out)
+    out = selfsup_fuse([d for d, _ in preds], seeds) if selfsup else fuse(preds, seeds)
     save_ensemble(out, out_dir)
     _write_manifest(out_dir, "fuse", {"run": str(run_dir), "selfsup": selfsup,
                                       "seeds": seeds})
@@ -351,13 +376,8 @@ def _load_eval_inputs(args, cfg: dict) -> tuple[DepthMap, DepthMap, UncMap, int]
     """Ground truth, predicted depth and its total std (both median-scaled
     to the ground truth when ``cfg`` asks, std floored at 1e-12), and the
     target frame index.  First refuses an ``--out`` whose directory holds
-    another command's manifest, which the scores' manifest would replace."""
-    manifest = Path(args.out).parent / "manifest.json"
-    if manifest.exists():
-        command = read_json(manifest).get("command")
-        if command not in ("eval", "calib"):
-            raise UsageError(f"--out {args.out} would replace the {command!r} "
-                             f"manifest {manifest}")
+    the manifest of a command other than eval and calib."""
+    _refuse_foreign_manifest(Path(args.out).parent, "eval", "calib")
     ens = load_ensemble(Path(args.pred))
     data_dir = Path(args.data)
     t_i, _ = _target_index(data_dir, cfg["target_frame"])

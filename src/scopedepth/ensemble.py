@@ -6,18 +6,18 @@ variances, epistemic variance the population variance of member depths
 around the fused mean, and total = aleatoric + epistemic (computed as that
 sum, so the law-of-total-variance identity holds to the last bit).
 Members are reduced in ascending seed order when seeds are supplied, which
-makes fusion bitwise permutation-invariant.
+makes fusion bitwise permutation-invariant.  A fused ensemble is its four
+maps; the ``fuse`` command's manifest records the members' seeds.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .imagery import DepthMap, UncMap, read_json, read_pfm, same_shape, write_json, write_pfm
+from .imagery import DepthMap, UncMap, read_pfm, same_shape, write_pfm
 
 # file names of the fused maps, in the order of EnsembleOutput's fields
 _MAPS = ("depth_mean.pfm", "var_aleatoric.pfm", "var_epistemic.pfm", "var_total.pfm")
@@ -29,8 +29,6 @@ class EnsembleOutput:
     var_a: UncMap
     var_e: UncMap
     var_t: UncMap
-    members: int
-    seeds: tuple[int, ...] = ()
 
     def __post_init__(self):
         same_shape(self.d_hat, self.var_a, self.var_e, self.var_t)
@@ -39,7 +37,7 @@ class EnsembleOutput:
                 raise ValueError("ensemble uncertainty maps must be variance-kind")
 
     def sigma_t(self) -> UncMap:
-        return self.var_t.to_std()
+        return UncMap(np.sqrt(self.var_t.data.astype(np.float64)), "std")
 
 
 def fuse_arrays(
@@ -66,7 +64,8 @@ def fuse(
     """Fuse member (depth, aleatoric std) predictions.
 
     When ``seeds`` are given, members are sorted by seed before the
-    reduction so any input ordering produces identical bits.
+    reduction so any input ordering produces identical bits; the seeds are
+    not kept.
     """
     if not members:
         raise ValueError("empty member list")
@@ -91,8 +90,6 @@ def fuse(
         UncMap(var_a32, "variance"),
         UncMap(var_e32, "variance"),
         UncMap(var_a32 + var_e32, "variance"),
-        len(members),
-        tuple(sorted(seeds)) if seeds is not None else (),
     )
 
 
@@ -108,24 +105,20 @@ def selfsup_fuse(
 
 
 def save_ensemble(out: EnsembleOutput, directory) -> None:
-    """Persist as four PFM maps plus a JSON sidecar (member count, seeds)."""
+    """Persist as the four PFM maps of ``_MAPS``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, m in zip(_MAPS, (out.d_hat, out.var_a, out.var_e, out.var_t)):
         write_pfm(m, directory / name)
-    write_json({"members": out.members, "seeds": list(out.seeds)},
-               directory / "ensemble.json", indent=1)
 
 
 def load_ensemble(directory) -> EnsembleOutput:
-    """Read what :func:`save_ensemble` wrote; maps that disagree in size are
-    a ValueError naming ``directory``."""
+    """Read the four maps :func:`save_ensemble` wrote, ignoring any other
+    file (such as an earlier release's ``ensemble.json``); maps that
+    disagree in size are a ValueError naming ``directory``."""
     directory = Path(directory)
-    members, seeds = read_json(directory / "ensemble.json",
-                               lambda m: (operator.index(m["members"]), tuple(m["seeds"])))
     d_hat, *variances = (read_pfm(directory / name) for name in _MAPS)
     try:
-        return EnsembleOutput(d_hat, *(UncMap(v.data, "variance") for v in variances),
-                              members, seeds)
+        return EnsembleOutput(d_hat, *(UncMap(v.data, "variance") for v in variances))
     except ValueError as e:
         raise ValueError(f"{directory}: {e}") from None

@@ -122,10 +122,8 @@ class DepthMap(_Raster):
 
 @dataclass(frozen=True, eq=False)
 class UncMap(_Raster):
-    """Per-pixel uncertainty, either a standard deviation or a variance.
-
-    The ``kind`` flag makes the unit explicit; :meth:`to_std` converts.
-    """
+    """Per-pixel uncertainty, either a standard deviation or a variance;
+    the ``kind`` flag makes the unit explicit."""
 
     data: np.ndarray
     kind: str = "std"
@@ -140,11 +138,6 @@ class UncMap(_Raster):
         if np.any(arr < 0):
             raise ValueError("UncMap entries must be >= 0")
         object.__setattr__(self, "data", _freeze(np.ascontiguousarray(arr)))
-
-    def to_std(self) -> "UncMap":
-        if self.kind == "std":
-            return self
-        return UncMap(np.sqrt(self.data.astype(np.float64)), "std")
 
 
 @dataclass(frozen=True, eq=False)

@@ -122,7 +122,7 @@ def calibration_curve(
     """Fraction of valid pixels whose |error| fits in the central Gaussian
     interval of each confidence level: |d - d_hat| <= ppf((p+1)/2) * sigma."""
     if sigma.kind != "std":
-        raise ValueError("sigma must be std-kind (call .to_std())")
+        raise ValueError("sigma must be std-kind")
     gt, pred, s = _valid_arrays(mask, d, d_hat, sigma)
     p_grid = default_p_grid() if p_grid is None else np.asarray(p_grid, np.float64)
     if p_grid.size == 0:

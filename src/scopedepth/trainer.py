@@ -94,12 +94,12 @@ def _frame_constants(frame: LabeledFrame) -> tuple:
 
 def _triplet_constants(trip: Triplet, K: CameraIntrinsics) -> tuple:
     """What a self-supervised step reads of a triplet but never changes:
-    the target's (c, h, w) float64 planes and their SSIM moments, the
-    sources' planes and poses, the :func:`warp_basis` of each pose, and the
-    target's smoothness edge weights."""
+    the intrinsics, the target's (c, h, w) float64 planes and their SSIM
+    moments, the sources' planes and poses, the :func:`warp_basis` of each
+    pose, and the target's smoothness edge weights."""
     target = trip.target.planes()
     return (
-        target, ssim_moments(target), tuple(src.planes() for src in trip.sources),
+        K, target, ssim_moments(target), tuple(src.planes() for src in trip.sources),
         trip.rel_poses,
         tuple(warp_basis(K, pose, trip.target.width, trip.target.height)
               for pose in trip.rel_poses),
@@ -110,7 +110,7 @@ def _triplet_constants(trip: Triplet, K: CameraIntrinsics) -> tuple:
 @dataclass(frozen=True, eq=False)
 class TrainData:
     """Regime-dependent bundle: labeled frames for the four label regimes,
-    triplets plus intrinsics for self-supervision."""
+    or triplets plus intrinsics for self-supervision, never both."""
 
     frames: tuple[LabeledFrame, ...] = ()
     triplets: tuple[Triplet, ...] = ()
@@ -125,16 +125,13 @@ class TrainData:
         raise ValueError("empty training bundle")
 
     @functools.cached_property
-    def _label_constants(self) -> tuple[tuple, ...]:
-        """Per-frame constants of the label step, built on first use and
-        kept for the lifetime of the bundle."""
+    def _constants(self) -> tuple[tuple, ...]:
+        """The training step's per-sample constants, one per triplet if the
+        bundle has triplets and one per frame otherwise; built on first use
+        and kept for the lifetime of the bundle."""
+        if self.triplets:
+            return tuple(_triplet_constants(t, self.K) for t in self.triplets)
         return tuple(_frame_constants(f) for f in self.frames)
-
-    @functools.cached_property
-    def _selfsup_constants(self) -> tuple[tuple, ...]:
-        """Per-triplet constants of the self-supervised step, built on first
-        use and kept for the lifetime of the bundle."""
-        return tuple(_triplet_constants(t, self.K) for t in self.triplets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,12 +144,14 @@ class TrainReport:
 
 def _check_bundle(regime: Regime, data: TrainData) -> None:
     """The one place that ties a regime to the data it needs: triplets and
-    intrinsics for self-supervision, labeled frames otherwise, with a
-    std-kind label sigma on every frame for the uncertain student and on
-    none for the other label regimes, and one shape for every frame's
+    intrinsics for self-supervision, labeled frames otherwise (never both),
+    with a std-kind label sigma on every frame for the uncertain student and
+    on none for the other label regimes, and one shape for every frame's
     depth, sigma and mask."""
     if not isinstance(regime, Regime):
         raise ValueError(f"unknown regime {regime!r}, expected a Regime")
+    if data.frames and data.triplets:
+        raise ValueError("a training bundle holds labeled frames or triplets, not both")
     if regime == Regime.SELF_SUPERVISED:
         if not data.triplets or data.K is None:
             raise ValueError("self-supervised training needs triplets and intrinsics")
@@ -171,52 +170,51 @@ def _check_bundle(regime: Regime, data: TrainData) -> None:
             raise ValueError("teacher sigma must be std-kind")
 
 
-def _label_term(const, d_hat, sigma, loss_cfg, n, sums) -> tuple:
-    """Add one labeled frame's 1/n share of the data term to the running sums
-    (total, grad_d, grad_s) and return them; the first share becomes them."""
-    label, var_label, weights, count = const
-    lv = supervised_nll_arrays(label, d_hat, sigma, weights, count, loss_cfg, var_label)
-    if n == 1:  # a lone frame's share is the whole term
-        return lv.scalar, lv.grad_depth, lv.grad_sigma
-    if sums is None:
-        return lv.scalar / n, lv.grad_depth / n, lv.grad_sigma / n
-    total, grad_d, grad_s = sums
-    grad_d += lv.grad_depth / n
-    grad_s += lv.grad_sigma / n
-    return total + lv.scalar / n, grad_d, grad_s
+def _label_terms(consts, d_hat, sigma, loss_cfg) -> tuple:
+    """The label data term (total, grad_d, grad_s): each frame's 1/n share
+    of the likelihood, summed in frame order onto the first share."""
+    n, sums = len(consts), None
+    for label, var_label, weights, count in consts:
+        lv = supervised_nll_arrays(label, d_hat, sigma, weights, count, loss_cfg, var_label)
+        # x / 1 == x, so a lone frame's share skips the divisions
+        shares = [v if n == 1 else v / n for v in (lv.scalar, lv.grad_depth, lv.grad_sigma)]
+        sums = shares if sums is None else [a + b for a, b in zip(sums, shares)]
+    return tuple(sums)
 
 
-def _triplet_term(K, const, d_hat, u_hat, loss_cfg, n, sums) -> tuple:
-    """:func:`_label_term` for one triplet: the photometric term through the
-    warp of its argmin source, plus the edge-aware smoothness term."""
-    tgt, tgt_moments, sources, poses, bases, weights = const
-    total, grad_d, grad_u = sums or (0.0, np.zeros(d_hat.shape), np.zeros(d_hat.shape))
-    warps, jacobians = [], []
-    for src, pose, basis in zip(sources, poses, bases):
-        xs, ys, in_front, dxd, dyd = warp_from_basis(d_hat, K, pose, basis)
-        vals, ddx, ddy, samp_ok = bilinear_sample_planes(src, xs, ys)
-        valid = in_front & samp_ok
-        warps.append((vals, valid))
-        jacobians.append((ddx, ddy, dxd, dyd))
-    f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, tgt_moments, warps)
-    lv = l1_nll_arrays(f_p, u_hat, *pixel_weights(valid_px), loss_cfg)  # F_p >= 0
-    # x / 1 == x, so a lone triplet's share skips the divisions
-    grad_fp, grad_sigma = (g if n == 1 else g / n for g in (lv.grad_depth, lv.grad_sigma))
-    total += lv.scalar / n
-    grad_u += grad_sigma
-    # route d(scalar)/d(F_p) through the argmin source only
-    for s_idx, ((_, valid), (ddx, ddy, dxd, dyd)) in enumerate(zip(warps, jacobians)):
-        up = np.where(arg == s_idx, grad_fp, 0.0)
-        if not np.any(up):
-            continue
-        g_vals = photometric_residual_backward(terms[s_idx], up)
-        d_dd = (g_vals * ddx).sum(axis=0) * dxd + (g_vals * ddy).sum(axis=0) * dyd
-        grad_d += np.where(valid, d_dd, 0.0)
-    if loss_cfg.lambda_u > 0:
-        smooth, smooth_grad = smoothness_and_grad(d_hat, weights)
-        total += loss_cfg.lambda_u * smooth.mean() / n
-        smooth_grad *= loss_cfg.lambda_u
-        grad_d += smooth_grad if n == 1 else smooth_grad / n
+def _triplet_terms(consts, d_hat, u_hat, loss_cfg) -> tuple:
+    """:func:`_label_terms` for triplets, summed from zero: each one's
+    photometric term through the warp of its argmin source, then its
+    edge-aware smoothness term."""
+    n = len(consts)
+    total, grad_d, grad_u = 0.0, np.zeros(d_hat.shape), np.zeros(d_hat.shape)
+    for K, tgt, tgt_moments, sources, poses, bases, weights in consts:
+        warps, jacobians = [], []
+        for src, pose, basis in zip(sources, poses, bases):
+            xs, ys, in_front, dxd, dyd = warp_from_basis(d_hat, K, pose, basis)
+            vals, ddx, ddy, samp_ok = bilinear_sample_planes(src, xs, ys)
+            valid = in_front & samp_ok
+            warps.append((vals, valid))
+            jacobians.append((ddx, ddy, dxd, dyd))
+        f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, tgt_moments, warps)
+        lv = l1_nll_arrays(f_p, u_hat, *pixel_weights(valid_px), loss_cfg)  # F_p >= 0
+        # x / 1 == x, so a lone triplet's share skips the divisions
+        grad_fp, grad_sigma = (g if n == 1 else g / n for g in (lv.grad_depth, lv.grad_sigma))
+        total += lv.scalar / n
+        grad_u += grad_sigma
+        # route d(scalar)/d(F_p) through the argmin source only
+        for s_idx, ((_, valid), (ddx, ddy, dxd, dyd)) in enumerate(zip(warps, jacobians)):
+            up = np.where(arg == s_idx, grad_fp, 0.0)
+            if not np.any(up):
+                continue
+            g_vals = photometric_residual_backward(terms[s_idx], up)
+            d_dd = (g_vals * ddx).sum(axis=0) * dxd + (g_vals * ddy).sum(axis=0) * dyd
+            grad_d += np.where(valid, d_dd, 0.0)
+        if loss_cfg.lambda_u > 0:
+            smooth, smooth_grad = smoothness_and_grad(d_hat, weights)
+            total += loss_cfg.lambda_u * smooth.mean() / n
+            smooth_grad *= loss_cfg.lambda_u
+            grad_d += smooth_grad if n == 1 else smooth_grad / n
     return total, grad_d, grad_u
 
 
@@ -225,19 +223,12 @@ def _objective(
 ) -> tuple[float, np.ndarray]:
     """The MAP loss of every regime at the (2, gh, gw) parameter stack
     ``grids``, and its gradient, a stack of the same shape: one forward
-    pass, the data term of each frame or triplet from the bundle's per-run
+    pass, one call of the regime's data term over the bundle's per-run
     constants, one backward pass and the weight prior.  ``regime`` must
     have passed :func:`_check_bundle`."""
-    if regime == Regime.SELF_SUPERVISED:
-        consts = data._selfsup_constants
-        term = functools.partial(_triplet_term, data.K)
-    else:
-        consts, term = data._label_constants, _label_term
+    data_terms = _triplet_terms if regime == Regime.SELF_SUPERVISED else _label_terms
     d_hat, sigma = forward_arrays(grids, w, h)
-    sums = None
-    for const in consts:
-        sums = term(const, d_hat, sigma, loss_cfg, len(consts), sums)
-    total, grad_d, grad_s = sums
+    total, grad_d, grad_s = data_terms(data._constants, d_hat, sigma, loss_cfg)
     grad = backward(grids, grad_d, grad_s, d_hat, sigma)
     if loss_cfg.weight_decay > 0:
         p_loss, p_grad = prior_loss(grids, loss_cfg)

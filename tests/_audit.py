@@ -40,10 +40,10 @@ def _selfsup_marks(data: TrainData, d_hat: np.ndarray, lambda_u: float) -> list:
     sources, and the smoothness signs when smoothness is on.  The SSIM
     backward and the chain rule are left out, since they switch nothing."""
     marks = []
-    for tgt, tgt_moments, sources, poses, bases, _ in data._selfsup_constants:
+    for K, tgt, tgt_moments, sources, poses, bases, _ in data._constants:
         warps = []
         for src, pose, basis in zip(sources, poses, bases):
-            xs, ys, in_front, _, _ = warp_from_basis(d_hat, data.K, pose, basis)
+            xs, ys, in_front, _, _ = warp_from_basis(d_hat, K, pose, basis)
             vals, _, _, samp_ok = bilinear_sample_planes(src, xs, ys)
             valid = in_front & samp_ok
             warps.append((vals, valid))
@@ -65,7 +65,7 @@ def _fingerprint(regime: Regime, data: TrainData, field: DepthField, loss_cfg: L
     if regime == Regime.SELF_SUPERVISED:
         return gate, *_selfsup_marks(data, d_hat, loss_cfg.lambda_u)
     return gate, *(np.sign(label - d_hat) * (1.0 if weights is None else weights)
-                   for label, _, weights, _ in data._label_constants)
+                   for label, _, weights, _ in data._constants)
 
 
 def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: float = STEP,

@@ -390,9 +390,9 @@ def _label_shares(log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData,
     frame's 1/n share of the library likelihood, the first share becoming
     the running sums."""
     d_hat, sigma = forward_pair(log_depth, log_sigma, w, h)
-    n = len(data._label_constants)
+    n = len(data._constants)
     sums = None
-    for label, var_label, weights, count in data._label_constants:
+    for label, var_label, weights, count in data._constants:
         lv = library_nll(label, d_hat, sigma, weights, count, loss_cfg, var_label)
         if sums is None:
             sums = [lv.scalar / n, lv.grad_depth / n, lv.grad_sigma / n]

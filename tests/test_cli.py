@@ -531,6 +531,19 @@ class TestTrain:
                     assert err.startswith("error:") and key in err and f"got {value}" in err
                     assert not out.exists()
 
+    def test_bad_sfm_setting_names_its_config_key(self, dataset, tmp_path, capsys):
+        # simulate_sfm_labels names its own parameters, which are no config keys
+        for key, value in (("sfm_noise", float("nan")), ("sfm_holes", 1.0), ("sfm_scale", 0)):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: value}))
+            out = tmp_path / key
+            assert run("train", "--data", dataset, "--out", out, "--config", cfg,
+                       "--regime", "supervised-sfm", "--members", 1, "--steps", 1,
+                       "--grid", 4) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"config key {key!r} in {cfg}" in err
+            assert not out.exists()
+
     def test_zero_grid_usage_error(self, dataset, tmp_path, capsys):
         rc = run("train", "--data", dataset, "--out", tmp_path / "x",
                  "--members", 1, "--steps", 5, "--grid", 0)
@@ -677,7 +690,10 @@ class TestRetiredTrainKeys:
 class TestFuseEvalCalib:
     def test_fuse_outputs(self, fused):
         out = load_ensemble(fused)
-        assert out.members == 2 and out.seeds == (3, 4)
+        assert sorted(p.name for p in fused.iterdir()) == [
+            "depth_mean.pfm", "manifest.json", "var_aleatoric.pfm", "var_epistemic.pfm",
+            "var_total.pfm"]
+        assert json.loads((fused / "manifest.json").read_text())["config"]["seeds"] == [3, 4]
         assert np.array_equal(out.var_t.data, out.var_a.data + out.var_e.data)
 
     def test_eval_csv_row(self, fused, dataset, tmp_path):
@@ -696,7 +712,7 @@ class TestFuseEvalCalib:
 
         gt = read_pfm(dataset / "depth_0002.pfm")
         zero = np.zeros((gt.height, gt.width), dtype=np.float32)
-        out = EnsembleOutput(gt, *(UncMap(zero, "variance"),) * 3, 1, (0,))
+        out = EnsembleOutput(gt, *(UncMap(zero, "variance"),) * 3)
         save_ensemble(out, tmp_path / "perfect")
         csv_path = tmp_path / "m.csv"
         assert run("eval", "--pred", tmp_path / "perfect", "--data", dataset,
@@ -713,8 +729,7 @@ class TestFuseEvalCalib:
 
         gt = read_pfm(dataset / "depth_0002.pfm")
         zero = np.zeros((gt.height, gt.width), dtype=np.float32)
-        scaled = EnsembleOutput(DepthMap(gt.data * 0.25),
-                                *(UncMap(zero, "variance"),) * 3, 1, (0,))
+        scaled = EnsembleOutput(DepthMap(gt.data * 0.25), *(UncMap(zero, "variance"),) * 3)
         save_ensemble(scaled, tmp_path / "scaled")
         csv_path = tmp_path / "s.csv"
         assert run("eval", "--pred", tmp_path / "scaled", "--data", dataset,
@@ -761,21 +776,44 @@ class TestFuseEvalCalib:
             assert f"--levels must be >= 1, got {levels}" in err
             assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "calib"])
-    def test_scores_refuse_to_replace_an_input_manifest(self, command, fused, dataset,
+    @pytest.mark.parametrize("command", ["eval", "calib", "train", "fuse", "synth"])
+    def test_scores_refuse_to_replace_an_input_manifest(self, command, trained, fused, dataset,
                                                         tmp_path, capsys):
-        ds = tmp_path / "ds"
+        # every command refuses an --out whose manifest another command wrote
+        ds, run_dir = tmp_path / "ds", tmp_path / "run"
         shutil.copytree(dataset, ds)
-        manifest = (ds / "manifest.json").read_bytes()
-        rc = run(command, "--pred", fused, "--data", ds, "--out", ds / "scores.csv")
-        assert rc == 2
+        shutil.copytree(trained, run_dir)
+        score = ["--pred", fused, "--data", ds, "--out", ds / "scores.csv"]
+        target, argv = {
+            "eval": (ds, ["eval", *score]),
+            "calib": (ds, ["calib", *score]),
+            "train": (ds, ["train", "--data", ds, "--out", ds, "--regime", "supervised-gt",
+                           "--members", 1, "--steps", 1, "--grid", 4]),
+            "fuse": (run_dir, ["fuse", "--run", run_dir, "--out", run_dir]),
+            "synth": (run_dir, ["synth", "--out", run_dir, "--frames", 3, "--width", 8,
+                                "--height", 8]),
+        }[command]
+        before = {p.name: p.read_bytes() for p in target.iterdir()}
+        assert run(*argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and str(ds / "manifest.json") in err and "'synth'" in err
-        assert (ds / "manifest.json").read_bytes() == manifest
-        assert not (ds / "scores.csv").exists()
-        # so the dataset still trains
-        assert run("train", "--data", ds, "--out", tmp_path / "run", "--regime",
+        owner = "'synth'" if target == ds else "'train'"
+        assert err.startswith("error:") and str(target / "manifest.json") in err and owner in err
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+        # so the dataset still trains and the run still fuses
+        assert run("train", "--data", ds, "--out", tmp_path / "run2", "--regime",
                    "supervised-gt", "--members", 1, "--steps", 1, "--grid", 4) == 0
+        assert run("fuse", "--run", run_dir, "--out", tmp_path / "fused2") == 0
+
+    def test_commands_replace_their_own_manifest(self, dataset, trained, fused, tmp_path):
+        ds, run_dir, pred = tmp_path / "ds", tmp_path / "run", tmp_path / "fused"
+        for src, dst in ((dataset, ds), (trained, run_dir), (fused, pred)):
+            shutil.copytree(src, dst)
+        for argv, out in ((["synth", "--config", ds / "manifest.json", "--out", ds], ds),
+                          (["train", "--config", run_dir / "manifest.json", "--out", run_dir],
+                           run_dir),
+                          (["fuse", "--run", run_dir, "--out", pred], pred)):
+            assert run(*argv) == 0, argv[0]
+            assert json.loads((out / "manifest.json").read_text())["command"] == argv[0]
 
     def test_scores_replace_a_scores_manifest(self, fused, dataset, tmp_path):
         out = tmp_path / "scores"
@@ -814,10 +852,6 @@ def _spoil_input(case, dataset, trained, fused, tmp):
         bad = run_dir / "member_x.json"
         shutil.copy(run_dir / "member_3.json", bad)
         return fuse, bad
-    if case == "ensemble-sidecar-holding-a-list":
-        bad = pred / "ensemble.json"
-        bad.write_text("[3, [3, 4]]")
-        return score, bad
     if case == "three-channel-fused-variance":
         bad = pred / "var_total.pfm"
         bad.write_bytes(b"PF\n24 24\n-1.0\n" + np.zeros((24, 24, 3), "<f4").tobytes())
@@ -864,7 +898,6 @@ def _assert_named_usage_error(argv, bad, capsys):
 @pytest.mark.parametrize("case", ["malformed-config", "stray-member-file",
                                   "train-manifest-without-resolution",
                                   "dataset-manifest-without-n-frames",
-                                  "ensemble-sidecar-holding-a-list",
                                   "pose-rotation-of-three-entries",
                                   "empty-member-file", "train-config-without-regime",
                                   "dataset-frame-count-as-string",

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,17 @@ class TestFuse:
         b = fuse([members[i] for i in order], [seeds[i] for i in order])
         assert np.array_equal(a.d_hat.data, b.d_hat.data)
         assert np.array_equal(a.var_t.data, b.var_t.data)
-        assert a.seeds == b.seeds
+
+    def test_sigma_t_is_std_of_total_variance(self):
+        rng = np.random.default_rng(5)
+        members = [(DepthMap(rng.uniform(1, 40, (3, 5)).astype(np.float32)),
+                    UncMap(rng.uniform(0, 2, (3, 5)).astype(np.float32), "std"))
+                   for _ in range(3)]
+        out = fuse(members)
+        sigma = out.sigma_t()
+        assert sigma.kind == "std"
+        want = np.sqrt(out.var_t.data.astype(np.float64)).astype(np.float32)
+        assert sigma.data.tobytes() == want.tobytes()
 
     def test_duplicated_member_equals_single(self):
         d, s = member(9.0, 0.4)
@@ -137,7 +149,7 @@ class TestSelfsupFuse:
 
 
 class TestPersistence:
-    def test_pfm_sidecar_roundtrip(self, tmp_path):
+    def test_pfm_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         members = [
             (
@@ -150,11 +162,16 @@ class TestPersistence:
         save_ensemble(out, tmp_path / "ens")
         names = {p.name for p in (tmp_path / "ens").iterdir()}
         assert names == {
-            "depth_mean.pfm", "var_aleatoric.pfm", "var_epistemic.pfm",
-            "var_total.pfm", "ensemble.json",
+            "depth_mean.pfm", "var_aleatoric.pfm", "var_epistemic.pfm", "var_total.pfm",
         }
-        back = load_ensemble(tmp_path / "ens")
-        assert back.members == 3 and back.seeds == (1, 2, 3)
-        assert np.array_equal(back.d_hat.data, out.d_hat.data)
-        assert np.array_equal(back.var_t.data, out.var_t.data)
-        assert back.var_a.kind == "variance"
+        # a directory fused before the maps stood alone also holds a sidecar
+        # of member count and seeds, which loading ignores
+        old = tmp_path / "old"
+        shutil.copytree(tmp_path / "ens", old)
+        (old / "ensemble.json").write_text('{"members": 3, "seeds": [1, 2, 3]}')
+        for directory in (tmp_path / "ens", old):
+            back = load_ensemble(directory)
+            for got, want in zip((back.d_hat, back.var_a, back.var_e, back.var_t),
+                                 (out.d_hat, out.var_a, out.var_e, out.var_t)):
+                assert got.data.tobytes() == want.data.tobytes()
+            assert back.var_a.kind == back.var_e.kind == back.var_t.kind == "variance"

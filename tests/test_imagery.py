@@ -29,13 +29,6 @@ class TestContainers:
         with pytest.raises(ValueError):
             UncMap(np.array([[np.nan]], dtype=np.float32))
 
-    def test_uncmap_kind_conversions(self):
-        u = UncMap(np.array([[4.0, 9.0]], dtype=np.float32), "variance")
-        s = u.to_std()
-        assert s.kind == "std"
-        assert np.allclose(s.data, [[2.0, 3.0]])
-        assert s.to_std() is s
-
     def test_uncmap_rejects_negative(self):
         with pytest.raises(ValueError):
             UncMap(np.array([[-1.0]], dtype=np.float32))

@@ -165,6 +165,19 @@ class TestTrainMember:
             with pytest.raises(ValueError, match="raster dimensions disagree"):
                 train_member(Regime.UNCERTAIN_STUDENT, TrainData(frames=(bad,)), small_cfg())
 
+    def test_frames_and_triplets_together_rejected_before_any_step(
+            self, monkeypatch, sup_data, selfsup_data):
+        # every regime reads one kind of sample, so a bundle of both kinds
+        # would silently drop one
+        monkeypatch.setattr(trainer, "_objective",
+                            lambda *args, **kwargs: pytest.fail("took a step"))
+        both = TrainData(frames=sup_data.frames, triplets=selfsup_data.triplets,
+                         K=selfsup_data.K)
+        for regime in Regime:
+            with pytest.raises(ValueError, match="labeled frames or triplets, not both"):
+                train_member(regime, both, small_cfg())
+        assert "_constants" not in vars(both)
+
     def test_teacher_maps_not_mutated(self, student_data):
         frame = student_data.frames[0]
         before = frame.depth.data.tobytes(), frame.sigma.data.tobytes()
@@ -562,8 +575,7 @@ class TestLabelConstants:
         # weights of the valid pixels (None when unmasked) and their count
         # (all of them unmasked)
         data = _label_bundles()[Regime.UNCERTAIN_STUDENT]
-        for frame, (label, var_label, weights, count) in zip(data.frames,
-                                                            data._label_constants):
+        for frame, (label, var_label, weights, count) in zip(data.frames, data._constants):
             valid = np.full((24, 24), True) if frame.mask is None else frame.mask.data
             assert label.dtype == var_label.dtype == np.float64
             if frame.mask is None:
@@ -573,7 +585,7 @@ class TestLabelConstants:
             assert np.array_equal(label, np.where(valid, frame.depth.data, 0.0))
             assert np.array_equal(var_label, frame.sigma.data.astype(np.float64) ** 2)
             assert count == valid.sum()
-        assert data._label_constants[0][3] == 24 * 24 > data._label_constants[1][3]
+        assert data._constants[0][3] == 24 * 24 > data._constants[1][3]
 
     def test_pickled_bundle_trains_to_same_bytes(self):
         # a bundle pickled before or after its constants exist (for another
@@ -582,7 +594,7 @@ class TestLabelConstants:
         cfg = small_cfg(steps=15)
         before = pickle.dumps(data)
         field, report = train_member(Regime.UNCERTAIN_STUDENT, data, cfg)
-        assert "_label_constants" in vars(data)
+        assert "_constants" in vars(data)
         after = pickle.dumps(data)
         for blob in (before, after):
             f2, r2 = train_member(Regime.UNCERTAIN_STUDENT, pickle.loads(blob), cfg)
