@@ -10,7 +10,6 @@ from scopedepth import (
     CameraIntrinsics,
     LabeledFrame,
     LossConfig,
-    Regime,
     SceneParams,
     TrainConfig,
     TrainData,
@@ -33,7 +32,7 @@ data = TrainData(frames=(LabeledFrame(depth=gt),))
 cfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
                   depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7), seed=100)
 
-results = train_ensemble(Regime.SUPERVISED_GT, data, cfg, members=5)
+results = train_ensemble(data, cfg, members=5)
 print("final losses:", [f"{r.losses[-1]:.3f}" for _, r in results])
 
 out = fuse([forward(f, 64, 64) for f, _ in results], [f.seed for f, _ in results])

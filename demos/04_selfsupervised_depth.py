@@ -13,7 +13,6 @@ from scopedepth import (
     CameraIntrinsics,
     DepthMap,
     LossConfig,
-    Regime,
     SceneParams,
     TrainConfig,
     TrainData,
@@ -47,7 +46,7 @@ cfg = TrainConfig(
     loss=LossConfig(weight_decay=1e-7, lambda_u=3.0, sigma_min=0.01), seed=5,
 )
 
-field, report = train_member(Regime.SELF_SUPERVISED, data, cfg)
+field, report = train_member(data, cfg)
 print(f"loss: {report.losses[0]:.3f} -> {report.losses[-1]:.3f} "
       f"({report.wall_clock:.1f}s)")
 

@@ -8,7 +8,8 @@ as the frame's labels, and the uncertain student also gets the teacher std
 as the labels' sigma. The plain student trusts the labels blindly; the
 uncertain student folds the teacher variance into its loss scale and reports sqrt(teacher_var + own_aleatoric^2) as its depth
 error std. Calibration against the shifted domain's ground truth shows
-the difference.
+the difference.  The two students' training bundles differ only in that
+sigma.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from scopedepth import (
     LabeledFrame,
     LightModel,
     LossConfig,
-    Regime,
     SceneParams,
     TrainConfig,
     TrainData,
@@ -52,8 +52,7 @@ for k in range(6):
 
 tcfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
                    depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7), seed=7000)
-members = train_ensemble(Regime.SUPERVISED_GT, TrainData(frames=tuple(frames)),
-                         tcfg, members=5)
+members = train_ensemble(TrainData(frames=tuple(frames)), tcfg, members=5)
 teacher = fuse([forward(f, 64, 64) for f, _ in members],
                [f.seed for f, _ in members])
 sigma_T = teacher.sigma_t()
@@ -66,16 +65,9 @@ scfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
                    depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7),
                    seed=11)
 
-plain, _ = train_member(
-    Regime.PLAIN_STUDENT,
-    TrainData(frames=(LabeledFrame(depth=teacher.d_hat),)),
-    scfg,
-)
+plain, _ = train_member(TrainData(frames=(LabeledFrame(depth=teacher.d_hat),)), scfg)
 uncertain, _ = train_member(
-    Regime.UNCERTAIN_STUDENT,
-    TrainData(frames=(LabeledFrame(depth=teacher.d_hat, sigma=sigma_T),)),
-    scfg,
-)
+    TrainData(frames=(LabeledFrame(depth=teacher.d_hat, sigma=sigma_T),)), scfg)
 
 for name, field, add_teacher_var in (("plain    ", plain, False),
                                      ("uncertain", uncertain, True)):

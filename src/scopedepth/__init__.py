@@ -6,9 +6,10 @@ SSIM / photometric residual / edge-aware smoothness (`photometry`),
 heteroscedastic L1 likelihood losses with analytic gradients (`losses`),
 a coarse log-parameter depth field predictor (`predictor`), deep-ensemble
 fusion with variance decomposition (`ensemble`), gradient-descent training
-under five supervision regimes (`trainer`),
-depth and calibration metrics (`metrics`), a procedural colon-like scene
-generator (`synthcolon`), and the `scopedepth` command line (`cli`).
+on labeled frames or triplets (`trainer`), depth and calibration metrics
+(`metrics`), a procedural colon-like scene generator (`synthcolon`), and
+the `scopedepth` command line (`cli`), which builds the training data of
+each of the paper's five supervision regimes.
 """
 
 from .ensemble import EnsembleOutput, fuse, load_ensemble, save_ensemble, selfsup_fuse
@@ -51,7 +52,6 @@ from .synthcolon import (
 )
 from .trainer import (
     LabeledFrame,
-    Regime,
     TrainConfig,
     TrainData,
     TrainReport,

@@ -25,13 +25,16 @@ manifest records the members' seeds.  A command writes its manifest into
 ``--out`` (eval and calib beside it), and before writing anything refuses
 an ``--out`` whose manifest another command (eval and calib are one) wrote.
 
-``train`` trains the ensemble members one after another in the calling
+``train``'s ``regime`` key, one of the paper's five supervision regimes
+(:class:`Regime`), picks the training bundle it builds from the dataset.
+It trains the ensemble members one after another in the calling
 process, for any value of its ``jobs`` key (``--jobs``), which must be
 >= 1 and is recorded in the manifest.
 
 Every input file is read through :mod:`scopedepth.imagery`: a PFM, PPM
 or JSON file that does not parse, or whose entries have the wrong shape
-or type, is a usage error that names the file.
+or type, is a usage error that names the file; so is a ``member_*.json``
+whose seed is not the one in its name.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numeric failure.
 """
@@ -39,6 +42,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import enum
 import sys
 from pathlib import Path
 
@@ -46,26 +50,30 @@ import numpy as np
 
 from .ensemble import fuse, load_ensemble, save_ensemble, selfsup_fuse
 from .geometry import CameraIntrinsics, Pose, relative_pose
-from .imagery import DepthMap, UncMap, read_json, read_pfm, read_ppm, write_csv, write_json
+from .imagery import (DepthMap, UncMap, json_entry, json_type_ok, read_json, read_pfm,
+                      read_ppm, write_csv, write_json)
 from .losses import LossConfig
 from .metrics import (auce, calibration_curve, default_p_grid, depth_metrics,
                       scale_correction)
 from .predictor import DepthField, forward
 from .rng import Xoshiro256
 from .synthcolon import LightModel, SceneParams, simulate_sfm_labels, write_dataset
-from .trainer import (
-    LabeledFrame,
-    NumericFailure,
-    Regime,
-    TrainConfig,
-    TrainData,
-    Triplet,
-    train_ensemble,
-)
+from .trainer import LabeledFrame, NumericFailure, TrainConfig, TrainData, Triplet, train_ensemble
 
 
 class UsageError(ValueError):
     pass
+
+
+class Regime(enum.Enum):
+    """The paper's five supervision regimes, the values of the ``regime``
+    key; :func:`_build_train_data` builds each one's training bundle."""
+
+    SUPERVISED_GT = "supervised-gt"
+    SUPERVISED_SFM = "supervised-sfm"
+    SELF_SUPERVISED = "self-supervised"
+    PLAIN_STUDENT = "plain-student"
+    UNCERTAIN_STUDENT = "uncertain-student"
 
 
 # SceneParams fields that are config keys of the same name (``seed`` is
@@ -97,7 +105,7 @@ LOSS_KEYS = ("sigma_min", "lambda_u", "weight_decay")
 
 TRAIN_DEFAULTS = {
     "seed": 0,
-    "regime": "supervised-gt",
+    "regime": Regime.SUPERVISED_GT.value,
     "members": 5,
     **{k: getattr(TrainConfig, k) for k in TRAIN_KEYS},
     **{k: getattr(LossConfig, k) for k in LOSS_KEYS},
@@ -146,27 +154,6 @@ def _at_least_one(cfg: dict, *keys: str) -> None:
             raise UsageError(f"{_flag(key)} must be >= 1, got {cfg[key]}")
 
 
-def _config_type_ok(value, default) -> bool:
-    """Whether a config value may stand for ``default``: the same JSON
-    type, an int for a float, a path string for a None default, and a
-    list of items that may stand for the default's first item."""
-    if default is None:
-        return value is None or isinstance(value, str)
-    if isinstance(default, list):
-        return (isinstance(value, list)
-                and all(_config_type_ok(item, default[0]) for item in value))
-    if isinstance(default, float) and not isinstance(value, bool):
-        return isinstance(value, (int, float))
-    return type(value) is type(default)
-
-
-def _entry(obj: dict, key: str, default):
-    """``obj[key]``, which must be a value that may stand for ``default``."""
-    if not _config_type_ok(obj[key], default):
-        raise TypeError(f"entry {key!r} must be {type(default).__name__}, got {obj[key]!r}")
-    return obj[key]
-
-
 def _resolve(defaults: dict, args) -> dict:
     """``defaults``, then the ``--config`` file's entries, then every flag
     given whose ``dest`` is a key of ``defaults`` (flags win).  A config
@@ -182,14 +169,14 @@ def _resolve(defaults: dict, args) -> dict:
     for k, v in config.items():
         if k in RETIRED_KEYS:
             fixed = RETIRED_KEYS[k]
-            if not (_config_type_ok(v, fixed) and v == fixed):
+            if not (json_type_ok(v, fixed) and v == fixed):
                 raise UsageError(f"config key {k!r} in {args.config} is fixed at "
                                  f"{fixed!r}, got {v!r}")
             continue
         if k not in out and k not in ("data", "out", "pred", "run"):
             raise UsageError(f"unknown config key {k!r}")
         default = defaults.get(k, "")  # the path keys are strings
-        if not _config_type_ok(v, default):
+        if not json_type_ok(v, default):
             expected = "str" if default is None else type(default).__name__
             raise UsageError(f"config key {k!r} in {args.config} must be "
                              f"{expected}, got {v!r}")
@@ -222,7 +209,7 @@ def _synth_frames(manifest: dict) -> int:
     """The frame count a synth manifest's configuration holds."""
     if manifest.get("command") != "synth":
         raise ValueError(f"a {manifest.get('command')!r} manifest, not a synth manifest")
-    return _entry(manifest["config"], "frames", 0)
+    return json_entry(manifest["config"], "frames", 0)
 
 
 def _target_index(data_dir: Path, requested: int) -> tuple[int, int]:
@@ -320,7 +307,8 @@ def cmd_train(args) -> int:
     w, h = data.resolution()
     if tcfg.grid > min(w, h):
         raise UsageError(f"--grid {tcfg.grid} exceeds the {w}x{h} dataset at {data_dir}")
-    results = train_ensemble(regime, data, tcfg, cfg["members"])
+    # members by keyword: the bench's traced counter of this call reads it by name
+    results = train_ensemble(data, tcfg, members=cfg["members"])
     # only a run that trained gets a directory
     out_dir.mkdir(parents=True, exist_ok=True)
     for field, report in results:
@@ -347,7 +335,7 @@ def _train_manifest(manifest: dict) -> tuple[bool, int, int]:
     and height it trained at."""
     if manifest.get("command") != "train":
         raise ValueError(f"a {manifest.get('command')!r} manifest, not a train manifest")
-    w, h = _entry(manifest, "resolution", [0])
+    w, h = json_entry(manifest, "resolution", [0])
     return Regime(manifest["config"]["regime"]) == Regime.SELF_SUPERVISED, w, h
 
 
@@ -362,6 +350,9 @@ def cmd_fuse(args) -> int:
     if not member_files:
         raise UsageError(f"no member fields in {run_dir}")
     fields = [DepthField.load(p) for p in member_files]
+    for path, field in zip(member_files, fields):
+        if field.seed != _member_seed(path):
+            raise UsageError(f"{path} holds seed {field.seed}, not the seed in its name")
     preds = [forward(f, w, h) for f in fields]
     seeds = [f.seed for f in fields]
     out = selfsup_fuse([d for d, _ in preds], seeds) if selfsup else fuse(preds, seeds)
@@ -389,7 +380,7 @@ def _load_eval_inputs(args, cfg: dict) -> tuple[DepthMap, DepthMap, UncMap, int]
             f"{ens.d_hat.width}x{ens.d_hat.height} but ground truth {gt_path} "
             f"is {gt.width}x{gt.height}")
     d_pred = ens.d_hat.data.astype(np.float64)
-    sigma = np.sqrt(ens.var_t.data.astype(np.float64))
+    sigma = ens.sigma_t().data.astype(np.float64)
     if cfg["median_scale"]:
         s = scale_correction(gt, ens.d_hat)
         d_pred = d_pred * s

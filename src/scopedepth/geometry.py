@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagery import (DepthMap, Image, Mask, bilinear_sample_planes, read_json,
-                      same_shape, write_json)
+from .imagery import (DepthMap, Image, Mask, bilinear_sample_planes, json_entry,
+                      read_json, same_shape, write_json)
 
 EPS_Z = 1e-6  # near-plane cutoff, mm
 
@@ -45,7 +45,7 @@ class CameraIntrinsics:
 
     @staticmethod
     def from_json(d: dict) -> "CameraIntrinsics":
-        return CameraIntrinsics(d["fx"], d["fy"], d["cx"], d["cy"])
+        return CameraIntrinsics(*(json_entry(d, k, 0.0) for k in ("fx", "fy", "cx", "cy")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +88,8 @@ class Pose:
 
     @staticmethod
     def from_json(d: dict) -> "Pose":
-        return Pose(np.array(d["R"]).reshape(3, 3), np.array(d["t"]))
+        return Pose(np.array(json_entry(d, "R", [0.0])).reshape(3, 3),
+                    np.array(json_entry(d, "t", [0.0])))
 
     def save(self, path) -> None:
         write_json(self.to_json(), path, indent=1)

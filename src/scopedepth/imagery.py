@@ -292,6 +292,28 @@ def write_json(obj, path, indent: int | None = None, sort_keys: bool = False) ->
         f.write(json.dumps(obj, indent=indent, sort_keys=sort_keys) + "\n")
 
 
+def json_type_ok(value, default) -> bool:
+    """Whether a JSON value may stand for ``default``: the same JSON type,
+    an int for a float (a bool is neither), a path string for a None
+    default, and a list of items that may stand for the default's first
+    item."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, list):
+        return (isinstance(value, list)
+                and all(json_type_ok(item, default[0]) for item in value))
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
+def json_entry(obj: dict, key: str, default):
+    """``obj[key]``, which must be a value that may stand for ``default``."""
+    if not json_type_ok(obj[key], default):
+        raise TypeError(f"entry {key!r} must be {type(default).__name__}, got {obj[key]!r}")
+    return obj[key]
+
+
 def read_json(path, build=None):
     """The JSON object in ``path``, passed through ``build`` when given.
 

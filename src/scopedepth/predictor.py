@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagery import DepthMap, UncMap, read_json, write_json
+from .imagery import DepthMap, UncMap, json_entry, read_json, write_json
 from .rng import Xoshiro256
 
 
@@ -68,9 +68,10 @@ class DepthField:
 
     @staticmethod
     def from_json(d: dict) -> "DepthField":
-        gh, gw = d["grid_h"], d["grid_w"]
-        grids = np.array([d["log_depth"], d["log_sigma"]], dtype=np.float64)
-        return DepthField(grids.reshape(2, gh, gw), int(d["seed"]))
+        gh, gw = json_entry(d, "grid_h", 0), json_entry(d, "grid_w", 0)
+        grids = np.array([json_entry(d, k, [0.0]) for k in ("log_depth", "log_sigma")],
+                         dtype=np.float64)
+        return DepthField(grids.reshape(2, gh, gw), json_entry(d, "seed", 0))
 
     def save(self, path) -> None:
         write_json(self.to_json(), path)

@@ -1,25 +1,24 @@
-"""Gradient-descent training of depth fields under five supervision regimes.
+"""Gradient-descent training of depth fields on labeled frames or triplets.
 
-Supervision comes from ground-truth depth, simulated SfM labels, multi-view
-photometric consistency, or a frozen teacher ensemble (with or without the
-teacher's predictive variance folded into the loss scale).  Every regime's
-data term is the one likelihood of :mod:`scopedepth.losses`.  Photometric
-consistency follows the fixed Eq.-4 recipe of :mod:`scopedepth.photometry`
-(alpha 0.85, 3x3 SSIM windows, minimum over a triplet's sources), which
-computes both its residual and that residual's derivative with respect to
-a warped source; the trainer chains the latter through the warp.
-Optimization is plain fixed-step gradient descent on the MAP objective,
-which keeps every run bitwise reproducible from (regime, data, config,
-seed).  The objective computes the training step only: the loss and its
-analytic gradient, warp, sampling, SSIM and minimum-over-sources
-included.  The finite-difference audit of that gradient, with its record
-of the objective's piecewise switches, lives with the tests in
-``tests/_audit.py``.
+A :class:`TrainData` bundle is the supervision: labeled frames (ground-truth
+depth, simulated SfM labels, or a frozen teacher ensemble's depth, with or
+without the teacher's std folded into the loss scale) or triplets for
+multi-view photometric consistency.  Both data terms are the one
+likelihood of :mod:`scopedepth.losses`.  Photometric consistency follows
+the fixed Eq.-4 recipe of :mod:`scopedepth.photometry` (alpha 0.85, 3x3
+SSIM windows, minimum over a triplet's sources), which computes both its
+residual and that residual's derivative with respect to a warped source;
+the trainer chains the latter through the warp.  Optimization is plain
+fixed-step gradient descent on the MAP objective, which keeps every run
+bitwise reproducible from (data, config, seed).  The objective computes
+the training step only: the loss and its analytic gradient, warp,
+sampling, SSIM and minimum-over-sources included.  The finite-difference
+audit of that gradient, with its record of the objective's piecewise
+switches, lives with the tests in ``tests/_audit.py``.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import time
 from dataclasses import dataclass, replace
@@ -38,14 +37,6 @@ from .photometry import (
     ssim_moments,
 )
 from .predictor import DepthField, backward, forward_arrays, init_random
-
-
-class Regime(enum.Enum):
-    SUPERVISED_GT = "supervised-gt"
-    SUPERVISED_SFM = "supervised-sfm"
-    SELF_SUPERVISED = "self-supervised"
-    PLAIN_STUDENT = "plain-student"
-    UNCERTAIN_STUDENT = "uncertain-student"
 
 
 class NumericFailure(RuntimeError):
@@ -109,8 +100,8 @@ def _triplet_constants(trip: Triplet, K: CameraIntrinsics) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class TrainData:
-    """Regime-dependent bundle: labeled frames for the four label regimes,
-    or triplets plus intrinsics for self-supervision, never both."""
+    """The supervision of a run: labeled frames, or triplets plus
+    intrinsics for self-supervision, never both."""
 
     frames: tuple[LabeledFrame, ...] = ()
     triplets: tuple[Triplet, ...] = ()
@@ -142,32 +133,21 @@ class TrainReport:
     wall_clock: float
 
 
-def _check_bundle(regime: Regime, data: TrainData) -> None:
-    """The one place that ties a regime to the data it needs: triplets and
-    intrinsics for self-supervision, labeled frames otherwise (never both),
-    with a std-kind label sigma on every frame for the uncertain student and
-    on none for the other label regimes, and one shape for every frame's
-    depth, sigma and mask."""
-    if not isinstance(regime, Regime):
-        raise ValueError(f"unknown regime {regime!r}, expected a Regime")
+def _check_bundle(data: TrainData) -> None:
+    """What a bundle must hold: labeled frames, or triplets with intrinsics,
+    never both; a std-kind label sigma on every frame or on none; and one
+    shape for every raster."""
     if data.frames and data.triplets:
         raise ValueError("a training bundle holds labeled frames or triplets, not both")
-    if regime == Regime.SELF_SUPERVISED:
-        if not data.triplets or data.K is None:
-            raise ValueError("self-supervised training needs triplets and intrinsics")
-        return
-    if not data.frames:
-        raise ValueError(f"{regime.value} needs labeled frames")
-    same_shape(*(m for f in data.frames for m in (f.depth, f.sigma, f.mask)
-                 if m is not None))
-    for f in data.frames:
-        if regime != Regime.UNCERTAIN_STUDENT:
-            if f.sigma is not None:
-                raise ValueError(f"{regime.value} takes no label sigma maps")
-        elif f.sigma is None:
-            raise ValueError("uncertain-student needs teacher sigma maps")
-        elif f.sigma.kind != "std":
-            raise ValueError("teacher sigma must be std-kind")
+    if not (data.frames or data.triplets and data.K is not None):
+        raise ValueError("a training bundle needs labeled frames, or triplets and intrinsics")
+    same_shape(*(m for f in data.frames for m in (f.depth, f.sigma, f.mask) if m is not None),
+               *(im for t in data.triplets for im in (t.target, *t.sources)))
+    sigmas = [f.sigma for f in data.frames if f.sigma is not None]
+    if sigmas and len(sigmas) < len(data.frames):
+        raise ValueError("a label sigma on some frames but not all")
+    if any(s.kind != "std" for s in sigmas):
+        raise ValueError("label sigma must be std-kind")
 
 
 def _label_terms(consts, d_hat, sigma, loss_cfg) -> tuple:
@@ -219,14 +199,14 @@ def _triplet_terms(consts, d_hat, u_hat, loss_cfg) -> tuple:
 
 
 def _objective(
-    regime: Regime, data: TrainData, grids: np.ndarray, loss_cfg: LossConfig, w: int, h: int
+    data: TrainData, grids: np.ndarray, loss_cfg: LossConfig, w: int, h: int
 ) -> tuple[float, np.ndarray]:
-    """The MAP loss of every regime at the (2, gh, gw) parameter stack
-    ``grids``, and its gradient, a stack of the same shape: one forward
-    pass, one call of the regime's data term over the bundle's per-run
-    constants, one backward pass and the weight prior.  ``regime`` must
-    have passed :func:`_check_bundle`."""
-    data_terms = _triplet_terms if regime == Regime.SELF_SUPERVISED else _label_terms
+    """The MAP loss at the (2, gh, gw) parameter stack ``grids``, and its
+    gradient, a stack of the same shape: one forward pass, one call of the
+    bundle's data term (triplets or labeled frames) over its per-run
+    constants, one backward pass and the weight prior.  ``data`` must have
+    passed :func:`_check_bundle`."""
+    data_terms = _triplet_terms if data.triplets else _label_terms
     d_hat, sigma = forward_arrays(grids, w, h)
     total, grad_d, grad_s = data_terms(data._constants, d_hat, sigma, loss_cfg)
     grad = backward(grids, grad_d, grad_s, d_hat, sigma)
@@ -264,12 +244,10 @@ class TrainConfig:
             raise ValueError(f"grid must be at least 1 cell a side, got {self.grid}")
 
 
-def train_member(
-    regime: Regime, data: TrainData, cfg: TrainConfig
-) -> tuple[DepthField, TrainReport]:
+def train_member(data: TrainData, cfg: TrainConfig) -> tuple[DepthField, TrainReport]:
     """Run ``cfg.steps`` fixed-rate gradient-descent steps from a seeded
-    random field; deterministic given (regime, data, cfg)."""
-    _check_bundle(regime, data)
+    random field; deterministic given (data, cfg)."""
+    _check_bundle(data)
     # without this, each 256x256 step faults its freed temporaries back in
     keep_heap_mapped()
     w, h = data.resolution()
@@ -280,7 +258,7 @@ def train_member(
     # below report that once, so numpy's per-operation warnings are muted
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(cfg.steps):
-            loss, grad = _objective(regime, data, grids, cfg.loss, w, h)
+            loss, grad = _objective(data, grids, cfg.loss, w, h)
             if not np.isfinite(loss):
                 raise NumericFailure(step, f"non-finite loss {loss}", cfg.seed, cfg.learning_rate)
             losses[step] = loss
@@ -294,10 +272,7 @@ def train_member(
 
 
 def train_ensemble(
-    regime: Regime,
-    data: TrainData,
-    cfg: TrainConfig,
-    members: int,
+    data: TrainData, cfg: TrainConfig, members: int
 ) -> list[tuple[DepthField, TrainReport]]:
     """Train ``members`` independent fields, member i as :func:`train_member`
     with seed ``cfg.seed + i``, one after another in the calling process,
@@ -309,5 +284,5 @@ def train_ensemble(
     pool workers took 2-2.5x as long as in-process."""
     if members < 1:
         raise ValueError("need at least one member")
-    return [train_member(regime, data, replace(cfg, seed=cfg.seed + i))
+    return [train_member(data, replace(cfg, seed=cfg.seed + i))
             for i in range(members)]

@@ -15,7 +15,7 @@ from scopedepth.imagery import bilinear_sample_planes
 from scopedepth.losses import LossConfig
 from scopedepth.photometry import photometric_residual_arrays
 from scopedepth.predictor import DepthField, forward_arrays, init_random
-from scopedepth.trainer import Regime, TrainData
+from scopedepth.trainer import TrainData
 
 # the random fields of audit_random_fields: grid cells a side, initial
 # depth and jitter, the first seed, the relative probe step, and how many
@@ -55,20 +55,20 @@ def _selfsup_marks(data: TrainData, d_hat: np.ndarray, lambda_u: float) -> list:
     return marks
 
 
-def _fingerprint(regime: Regime, data: TrainData, field: DepthField, loss_cfg: LossConfig,
+def _fingerprint(data: TrainData, field: DepthField, loss_cfg: LossConfig,
                  w: int, h: int) -> tuple:
-    """The scale clamp gate, then each frame's L1 signs for a label regime
-    (weights ``None`` meaning every pixel) or each triplet's
-    :func:`_selfsup_marks` for self-supervision."""
+    """The scale clamp gate, then each triplet's :func:`_selfsup_marks`
+    for a bundle of triplets, or each frame's L1 signs (weights ``None``
+    meaning every pixel)."""
     d_hat, sigma = forward_arrays(field.grids, w, h)
     gate = sigma > loss_cfg.sigma_min
-    if regime == Regime.SELF_SUPERVISED:
+    if data.triplets:
         return gate, *_selfsup_marks(data, d_hat, loss_cfg.lambda_u)
     return gate, *(np.sign(label - d_hat) * (1.0 if weights is None else weights)
                    for label, _, weights, _ in data._constants)
 
 
-def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: float = STEP,
+def finite_diff_audit(data: TrainData, field: DepthField, step: float = STEP,
                       loss_cfg: LossConfig = LossConfig(lambda_u=0.0, weight_decay=0.0)
                       ) -> float:
     """Worst relative disagreement between the assembled analytic gradient
@@ -80,11 +80,11 @@ def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: 
     """
     if field.grid_w > 8 or field.grid_h > 8:
         raise ValueError("audit fields are limited to 8x8 grids")
-    trainer._check_bundle(regime, data)
+    trainer._check_bundle(data)
     keep_heap_mapped()
     w, h = data.resolution()
-    _, grad = trainer._objective(regime, data, field.grids, loss_cfg, w, h)
-    base = _fingerprint(regime, data, field, loss_cfg, w, h)
+    _, grad = trainer._objective(data, field.grids, loss_cfg, w, h)
+    base = _fingerprint(data, field, loss_cfg, w, h)
     analytic = grad.ravel()
     theta0 = field.grids.ravel()
     worst = 0.0
@@ -95,17 +95,17 @@ def finite_diff_audit(regime: Regime, data: TrainData, field: DepthField, step: 
             theta = theta0.copy()
             theta[i] += sgn * hstep
             probe = DepthField(theta.reshape(field.grids.shape), field.seed)
-            marks = _fingerprint(regime, data, probe, loss_cfg, w, h)
+            marks = _fingerprint(data, probe, loss_cfg, w, h)
             if not all(np.array_equal(a, b) for a, b in zip(marks, base)):
                 raise KinkStraddled(f"parameter {i} probe crossed a switch")
-            probes.append(trainer._objective(regime, data, probe.grids, loss_cfg, w, h)[0])
+            probes.append(trainer._objective(data, probe.grids, loss_cfg, w, h)[0])
         fd = (probes[0] - probes[1]) / (2 * hstep)
         denom = max(abs(fd), abs(analytic[i]), 1e-8)
         worst = max(worst, abs(fd - analytic[i]) / denom)
     return worst
 
 
-def audit_random_fields(regime: Regime, data: TrainData, draws: int,
+def audit_random_fields(data: TrainData, draws: int,
                         loss_cfg: LossConfig) -> list[float]:
     """Run the audit over ``draws`` random fields, seeded from ``SEED0`` on,
     redrawing any field whose probes straddle a kink of the
@@ -118,7 +118,7 @@ def audit_random_fields(regime: Regime, data: TrainData, draws: int,
         field = init_random(seed, GRID, GRID, DEPTH_INIT_MM, JITTER)
         seed += 1
         try:
-            errors.append(finite_diff_audit(regime, data, field, STEP, loss_cfg))
+            errors.append(finite_diff_audit(data, field, STEP, loss_cfg))
         except KinkStraddled:
             continue
     return errors

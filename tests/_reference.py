@@ -13,7 +13,7 @@ The two likelihoods are kept as they stood before the mask became a
 per-run 0/1 weight map and the uncertain student's scale became
 ``sqrt(var_label + s_a^2)``: a bool mask applied by ``np.where`` and the
 scale ``np.hypot(sigma_label, s_a)``.  :func:`_label_objective` is the
-label regimes' data term built on them, reading every frame each step and
+labeled frames' data term built on them, reading every frame each step and
 summing into zero-filled maps.  :func:`weighted_l1_nll_arrays` is the one
 kernel that replaced them, as it stood before it skipped all-ones weights
 and an idle clamp: it always clamps and gates the scale, and always
@@ -50,7 +50,7 @@ from scopedepth.photometry import (
     ssim_terms,
 )
 from scopedepth.predictor import _axis_matrix, init_random
-from scopedepth.trainer import NumericFailure, Regime, TrainConfig, TrainData
+from scopedepth.trainer import NumericFailure, TrainConfig, TrainData
 
 
 class BehindCameraError(ValueError):
@@ -386,7 +386,7 @@ def prior_pair(log_depth: np.ndarray, log_sigma: np.ndarray,
 
 def _label_shares(log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData, w: int,
                   h: int, loss_cfg: LossConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """The label regimes' data term on the bundle's per-run constants: each
+    """The labeled frames' data term on the bundle's per-run constants: each
     frame's 1/n share of the library likelihood, the first share becoming
     the running sums."""
     d_hat, sigma = forward_pair(log_depth, log_sigma, w, h)
@@ -404,14 +404,15 @@ def _label_shares(log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData,
     return total, *backward_pair(log_depth, grad_d, grad_s, d_hat, sigma)
 
 
-def train_member(regime: Regime, data: TrainData,
+def train_member(data: TrainData,
                  cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The training loop with the two grids stepped apart: the label data
-    term of :func:`_label_shares` or the self-supervised one of
-    :func:`_selfsup_objective`, plus :func:`prior_pair`.  Returns the final
-    log-depth and log-scale grids and the loss of every step."""
+    """The training loop with the two grids stepped apart: the
+    self-supervised data term of :func:`_selfsup_objective` for a bundle of
+    triplets or the label one of :func:`_label_shares`, plus
+    :func:`prior_pair`.  Returns the final log-depth and log-scale grids
+    and the loss of every step."""
     w, h = data.resolution()
-    data_term = _selfsup_objective if regime == Regime.SELF_SUPERVISED else _label_shares
+    data_term = _selfsup_objective if data.triplets else _label_shares
     init = init_random(cfg.seed, cfg.grid, cfg.grid, cfg.depth_init_mm, cfg.jitter)
     log_depth, log_sigma = init.log_depth, init.log_sigma
     losses = np.empty(cfg.steps)
@@ -438,7 +439,7 @@ def _label_objective(
     log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData, w: int, h: int,
     loss_cfg: LossConfig,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """The data term of a label regime, read from the frames each step and
+    """The labeled frames' data term, read from the frames each step and
     summed into zero-filled maps."""
     d_hat, sigma = forward_pair(log_depth, log_sigma, w, h)
     total = 0.0

@@ -53,7 +53,6 @@ from scopedepth.synthcolon import (
 )
 from scopedepth.trainer import (
     LabeledFrame,
-    Regime,
     TrainConfig,
     TrainData,
     Triplet,
@@ -72,7 +71,7 @@ def _report(ok: bool, name: str, detail: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# criterion 1: finite-difference gradient audit, every regime
+# criterion 1: finite-difference gradient audit, the bundle of every regime
 
 
 def test_criterion_1_gradient_audit():
@@ -99,17 +98,11 @@ def test_criterion_1_gradient_audit():
 
     lc = LossConfig(weight_decay=1e-4)
     lc_ss = LossConfig(weight_decay=1e-4, lambda_u=0.05)
-    worst = {}
-    worst["supervised-gt"] = max(
-        audit_random_fields(Regime.SUPERVISED_GT, sup, 20, loss_cfg=lc))
-    worst["supervised-sfm"] = max(
-        audit_random_fields(Regime.SUPERVISED_SFM, sfm, 20, loss_cfg=lc))
-    worst["plain-student"] = max(
-        audit_random_fields(Regime.PLAIN_STUDENT, plain, 20, loss_cfg=lc))
-    worst["uncertain-student"] = max(
-        audit_random_fields(Regime.UNCERTAIN_STUDENT, students, 20, loss_cfg=lc))
-    worst["self-supervised"] = max(
-        audit_random_fields(Regime.SELF_SUPERVISED, selfsup, 20, loss_cfg=lc_ss))
+    bundles = {"supervised-gt": (sup, lc), "supervised-sfm": (sfm, lc),
+               "plain-student": (plain, lc), "uncertain-student": (students, lc),
+               "self-supervised": (selfsup, lc_ss)}
+    worst = {name: max(audit_random_fields(data, 20, loss_cfg=cfg))
+             for name, (data, cfg) in bundles.items()}
     elapsed = time.perf_counter() - t0
     ok = (
         all(worst[r] < 1e-4 for r in ("supervised-gt", "supervised-sfm",
@@ -193,8 +186,8 @@ ACCEPT_SCENE = SceneParams(seed=21, curve_amp_mm=10.0, curve_freq=0.06,
                            texture_contrast=0.9, texture_octaves=4)
 
 
-def _fused_absrel(gt, regime, data, cfg, selfsup=False, median=False):
-    results = train_ensemble(regime, data, cfg, 5)
+def _fused_absrel(gt, data, cfg, selfsup=False, median=False):
+    results = train_ensemble(data, cfg, 5)
     preds = [forward(f, 64, 64) for f, _ in results]
     seeds = [f.seed for f, _ in results]
     out = (selfsup_fuse([p[0] for p in preds], seeds) if selfsup
@@ -214,17 +207,11 @@ def test_criterion_4_supervision_ladder():
     sup_cfg = TrainConfig(steps=800, learning_rate=1.0, grid=20,
                           depth_init_mm=30.0, jitter=0.05,
                           loss=LossConfig(weight_decay=1e-7), seed=100)
-    a_gt = _fused_absrel(
-        gt, Regime.SUPERVISED_GT,
-        TrainData(frames=(LabeledFrame(depth=gt),)), sup_cfg,
-    )
+    a_gt = _fused_absrel(gt, TrainData(frames=(LabeledFrame(depth=gt),)), sup_cfg)
     d_sfm, m_sfm = simulate_sfm_labels(gt, seed=501, hole_fraction=0.3,
                                        noise_rel=0.05, global_scale=0.7)
-    a_sfm = _fused_absrel(
-        gt, Regime.SUPERVISED_SFM,
-        TrainData(frames=(LabeledFrame(depth=d_sfm, mask=m_sfm),)),
-        sup_cfg, median=True,
-    )
+    a_sfm = _fused_absrel(gt, TrainData(frames=(LabeledFrame(depth=d_sfm, mask=m_sfm),)),
+                          sup_cfg, median=True)
     trip = Triplet(
         target=img, sources=(views[5][0], views[7][0]),
         rel_poses=tuple(relative_pose(traj[6], traj[6 + o]) for o in (-1, 1)),
@@ -233,11 +220,8 @@ def test_criterion_4_supervision_ladder():
                          depth_init_mm=30.0, jitter=0.05,
                          loss=LossConfig(weight_decay=1e-7, lambda_u=3.0,
                                          sigma_min=0.01), seed=100)
-    a_ss = _fused_absrel(
-        gt, Regime.SELF_SUPERVISED,
-        TrainData(triplets=(trip,), K=K64),
-        ss_cfg, selfsup=True, median=True,
-    )
+    a_ss = _fused_absrel(gt, TrainData(triplets=(trip,), K=K64), ss_cfg,
+                         selfsup=True, median=True)
     elapsed = time.perf_counter() - t0
     ok = (a_gt < 0.05) and (a_gt < a_sfm < 0.20) and (a_ss < 0.20) and elapsed < 600
     _report(ok, "criterion 4 supervision ladder",
@@ -293,7 +277,7 @@ def _student_scores(rep_seed):
     tcfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
                        depth_init_mm=30.0, jitter=0.05,
                        loss=LossConfig(weight_decay=1e-7), seed=rep_seed * 1000)
-    members = train_ensemble(Regime.SUPERVISED_GT, TrainData(frames=frames), tcfg, 5)
+    members = train_ensemble(TrainData(frames=frames), tcfg, 5)
     teacher = fuse([forward(f, 64, 64) for f, _ in members],
                    [f.seed for f, _ in members])
     sigma_T = teacher.sigma_t()
@@ -304,14 +288,11 @@ def _student_scores(rep_seed):
                        depth_init_mm=30.0, jitter=0.05,
                        loss=LossConfig(weight_decay=1e-7), seed=rep_seed * 2000)
     out = {}
-    for name, regime, sig_teacher in (
-        ("plain", Regime.PLAIN_STUDENT, None),
-        ("uncertain", Regime.UNCERTAIN_STUDENT, sigma_T),
-    ):
+    for name, sig_teacher in (("plain", None), ("uncertain", sigma_T)):
         data = TrainData(frames=(
             LabeledFrame(depth=teacher.d_hat, sigma=sig_teacher),
         ))
-        field, _ = train_member(regime, data, scfg)
+        field, _ = train_member(data, scfg)
         d, s = forward(field, 64, 64)
         sig = s.data.astype(np.float64)
         if sig_teacher is not None:

@@ -151,7 +151,7 @@ class TestFlagWiring:
         [(_, params, _, _, _, _, _, light, _)] = written
         trained = []
         monkeypatch.setattr(cli, "train_ensemble",
-                            lambda regime, data, cfg, *_: trained.append(cfg) or [])
+                            lambda data, cfg, **_: trained.append(cfg) or [])
         assert run("train", "--config", tmp_path / "train.json", "--data", dataset,
                    "--out", tmp_path / "t", "--regime", "self-supervised") == 0
         [tcfg] = trained
@@ -171,7 +171,7 @@ class TestFlagWiring:
                     assert cli.TRAIN_DEFAULTS[knob[0]] == getattr(cls, name), (cls, name)
         trained = []
         monkeypatch.setattr(cli, "train_ensemble",
-                            lambda regime, data, cfg, *_: trained.append(cfg) or [])
+                            lambda data, cfg, **_: trained.append(cfg) or [])
         assert run("train", "--data", dataset, "--out", tmp_path / "t") == 0
         assert trained == [TrainConfig()]
 
@@ -472,7 +472,7 @@ class TestTrain:
     def test_teacher_for_a_regime_that_reads_none_usage_error(self, dataset, fused,
                                                              tmp_path, capsys, monkeypatch):
         trained = []
-        monkeypatch.setattr(cli, "train_ensemble", lambda *a: trained.append(a) or [])
+        monkeypatch.setattr(cli, "train_ensemble", lambda *a, **kw: trained.append(a) or [])
         for regime in ("supervised-gt", "supervised-sfm", "self-supervised"):
             out = tmp_path / regime
             assert run("train", "--data", dataset, "--out", out, "--regime", regime,
@@ -579,13 +579,14 @@ class TestTrain:
         assert run("synth", "--out", ds, "--width", 8, "--height", 8, "--frames", 3) == 0
         with open(ds / "intrinsics.json") as f:
             K = json.load(f)
-        for cx in (float("nan"), "31.5"):
+        for cx, message in ((float("nan"), "intrinsics cx must be finite"),
+                            ("31.5", "entry 'cx' must be float")):
             (ds / "intrinsics.json").write_text(json.dumps({**K, "cx": cx}))
             out = tmp_path / "run"
             assert run("train", "--data", ds, "--out", out, "--regime", "self-supervised",
                        "--members", 1, "--steps", 2, "--grid", 2) == 2, cx
             err = capsys.readouterr().err
-            assert err.startswith("error:") and "intrinsics cx must be finite" in err
+            assert err.startswith("error:") and message in err
             assert not out.exists()
 
     def test_nonpositive_jobs_usage_error(self, dataset, tmp_path, capsys):
@@ -881,6 +882,21 @@ def _spoil_input(case, dataset, trained, fused, tmp):
              lambda m: m["config"].update(frames=str(m["config"]["frames"]))),
         "train-resolution-as-number":
             (run_dir / "manifest.json", fuse, lambda m: m.update(resolution=24)),
+        "member-seed-as-string": (run_dir / "member_3.json", fuse, lambda m: m.update(seed="3")),
+        "member-seed-as-float": (run_dir / "member_3.json", fuse, lambda m: m.update(seed=3.7)),
+        "member-seed-as-boolean": (run_dir / "member_3.json", fuse, lambda m: m.update(seed=True)),
+        "member-seed-not-its-name":
+            (run_dir / "member_3.json", fuse, lambda m: m.update(seed=5)),
+        "member-grid-entry-as-string":
+            (run_dir / "member_3.json", fuse,
+             lambda m: m["log_depth"].__setitem__(0, str(m["log_depth"][0]))),
+        "member-grid-entry-as-boolean":
+            (run_dir / "member_3.json", fuse, lambda m: m["log_sigma"].__setitem__(0, True)),
+        "pose-rotation-as-strings":
+            (ds / "pose_0002.json", selfsup, lambda m: m.update(R=[str(v) for v in m["R"]])),
+        "pose-translation-entry-as-boolean":
+            (ds / "pose_0002.json", selfsup, lambda m: m["t"].__setitem__(0, True)),
+        "intrinsics-fx-as-boolean": (ds / "intrinsics.json", selfsup, lambda m: m.update(fx=True)),
     }[case]
     manifest = json.loads(bad.read_text())
     spoil(manifest)
@@ -901,7 +917,12 @@ def _assert_named_usage_error(argv, bad, capsys):
                                   "pose-rotation-of-three-entries",
                                   "empty-member-file", "train-config-without-regime",
                                   "dataset-frame-count-as-string",
-                                  "train-resolution-as-number"])
+                                  "train-resolution-as-number", "member-seed-as-string",
+                                  "member-seed-as-float", "member-seed-as-boolean",
+                                  "member-seed-not-its-name", "member-grid-entry-as-string",
+                                  "member-grid-entry-as-boolean", "pose-rotation-as-strings",
+                                  "pose-translation-entry-as-boolean",
+                                  "intrinsics-fx-as-boolean"])
 def test_bad_json_input_named_with_usage_error(case, dataset, trained, fused,
                                                  tmp_path, capsys):
     _assert_named_usage_error(*_spoil_input(case, dataset, trained, fused, tmp_path),

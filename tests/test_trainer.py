@@ -12,6 +12,7 @@ import pytest
 from _audit import KinkStraddled, audit_random_fields, finite_diff_audit
 
 from scopedepth import predictor, trainer
+from scopedepth.cli import Regime
 from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, rotation_xyz
 from scopedepth.imagery import DepthMap, Image, Mask, UncMap, write_csv
 from scopedepth.losses import LossConfig
@@ -26,7 +27,6 @@ from scopedepth.synthcolon import (
 from scopedepth.trainer import (
     LabeledFrame,
     NumericFailure,
-    Regime,
     TrainConfig,
     TrainData,
     Triplet,
@@ -61,7 +61,7 @@ def student_data():
 
 @pytest.fixture(scope="module")
 def plain_student_data(student_data):
-    # the same teacher depth without its sigma, which plain-student refuses
+    # the same teacher depth without its sigma
     return TrainData(frames=(LabeledFrame(depth=student_data.frames[0].depth),))
 
 
@@ -89,14 +89,14 @@ def small_cfg(**kw):
 
 class TestTrainMember:
     def test_bitwise_determinism(self, sup_data):
-        f1, r1 = train_member(Regime.SUPERVISED_GT, sup_data, small_cfg())
-        f2, r2 = train_member(Regime.SUPERVISED_GT, sup_data, small_cfg())
+        f1, r1 = train_member(sup_data, small_cfg())
+        f2, r2 = train_member(sup_data, small_cfg())
         assert f1.log_depth.tobytes() == f2.log_depth.tobytes()
         assert f1.log_sigma.tobytes() == f2.log_sigma.tobytes()
         assert np.array_equal(r1.losses, r2.losses)
 
     def test_supervised_loss_decreases(self, sup_data):
-        _, report = train_member(Regime.SUPERVISED_GT, sup_data, small_cfg(steps=300))
+        _, report = train_member(sup_data, small_cfg(steps=300))
         assert report.losses[-1] < report.losses[0]
 
     def test_constant_target_from_matching_init_converges(self):
@@ -107,7 +107,7 @@ class TestTrainMember:
         data = TrainData(frames=(LabeledFrame(depth=depth),))
         cfg = small_cfg(steps=600, jitter=0.01, learning_rate=5e-5,
                         loss=LossConfig(weight_decay=0.0))
-        field, report = train_member(Regime.SUPERVISED_GT, data, cfg)
+        field, report = train_member(data, cfg)
         # jitter 0.01 keeps the initial depth within 1% of the labels, so
         # the first loss is dominated by log(sigma_init) = 0
         assert report.losses[0] == pytest.approx(0.0, abs=0.3)
@@ -120,8 +120,8 @@ class TestTrainMember:
         zero = UncMap(np.zeros((10, 10), dtype=np.float32), "std")
         plain = TrainData(frames=(LabeledFrame(depth=d_t),))
         uncert = TrainData(frames=(LabeledFrame(depth=d_t, sigma=zero),))
-        f1, r1 = train_member(Regime.PLAIN_STUDENT, plain, small_cfg())
-        f2, r2 = train_member(Regime.UNCERTAIN_STUDENT, uncert, small_cfg())
+        f1, r1 = train_member(plain, small_cfg())
+        f2, r2 = train_member(uncert, small_cfg())
         assert f1.log_depth.tobytes() == f2.log_depth.tobytes()
         assert f1.log_sigma.tobytes() == f2.log_sigma.tobytes()
         assert np.array_equal(r1.losses, r2.losses)
@@ -136,60 +136,64 @@ class TestTrainMember:
                        rel_poses=(Pose(np.eye(3), np.zeros(3)), Pose(np.eye(3), np.zeros(3))))
         data = TrainData(triplets=(trip,), K=K16)
         cfg = small_cfg(loss=LossConfig(weight_decay=0.0, lambda_u=0.0), steps=40)
-        field, _ = train_member(Regime.SELF_SUPERVISED, data, cfg)
+        field, _ = train_member(data, cfg)
         init = init_random(cfg.seed, 4, 4, cfg.depth_init_mm, cfg.jitter)
         assert np.array_equal(field.log_depth, init.log_depth)
         assert not np.array_equal(field.log_sigma, init.log_sigma)
 
-    def test_regime_bundle_validation(self, sup_data, student_data):
-        with pytest.raises(ValueError):
-            train_member(Regime.SELF_SUPERVISED, sup_data, small_cfg())
-        # only the uncertain student reads a label sigma; the others refuse it
-        for regime in (Regime.SUPERVISED_GT, Regime.SUPERVISED_SFM,
-                       Regime.PLAIN_STUDENT):
-            with pytest.raises(ValueError, match="takes no label sigma"):
-                train_member(regime, student_data, small_cfg())
-        missing_sigma = TrainData(
-            frames=(LabeledFrame(depth=DepthMap(np.ones((4, 4), dtype=np.float32))),)
-        )
-        with pytest.raises(ValueError):
-            train_member(Regime.UNCERTAIN_STUDENT, missing_sigma, small_cfg())
+    def test_regime_bundle_validation(self, monkeypatch, student_data, selfsup_data):
+        monkeypatch.setattr(trainer, "_objective",
+                            lambda *args, **kwargs: pytest.fail("took a step"))
+        for empty in (TrainData(), TrainData(triplets=selfsup_data.triplets)):
+            with pytest.raises(ValueError, match="labeled frames, or triplets and intrinsics"):
+                train_member(empty, small_cfg())
         frame = student_data.frames[0]
         variance = TrainData(frames=(replace(frame, sigma=UncMap(frame.sigma.data ** 2, "variance")),))
         with pytest.raises(ValueError, match="std-kind"):
-            train_member(Regime.UNCERTAIN_STUDENT, variance, small_cfg())
-        # a label sigma or mask of another size than its depth map
+            train_member(variance, small_cfg())
+        # a label sigma or mask of another size than its depth map, and a
+        # source of another size than its target
         small = np.ones((3, 4), dtype=np.float32)
-        for bad in (replace(frame, sigma=UncMap(small, "std")),
-                    replace(frame, mask=Mask(small > 0))):
+        trip = selfsup_data.triplets[0]
+        small_source = replace(trip, sources=(trip.target, Image(np.zeros((3, 4, 3)))))
+        for bad in (TrainData(frames=(replace(frame, sigma=UncMap(small, "std")),)),
+                    TrainData(frames=(replace(frame, mask=Mask(small > 0)),)),
+                    TrainData(triplets=(small_source,), K=selfsup_data.K)):
             with pytest.raises(ValueError, match="raster dimensions disagree"):
-                train_member(Regime.UNCERTAIN_STUDENT, TrainData(frames=(bad,)), small_cfg())
+                train_member(bad, small_cfg())
+
+    def test_label_sigma_on_some_frames_rejected_before_any_step(self, monkeypatch,
+                                                                  student_data):
+        # the step reads a label variance for every frame or for none
+        monkeypatch.setattr(trainer, "_objective",
+                            lambda *args, **kwargs: pytest.fail("took a step"))
+        frame = student_data.frames[0]
+        for frames in ((frame, replace(frame, sigma=None)), (replace(frame, sigma=None), frame)):
+            with pytest.raises(ValueError, match="label sigma on some frames but not all"):
+                train_member(TrainData(frames=frames), small_cfg())
 
     def test_frames_and_triplets_together_rejected_before_any_step(
             self, monkeypatch, sup_data, selfsup_data):
-        # every regime reads one kind of sample, so a bundle of both kinds
-        # would silently drop one
+        # the step reads one kind of sample, so a bundle of both kinds would
+        # silently drop one
         monkeypatch.setattr(trainer, "_objective",
                             lambda *args, **kwargs: pytest.fail("took a step"))
         both = TrainData(frames=sup_data.frames, triplets=selfsup_data.triplets,
                          K=selfsup_data.K)
-        for regime in Regime:
-            with pytest.raises(ValueError, match="labeled frames or triplets, not both"):
-                train_member(regime, both, small_cfg())
+        with pytest.raises(ValueError, match="labeled frames or triplets, not both"):
+            train_member(both, small_cfg())
         assert "_constants" not in vars(both)
 
     def test_teacher_maps_not_mutated(self, student_data):
         frame = student_data.frames[0]
         before = frame.depth.data.tobytes(), frame.sigma.data.tobytes()
-        train_member(Regime.UNCERTAIN_STUDENT, student_data, small_cfg(steps=30))
+        train_member(student_data, small_cfg(steps=30))
         assert (frame.depth.data.tobytes(), frame.sigma.data.tobytes()) == before
 
     def test_smoothed_trajectory_non_increasing(self, sup_data):
         # allow the fixed-step limit-cycle wobble at convergence: increases
         # of the 50-step moving average stay within 1e-4 of the loss scale
-        _, report = train_member(
-            Regime.SUPERVISED_GT, sup_data, small_cfg(steps=900, learning_rate=0.3)
-        )
+        _, report = train_member(sup_data, small_cfg(steps=900, learning_rate=0.3))
         c = np.concatenate([[0.0], np.cumsum(report.losses)])
         sm = (c[50:] - c[:-50]) / 50
         slack = 1e-4 * (1.0 + np.abs(sm).max())
@@ -201,26 +205,23 @@ class TestTrainMember:
         # lets both rates converge, a 10x smaller rate ends at a loss no
         # higher than the base rate's (its limit cycle is tighter)
         cases = [
-            (Regime.SUPERVISED_GT, sup_data, 1200, LossConfig(weight_decay=1e-6)),
-            (Regime.SUPERVISED_SFM, sup_data, 1200, LossConfig(weight_decay=1e-6)),
-            (Regime.PLAIN_STUDENT, plain_student_data, 1200,
-             LossConfig(weight_decay=1e-6)),
-            (Regime.UNCERTAIN_STUDENT, student_data, 1200,
-             LossConfig(weight_decay=1e-6)),
+            ("sup", sup_data, 1200, LossConfig(weight_decay=1e-6)),
+            ("plain", plain_student_data, 1200, LossConfig(weight_decay=1e-6)),
+            ("sigma", student_data, 1200, LossConfig(weight_decay=1e-6)),
             # photometric-scale floor 0.05 so the slow log tail of the
             # uncertainty terms plateaus inside the step budget at both rates
-            (Regime.SELF_SUPERVISED, selfsup_data, 4000,
+            ("triplets", selfsup_data, 4000,
              LossConfig(weight_decay=1e-6, lambda_u=0.05, sigma_min=0.05)),
         ]
-        for regime, data, steps, lc in cases:
+        for name, data, steps, lc in cases:
             cfg_hi = small_cfg(steps=steps, learning_rate=1.0, loss=lc)
             cfg_lo = small_cfg(steps=steps, learning_rate=0.1, loss=lc)
-            _, hi = train_member(regime, data, cfg_hi)
-            _, lo = train_member(regime, data, cfg_lo)
-            assert lo.losses[-1] <= hi.losses[-1] + 1e-9, regime
+            _, hi = train_member(data, cfg_hi)
+            _, lo = train_member(data, cfg_lo)
+            assert lo.losses[-1] <= hi.losses[-1] + 1e-9, name
 
     def test_report_csv(self, sup_data, tmp_path):
-        _, report = train_member(Regime.SUPERVISED_GT, sup_data, small_cfg(steps=5))
+        _, report = train_member(sup_data, small_cfg(steps=5))
         write_csv([("step", "loss"), *enumerate(report.losses.tolist())],
                   tmp_path / "loss.csv")
         lines = (tmp_path / "loss.csv").read_text().splitlines()
@@ -234,50 +235,40 @@ class TestTrainMember:
 
 class TestTrainEnsemble:
     def test_members_distinct_and_seed_ordered(self, sup_data):
-        results = train_ensemble(Regime.SUPERVISED_GT, sup_data, small_cfg(seed=10), 3)
+        results = train_ensemble(sup_data, small_cfg(seed=10), 3)
         seeds = [f.seed for f, _ in results]
         assert seeds == [10, 11, 12]
         assert results[0][0].log_depth.tobytes() != results[1][0].log_depth.tobytes()
 
     def test_single_member_equals_train_member(self, sup_data):
         cfg = small_cfg(seed=7)
-        (field, _), = train_ensemble(Regime.SUPERVISED_GT, sup_data, cfg, 1)
-        ref, _ = train_member(Regime.SUPERVISED_GT, sup_data, cfg)
+        (field, _), = train_ensemble(sup_data, cfg, 1)
+        ref, _ = train_member(sup_data, cfg)
         assert field.log_depth.tobytes() == ref.log_depth.tobytes()
 
     def test_config_seed_seeds_the_members(self, sup_data):
         cfg = small_cfg(seed=20, steps=20)
-        results = train_ensemble(Regime.SUPERVISED_GT, sup_data, cfg, 2)
+        results = train_ensemble(sup_data, cfg, 2)
         assert [f.seed for f, _ in results] == [20, 21]
         for i, (field, report) in enumerate(results):
-            ref, ref_report = train_member(Regime.SUPERVISED_GT, sup_data,
-                                           replace(cfg, seed=20 + i))
+            ref, ref_report = train_member(sup_data, replace(cfg, seed=20 + i))
             assert field.grids.tobytes() == ref.grids.tobytes()
             assert report.losses.tobytes() == ref_report.losses.tobytes()
 
 
 class TestAudit:
     def test_supervised_gradient_audit(self, sup_data):
-        errs = audit_random_fields(
-            Regime.SUPERVISED_GT, sup_data, draws=5,
-            loss_cfg=LossConfig(weight_decay=1e-4),
-        )
+        errs = audit_random_fields(sup_data, draws=5, loss_cfg=LossConfig(weight_decay=1e-4))
         assert max(errs) < 1e-4
 
     def test_student_gradient_audits(self, student_data, plain_student_data):
-        for regime, data in ((Regime.PLAIN_STUDENT, plain_student_data),
-                             (Regime.UNCERTAIN_STUDENT, student_data)):
-            errs = audit_random_fields(
-                regime, data, draws=5,
-                loss_cfg=LossConfig(weight_decay=1e-4),
-            )
+        for data in (plain_student_data, student_data):
+            errs = audit_random_fields(data, draws=5, loss_cfg=LossConfig(weight_decay=1e-4))
             assert max(errs) < 1e-4
 
     def test_selfsup_gradient_audit(self, selfsup_data):
-        errs = audit_random_fields(
-            Regime.SELF_SUPERVISED, selfsup_data, draws=5,
-            loss_cfg=LossConfig(weight_decay=1e-4, lambda_u=0.05),
-        )
+        errs = audit_random_fields(selfsup_data, draws=5,
+                                   loss_cfg=LossConfig(weight_decay=1e-4, lambda_u=0.05))
         assert max(errs) < 1e-3
 
     def test_audit_keeps_heap_mapped_in_fresh_process(self):
@@ -289,10 +280,10 @@ class TestAudit:
             from scopedepth.imagery import DepthMap
             from scopedepth.predictor import init_random
             from _audit import finite_diff_audit
-            from scopedepth.trainer import LabeledFrame, Regime, TrainData
+            from scopedepth.trainer import LabeledFrame, TrainData
             labels = DepthMap(np.full((6, 6), 90.0, dtype=np.float32))
             data = TrainData(frames=(LabeledFrame(depth=labels),))
-            finite_diff_audit(Regime.SUPERVISED_GT, data, init_random(0, 2, 2))
+            finite_diff_audit(data, init_random(0, 2, 2))
             print(heap.keep_heap_mapped.cache_info().currsize)
         """)
         src = str(Path(trainer.__file__).resolve().parents[1])
@@ -304,7 +295,7 @@ class TestAudit:
     def test_rejects_large_grids(self, sup_data):
         big = init_random(0, 9, 9)
         with pytest.raises(ValueError):
-            finite_diff_audit(Regime.SUPERVISED_GT, sup_data, big)
+            finite_diff_audit(sup_data, big)
 
     def test_kink_detection_on_exact_tie(self):
         # a label exactly equal to the constant prediction sits on the L1
@@ -313,7 +304,7 @@ class TestAudit:
         data = TrainData(frames=(LabeledFrame(depth=depth),))
         field = init_random(0, 4, 4, 25.0, 0.0)
         with pytest.raises(KinkStraddled):
-            finite_diff_audit(Regime.SUPERVISED_GT, data, field)
+            finite_diff_audit(data, field)
 
     def test_kink_detection_in_selfsup_switches(self, selfsup_data):
         # a coarse step on the first depth node flips smoothness signs, and
@@ -321,13 +312,13 @@ class TestAudit:
         # that only the self-supervised fingerprint records
         field = init_random(100, 4, 4, 25.0, 0.25)
         with pytest.raises(KinkStraddled, match="parameter 0 probe crossed a switch"):
-            finite_diff_audit(Regime.SELF_SUPERVISED, selfsup_data, field, 1e-1,
+            finite_diff_audit(selfsup_data, field, 1e-1,
                               LossConfig(lambda_u=0.05, weight_decay=0.0))
 
     def test_zero_learning_rate_leaves_field(self, sup_data):
         # harness sanity: gradients are computed but never applied
         cfg = small_cfg(steps=5, learning_rate=1e-300)
-        field, _ = train_member(Regime.SUPERVISED_GT, sup_data, cfg)
+        field, _ = train_member(sup_data, cfg)
         init = init_random(cfg.seed, 4, 4, cfg.depth_init_mm, cfg.jitter)
         assert np.allclose(field.log_depth, init.log_depth, atol=1e-12)
 
@@ -355,7 +346,7 @@ def _reference_step(data_term):
     """A stand-in for ``trainer._objective`` built on a reference data
     term, which leaves out the weight prior: the prior is added per grid,
     as it was before the grids were stacked."""
-    def objective(regime, data, grids, loss_cfg, w, h):
+    def objective(data, grids, loss_cfg, w, h):
         loss, g_ld, g_ls = data_term(grids[0], grids[1], data, w, h, loss_cfg)
         p_loss, p_ld, p_ls = _reference.prior_pair(grids[0], grids[1], loss_cfg)
         return loss + p_loss, np.stack([g_ld + p_ld, g_ls + p_ls])
@@ -387,7 +378,7 @@ class TestObjectiveMatchesReference:
         for seed, grid, lambda_u in ((0, 4, 0.05), (1, 8, 0.05), (2, 5, 0.0), (3, 3, 0.5)):
             field = init_random(seed, grid, grid, 25.0, 0.25)
             lc = LossConfig(lambda_u=lambda_u, weight_decay=0.0)
-            loss, grad = trainer._objective(Regime.SELF_SUPERVISED, data, field.grids, lc, w, h)
+            loss, grad = trainer._objective(data, field.grids, lc, w, h)
             ref_loss, ref_ld, ref_ls = _reference._selfsup_objective(
                 field.log_depth, field.log_sigma, data, w, h, lc)
             assert loss == ref_loss
@@ -402,7 +393,7 @@ class TestObjectiveMatchesReference:
         for seed, lambda_u in ((0, 0.05), (1, 0.0)):
             field = init_random(seed, 4, 4, 25.0, 0.25)
             lc = LossConfig(lambda_u=lambda_u, weight_decay=0.0)
-            loss, grad = trainer._objective(Regime.SELF_SUPERVISED, data, field.grids, lc, 32, 32)
+            loss, grad = trainer._objective(data, field.grids, lc, 32, 32)
             ref_loss, ref_ld, ref_ls = _reference._selfsup_objective(
                 field.log_depth, field.log_sigma, data, 32, 32, lc)
             assert loss == ref_loss
@@ -413,10 +404,10 @@ class TestObjectiveMatchesReference:
         data = _triplet_bundle(**REFERENCE_CASES["rgb-64"])
         cfg = small_cfg(steps=20, grid=6,
                         loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
-        field, report = train_member(Regime.SELF_SUPERVISED, data, cfg)
+        field, report = train_member(data, cfg)
         monkeypatch.setattr(trainer, "_objective",
                             _reference_step(_reference._selfsup_objective))
-        ref_field, ref_report = train_member(Regime.SELF_SUPERVISED, data, cfg)
+        ref_field, ref_report = train_member(data, cfg)
         assert field.log_depth.tobytes() == ref_field.log_depth.tobytes()
         assert field.log_sigma.tobytes() == ref_field.log_sigma.tobytes()
         assert report.losses.tobytes() == ref_report.losses.tobytes()
@@ -431,13 +422,13 @@ class TestObjectiveMatchesReference:
 
         monkeypatch.setattr(trainer, "_triplet_constants", counted)
         data = TrainData(triplets=selfsup_data.triplets, K=selfsup_data.K)
-        train_member(Regime.SELF_SUPERVISED, data, small_cfg(steps=10))
+        train_member(data, small_cfg(steps=10))
         assert len(builds) == 1
-        train_member(Regime.SELF_SUPERVISED, data, small_cfg(steps=10, seed=4))
+        train_member(data, small_cfg(steps=10, seed=4))
         assert len(builds) == 1
         # a new bundle builds its own
         fresh = TrainData(triplets=selfsup_data.triplets, K=selfsup_data.K)
-        train_member(Regime.SELF_SUPERVISED, fresh, small_cfg(steps=10))
+        train_member(fresh, small_cfg(steps=10))
         assert len(builds) == 2
 
     def test_pickled_bundle_trains_to_same_bytes(self, selfsup_data):
@@ -446,10 +437,10 @@ class TestObjectiveMatchesReference:
         data = TrainData(triplets=selfsup_data.triplets, K=selfsup_data.K)
         cfg = small_cfg(steps=15, loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
         before = pickle.dumps(data)
-        field, report = train_member(Regime.SELF_SUPERVISED, data, cfg)
+        field, report = train_member(data, cfg)
         after = pickle.dumps(data)
         for blob in (before, after):
-            f2, r2 = train_member(Regime.SELF_SUPERVISED, pickle.loads(blob), cfg)
+            f2, r2 = train_member(pickle.loads(blob), cfg)
             assert f2.log_depth.tobytes() == field.log_depth.tobytes()
             assert f2.log_sigma.tobytes() == field.log_sigma.tobytes()
             assert r2.losses.tobytes() == report.losses.tobytes()
@@ -461,8 +452,11 @@ DIVERGING_LR = 30.0
 
 
 def _label_bundles() -> dict:
-    """Two 24x24 frames per label regime, the second with SfM holes, so the
-    step sums over frames and masks."""
+    """Two 24x24 frames for each label regime of the CLI, so the step sums
+    over frames; the trainer sees only the bundle, so each regime gets a
+    bundle of its own kind: one unmasked frame twice, a second frame with
+    SfM holes, the same second frame dense (as a teacher's depth is), and
+    the SfM pair with a label sigma."""
     rng = np.random.default_rng(7)
     depth = DepthMap(rng.uniform(15, 40, (24, 24)).astype(np.float32))
     d_sfm, holes = simulate_sfm_labels(depth, seed=8, hole_fraction=0.2, noise_rel=0.05)
@@ -471,7 +465,7 @@ def _label_bundles() -> dict:
     return {
         Regime.SUPERVISED_GT: TrainData(frames=plain[:1] * 2),
         Regime.SUPERVISED_SFM: TrainData(frames=plain),
-        Regime.PLAIN_STUDENT: TrainData(frames=plain),
+        Regime.PLAIN_STUDENT: TrainData(frames=(plain[0], LabeledFrame(depth=d_sfm))),
         Regime.UNCERTAIN_STUDENT: TrainData(
             frames=tuple(replace(f, sigma=sigma) for f in plain)),
     }
@@ -497,10 +491,10 @@ class TestLabelStepMatchesReference:
     def test_training_run_bitwise(self, regime, monkeypatch):
         data = _label_bundles()[regime]
         cfg = small_cfg(steps=30)
-        field, report = train_member(regime, data, cfg)
+        field, report = train_member(data, cfg)
         monkeypatch.setattr(trainer, "_objective",
                             _reference_step(_reference._label_objective))
-        ref_field, ref_report = train_member(regime, data, cfg)
+        ref_field, ref_report = train_member(data, cfg)
         assert field.log_depth.tobytes() == ref_field.log_depth.tobytes()
         assert field.log_sigma.tobytes() == ref_field.log_sigma.tobytes()
         assert report.losses.tobytes() == ref_report.losses.tobytes()
@@ -510,9 +504,9 @@ class TestLabelStepMatchesReference:
         lc = LossConfig(weight_decay=1e-6)
         for seed in range(5):
             grids = init_random(seed, 4, 4, 25.0, 0.25).grids
-            loss, grad = trainer._objective(Regime.UNCERTAIN_STUDENT, data, grids, lc, 24, 24)
+            loss, grad = trainer._objective(data, grids, lc, 24, 24)
             ref_loss, ref_grad = _reference_step(_reference._label_objective)(
-                Regime.UNCERTAIN_STUDENT, data, grids, lc, 24, 24)
+                data, grids, lc, 24, 24)
             assert abs(loss - ref_loss) <= 4 * np.spacing(ref_loss)
             for got, want in ((grad[0], ref_grad[0]), (grad[1], ref_grad[1])):
                 assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max())
@@ -525,8 +519,8 @@ class TestLabelStepMatchesReference:
         lc = LossConfig(weight_decay=1e-6)
         for seed in range(3):
             grids = init_random(seed, 4, 4, 25.0, 0.25).grids
-            a_loss, a_grad = trainer._objective(regime, data, grids, lc, 24, 24)
-            b_loss, b_grad = trainer._objective(regime, poisoned, grids, lc, 24, 24)
+            a_loss, a_grad = trainer._objective(data, grids, lc, 24, 24)
+            b_loss, b_grad = trainer._objective(poisoned, grids, lc, 24, 24)
             assert a_loss == b_loss
             assert a_grad[0].tobytes() == b_grad[0].tobytes()
             assert a_grad[1].tobytes() == b_grad[1].tobytes()
@@ -536,14 +530,14 @@ class TestLabelStepMatchesReference:
         data = _label_bundles()[regime]
         cfg = small_cfg(learning_rate=DIVERGING_LR)
         with pytest.raises(NumericFailure) as new:
-            train_member(regime, data, cfg)
+            train_member(data, cfg)
         monkeypatch.setattr(trainer, "_objective",
                             _reference_step(_reference._label_objective))
         with pytest.raises(NumericFailure) as ref:
-            train_member(regime, data, cfg)
+            train_member(data, cfg)
         # and the loop that stepped and checked the two grids apart
         with pytest.raises(NumericFailure) as per_grid:
-            _reference.train_member(regime, data, cfg)
+            _reference.train_member(data, cfg)
         assert new.value.step == ref.value.step == per_grid.value.step > 0
 
 
@@ -561,13 +555,13 @@ class TestLabelConstants:
 
         monkeypatch.setattr(trainer, "_frame_constants", counted)
         data = _label_bundles()[Regime.UNCERTAIN_STUDENT]
-        train_member(Regime.UNCERTAIN_STUDENT, data, small_cfg(steps=10))
+        train_member(data, small_cfg(steps=10))
         assert builds == list(data.frames)
-        train_member(Regime.UNCERTAIN_STUDENT, data, small_cfg(steps=10, seed=4))
+        train_member(data, small_cfg(steps=10, seed=4))
         assert len(builds) == 2
         # a new bundle builds its own
         fresh = TrainData(frames=data.frames)
-        train_member(Regime.UNCERTAIN_STUDENT, fresh, small_cfg(steps=10))
+        train_member(fresh, small_cfg(steps=10))
         assert len(builds) == 4
 
     def test_constants_of_a_frame(self):
@@ -593,25 +587,14 @@ class TestLabelConstants:
         data = _label_bundles()[Regime.UNCERTAIN_STUDENT]
         cfg = small_cfg(steps=15)
         before = pickle.dumps(data)
-        field, report = train_member(Regime.UNCERTAIN_STUDENT, data, cfg)
+        field, report = train_member(data, cfg)
         assert "_constants" in vars(data)
         after = pickle.dumps(data)
         for blob in (before, after):
-            f2, r2 = train_member(Regime.UNCERTAIN_STUDENT, pickle.loads(blob), cfg)
+            f2, r2 = train_member(pickle.loads(blob), cfg)
             assert f2.log_depth.tobytes() == field.log_depth.tobytes()
             assert f2.log_sigma.tobytes() == field.log_sigma.tobytes()
             assert r2.losses.tobytes() == report.losses.tobytes()
-
-    def test_regime_that_is_not_a_regime_rejected_before_any_step(self, monkeypatch,
-                                                                   sup_data):
-        monkeypatch.setattr(trainer, "_objective",
-                            lambda *args, **kwargs: pytest.fail("took a step"))
-        field = init_random(0, 2, 2)
-        for regime in ("supervised-gt", None):
-            with pytest.raises(ValueError, match=f"unknown regime {regime!r}"):
-                train_member(regime, sup_data, small_cfg())
-            with pytest.raises(ValueError, match=f"unknown regime {regime!r}"):
-                finite_diff_audit(regime, sup_data, field)
 
 
 class TestStackedParameters:
@@ -622,14 +605,13 @@ class TestStackedParameters:
     @pytest.mark.parametrize("bundle", ["sup_data", "selfsup_data"])
     def test_one_upsample_and_one_adjoint_per_step(self, bundle, request, monkeypatch):
         data = request.getfixturevalue(bundle)
-        regime = Regime.SELF_SUPERVISED if data.triplets else Regime.SUPERVISED_GT
         calls = {}
         for name in ("upsample_bilinear", "upsample_bilinear_adjoint"):
             def counted(*args, _name=name, _fn=getattr(predictor, name)):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args)
             monkeypatch.setattr(predictor, name, counted)
-        train_member(regime, data, small_cfg(steps=7))
+        train_member(data, small_cfg(steps=7))
         assert calls == {"upsample_bilinear": 7, "upsample_bilinear_adjoint": 7}
 
     def test_field_is_one_read_only_stack(self):
@@ -654,9 +636,8 @@ class TestStackedParameters:
         _, depth, _ = render_view(params, pose, CameraIntrinsics(48, 48, 31.5, 31.5), 64, 64)
         data = TrainData(frames=(LabeledFrame(depth=depth),))
         cfg = TrainConfig(steps=200, seed=1)
-        for field, report in train_ensemble(Regime.SUPERVISED_GT, data, cfg, 5):
-            ld, ls, losses = _reference.train_member(Regime.SUPERVISED_GT, data,
-                                                     replace(cfg, seed=field.seed))
+        for field, report in train_ensemble(data, cfg, 5):
+            ld, ls, losses = _reference.train_member(data, replace(cfg, seed=field.seed))
             assert field.log_depth.tobytes() == ld.tobytes()
             assert field.log_sigma.tobytes() == ls.tobytes()
             assert report.losses.tobytes() == losses.tobytes()
@@ -665,21 +646,26 @@ class TestStackedParameters:
         *((r, c) for r in LABEL_REGIMES for c in ("two-frame", "lone-frame")),
         (Regime.SELF_SUPERVISED, "selfsup-16"), (Regime.SELF_SUPERVISED, "selfsup-64"),
     ], ids=lambda v: getattr(v, "value", v))
-    def test_short_runs_match_per_grid_loop(self, regime, case, student_data, selfsup_data):
+    def test_short_runs_match_per_grid_loop(self, regime, case, sup_data, student_data,
+                                            plain_student_data, selfsup_data):
         if case == "two-frame":
             data, cfg = _label_bundles()[regime], small_cfg(steps=30)
         elif case == "lone-frame":
-            frame = student_data.frames[0]
-            if regime != Regime.UNCERTAIN_STUDENT:
-                frame = replace(frame, sigma=None)
-            data, cfg = TrainData(frames=(frame,)), small_cfg(steps=30)
+            d_sfm, holes = simulate_sfm_labels(sup_data.frames[0].depth, seed=8,
+                                               hole_fraction=0.2, noise_rel=0.05)
+            data = {Regime.SUPERVISED_GT: sup_data,
+                    Regime.SUPERVISED_SFM: TrainData(
+                        frames=(LabeledFrame(depth=d_sfm, mask=holes),)),
+                    Regime.PLAIN_STUDENT: plain_student_data,
+                    Regime.UNCERTAIN_STUDENT: student_data}[regime]
+            cfg = small_cfg(steps=30)
         else:
             data = (selfsup_data if case == "selfsup-16"
                     else _triplet_bundle(**REFERENCE_CASES["rgb-64"]))
             cfg = small_cfg(steps=15, grid=6,
                             loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
-        field, report = train_member(regime, data, cfg)
-        ld, ls, losses = _reference.train_member(regime, data, cfg)
+        field, report = train_member(data, cfg)
+        ld, ls, losses = _reference.train_member(data, cfg)
         assert field.log_depth.tobytes() == ld.tobytes()
         assert field.log_sigma.tobytes() == ls.tobytes()
         assert report.losses.tobytes() == losses.tobytes()
