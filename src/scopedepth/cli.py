@@ -346,9 +346,12 @@ def cmd_fuse(args) -> int:
     if not manifest_path.exists():
         raise UsageError(f"no train manifest in {run_dir}")
     selfsup, w, h = read_json(manifest_path, _train_manifest)
-    member_files = sorted(run_dir.glob("member_*.json"), key=_member_seed)
+    member_files = sorted(run_dir.glob("member_*.json"), key=lambda p: (_member_seed(p), p.name))
     if not member_files:
         raise UsageError(f"no member fields in {run_dir}")
+    for first, second in zip(member_files, member_files[1:]):
+        if _member_seed(first) == _member_seed(second):
+            raise UsageError(f"{second} repeats the seed of {first}")
     fields = [DepthField.load(p) for p in member_files]
     for path, field in zip(member_files, fields):
         if field.seed != _member_seed(path):

@@ -181,25 +181,52 @@ def bilinear_sample_planes(
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     valid = (xs >= 0.0) & (xs <= w - 1) & (ys >= 0.0) & (ys <= h - 1)
-    xc = np.clip(np.where(valid, xs, 0.0), 0.0, max(w - 1, 0))
-    yc = np.clip(np.where(valid, ys, 0.0), 0.0, max(h - 1, 0))
-    x0 = np.minimum(np.floor(xc).astype(np.int64), max(w - 2, 0))
-    y0 = np.minimum(np.floor(yc).astype(np.int64), max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    # a valid coordinate lies in [0, w-1] x [0, h-1] already, and an invalid
+    # one reads pixel 0; both are non-negative, so truncation is the floor
+    xc = np.where(valid, xs, 0.0)
+    yc = np.where(valid, ys, 0.0)
+    x0 = np.minimum(xc.astype(np.int64), max(w - 2, 0))
+    y0 = np.minimum(yc.astype(np.int64), max(h - 2, 0))
     fx = xc - x0
     fy = yc - y0
     gx = 1 - fx
     gy = 1 - fy
-    c00 = np.take(flat, y0 * w + x0, axis=1)
-    c10 = np.take(flat, y0 * w + x1, axis=1)
-    c01 = np.take(flat, y1 * w + x0, axis=1)
-    c11 = np.take(flat, y1 * w + x1, axis=1)
-    out = (c00 * gx + c10 * fx) * gy + (c01 * gx + c11 * fx) * fy
-    ddx = (c10 - c00) * gy + (c11 - c01) * fy
-    ddy = (c01 - c00) * gx + (c11 - c10) * fx
-    return (np.where(valid, out, 0.0), np.where(valid, ddx, 0.0),
-            np.where(valid, ddy, 0.0), valid)
+    # the other corners lie one pixel right and one row down, or on the
+    # same pixel along a 1-pixel axis
+    i00 = y0 * w + x0
+    right, down = int(w > 1), w if h > 1 else 0
+    c00 = np.take(flat, i00, axis=1)
+    c10 = np.take(flat, i00 + right, axis=1)
+    c01 = np.take(flat, i00 + down, axis=1)
+    c11 = np.take(flat, i00 + (right + down), axis=1)
+    # ddx = (c10 - c00) gy + (c11 - c01) fy
+    ddx = c10 - c00
+    ddx *= gy
+    t = c11 - c01
+    t *= fy
+    ddx += t
+    # ddy = (c01 - c00) gx + (c11 - c10) fx
+    ddy = c01 - c00
+    ddy *= gx
+    np.subtract(c11, c10, out=t)
+    t *= fx
+    ddy += t
+    # values = (c00 gx + c10 fx) gy + (c01 gx + c11 fx) fy, in the corners'
+    # own buffers
+    out = c00
+    out *= gx
+    c10 *= fx
+    out += c10
+    out *= gy
+    c01 *= gx
+    c11 *= fx
+    c01 += c11
+    c01 *= fy
+    out += c01
+    invalid = ~valid
+    for a in (out, ddx, ddy):
+        np.copyto(a, 0.0, where=invalid)
+    return out, ddx, ddy, valid
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,14 @@ Each term has one entry point, on arrays: :func:`ssim_terms`,
 :func:`photometric_residual_backward`, and :func:`smoothness_and_grad`.
 They take channel-first float64 planes, the layout the bilinear sampler
 returns, so a training step moves no axes.  What depends on the image
-alone (the target's :func:`ssim_moments`, the smoothness
-:func:`edge_weights`) is an argument, so training computes it once per run.
+alone is an argument, so training computes it once per run: the target's
+SSIM terms (:func:`ssim_moments`: its windowed mean, the mean squared and
+doubled, and the windowed variance) and the smoothness
+:func:`edge_weights`.  Per step and per source, :func:`ssim_terms` makes
+one pass over the source's statistics and hands its backward SSIM's
+partials with respect to the four factors, and the residual keeps
+target - source for its backward's L1 sign; each elementwise product
+happens once, in place where its operand is no longer read.
 """
 
 from __future__ import annotations
@@ -68,29 +74,48 @@ def box_filter(x: np.ndarray) -> np.ndarray:
 
 
 def ssim_moments(x: np.ndarray) -> tuple:
-    """Windowed mean and windowed second moment of a channel (stack)."""
-    return box_filter(x), box_filter(x * x)
+    """What SSIM reads of a channel (stack) ``x`` held fixed, whatever it
+    is compared with: (x, mu, mu^2, var, 2 mu), with mu the windowed mean
+    and var = box(x^2) - mu^2 the windowed variance."""
+    mu = box_filter(x)
+    mu_sq = mu**2
+    return x, mu, mu_sq, box_filter(x * x) - mu_sq, 2 * mu
 
 
-def ssim_terms(
-    a: np.ndarray, b: np.ndarray, a_moments: tuple[np.ndarray, np.ndarray]
-) -> tuple:
+def ssim_terms(a_moments: tuple, b: np.ndarray) -> tuple:
     """One pass over the windowed statistics of float64 (h, w) channels or
-    (c, h, w) channel stacks: returns (S, a, b, mu_a, mu_b, A1, A2, B1, B2),
-    the per-channel SSIM map S = (A1 A2) / (B1 B2) followed by what
-    :func:`ssim_backward_channel` needs to differentiate it.  ``a_moments``
-    are the :func:`ssim_moments` of ``a``, which training computes once
-    per run."""
-    mu_a, a2 = a_moments
-    mu_b, b2 = ssim_moments(b)
-    var_a = a2 - mu_a**2
-    var_b = b2 - mu_b**2
-    cov = box_filter(a * b) - mu_a * mu_b
-    A1 = 2 * mu_a * mu_b + _C1
-    A2 = 2 * cov + _C2
-    B1 = mu_a**2 + mu_b**2 + _C1
-    B2 = var_a + var_b + _C2
-    return (A1 * A2) / (B1 * B2), a, b, mu_a, mu_b, A1, A2, B1, B2
+    (c, h, w) channel stacks ``a`` and ``b``, given the :func:`ssim_moments`
+    of ``a`` (training computes them once per run): returns (S, a, b,
+    2 mu_a, mu_b, dS/dA1, dS/dA2, dS/dB1, dS/dB2), the per-channel SSIM map
+    S = (A1 A2) / (B1 B2) followed by what :func:`ssim_backward_channel`
+    needs to differentiate it."""
+    a, mu_a, mu_a_sq, var_a, two_mu_a = a_moments
+    mu_b = box_filter(b)
+    # B1 = mu_a^2 + mu_b^2 + c1 and B2 = var_a + var_b + c2
+    B1 = mu_b**2
+    B2 = box_filter(b * b)
+    B2 -= B1
+    B2 += var_a
+    B2 += _C2
+    B1 += mu_a_sq
+    B1 += _C1
+    # A1 = 2 mu_a mu_b + c1 and A2 = 2 cov + c2
+    A1 = two_mu_a * mu_b
+    A1 += _C1
+    A2 = box_filter(a * b)
+    A2 -= mu_a * mu_b
+    A2 *= 2
+    A2 += _C2
+    B1B2 = B1 * B2
+    S = A1 * A2
+    S /= B1B2
+    # the partials, in the buffers of what they replace
+    dS_dA1 = np.divide(A2, B1B2, out=A2)
+    dS_dA2 = np.divide(A1, B1B2, out=A1)
+    neg_S = np.negative(S, out=B1B2)
+    dS_dB1 = np.divide(neg_S, B1, out=B1)
+    dS_dB2 = np.divide(neg_S, B2, out=B2)
+    return S, a, b, two_mu_a, mu_b, dS_dA1, dS_dA2, dS_dB1, dS_dB2
 
 
 def ssim_backward_channel(terms: tuple, upstream: np.ndarray) -> np.ndarray:
@@ -98,53 +123,63 @@ def ssim_backward_channel(terms: tuple, upstream: np.ndarray) -> np.ndarray:
     :func:`ssim_terms` of (a, b); an (h, w) ``upstream`` broadcasts over a
     (c, h, w) stack.  The statistics pass back through :func:`box_filter`,
     its own adjoint."""
-    S, a, b, mu_a, mu_b, A1, A2, B1, B2 = terms
-    dS_dA1 = A2 / (B1 * B2)
-    dS_dA2 = A1 / (B1 * B2)
-    dS_dB1 = -S / B1
-    dS_dB2 = -S / B2
-    # mu_b feeds A1 directly and A2, B1, B2 through cov / mu_b^2 terms
-    g_mu = upstream * (
-        dS_dA1 * 2 * mu_a + dS_dA2 * (-2 * mu_a) + dS_dB1 * 2 * mu_b + dS_dB2 * (-2 * mu_b)
-    )
-    g_eab = upstream * dS_dA2 * 2
-    g_eb2 = upstream * dS_dB2
-    return (
-        box_filter(g_mu)
-        + box_filter(g_eab) * a
-        + box_filter(g_eb2) * 2 * b
-    )
+    _, a, b, two_mu_a, mu_b, dS_dA1, dS_dA2, dS_dB1, dS_dB2 = terms
+    two_mu_b = 2 * mu_b
+    # mu_b feeds A1 directly and A2, B1, B2 through cov / mu_b^2 terms:
+    # dS/dA1 2 mu_a - dS/dA2 2 mu_a + dS/dB1 2 mu_b - dS/dB2 2 mu_b
+    g_mu = dS_dA1 * two_mu_a
+    t = dS_dA2 * two_mu_a
+    g_mu -= t
+    np.multiply(dS_dB1, two_mu_b, out=t)
+    g_mu += t
+    np.multiply(dS_dB2, two_mu_b, out=t)
+    g_mu -= t
+    g_mu *= upstream
+    # the windowed E[ab] and E[b^2] feed A2 and B2
+    g_eab = upstream * dS_dA2
+    g_eab *= 2
+    g_eb2 = np.multiply(upstream, dS_dB2, out=t)
+    grad = box_filter(g_mu)
+    g_eab = box_filter(g_eab)
+    g_eab *= a
+    grad += g_eab
+    g_eb2 = box_filter(g_eb2)
+    g_eb2 *= 2
+    g_eb2 *= b
+    grad += g_eb2
+    return grad
 
 
 def photometric_residual_arrays(
-    tgt: np.ndarray,
-    tgt_moments: tuple[np.ndarray, np.ndarray],
+    tgt_moments: tuple,
     warps: list[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
     """Minimum-over-sources photometric error of Eq.-4 form on arrays.
 
-    ``tgt`` is the (c, h, w) float64 target, ``tgt_moments`` its
-    :func:`ssim_moments` (they do not depend on the source, so training
-    computes them once per run), and each warp a pair of the (c, h, w)
-    float64 warped source and its (h, w) bool validity.  Per pixel and per
-    valid source the candidate is ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)``
-    at alpha = ``_ALPHA``, with L1 the channel-mean absolute difference;
-    the residual keeps the smallest candidate, and a pixel is valid when
-    at least one source is.
+    ``tgt_moments`` are the :func:`ssim_moments` of the (c, h, w) float64
+    target (they do not depend on the source, so training computes them
+    once per run), and each warp a pair of the (c, h, w) float64 warped
+    source and its (h, w) bool validity.  Per pixel and per valid source
+    the candidate is ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)`` at alpha =
+    ``_ALPHA``, with L1 the channel-mean absolute difference; the residual
+    keeps the smallest candidate, and a pixel is valid when at least one
+    source is.
 
-    Returns (f_p, valid, argmin source index (-1 where invalid), one
-    :func:`ssim_terms` tuple of (c, h, w) stacks per source).
+    Returns (f_p, valid, argmin source index (-1 where invalid), one pair
+    per source of the difference target - source and the :func:`ssim_terms`
+    of (target, source), what :func:`photometric_residual_backward` reads).
     """
     if not warps:
         raise ValueError("need at least one warped source")
+    tgt = tgt_moments[0]
     candidates = []
     terms = []
     for vals, valid in warps:
-        l1 = np.abs(tgt - vals).mean(axis=0)
-        t = ssim_terms(tgt, vals, tgt_moments)
-        cand = (1 - _ALPHA) * l1 + 0.5 * _ALPHA * (1 - t[0].mean(axis=0))
+        diff = tgt - vals
+        t = ssim_terms(tgt_moments, vals)
+        cand = (1 - _ALPHA) * np.abs(diff).mean(axis=0) + 0.5 * _ALPHA * (1 - t[0].mean(axis=0))
         candidates.append(np.where(valid, cand, np.inf))
-        terms.append(t)
+        terms.append((diff, t))
     stack = np.stack(candidates, axis=0)
     arg = np.argmin(stack, axis=0)
     f_p = np.min(stack, axis=0)
@@ -157,14 +192,13 @@ def photometric_residual_arrays(
 def photometric_residual_backward(terms: tuple, upstream: np.ndarray) -> np.ndarray:
     """d(sum(upstream * candidate))/d(source) for one source's Eq.-4
     candidate ``(1-alpha) * L1 + (alpha/2) * (1-SSIM)``, the target held
-    fixed: ``terms`` is that source's :func:`ssim_terms` tuple from
-    :func:`photometric_residual_arrays`, which carries the (c, h, w) target
-    and warped source, and ``upstream`` an (h, w) map.  The L1 subgradient
-    at a zero difference is zero."""
-    tgt, vals = terms[1], terms[2]
-    nchan = tgt.shape[0]
-    grad = (1 - _ALPHA) / nchan * (-np.sign(tgt - vals)) * upstream
-    grad += ssim_backward_channel(terms, -0.5 * _ALPHA / nchan * upstream)
+    fixed: ``terms`` is that source's pair from
+    :func:`photometric_residual_arrays`, and ``upstream`` an (h, w) map.
+    The L1 subgradient at a zero difference is zero."""
+    diff, ssim = terms
+    nchan = diff.shape[0]
+    grad = (1 - _ALPHA) / nchan * (-np.sign(diff)) * upstream
+    grad += ssim_backward_channel(ssim, -0.5 * _ALPHA / nchan * upstream)
     return grad
 
 

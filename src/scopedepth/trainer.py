@@ -85,12 +85,12 @@ def _frame_constants(frame: LabeledFrame) -> tuple:
 
 def _triplet_constants(trip: Triplet, K: CameraIntrinsics) -> tuple:
     """What a self-supervised step reads of a triplet but never changes:
-    the intrinsics, the target's (c, h, w) float64 planes and their SSIM
-    moments, the sources' planes and poses, the :func:`warp_basis` of each
-    pose, and the target's smoothness edge weights."""
-    target = trip.target.planes()
+    the intrinsics, the :func:`ssim_moments` of the target's (c, h, w)
+    float64 planes (the planes first), the sources' planes and poses, the
+    :func:`warp_basis` of each pose, and the target's smoothness edge
+    weights."""
     return (
-        K, target, ssim_moments(target), tuple(src.planes() for src in trip.sources),
+        K, ssim_moments(trip.target.planes()), tuple(src.planes() for src in trip.sources),
         trip.rel_poses,
         tuple(warp_basis(K, pose, trip.target.width, trip.target.height)
               for pose in trip.rel_poses),
@@ -168,7 +168,7 @@ def _triplet_terms(consts, d_hat, u_hat, loss_cfg) -> tuple:
     edge-aware smoothness term."""
     n = len(consts)
     total, grad_d, grad_u = 0.0, np.zeros(d_hat.shape), np.zeros(d_hat.shape)
-    for K, tgt, tgt_moments, sources, poses, bases, weights in consts:
+    for K, tgt_moments, sources, poses, bases, weights in consts:
         warps, jacobians = [], []
         for src, pose, basis in zip(sources, poses, bases):
             xs, ys, in_front, dxd, dyd = warp_from_basis(d_hat, K, pose, basis)
@@ -176,7 +176,7 @@ def _triplet_terms(consts, d_hat, u_hat, loss_cfg) -> tuple:
             valid = in_front & samp_ok
             warps.append((vals, valid))
             jacobians.append((ddx, ddy, dxd, dyd))
-        f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, tgt_moments, warps)
+        f_p, valid_px, arg, terms = photometric_residual_arrays(tgt_moments, warps)
         lv = l1_nll_arrays(f_p, u_hat, *pixel_weights(valid_px), loss_cfg)  # F_p >= 0
         # x / 1 == x, so a lone triplet's share skips the divisions
         grad_fp, grad_sigma = (g if n == 1 else g / n for g in (lv.grad_depth, lv.grad_sigma))
@@ -188,8 +188,17 @@ def _triplet_terms(consts, d_hat, u_hat, loss_cfg) -> tuple:
             if not np.any(up):
                 continue
             g_vals = photometric_residual_backward(terms[s_idx], up)
-            d_dd = (g_vals * ddx).sum(axis=0) * dxd + (g_vals * ddy).sum(axis=0) * dyd
-            grad_d += np.where(valid, d_dd, 0.0)
+            # (g_vals ddx).sum(0) dxd + (g_vals ddy).sum(0) dyd, in the
+            # sampler's buffers
+            ddx *= g_vals
+            ddy *= g_vals
+            d_dd = ddx.sum(axis=0)
+            d_dd *= dxd
+            d_dy = ddy.sum(axis=0)
+            d_dy *= dyd
+            d_dd += d_dy
+            np.copyto(d_dd, 0.0, where=~valid)
+            grad_d += d_dd
         if loss_cfg.lambda_u > 0:
             smooth, smooth_grad = smoothness_and_grad(d_hat, weights)
             total += loss_cfg.lambda_u * smooth.mean() / n

@@ -40,7 +40,8 @@ def _selfsup_marks(data: TrainData, d_hat: np.ndarray, lambda_u: float) -> list:
     sources, and the smoothness signs when smoothness is on.  The SSIM
     backward and the chain rule are left out, since they switch nothing."""
     marks = []
-    for K, tgt, tgt_moments, sources, poses, bases, _ in data._constants:
+    for K, tgt_moments, sources, poses, bases, _ in data._constants:
+        tgt = tgt_moments[0]
         warps = []
         for src, pose, basis in zip(sources, poses, bases):
             xs, ys, in_front, _, _ = warp_from_basis(d_hat, K, pose, basis)
@@ -49,7 +50,7 @@ def _selfsup_marks(data: TrainData, d_hat: np.ndarray, lambda_u: float) -> list:
             warps.append((vals, valid))
             marks += [valid, np.floor(np.where(valid, xs, -1)), np.floor(np.where(valid, ys, -1)),
                       np.sign(tgt - vals) * valid]
-        marks.append(photometric_residual_arrays(tgt, tgt_moments, warps)[2])
+        marks.append(photometric_residual_arrays(tgt_moments, warps)[2])
         if lambda_u > 0:
             marks += [np.sign(np.diff(d_hat, axis=1)), np.sign(np.diff(d_hat, axis=0))]
     return marks

@@ -9,6 +9,12 @@ library code against them.  :func:`_selfsup_objective` and the helpers
 above it are kept as they stood, so a test can assert that the library's
 objective reproduces its loss and gradients bit for bit.
 
+:func:`ssim_moments`, :func:`ssim_terms` and :func:`ssim_backward_channel`
+are SSIM's forward and backward as they stood before the target's per-run
+terms grew and the backward took its partials from the forward; the
+reference objective runs on them, so a change to the library's SSIM shows
+as a changed bit.
+
 The two likelihoods are kept as they stood before the mask became a
 per-run 0/1 weight map and the uncertain student's scale became
 ``sqrt(var_label + s_a^2)``: a bool mask applied by ``np.where`` and the
@@ -43,12 +49,7 @@ from scopedepth.geometry import EPS_Z, CameraIntrinsics, Pose, pixel_rays
 from scopedepth.imagery import DepthMap, Image
 from scopedepth.losses import LossConfig, LossValue
 from scopedepth.losses import supervised_nll_arrays as library_nll
-from scopedepth.photometry import (
-    _ALPHA,
-    ssim_backward_channel,
-    ssim_moments,
-    ssim_terms,
-)
+from scopedepth.photometry import _ALPHA, _C1, _C2, box_filter
 from scopedepth.predictor import _axis_matrix, init_random
 from scopedepth.trainer import NumericFailure, TrainConfig, TrainData
 
@@ -189,6 +190,55 @@ def bilinear_sample_map(
     ddx[~valid] = 0.0
     ddy[~valid] = 0.0
     return out, ddx, ddy, valid
+
+
+def ssim_moments(x: np.ndarray) -> tuple:
+    """Windowed mean and windowed second moment of a channel (stack)."""
+    return box_filter(x), box_filter(x * x)
+
+
+def ssim_terms(
+    a: np.ndarray, b: np.ndarray, a_moments: tuple[np.ndarray, np.ndarray]
+) -> tuple:
+    """One pass over the windowed statistics of float64 (h, w) channels or
+    (c, h, w) channel stacks: returns (S, a, b, mu_a, mu_b, A1, A2, B1, B2),
+    the per-channel SSIM map S = (A1 A2) / (B1 B2) followed by what
+    :func:`ssim_backward_channel` needs to differentiate it.  ``a_moments``
+    are the :func:`ssim_moments` of ``a``, which training computes once
+    per run."""
+    mu_a, a2 = a_moments
+    mu_b, b2 = ssim_moments(b)
+    var_a = a2 - mu_a**2
+    var_b = b2 - mu_b**2
+    cov = box_filter(a * b) - mu_a * mu_b
+    A1 = 2 * mu_a * mu_b + _C1
+    A2 = 2 * cov + _C2
+    B1 = mu_a**2 + mu_b**2 + _C1
+    B2 = var_a + var_b + _C2
+    return (A1 * A2) / (B1 * B2), a, b, mu_a, mu_b, A1, A2, B1, B2
+
+
+def ssim_backward_channel(terms: tuple, upstream: np.ndarray) -> np.ndarray:
+    """d(sum(upstream * ssim(a, b)))/db per channel, a held fixed, from the
+    :func:`ssim_terms` of (a, b); an (h, w) ``upstream`` broadcasts over a
+    (c, h, w) stack.  The statistics pass back through :func:`box_filter`,
+    its own adjoint."""
+    S, a, b, mu_a, mu_b, A1, A2, B1, B2 = terms
+    dS_dA1 = A2 / (B1 * B2)
+    dS_dA2 = A1 / (B1 * B2)
+    dS_dB1 = -S / B1
+    dS_dB2 = -S / B2
+    # mu_b feeds A1 directly and A2, B1, B2 through cov / mu_b^2 terms
+    g_mu = upstream * (
+        dS_dA1 * 2 * mu_a + dS_dA2 * (-2 * mu_a) + dS_dB1 * 2 * mu_b + dS_dB2 * (-2 * mu_b)
+    )
+    g_eab = upstream * dS_dA2 * 2
+    g_eb2 = upstream * dS_dB2
+    return (
+        box_filter(g_mu)
+        + box_filter(g_eab) * a
+        + box_filter(g_eb2) * 2 * b
+    )
 
 
 def photometric_residual_arrays(

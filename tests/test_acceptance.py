@@ -348,8 +348,8 @@ def test_criterion_7_example_battery():
     a = Image(np.full((5, 5, 1), 0.2, np.float32))
     b = Image(np.full((5, 5, 1), 0.8, np.float32))
     want = (2 * 0.2 * 0.8 + _C1) / (0.2**2 + 0.8**2 + _C1)
-    ssim = lambda x, y: ssim_terms(x.planes(), y.planes(),
-                                   ssim_moments(x.planes()))[0].mean(axis=0)
+    ssim = lambda x, y: ssim_terms(ssim_moments(x.planes()),
+                                   y.planes())[0].mean(axis=0)
     ck(np.allclose(ssim(a, b), want, atol=1e-6), "ssim constants")
     rng = np.random.default_rng(3)
     img = Image(rng.uniform(0, 1, (5, 5, 3)).astype(np.float32))

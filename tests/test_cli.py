@@ -853,6 +853,11 @@ def _spoil_input(case, dataset, trained, fused, tmp):
         bad = run_dir / "member_x.json"
         shutil.copy(run_dir / "member_3.json", bad)
         return fuse, bad
+    if case == "repeated-member-seed":
+        # member_03.json sorts before member_3.json, so the original is named
+        # as the second file holding seed 3
+        shutil.copy(run_dir / "member_3.json", run_dir / "member_03.json")
+        return fuse, run_dir / "member_3.json"
     if case == "three-channel-fused-variance":
         bad = pred / "var_total.pfm"
         bad.write_bytes(b"PF\n24 24\n-1.0\n" + np.zeros((24, 24, 3), "<f4").tobytes())
@@ -911,7 +916,7 @@ def _assert_named_usage_error(argv, bad, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", ["malformed-config", "stray-member-file",
+@pytest.mark.parametrize("case", ["malformed-config", "stray-member-file", "repeated-member-seed",
                                   "train-manifest-without-resolution",
                                   "dataset-manifest-without-n-frames",
                                   "pose-rotation-of-three-entries",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from _reference import bilinear_sample
+from _reference import bilinear_sample, bilinear_sample_map, warp_coordinates
 
+from scopedepth.geometry import CameraIntrinsics, Pose
 from scopedepth.imagery import (
     DepthMap,
     Image,
@@ -110,6 +111,49 @@ class TestBilinear:
         np.testing.assert_array_equal(valid, [[False, False], [False, True]])
         for arr in (vals, ddx, ddy):
             assert not arr[:, ~valid].any()
+
+
+def _edge_coordinates(n: int) -> np.ndarray:
+    """Coordinates along an axis of ``n`` pixels: exactly 0 and n - 1, one
+    ulp inside and outside each, a sample inside, and the non-finite ones."""
+    top = float(n - 1)
+    return np.array([0.0, -0.0, np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0), -1e-9,
+                     top, np.nextafter(top, 0.0), np.nextafter(top, np.inf), top + 1e-9,
+                     0.5 * top, np.nan, np.inf, -np.inf])
+
+
+class TestPlanesMatchReferenceBytes:
+    """The gather sampler reproduces the (h, w, c) reference sampler's
+    values, derivatives and validity byte for byte."""
+
+    @staticmethod
+    def assert_same_bytes(img: Image, xs: np.ndarray, ys: np.ndarray) -> None:
+        got = bilinear_sample_planes(img.planes(), xs, ys)
+        want = bilinear_sample_map(img, xs, ys)
+        for g, r in zip(got[:3], want[:3]):
+            assert g.tobytes() == np.ascontiguousarray(np.moveaxis(r, -1, 0)).tobytes()
+        assert got[3].tobytes() == want[3].tobytes()
+
+    @pytest.mark.parametrize("h, w", [(1, 7), (7, 1), (1, 1), (2, 2), (5, 6)])
+    def test_edges_and_non_finite_coordinates(self, h, w):
+        rng = np.random.default_rng(h * 10 + w)
+        img = Image(rng.uniform(0, 1, (h, w, 3)).astype(np.float32))
+        # every pairing of the x and y edge coordinates
+        xs, ys = np.meshgrid(_edge_coordinates(w), _edge_coordinates(h))
+        self.assert_same_bytes(img, xs, ys)
+
+    def test_64px_warp(self):
+        rng = np.random.default_rng(64)
+        img = Image(rng.uniform(0, 1, (64, 64, 3)).astype(np.float32))
+        K = CameraIntrinsics(48.0, 48.0, 31.5, 31.5)
+        c, s = np.cos(0.05), np.sin(0.05)
+        pose = Pose(np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]),
+                    np.array([1.5, -0.5, 2.0]))
+        depth = rng.uniform(15.0, 40.0, (64, 64))
+        xs, ys, _, _, _ = warp_coordinates(depth, K, pose)
+        valid = (xs >= 0) & (xs <= 63) & (ys >= 0) & (ys <= 63)
+        assert 0.5 < valid.mean() < 1.0
+        self.assert_same_bytes(img, xs, ys)
 
 
 class TestPfm:

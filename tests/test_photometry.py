@@ -64,7 +64,7 @@ def brute_force_eq4(t: Image, s: Image) -> np.ndarray:
 
 def terms_of(a, b):
     """:func:`ssim_terms` of ``a`` and ``b``, with the moments of ``a``."""
-    return ssim_terms(a, b, ssim_moments(a))
+    return ssim_terms(ssim_moments(a), b)
 
 
 def ssim(a: Image, b: Image) -> np.ndarray:
@@ -76,7 +76,7 @@ def residual(t: Image, sources):
     """(f_p, valid) of target ``t`` against (image, bool mask) sources."""
     tgt = t.planes()
     f_p, valid, _, _ = photometric_residual_arrays(
-        tgt, ssim_moments(tgt), [(s.planes(), m) for s, m in sources])
+        ssim_moments(tgt), [(s.planes(), m) for s, m in sources])
     return f_p, valid
 
 
@@ -285,9 +285,9 @@ class TestPhotometricResidualBackward:
         moments = ssim_moments(tgt)
 
         def weighted_residual(vals):
-            return (up * photometric_residual_arrays(tgt, moments, [(vals, valid)])[0]).sum()
+            return (up * photometric_residual_arrays(moments, [(vals, valid)])[0]).sum()
 
-        terms = photometric_residual_arrays(tgt, moments, [(src, valid)])[3][0]
+        terms = photometric_residual_arrays(moments, [(src, valid)])[3][0]
         grad = photometric_residual_backward(terms, up)
         eps = 1e-6
         fd = np.zeros_like(src)
