@@ -323,11 +323,12 @@ def cmd_train(args) -> int:
 
 
 def _member_seed(path: Path) -> int:
-    """The seed in a member file's name, ``member_<seed>.json``."""
-    try:
-        return int(path.stem.split("_", 1)[1])
-    except ValueError:
-        raise UsageError(f"{path} is not named member_<seed>.json") from None
+    """The seed in a member file's name, ``member_<seed>.json``, written as
+    ``train`` writes it: ``str(seed)``, so no two names share a seed."""
+    suffix = path.stem.split("_", 1)[1]
+    if suffix.removeprefix("-").isdecimal() and str(int(suffix)) == suffix:
+        return int(suffix)
+    raise UsageError(f"{path} is not named member_<seed>.json")
 
 
 def _train_manifest(manifest: dict) -> tuple[bool, int, int]:
@@ -346,12 +347,9 @@ def cmd_fuse(args) -> int:
     if not manifest_path.exists():
         raise UsageError(f"no train manifest in {run_dir}")
     selfsup, w, h = read_json(manifest_path, _train_manifest)
-    member_files = sorted(run_dir.glob("member_*.json"), key=lambda p: (_member_seed(p), p.name))
+    member_files = sorted(run_dir.glob("member_*.json"), key=_member_seed)
     if not member_files:
         raise UsageError(f"no member fields in {run_dir}")
-    for first, second in zip(member_files, member_files[1:]):
-        if _member_seed(first) == _member_seed(second):
-            raise UsageError(f"{second} repeats the seed of {first}")
     fields = [DepthField.load(p) for p in member_files]
     for path, field in zip(member_files, fields):
         if field.seed != _member_seed(path):

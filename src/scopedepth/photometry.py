@@ -7,12 +7,17 @@ The recipe is fixed: the residual weighs SSIM against L1 by alpha = 0.85
 
 Windowed SSIM statistics use a box filter with edge replication, so every
 value is checkable against a brute-force loop over clamped windows.  The
-filter is two matrix products with cached per-axis moving-mean matrices,
-which are symmetric, so the filter is its own adjoint: SSIM's reverse-mode
+filter is two products with cached per-axis moving-mean matrices, which
+are symmetric, so the filter is its own adjoint: SSIM's reverse-mode
 derivative, which training needs to push photometric error back through
-warped images, applies the same filter.  It acts on the last two axes, so
-SSIM, its derivative and the residual work on (c, h, w) channel stacks in
-one call rather than a loop over channels.
+warped images, applies the same filter.  Each product multiplies only the
+matrix's band, as cached slices of at most ``_BLOCK`` output rows (or
+columns) and the input rows they read, so its cost grows with the image
+and not with its side cubed, and a non-finite input value reaches only
+the blocks whose slices read it, not the whole plane.  The filter acts on
+the last two axes, so SSIM, its derivative and the residual work on
+(c, h, w) channel stacks in one call rather than a loop over channels,
+and SSIM filters its three statistics as one stack each way.
 
 Each term has one entry point, on arrays: :func:`ssim_terms`,
 :func:`photometric_residual_arrays` with its reverse-mode derivative
@@ -47,6 +52,8 @@ _C2 = 0.03**2
 # self-supervised monocular depth estimation")
 _ALPHA = 0.85
 _WINDOW = 3
+# output rows (or columns) per banded product of the box filter
+_BLOCK = 16
 
 
 @functools.lru_cache(maxsize=64)
@@ -64,13 +71,40 @@ def _box_matrix(n: int) -> np.ndarray:
     return m
 
 
-def box_filter(x: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _box_bands(n: int) -> tuple:
+    """The band of :func:`_box_matrix` ``m``: per block of at most
+    ``_BLOCK`` output indices o0 .. o1 - 1, the tuple (o0, o1, i0, i1,
+    m[i0:i1, o0:o1]), the read-only slice of the input indices i0 .. i1 - 1
+    that block reads (its own and one on either side, clamped)."""
+    m = _box_matrix(n)
+    bands = []
+    for o0 in range(0, n, _BLOCK):
+        o1 = min(o0 + _BLOCK, n)
+        i0, i1 = max(o0 - 1, 0), min(o1 + 1, n)
+        band = np.ascontiguousarray(m[i0:i1, o0:o1])
+        band.setflags(write=False)
+        bands.append((o0, o1, i0, i1, band))
+    return tuple(bands)
+
+
+def box_filter(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """3x3 windowed mean with edge replication over the last two axes:
     ``B_h.T @ x @ B_w``, that is ``B_h @ x @ B_w.T``, since both matrices
-    are symmetric; so the filter is its own adjoint."""
+    are symmetric; so the filter is its own adjoint.  Each product runs
+    over the band blocks of :func:`_box_bands`, one (h, w) plane at a
+    time, so a plane's bytes do not depend on the stack it is in; the
+    result goes into ``out`` when given, which may be ``x`` itself."""
     x = np.asarray(x, dtype=np.float64)
     h, w = x.shape[-2:]
-    return _box_matrix(h).T @ x @ _box_matrix(w)
+    rows = np.empty(x.shape)
+    for o0, o1, i0, i1, band in _box_bands(h):
+        np.matmul(band.T, x[..., i0:i1, :], out=rows[..., o0:o1, :])
+    if out is None:
+        out = np.empty(x.shape)
+    for o0, o1, i0, i1, band in _box_bands(w):
+        np.matmul(rows[..., i0:i1], band, out=out[..., o0:o1])
+    return out
 
 
 def ssim_moments(x: np.ndarray) -> tuple:
@@ -90,10 +124,14 @@ def ssim_terms(a_moments: tuple, b: np.ndarray) -> tuple:
     S = (A1 A2) / (B1 B2) followed by what :func:`ssim_backward_channel`
     needs to differentiate it."""
     a, mu_a, mu_a_sq, var_a, two_mu_a = a_moments
-    mu_b = box_filter(b)
+    # the windowed E[b], E[b^2] and E[ab], filtered as one stack in place
+    stats = np.empty((3, *b.shape))
+    stats[0] = b
+    np.multiply(b, b, out=stats[1])
+    np.multiply(a, b, out=stats[2])
+    mu_b, B2, A2 = box_filter(stats, out=stats)
     # B1 = mu_a^2 + mu_b^2 + c1 and B2 = var_a + var_b + c2
     B1 = mu_b**2
-    B2 = box_filter(b * b)
     B2 -= B1
     B2 += var_a
     B2 += _C2
@@ -102,7 +140,6 @@ def ssim_terms(a_moments: tuple, b: np.ndarray) -> tuple:
     # A1 = 2 mu_a mu_b + c1 and A2 = 2 cov + c2
     A1 = two_mu_a * mu_b
     A1 += _C1
-    A2 = box_filter(a * b)
     A2 -= mu_a * mu_b
     A2 *= 2
     A2 += _C2
@@ -125,10 +162,15 @@ def ssim_backward_channel(terms: tuple, upstream: np.ndarray) -> np.ndarray:
     its own adjoint."""
     _, a, b, two_mu_a, mu_b, dS_dA1, dS_dA2, dS_dB1, dS_dB2 = terms
     two_mu_b = 2 * mu_b
+    # what flows into the windowed E[b], E[ab] and E[b^2], filtered back
+    # as one stack in place
+    g = np.empty((3, *dS_dA1.shape))
+    g_mu, g_eab, g_eb2 = g
     # mu_b feeds A1 directly and A2, B1, B2 through cov / mu_b^2 terms:
-    # dS/dA1 2 mu_a - dS/dA2 2 mu_a + dS/dB1 2 mu_b - dS/dB2 2 mu_b
-    g_mu = dS_dA1 * two_mu_a
-    t = dS_dA2 * two_mu_a
+    # dS/dA1 2 mu_a - dS/dA2 2 mu_a + dS/dB1 2 mu_b - dS/dB2 2 mu_b, with
+    # g_eb2's buffer as scratch until g_eb2 is formed
+    np.multiply(dS_dA1, two_mu_a, out=g_mu)
+    t = np.multiply(dS_dA2, two_mu_a, out=g_eb2)
     g_mu -= t
     np.multiply(dS_dB1, two_mu_b, out=t)
     g_mu += t
@@ -136,14 +178,12 @@ def ssim_backward_channel(terms: tuple, upstream: np.ndarray) -> np.ndarray:
     g_mu -= t
     g_mu *= upstream
     # the windowed E[ab] and E[b^2] feed A2 and B2
-    g_eab = upstream * dS_dA2
+    np.multiply(upstream, dS_dA2, out=g_eab)
     g_eab *= 2
-    g_eb2 = np.multiply(upstream, dS_dB2, out=t)
-    grad = box_filter(g_mu)
-    g_eab = box_filter(g_eab)
+    np.multiply(upstream, dS_dB2, out=g_eb2)
+    grad, g_eab, g_eb2 = box_filter(g, out=g)
     g_eab *= a
     grad += g_eab
-    g_eb2 = box_filter(g_eb2)
     g_eb2 *= 2
     g_eb2 *= b
     grad += g_eb2

@@ -854,10 +854,10 @@ def _spoil_input(case, dataset, trained, fused, tmp):
         shutil.copy(run_dir / "member_3.json", bad)
         return fuse, bad
     if case == "repeated-member-seed":
-        # member_03.json sorts before member_3.json, so the original is named
-        # as the second file holding seed 3
+        # a copy named member_03.json would fuse seed 3 twice; train writes
+        # member_3.json, so that name is the one refused
         shutil.copy(run_dir / "member_3.json", run_dir / "member_03.json")
-        return fuse, run_dir / "member_3.json"
+        return fuse, run_dir / "member_03.json"
     if case == "three-channel-fused-variance":
         bad = pred / "var_total.pfm"
         bad.write_bytes(b"PF\n24 24\n-1.0\n" + np.zeros((24, 24, 3), "<f4").tobytes())
@@ -932,6 +932,31 @@ def test_bad_json_input_named_with_usage_error(case, dataset, trained, fused,
                                                  tmp_path, capsys):
     _assert_named_usage_error(*_spoil_input(case, dataset, trained, fused, tmp_path),
                               capsys)
+
+
+@pytest.mark.parametrize("name", ["member_1_0.json", "member_+3.json", "member_ 3.json",
+                                  "member_03.json", "member_-0.json"])
+def test_member_not_named_as_train_names_it_usage_error(name, trained, tmp_path, capsys):
+    # the member holds the seed int() reads from the name, so only the
+    # name is wrong
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained, run_dir)
+    member = json.loads((run_dir / "member_3.json").read_text())
+    member["seed"] = int(name.removeprefix("member_").removesuffix(".json"))
+    (run_dir / "member_3.json").unlink()
+    bad = run_dir / name
+    bad.write_text(json.dumps(member))
+    _assert_named_usage_error(["fuse", "--run", run_dir, "--out", tmp_path / "f"], bad, capsys)
+
+
+def test_negative_seeds_train_and_fuse(dataset, tmp_path):
+    run_dir, out = tmp_path / "run", tmp_path / "fused"
+    assert run("train", "--data", dataset, "--out", run_dir, "--regime", "supervised-gt",
+               "--members", 2, "--seed", -3, "--steps", 2, "--grid", 6) == 0
+    assert sorted(p.name for p in run_dir.glob("member_*.json")) == [
+        "member_-2.json", "member_-3.json"]
+    assert run("fuse", "--run", run_dir, "--out", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["seeds"] == [-3, -2]
 
 
 @pytest.mark.parametrize("case", ["truncated-depth", "truncated-frame",

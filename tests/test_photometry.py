@@ -4,6 +4,7 @@ import pytest
 from scopedepth.imagery import Image
 from scopedepth.photometry import (
     _ALPHA,
+    _BLOCK,
     _C1,
     _C2,
     _box_matrix,
@@ -119,13 +120,39 @@ class TestBoxFilter:
         assert np.array_equal(m, m.T)
 
     @pytest.mark.parametrize("n", [3, 16, 64, 256])
-    @pytest.mark.parametrize("c", [1, 3])
-    def test_equals_forward_layout(self, c, n):
-        # the filter evaluates B_h.T @ x @ B_w; at the sizes training uses
-        # that is bit for bit the forward layout B_h @ x @ B_w.T
-        x = np.random.default_rng(n).uniform(0, 1, (c, n, n))
+    @pytest.mark.parametrize("lead", [(1,), (3,), (3, 3)], ids=["1", "3", "3x3"])
+    def test_equals_forward_layout(self, lead, n):
+        # the filter evaluates B_h.T @ x @ B_w over the band; at the sizes
+        # training uses that is bit for bit the dense forward layout
+        # B_h @ x @ B_w.T, for a stack of stacks too
+        x = np.random.default_rng(n).uniform(0, 1, (*lead, n, n))
         b = _box_matrix(n)
         assert box_filter(x).tobytes() == (b @ x @ b.T).tobytes()
+
+    @pytest.mark.parametrize("shape", [(37, 23), (1, 7), (7, 1)], ids=["37x23", "1x7", "7x1"])
+    def test_stack_planes_equal_per_plane_calls(self, shape):
+        x = np.random.default_rng(5).uniform(0, 1, (3, 3, *shape))
+        want = [[box_filter(p).tobytes() for p in planes] for planes in x]
+        in_place = x.copy()
+        for got in (box_filter(x), box_filter(x, out=np.empty_like(x)),
+                    box_filter(in_place, out=in_place)):
+            assert [[p.tobytes() for p in planes] for planes in got] == want
+
+    @pytest.mark.parametrize("pixel", [(0, 0), (20, 30), (31, 32), (63, 17)],
+                             ids=["0-0", "20-30", "31-32", "63-17"])
+    def test_nan_stays_near_its_pixel(self, pixel):
+        # 0 * nan is nan inside each banded product, so a NaN reaches the
+        # blocks whose slices read it, at most one block each way, and no
+        # further
+        x = np.random.default_rng(6).uniform(0, 1, (64, 64))
+        x[pixel] = np.nan
+        got = np.isnan(box_filter(x))
+        i, j = pixel
+        window = got[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
+        assert window.all()
+        near = np.zeros_like(got)
+        near[max(i - _BLOCK, 0):i + _BLOCK + 1, max(j - _BLOCK, 0):j + _BLOCK + 1] = True
+        assert not got[~near].any()
 
     def test_axis_matrix_cached_read_only(self):
         m = _box_matrix(6)
