@@ -9,7 +9,6 @@ total variance maps. Evaluates depth metrics and interval calibration.
 from scopedepth import (
     CameraIntrinsics,
     LabeledFrame,
-    LossConfig,
     SceneParams,
     TrainConfig,
     TrainData,
@@ -30,7 +29,7 @@ _, gt, _ = render_view(params, traj[6], K, 64, 64)
 
 data = TrainData(frames=(LabeledFrame(depth=gt),))
 cfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
-                  depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7), seed=100)
+                  depth_init_mm=30.0, weight_decay=1e-7, seed=100)
 
 results = train_ensemble(data, cfg, members=5)
 print("final losses:", [f"{r.losses[-1]:.3f}" for _, r in results])

@@ -12,7 +12,6 @@ import numpy as np
 from scopedepth import (
     CameraIntrinsics,
     DepthMap,
-    LossConfig,
     SceneParams,
     TrainConfig,
     TrainData,
@@ -43,7 +42,7 @@ triplet = Triplet(
 data = TrainData(triplets=(triplet,), K=K)
 cfg = TrainConfig(
     steps=1500, learning_rate=1.0, grid=16, depth_init_mm=30.0,
-    loss=LossConfig(weight_decay=1e-7, lambda_u=3.0, sigma_min=0.01), seed=5,
+    weight_decay=1e-7, lambda_u=3.0, sigma_min=0.01, seed=5,
 )
 
 field, report = train_member(data, cfg)

@@ -18,7 +18,6 @@ from scopedepth import (
     CameraIntrinsics,
     LabeledFrame,
     LightModel,
-    LossConfig,
     SceneParams,
     TrainConfig,
     TrainData,
@@ -51,7 +50,7 @@ for k in range(6):
     frames.append(LabeledFrame(depth=gt))
 
 tcfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
-                   depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7), seed=7000)
+                   depth_init_mm=30.0, weight_decay=1e-7, seed=7000)
 members = train_ensemble(TrainData(frames=tuple(frames)), tcfg, members=5)
 teacher = fuse([forward(f, 64, 64) for f, _ in members],
                [f.seed for f, _ in members])
@@ -62,8 +61,7 @@ print(f"teacher sigma_T: median {np.median(sigma_T.data):.2f} mm "
 # domain B: fresh draw, different curvature/texture/light
 _, gtB, _ = scene_view(990, curve_scale=1.25, tex_scale=1.6, light_scale=0.7)
 scfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
-                   depth_init_mm=30.0, loss=LossConfig(weight_decay=1e-7),
-                   seed=11)
+                   depth_init_mm=30.0, weight_decay=1e-7, seed=11)
 
 plain, _ = train_member(TrainData(frames=(LabeledFrame(depth=teacher.d_hat),)), scfg)
 uncertain, _ = train_member(

@@ -29,7 +29,7 @@ from .imagery import (
     write_pfm,
     write_ppm,
 )
-from .losses import LossConfig, LossValue, prior_loss
+from .losses import LossValue, prior_loss
 from .metrics import (
     CalibrationCurve,
     DepthMetrics,

@@ -52,7 +52,6 @@ from .ensemble import fuse, load_ensemble, save_ensemble, selfsup_fuse
 from .geometry import CameraIntrinsics, Pose, relative_pose
 from .imagery import (DepthMap, UncMap, json_entry, json_type_ok, read_json, read_pfm,
                       read_ppm, write_csv, write_json)
-from .losses import LossConfig
 from .metrics import (auce, calibration_curve, default_p_grid, depth_metrics,
                       scale_correction)
 from .predictor import DepthField, forward
@@ -99,16 +98,15 @@ SYNTH_DEFAULTS = {
     "sway_mm": 0.0,
 }
 
-# TrainConfig and LossConfig fields that are config keys of the same name
-TRAIN_KEYS = ("steps", "learning_rate", "grid", "depth_init_mm", "jitter")
-LOSS_KEYS = ("sigma_min", "lambda_u", "weight_decay")
+# TrainConfig fields that are config keys of the same name
+TRAIN_KEYS = ("steps", "learning_rate", "grid", "depth_init_mm", "jitter", "sigma_min",
+              "lambda_u", "weight_decay")
 
 TRAIN_DEFAULTS = {
     "seed": 0,
     "regime": Regime.SUPERVISED_GT.value,
     "members": 5,
     **{k: getattr(TrainConfig, k) for k in TRAIN_KEYS},
-    **{k: getattr(LossConfig, k) for k in LOSS_KEYS},
     "target_frame": -1,  # -1: middle frame
     "sfm_holes": 0.3,
     "sfm_noise": 0.05,
@@ -205,22 +203,22 @@ def _refuse_foreign_manifest(out_dir: Path, *commands: str) -> None:
             raise UsageError(f"--out would replace the {command!r} manifest {manifest}")
 
 
-def _synth_frames(manifest: dict) -> int:
-    """The frame count a synth manifest's configuration holds."""
+def _synth_config(manifest: dict) -> tuple[int, ...]:
+    """The frame count, width and height in a synth manifest's config."""
     if manifest.get("command") != "synth":
         raise ValueError(f"a {manifest.get('command')!r} manifest, not a synth manifest")
-    return json_entry(manifest["config"], "frames", 0)
+    return tuple(json_entry(manifest["config"], k, 0) for k in ("frames", "width", "height"))
 
 
-def _target_index(data_dir: Path, requested: int) -> tuple[int, int]:
-    """The frame ``requested`` (-1: the middle one) and the dataset's frame
-    count."""
-    n_frames = read_json(data_dir / "manifest.json", _synth_frames)
+def _target_index(data_dir: Path, requested: int) -> tuple[int, int, int, int]:
+    """The frame ``requested`` (-1: the middle one), and the dataset's frame
+    count, width and height."""
+    n_frames, w, h = read_json(data_dir / "manifest.json", _synth_config)
     if requested == -1:
-        return n_frames // 2, n_frames
-    if not 0 <= requested < n_frames:
+        requested = n_frames // 2
+    elif not 0 <= requested < n_frames:
         raise UsageError(f"target frame {requested} outside 0..{n_frames - 1}")
-    return requested, n_frames
+    return requested, n_frames, w, h
 
 
 def cmd_synth(args) -> int:
@@ -244,9 +242,10 @@ def cmd_synth(args) -> int:
 
 def _build_train_data(cfg: dict, regime: Regime, data_dir: Path,
                       config: str | None) -> tuple[TrainData, int]:
-    """The regime's training bundle and the target frame index; a bad SfM
-    setting is a usage error naming its key in the ``config`` file."""
-    t_i, n = _target_index(data_dir, cfg["target_frame"])
+    """The regime's training bundle and the target frame index.  A bad SfM
+    setting is a usage error naming its key in the ``config`` file, and so
+    is a teacher whose maps are not the size of the dataset."""
+    t_i, n, w, h = _target_index(data_dir, cfg["target_frame"])
     depth_path = data_dir / f"depth_{t_i:04d}.pfm"
     if regime == Regime.SUPERVISED_GT:
         data = TrainData(frames=(LabeledFrame(depth=read_pfm(depth_path)),))
@@ -278,6 +277,9 @@ def _build_train_data(cfg: dict, regime: Regime, data_dir: Path,
         if not cfg.get("teacher"):
             raise UsageError(f"{regime.value} needs --teacher pointing at fused maps")
         ens = load_ensemble(Path(cfg["teacher"]))
+        if (ens.d_hat.width, ens.d_hat.height) != (w, h):
+            raise UsageError(f"teacher {cfg['teacher']} is {ens.d_hat.width}x"
+                             f"{ens.d_hat.height} but the dataset {data_dir} is {w}x{h}")
         sigma = ens.sigma_t() if regime == Regime.UNCERTAIN_STUDENT else None
         data = TrainData(frames=(LabeledFrame(depth=ens.d_hat, sigma=sigma),))
     return data, t_i
@@ -301,8 +303,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"no dataset at {data_dir}")
     out_dir = Path(args.out)
     _refuse_foreign_manifest(out_dir, "train")
-    tcfg = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS},
-                       loss=LossConfig(**{k: cfg[k] for k in LOSS_KEYS}), seed=cfg["seed"])
+    tcfg = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS}, seed=cfg["seed"])
     data, t_i = _build_train_data(cfg, regime, data_dir, args.config)
     w, h = data.resolution()
     if tcfg.grid > min(w, h):
@@ -372,7 +373,7 @@ def _load_eval_inputs(args, cfg: dict) -> tuple[DepthMap, DepthMap, UncMap, int]
     _refuse_foreign_manifest(Path(args.out).parent, "eval", "calib")
     ens = load_ensemble(Path(args.pred))
     data_dir = Path(args.data)
-    t_i, _ = _target_index(data_dir, cfg["target_frame"])
+    t_i, *_ = _target_index(data_dir, cfg["target_frame"])
     gt_path = data_dir / f"depth_{t_i:04d}.pfm"
     gt = read_pfm(gt_path)
     if (gt.height, gt.width) != (ens.d_hat.height, ens.d_hat.width):

@@ -6,10 +6,12 @@ point (cx, cy) pierces pixel (cx, cy) exactly.  A pose maps points between
 frames as ``p_dst = R @ p_src + t`` with translations in millimetres.
 
 The inverse warp splits into a depth-free part, :func:`warp_basis` (the
-rotated pixel rays and the numerators of the depth Jacobian, held as
-separate (h, w) planes), and a per-depth pass, :func:`warp_from_basis`.
-Training builds the first once per source pose and runs only the second
-per step; :func:`synthesize_warped_image` chains the two for one image.
+camera and translation it warps with, then the rotated pixel rays and the
+numerators of the depth Jacobian as separate (h, w) planes), and a
+per-depth pass, :func:`warp_from_basis`, which reads only the depth and
+that basis.  Training builds the first once per source pose and runs only
+the second per step; :func:`synthesize_warped_image` chains the two for
+one image.
 """
 
 from __future__ import annotations
@@ -123,33 +125,29 @@ def pixel_rays(K: CameraIntrinsics, width: int, height: int) -> np.ndarray:
     return np.stack([(gx - K.cx) / K.fx, (gy - K.cy) / K.fy, np.ones_like(gx)], axis=-1)
 
 
-def warp_basis(
-    K: CameraIntrinsics, pose: Pose, width: int, height: int
-) -> tuple[np.ndarray, ...]:
+def warp_basis(K: CameraIntrinsics, pose: Pose, width: int, height: int) -> tuple:
     """The depth-free part of warping a (height, width) target raster into
-    the source view of ``pose``, as five (h, w) planes: the rotated rays
-    q_x, q_y, q_z of ``q = ((x-cx)/fx, (y-cy)/fy, 1) @ R.T`` and the
-    numerators fx (q_x t_z - t_x q_z), fy (q_y t_z - t_y q_z) of the depth
-    Jacobian.  Training builds it once per source pose."""
+    the source view of ``pose``: the camera ``K`` and the translation t it
+    warps with, then five (h, w) planes, the rotated rays q_x, q_y, q_z of
+    ``q = ((x-cx)/fx, (y-cy)/fy, 1) @ R.T`` and the numerators
+    fx (q_x t_z - t_x q_z), fy (q_y t_z - t_y q_z) of the depth Jacobian.
+    Training builds it once per source pose."""
     q = pixel_rays(K, width, height) @ pose.rotation.T
     t = pose.translation
     qx, qy, qz = (np.ascontiguousarray(q[..., i]) for i in range(3))
-    return qx, qy, qz, K.fx * (qx * t[2] - t[0] * qz), K.fy * (qy * t[2] - t[1] * qz)
+    return K, t, qx, qy, qz, K.fx * (qx * t[2] - t[0] * qz), K.fy * (qy * t[2] - t[1] * qz)
 
 
-def warp_from_basis(
-    d: np.ndarray, K: CameraIntrinsics, pose: Pose, basis: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Warp every pixel of depth array ``d`` into the source view of
-    ``pose``, given the :func:`warp_basis` of (K, pose) at d's size.
+def warp_from_basis(d: np.ndarray, basis: tuple) -> tuple[np.ndarray, ...]:
+    """Warp every pixel of depth array ``d`` into the source view of a
+    :func:`warp_basis` built at d's size.
 
     Returns (xs, ys, in_front, dx_dd, dy_dd): xs/ys are source-view
     coordinates, in_front flags transformed points with z above the near
     plane, and dx_dd/dy_dd are d(x')/d(depth) and d(y')/d(depth) per pixel,
     used by gradient-based training.  Bounds checking against the source
     raster happens at sampling time."""
-    qx, qy, qz, num_x, num_y = basis
-    t = pose.translation
+    K, t, qx, qy, qz, num_x, num_y = basis
     z = qz * d + t[2]
     in_front = z > EPS_Z
     zsafe = np.where(in_front, z, 1.0)
@@ -171,8 +169,7 @@ def synthesize_warped_image(
     """
     same_shape(I_src, d_tgt)
     d = d_tgt.data.astype(np.float64)
-    xs, ys, in_front, _, _ = warp_from_basis(
-        d, K, pose, warp_basis(K, pose, d_tgt.width, d_tgt.height))
+    xs, ys, in_front, _, _ = warp_from_basis(d, warp_basis(K, pose, d_tgt.width, d_tgt.height))
     pos = d > 0
     vals, _, _, samp_ok = bilinear_sample_planes(I_src.planes(), xs, ys)
     valid = pos & in_front & samp_ok

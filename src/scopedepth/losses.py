@@ -19,6 +19,9 @@ finite at masked pixels too, and the :func:`pixel_weights` of the mask
 (``None`` when every pixel is valid), and write into none of them; the
 trainer checks the rasters they come from.
 
+Each kernel takes the one setting of a member's
+:class:`~scopedepth.trainer.TrainConfig` it reads, as a float: the
+likelihoods its ``sigma_min``, :func:`prior_loss` its ``weight_decay``.
 Any predicted scale is clamped from below at ``sigma_min`` before entering
 the loss; gradients are taken with respect to the raw (unclamped) scale,
 zero where the clamp is active, so they match finite differences of the
@@ -29,25 +32,9 @@ the L1 subgradient at zero residual is zero.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    sigma_min: float = 1e-3
-    lambda_u: float = 0.01
-    weight_decay: float = 1e-7
-
-    def __post_init__(self):
-        for name, value in asdict(self).items():
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.sigma_min <= 0:
-            raise ValueError("sigma_min must be positive")
-        if self.lambda_u < 0 or self.weight_decay < 0:
-            raise ValueError("lambda_u and weight_decay must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +65,7 @@ def l1_nll_arrays(
     residual: np.ndarray,
     scale: np.ndarray,
     weights: np.ndarray | None, n: int,
-    cfg: LossConfig,
+    sigma_min: float,
     var_label: np.ndarray | None = None,
 ) -> LossValue:
     """Mean over valid pixels of r / s + log s for a non-negative residual r.
@@ -92,8 +79,8 @@ def l1_nll_arrays(
     ``sqrt(x * x) == x`` exactly.
     """
     # NaN compares false, so a NaN scale takes the unclamped path to a NaN loss
-    clamped = scale.min() <= cfg.sigma_min
-    s_a = np.maximum(scale, cfg.sigma_min) if clamped else scale
+    clamped = scale.min() <= sigma_min
+    s_a = np.maximum(scale, sigma_min) if clamped else scale
     s = s_a if var_label is None else s_a * s_a + var_label  # may be ``scale``: read only
     if var_label is not None:
         np.sqrt(s, out=s)  # in place: the scale costs one new map
@@ -109,7 +96,7 @@ def l1_nll_arrays(
     if var_label is not None:
         d_s *= s_a / s
     if clamped:
-        d_s *= scale > cfg.sigma_min  # the gate: zero where the clamp is active
+        d_s *= scale > sigma_min  # the gate: zero where the clamp is active
     for grad in (inv_s, d_s):  # (g * weights) / n, in place
         if weights is not None:
             grad *= weights
@@ -122,21 +109,21 @@ def supervised_nll_arrays(
     d_hat: np.ndarray,
     sigma_a: np.ndarray,
     weights: np.ndarray | None, n: int,
-    cfg: LossConfig,
+    sigma_min: float,
     var_label: np.ndarray | None = None,
 ) -> LossValue:
     """Mean over valid pixels of |d - d_hat| / s + log s: the
     :func:`l1_nll_arrays` of the absolute depth error, its ``grad_depth``
     taken with respect to ``d_hat``."""
     r = d - d_hat
-    lv = l1_nll_arrays(np.abs(r), sigma_a, weights, n, cfg, var_label)
+    lv = l1_nll_arrays(np.abs(r), sigma_a, weights, n, sigma_min, var_label)
     # -sign(r) * grad, in r's buffer: exact, signed zeros included
     np.negative(np.sign(r, out=r), out=r)
     r *= lv.grad_depth
     return LossValue(lv.scalar, r, lv.grad_sigma)
 
 
-def prior_loss(theta: np.ndarray, cfg: LossConfig) -> tuple[float, np.ndarray]:
+def prior_loss(theta: np.ndarray, weight_decay: float) -> tuple[float, np.ndarray]:
     """weight_decay * sum(theta^2) and its gradient."""
     theta = np.asarray(theta, dtype=np.float64)
-    return cfg.weight_decay * float((theta**2).sum()), 2.0 * cfg.weight_decay * theta
+    return weight_decay * float((theta**2).sum()), 2.0 * weight_decay * theta

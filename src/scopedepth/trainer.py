@@ -10,11 +10,13 @@ SSIM windows, minimum over a triplet's sources), which computes both its
 residual and that residual's derivative with respect to a warped source;
 the trainer chains the latter through the warp.  Optimization is plain
 fixed-step gradient descent on the MAP objective, which keeps every run
-bitwise reproducible from (data, config, seed).  The objective computes
-the training step only: the loss and its analytic gradient, warp,
-sampling, SSIM and minimum-over-sources included.  The finite-difference
-audit of that gradient, with its record of the objective's piecewise
-switches, lives with the tests in ``tests/_audit.py``.
+bitwise reproducible from (data, config, seed), one :class:`TrainConfig`
+holding every setting of a member.  The objective computes the training
+step only: the loss and its analytic gradient, warp, sampling, SSIM and
+minimum-over-sources included, each loss kernel given the one setting it
+reads.  The finite-difference audit of that gradient, with its record of
+the objective's piecewise switches, lives with the tests in
+``tests/_audit.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .geometry import CameraIntrinsics, Pose, warp_basis, warp_from_basis
 from .heap import keep_heap_mapped
 from .imagery import DepthMap, Image, Mask, UncMap, bilinear_sample_planes, same_shape
-from .losses import LossConfig, l1_nll_arrays, pixel_weights, prior_loss, supervised_nll_arrays
+from .losses import l1_nll_arrays, pixel_weights, prior_loss, supervised_nll_arrays
 from .photometry import (
     edge_weights,
     photometric_residual_arrays,
@@ -85,13 +87,11 @@ def _frame_constants(frame: LabeledFrame) -> tuple:
 
 def _triplet_constants(trip: Triplet, K: CameraIntrinsics) -> tuple:
     """What a self-supervised step reads of a triplet but never changes:
-    the intrinsics, the :func:`ssim_moments` of the target's (c, h, w)
-    float64 planes (the planes first), the sources' planes and poses, the
-    :func:`warp_basis` of each pose, and the target's smoothness edge
-    weights."""
+    the :func:`ssim_moments` of the target's (c, h, w) float64 planes (the
+    planes first), the sources' planes, the :func:`warp_basis` of each
+    source's pose, and the target's smoothness edge weights."""
     return (
-        K, ssim_moments(trip.target.planes()), tuple(src.planes() for src in trip.sources),
-        trip.rel_poses,
+        ssim_moments(trip.target.planes()), tuple(src.planes() for src in trip.sources),
         tuple(warp_basis(K, pose, trip.target.width, trip.target.height)
               for pose in trip.rel_poses),
         edge_weights(trip.target),
@@ -150,34 +150,34 @@ def _check_bundle(data: TrainData) -> None:
         raise ValueError("label sigma must be std-kind")
 
 
-def _label_terms(consts, d_hat, sigma, loss_cfg) -> tuple:
+def _label_terms(consts, d_hat, sigma, cfg: TrainConfig) -> tuple:
     """The label data term (total, grad_d, grad_s): each frame's 1/n share
     of the likelihood, summed in frame order onto the first share."""
     n, sums = len(consts), None
     for label, var_label, weights, count in consts:
-        lv = supervised_nll_arrays(label, d_hat, sigma, weights, count, loss_cfg, var_label)
+        lv = supervised_nll_arrays(label, d_hat, sigma, weights, count, cfg.sigma_min, var_label)
         # x / 1 == x, so a lone frame's share skips the divisions
         shares = [v if n == 1 else v / n for v in (lv.scalar, lv.grad_depth, lv.grad_sigma)]
         sums = shares if sums is None else [a + b for a, b in zip(sums, shares)]
     return tuple(sums)
 
 
-def _triplet_terms(consts, d_hat, u_hat, loss_cfg) -> tuple:
+def _triplet_terms(consts, d_hat, u_hat, cfg: TrainConfig) -> tuple:
     """:func:`_label_terms` for triplets, summed from zero: each one's
     photometric term through the warp of its argmin source, then its
     edge-aware smoothness term."""
     n = len(consts)
     total, grad_d, grad_u = 0.0, np.zeros(d_hat.shape), np.zeros(d_hat.shape)
-    for K, tgt_moments, sources, poses, bases, weights in consts:
+    for tgt_moments, sources, bases, weights in consts:
         warps, jacobians = [], []
-        for src, pose, basis in zip(sources, poses, bases):
-            xs, ys, in_front, dxd, dyd = warp_from_basis(d_hat, K, pose, basis)
+        for src, basis in zip(sources, bases):
+            xs, ys, in_front, dxd, dyd = warp_from_basis(d_hat, basis)
             vals, ddx, ddy, samp_ok = bilinear_sample_planes(src, xs, ys)
             valid = in_front & samp_ok
             warps.append((vals, valid))
             jacobians.append((ddx, ddy, dxd, dyd))
         f_p, valid_px, arg, terms = photometric_residual_arrays(tgt_moments, warps)
-        lv = l1_nll_arrays(f_p, u_hat, *pixel_weights(valid_px), loss_cfg)  # F_p >= 0
+        lv = l1_nll_arrays(f_p, u_hat, *pixel_weights(valid_px), cfg.sigma_min)  # F_p >= 0
         # x / 1 == x, so a lone triplet's share skips the divisions
         grad_fp, grad_sigma = (g if n == 1 else g / n for g in (lv.grad_depth, lv.grad_sigma))
         total += lv.scalar / n
@@ -199,16 +199,16 @@ def _triplet_terms(consts, d_hat, u_hat, loss_cfg) -> tuple:
             d_dd += d_dy
             np.copyto(d_dd, 0.0, where=~valid)
             grad_d += d_dd
-        if loss_cfg.lambda_u > 0:
+        if cfg.lambda_u > 0:
             smooth, smooth_grad = smoothness_and_grad(d_hat, weights)
-            total += loss_cfg.lambda_u * smooth.mean() / n
-            smooth_grad *= loss_cfg.lambda_u
+            total += cfg.lambda_u * smooth.mean() / n
+            smooth_grad *= cfg.lambda_u
             grad_d += smooth_grad if n == 1 else smooth_grad / n
     return total, grad_d, grad_u
 
 
 def _objective(
-    data: TrainData, grids: np.ndarray, loss_cfg: LossConfig, w: int, h: int
+    data: TrainData, grids: np.ndarray, cfg: TrainConfig, w: int, h: int
 ) -> tuple[float, np.ndarray]:
     """The MAP loss at the (2, gh, gw) parameter stack ``grids``, and its
     gradient, a stack of the same shape: one forward pass, one call of the
@@ -217,10 +217,10 @@ def _objective(
     passed :func:`_check_bundle`."""
     data_terms = _triplet_terms if data.triplets else _label_terms
     d_hat, sigma = forward_arrays(grids, w, h)
-    total, grad_d, grad_s = data_terms(data._constants, d_hat, sigma, loss_cfg)
+    total, grad_d, grad_s = data_terms(data._constants, d_hat, sigma, cfg)
     grad = backward(grids, grad_d, grad_s, d_hat, sigma)
-    if loss_cfg.weight_decay > 0:
-        p_loss, p_grad = prior_loss(grids, loss_cfg)
+    if cfg.weight_decay > 0:
+        p_loss, p_grad = prior_loss(grids, cfg.weight_decay)
         total += p_loss
         grad += p_grad
     return total, grad
@@ -228,16 +228,20 @@ def _objective(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Gradient-descent settings of one member: ``steps`` fixed-rate steps
-    on a square ``grid`` x ``grid`` field initialised around
-    ``depth_init_mm`` (:func:`init_random`), under the ``loss`` weights."""
+    """The settings of one member: ``steps`` fixed-rate steps on a square
+    ``grid`` x ``grid`` field initialised around ``depth_init_mm``
+    (:func:`init_random`), minimising the likelihood with its scale clamped
+    at ``sigma_min``, the smoothness term weighted by ``lambda_u`` and the
+    weight prior by ``weight_decay``."""
 
     steps: int = 800
     learning_rate: float = 1.0
     grid: int = 16
     depth_init_mm: float = 30.0
     jitter: float = 0.05
-    loss: LossConfig = LossConfig()
+    sigma_min: float = 1e-3
+    lambda_u: float = 0.01
+    weight_decay: float = 1e-7
     seed: int = 0
 
     def __post_init__(self):
@@ -247,8 +251,14 @@ class TrainConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not np.isfinite(self.jitter):
-            raise ValueError(f"jitter must be finite, got {self.jitter}")
+        for name in ("jitter", "sigma_min", "lambda_u", "weight_decay"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.sigma_min <= 0:
+            raise ValueError("sigma_min must be positive")
+        if self.lambda_u < 0 or self.weight_decay < 0:
+            raise ValueError("lambda_u and weight_decay must be >= 0")
         if self.grid < 1:
             raise ValueError(f"grid must be at least 1 cell a side, got {self.grid}")
 
@@ -267,7 +277,7 @@ def train_member(data: TrainData, cfg: TrainConfig) -> tuple[DepthField, TrainRe
     # below report that once, so numpy's per-operation warnings are muted
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(cfg.steps):
-            loss, grad = _objective(data, grids, cfg.loss, w, h)
+            loss, grad = _objective(data, grids, cfg, w, h)
             if not np.isfinite(loss):
                 raise NumericFailure(step, f"non-finite loss {loss}", cfg.seed, cfg.learning_rate)
             losses[step] = loss

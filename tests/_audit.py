@@ -12,10 +12,9 @@ from scopedepth import trainer
 from scopedepth.geometry import warp_from_basis
 from scopedepth.heap import keep_heap_mapped
 from scopedepth.imagery import bilinear_sample_planes
-from scopedepth.losses import LossConfig
 from scopedepth.photometry import photometric_residual_arrays
 from scopedepth.predictor import DepthField, forward_arrays, init_random
-from scopedepth.trainer import TrainData
+from scopedepth.trainer import TrainConfig, TrainData
 
 # the random fields of audit_random_fields: grid cells a side, initial
 # depth and jitter, the first seed, the relative probe step, and how many
@@ -40,11 +39,11 @@ def _selfsup_marks(data: TrainData, d_hat: np.ndarray, lambda_u: float) -> list:
     sources, and the smoothness signs when smoothness is on.  The SSIM
     backward and the chain rule are left out, since they switch nothing."""
     marks = []
-    for K, tgt_moments, sources, poses, bases, _ in data._constants:
+    for tgt_moments, sources, bases, _ in data._constants:
         tgt = tgt_moments[0]
         warps = []
-        for src, pose, basis in zip(sources, poses, bases):
-            xs, ys, in_front, _, _ = warp_from_basis(d_hat, K, pose, basis)
+        for src, basis in zip(sources, bases):
+            xs, ys, in_front, _, _ = warp_from_basis(d_hat, basis)
             vals, _, _, samp_ok = bilinear_sample_planes(src, xs, ys)
             valid = in_front & samp_ok
             warps.append((vals, valid))
@@ -56,21 +55,21 @@ def _selfsup_marks(data: TrainData, d_hat: np.ndarray, lambda_u: float) -> list:
     return marks
 
 
-def _fingerprint(data: TrainData, field: DepthField, loss_cfg: LossConfig,
+def _fingerprint(data: TrainData, field: DepthField, cfg: TrainConfig,
                  w: int, h: int) -> tuple:
     """The scale clamp gate, then each triplet's :func:`_selfsup_marks`
     for a bundle of triplets, or each frame's L1 signs (weights ``None``
     meaning every pixel)."""
     d_hat, sigma = forward_arrays(field.grids, w, h)
-    gate = sigma > loss_cfg.sigma_min
+    gate = sigma > cfg.sigma_min
     if data.triplets:
-        return gate, *_selfsup_marks(data, d_hat, loss_cfg.lambda_u)
+        return gate, *_selfsup_marks(data, d_hat, cfg.lambda_u)
     return gate, *(np.sign(label - d_hat) * (1.0 if weights is None else weights)
                    for label, _, weights, _ in data._constants)
 
 
 def finite_diff_audit(data: TrainData, field: DepthField, step: float = STEP,
-                      loss_cfg: LossConfig = LossConfig(lambda_u=0.0, weight_decay=0.0)
+                      cfg: TrainConfig = TrainConfig(lambda_u=0.0, weight_decay=0.0)
                       ) -> float:
     """Worst relative disagreement between the assembled analytic gradient
     of the full MAP objective and central finite differences, per grid
@@ -84,8 +83,8 @@ def finite_diff_audit(data: TrainData, field: DepthField, step: float = STEP,
     trainer._check_bundle(data)
     keep_heap_mapped()
     w, h = data.resolution()
-    _, grad = trainer._objective(data, field.grids, loss_cfg, w, h)
-    base = _fingerprint(data, field, loss_cfg, w, h)
+    _, grad = trainer._objective(data, field.grids, cfg, w, h)
+    base = _fingerprint(data, field, cfg, w, h)
     analytic = grad.ravel()
     theta0 = field.grids.ravel()
     worst = 0.0
@@ -96,10 +95,10 @@ def finite_diff_audit(data: TrainData, field: DepthField, step: float = STEP,
             theta = theta0.copy()
             theta[i] += sgn * hstep
             probe = DepthField(theta.reshape(field.grids.shape), field.seed)
-            marks = _fingerprint(data, probe, loss_cfg, w, h)
+            marks = _fingerprint(data, probe, cfg, w, h)
             if not all(np.array_equal(a, b) for a, b in zip(marks, base)):
                 raise KinkStraddled(f"parameter {i} probe crossed a switch")
-            probes.append(trainer._objective(data, probe.grids, loss_cfg, w, h)[0])
+            probes.append(trainer._objective(data, probe.grids, cfg, w, h)[0])
         fd = (probes[0] - probes[1]) / (2 * hstep)
         denom = max(abs(fd), abs(analytic[i]), 1e-8)
         worst = max(worst, abs(fd - analytic[i]) / denom)
@@ -107,7 +106,7 @@ def finite_diff_audit(data: TrainData, field: DepthField, step: float = STEP,
 
 
 def audit_random_fields(data: TrainData, draws: int,
-                        loss_cfg: LossConfig) -> list[float]:
+                        cfg: TrainConfig) -> list[float]:
     """Run the audit over ``draws`` random fields, seeded from ``SEED0`` on,
     redrawing any field whose probes straddle a kink of the
     piecewise-smooth objective."""
@@ -119,7 +118,7 @@ def audit_random_fields(data: TrainData, draws: int,
         field = init_random(seed, GRID, GRID, DEPTH_INIT_MM, JITTER)
         seed += 1
         try:
-            errors.append(finite_diff_audit(data, field, STEP, loss_cfg))
+            errors.append(finite_diff_audit(data, field, STEP, cfg))
         except KinkStraddled:
             continue
     return errors

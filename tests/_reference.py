@@ -47,7 +47,7 @@ import numpy as np
 from scopedepth import synthcolon
 from scopedepth.geometry import EPS_Z, CameraIntrinsics, Pose, pixel_rays
 from scopedepth.imagery import DepthMap, Image
-from scopedepth.losses import LossConfig, LossValue
+from scopedepth.losses import LossValue
 from scopedepth.losses import supervised_nll_arrays as library_nll
 from scopedepth.photometry import _ALPHA, _C1, _C2, box_filter
 from scopedepth.predictor import _axis_matrix, init_random
@@ -347,13 +347,13 @@ def supervised_nll_arrays(
     d_hat: np.ndarray,
     sigma_a: np.ndarray,
     valid: np.ndarray,
-    cfg: LossConfig,
+    sigma_min: float,
     sigma_label: np.ndarray | None = None,
 ) -> LossValue:
     """The label likelihood with a bool mask that ``np.where`` applies and
     the scale ``hypot(sigma_label, clamp(sigma_a))``."""
-    s_a = np.maximum(sigma_a, cfg.sigma_min)
-    gate = (sigma_a > cfg.sigma_min).astype(np.float64)
+    s_a = np.maximum(sigma_a, sigma_min)
+    gate = (sigma_a > sigma_min).astype(np.float64)
     s = s_a if sigma_label is None else np.hypot(sigma_label, s_a)
     r = d - d_hat
     abs_r = np.abs(r)
@@ -369,11 +369,11 @@ def supervised_nll_arrays(
 
 
 def selfsup_nll_arrays(
-    f_p: np.ndarray, u_hat: np.ndarray, valid: np.ndarray, cfg: LossConfig
+    f_p: np.ndarray, u_hat: np.ndarray, valid: np.ndarray, sigma_min: float
 ) -> LossValue:
     """The photometric likelihood with a bool mask that ``np.where`` applies."""
-    u = np.maximum(u_hat, cfg.sigma_min)
-    gate = (u_hat > cfg.sigma_min).astype(np.float64)
+    u = np.maximum(u_hat, sigma_min)
+    gate = (u_hat > sigma_min).astype(np.float64)
     term = f_p / u + np.log(u)
     scalar, n = _reduce(term, valid)
     v = valid.astype(np.float64)
@@ -383,13 +383,13 @@ def selfsup_nll_arrays(
 
 
 def weighted_l1_nll_arrays(
-    residual: np.ndarray, scale: np.ndarray, weights: np.ndarray, n: int, cfg: LossConfig,
+    residual: np.ndarray, scale: np.ndarray, weights: np.ndarray, n: int, sigma_min: float,
     var_label: np.ndarray | None = None,
 ) -> LossValue:
     """The heteroscedastic L1 kernel with its clamp, gate and weight map
     applied at every pixel, whether or not they change any."""
-    s_a = np.maximum(scale, cfg.sigma_min)
-    gate = (scale > cfg.sigma_min).astype(np.float64)
+    s_a = np.maximum(scale, sigma_min)
+    gate = (scale > sigma_min).astype(np.float64)
     s = s_a if var_label is None else s_a * s_a + var_label
     if var_label is not None:
         np.sqrt(s, out=s)
@@ -424,18 +424,18 @@ def backward_pair(log_depth: np.ndarray, grad_depth: np.ndarray, grad_sigma: np.
 
 
 def prior_pair(log_depth: np.ndarray, log_sigma: np.ndarray,
-               cfg: LossConfig) -> tuple[float, np.ndarray, np.ndarray]:
+               weight_decay: float) -> tuple[float, np.ndarray, np.ndarray]:
     """weight_decay * sum(theta^2) over the concatenated grids, and its
     gradient split back into the two grids."""
     theta = np.concatenate([log_depth.ravel(), log_sigma.ravel()])
-    grad = 2.0 * cfg.weight_decay * theta
+    grad = 2.0 * weight_decay * theta
     n = log_depth.size
-    return (cfg.weight_decay * float((theta**2).sum()), grad[:n].reshape(log_depth.shape),
+    return (weight_decay * float((theta**2).sum()), grad[:n].reshape(log_depth.shape),
             grad[n:].reshape(log_sigma.shape))
 
 
 def _label_shares(log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData, w: int,
-                  h: int, loss_cfg: LossConfig) -> tuple[float, np.ndarray, np.ndarray]:
+                  h: int, cfg: TrainConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """The labeled frames' data term on the bundle's per-run constants: each
     frame's 1/n share of the library likelihood, the first share becoming
     the running sums."""
@@ -443,7 +443,7 @@ def _label_shares(log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData,
     n = len(data._constants)
     sums = None
     for label, var_label, weights, count in data._constants:
-        lv = library_nll(label, d_hat, sigma, weights, count, loss_cfg, var_label)
+        lv = library_nll(label, d_hat, sigma, weights, count, cfg.sigma_min, var_label)
         if sums is None:
             sums = [lv.scalar / n, lv.grad_depth / n, lv.grad_sigma / n]
             continue
@@ -468,9 +468,9 @@ def train_member(data: TrainData,
     losses = np.empty(cfg.steps)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(cfg.steps):
-            total, g_ld, g_ls = data_term(log_depth, log_sigma, data, w, h, cfg.loss)
-            if cfg.loss.weight_decay > 0:
-                p_loss, p_ld, p_ls = prior_pair(log_depth, log_sigma, cfg.loss)
+            total, g_ld, g_ls = data_term(log_depth, log_sigma, data, w, h, cfg)
+            if cfg.weight_decay > 0:
+                p_loss, p_ld, p_ls = prior_pair(log_depth, log_sigma, cfg.weight_decay)
                 total += p_loss
                 g_ld += p_ld
                 g_ls += p_ls
@@ -487,7 +487,7 @@ def train_member(data: TrainData,
 
 def _label_objective(
     log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData, w: int, h: int,
-    loss_cfg: LossConfig,
+    cfg: TrainConfig,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """The labeled frames' data term, read from the frames each step and
     summed into zero-filled maps."""
@@ -500,7 +500,7 @@ def _label_objective(
         valid = np.full((h, w), True) if f.mask is None else f.mask.data
         sigma_label = None if f.sigma is None else f.sigma.data.astype(np.float64)
         lv = supervised_nll_arrays(f.depth.data.astype(np.float64), d_hat, sigma, valid,
-                                   loss_cfg, sigma_label)
+                                   cfg.sigma_min, sigma_label)
         grad_d += lv.grad_depth / n
         grad_s += lv.grad_sigma / n
         total += lv.scalar / n
@@ -509,7 +509,7 @@ def _label_objective(
 
 def _selfsup_objective(
     log_depth: np.ndarray, log_sigma: np.ndarray, data: TrainData, w: int, h: int,
-    loss_cfg: LossConfig,
+    cfg: TrainConfig,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     alpha = _ALPHA
     d_hat, u_hat = forward_pair(log_depth, log_sigma, w, h)
@@ -528,7 +528,7 @@ def _selfsup_objective(
             warps.append((vals, valid))
             jacobians.append((ddx, ddy, dxd, dyd))
         f_p, valid_px, arg, terms = photometric_residual_arrays(tgt, warps)
-        lv = selfsup_nll_arrays(f_p, u_hat, valid_px, loss_cfg)
+        lv = selfsup_nll_arrays(f_p, u_hat, valid_px, cfg.sigma_min)
         total += lv.scalar / nt
         grad_u += lv.grad_sigma / nt
         # route d(scalar)/d(F_p) through the argmin source only
@@ -543,9 +543,9 @@ def _selfsup_objective(
                 terms[s_idx], -0.5 * alpha / nchan * up), 0, 2)
             d_dd = (g_vals * ddx).sum(axis=2) * dxd + (g_vals * ddy).sum(axis=2) * dyd
             grad_d += np.where(valid, d_dd, 0.0)
-        if loss_cfg.lambda_u > 0:
-            total += loss_cfg.lambda_u * edge_aware_smoothness(d_hat, trip.target).mean() / nt
-            grad_d += loss_cfg.lambda_u * edge_aware_smoothness_grad(d_hat, trip.target) / nt
+        if cfg.lambda_u > 0:
+            total += cfg.lambda_u * edge_aware_smoothness(d_hat, trip.target).mean() / nt
+            grad_d += cfg.lambda_u * edge_aware_smoothness_grad(d_hat, trip.target) / nt
     return total, *backward_pair(log_depth, grad_d, grad_u, d_hat, u_hat)
 
 

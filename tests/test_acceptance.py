@@ -22,7 +22,6 @@ from scopedepth.geometry import (
 )
 from scopedepth.imagery import DepthMap, Image, UncMap
 from scopedepth.losses import (
-    LossConfig,
     l1_nll_arrays,
     pixel_weights,
     prior_loss,
@@ -96,12 +95,12 @@ def test_criterion_1_gradient_audit():
     )
     selfsup = TrainData(triplets=(trip,), K=K16)
 
-    lc = LossConfig(weight_decay=1e-4)
-    lc_ss = LossConfig(weight_decay=1e-4, lambda_u=0.05)
+    lc = TrainConfig(weight_decay=1e-4)
+    lc_ss = TrainConfig(weight_decay=1e-4, lambda_u=0.05)
     bundles = {"supervised-gt": (sup, lc), "supervised-sfm": (sfm, lc),
                "plain-student": (plain, lc), "uncertain-student": (students, lc),
                "self-supervised": (selfsup, lc_ss)}
-    worst = {name: max(audit_random_fields(data, 20, loss_cfg=cfg))
+    worst = {name: max(audit_random_fields(data, 20, cfg=cfg))
              for name, (data, cfg) in bundles.items()}
     elapsed = time.perf_counter() - t0
     ok = (
@@ -206,7 +205,7 @@ def test_criterion_4_supervision_ladder():
 
     sup_cfg = TrainConfig(steps=800, learning_rate=1.0, grid=20,
                           depth_init_mm=30.0, jitter=0.05,
-                          loss=LossConfig(weight_decay=1e-7), seed=100)
+                          weight_decay=1e-7, seed=100)
     a_gt = _fused_absrel(gt, TrainData(frames=(LabeledFrame(depth=gt),)), sup_cfg)
     d_sfm, m_sfm = simulate_sfm_labels(gt, seed=501, hole_fraction=0.3,
                                        noise_rel=0.05, global_scale=0.7)
@@ -218,8 +217,7 @@ def test_criterion_4_supervision_ladder():
     )
     ss_cfg = TrainConfig(steps=1500, learning_rate=1.0, grid=16,
                          depth_init_mm=30.0, jitter=0.05,
-                         loss=LossConfig(weight_decay=1e-7, lambda_u=3.0,
-                                         sigma_min=0.01), seed=100)
+                         weight_decay=1e-7, lambda_u=3.0, sigma_min=0.01, seed=100)
     a_ss = _fused_absrel(gt, TrainData(triplets=(trip,), K=K64), ss_cfg,
                          selfsup=True, median=True)
     elapsed = time.perf_counter() - t0
@@ -276,7 +274,7 @@ def _student_scores(rep_seed):
     frames = tuple(frames)
     tcfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
                        depth_init_mm=30.0, jitter=0.05,
-                       loss=LossConfig(weight_decay=1e-7), seed=rep_seed * 1000)
+                       weight_decay=1e-7, seed=rep_seed * 1000)
     members = train_ensemble(TrainData(frames=frames), tcfg, 5)
     teacher = fuse([forward(f, 64, 64) for f, _ in members],
                    [f.seed for f, _ in members])
@@ -286,7 +284,7 @@ def _student_scores(rep_seed):
                              tex_scale=1.6, light_scale=0.7)
     scfg = TrainConfig(steps=800, learning_rate=1.0, grid=16,
                        depth_init_mm=30.0, jitter=0.05,
-                       loss=LossConfig(weight_decay=1e-7), seed=rep_seed * 2000)
+                       weight_decay=1e-7, seed=rep_seed * 2000)
     out = {}
     for name, sig_teacher in (("plain", None), ("uncertain", sigma_T)):
         data = TrainData(frames=(
@@ -367,18 +365,18 @@ def test_criterion_7_example_battery():
     # losses
     one = lambda v: np.array([[v]], dtype=np.float64)
     t = pixel_weights(np.array([[True]]))
-    lc = LossConfig(lambda_u=0.0, weight_decay=0.0)
+    s_min = TrainConfig().sigma_min
     ck(np.isclose(
-        supervised_nll_arrays(one(3.0), one(1.0), one(2.0), *t, lc).scalar,
+        supervised_nll_arrays(one(3.0), one(1.0), one(2.0), *t, s_min).scalar,
         1.0 + np.log(2.0)), "supervised 1+ln2")
     ck(np.isclose(
-        l1_nll_arrays(one(0.2), one(0.1), *t, lc).scalar,
+        l1_nll_arrays(one(0.2), one(0.1), *t, s_min).scalar,
         0.2 / 0.1 + np.log(0.1)), "selfsup hand case")
     ck(np.isclose(
-        supervised_nll_arrays(one(2.0), one(1.0), one(1.0), *t, lc,
+        supervised_nll_arrays(one(2.0), one(1.0), one(1.0), *t, s_min,
                               var_label=one(1.0)).scalar,
         1 / np.sqrt(2) + np.log(np.sqrt(2))), "uncertain sqrt2")
-    pl, pg = prior_loss(np.array([3.0, 4.0]), LossConfig(weight_decay=1.0))
+    pl, pg = prior_loss(np.array([3.0, 4.0]), 1.0)
     ck(pl == 25.0 and np.allclose(pg, [6.0, 8.0]), "prior 3-4-5")
 
     # ensemble

@@ -18,7 +18,6 @@ from scopedepth import cli
 from scopedepth.cli import main
 from scopedepth.ensemble import load_ensemble
 from scopedepth.imagery import UncMap, read_pfm, write_pfm
-from scopedepth.losses import LossConfig
 from scopedepth.synthcolon import LightModel, SceneParams
 from scopedepth.trainer import TrainConfig
 
@@ -108,9 +107,8 @@ EXPECTED_FLAGS = {
 }
 
 
-# each field of the four config dataclasses: the config key that sets it
-# and a valid value other than its default (TrainConfig.loss is the
-# LossConfig row)
+# each field of the three config dataclasses: the config key that sets it
+# and a valid value other than its default
 CONFIG_KNOBS = {
     SceneParams: {
         "radius_mm": ("radius_mm", 13.0), "curve_amp_mm": ("curve_amp_mm", 9.0),
@@ -121,12 +119,11 @@ CONFIG_KNOBS = {
         "seed": ("seed", 4),
     },
     LightModel: {"intensity": ("light_intensity", 900.0), "specular": ("specular", True)},
-    LossConfig: {"sigma_min": ("sigma_min", 0.002), "lambda_u": ("lambda_u", 0.02),
-                 "weight_decay": ("weight_decay", 1e-6)},
     TrainConfig: {
         "steps": ("steps", 7), "learning_rate": ("learning_rate", 0.5), "grid": ("grid", 5),
         "depth_init_mm": ("depth_init_mm", 25.0), "jitter": ("jitter", 0.04),
-        "loss": None, "seed": ("seed", 9),
+        "sigma_min": ("sigma_min", 0.002), "lambda_u": ("lambda_u", 0.02),
+        "weight_decay": ("weight_decay", 1e-6), "seed": ("seed", 9),
     },
 }
 
@@ -137,8 +134,7 @@ class TestFlagWiring:
             assert [f.name for f in dataclasses.fields(cls)] == list(knobs), cls.__name__
         synth_cfg = {k: v for cls in (SceneParams, LightModel)
                      for k, v in CONFIG_KNOBS[cls].values()}
-        train_cfg = {k: v for cls in (LossConfig, TrainConfig)
-                     for k, v in filter(None, CONFIG_KNOBS[cls].values())}
+        train_cfg = dict(CONFIG_KNOBS[TrainConfig].values())
         (tmp_path / "synth.json").write_text(json.dumps(synth_cfg))
         (tmp_path / "train.json").write_text(json.dumps(train_cfg))
         # synth hands write_dataset the scene and the light, positionally
@@ -155,20 +151,16 @@ class TestFlagWiring:
         assert run("train", "--config", tmp_path / "train.json", "--data", dataset,
                    "--out", tmp_path / "t", "--regime", "self-supervised") == 0
         [tcfg] = trained
-        configs = {SceneParams: vars(params), LightModel: vars(light),
-                   LossConfig: vars(tcfg.loss), TrainConfig: vars(tcfg)}
+        configs = {SceneParams: vars(params), LightModel: vars(light), TrainConfig: vars(tcfg)}
         for cls, knobs in CONFIG_KNOBS.items():
-            for name, knob in knobs.items():
-                if knob is not None:
-                    assert configs[cls][name] == knob[1] != getattr(cls, name), (cls, name)
+            for name, (_, value) in knobs.items():
+                assert configs[cls][name] == value != getattr(cls, name), (cls, name)
 
     def test_train_defaults_are_the_dataclass_defaults(self, dataset, tmp_path, monkeypatch):
         # a default ``train`` and a library caller that keeps the defaults
         # optimise one objective
-        for cls in (TrainConfig, LossConfig):
-            for name, knob in CONFIG_KNOBS[cls].items():
-                if knob is not None:
-                    assert cli.TRAIN_DEFAULTS[knob[0]] == getattr(cls, name), (cls, name)
+        for name, (key, _) in CONFIG_KNOBS[TrainConfig].items():
+            assert cli.TRAIN_DEFAULTS[key] == getattr(TrainConfig, name), name
         trained = []
         monkeypatch.setattr(cli, "train_ensemble",
                             lambda data, cfg, **_: trained.append(cfg) or [])
@@ -482,6 +474,22 @@ class TestTrain:
             assert not out.exists()
         assert not trained
 
+    def test_teacher_of_another_size_usage_error(self, fused, tmp_path, capsys):
+        # the fused teacher is 24x24; a student on a 16-wide, 24-high
+        # dataset once trained, and recorded the teacher's resolution
+        # beside the other dataset's path
+        data = tmp_path / "ds16x24"
+        assert run("synth", "--out", data, "--seed", 7, "--frames", 3,
+                   "--width", 16, "--height", 24) == 0
+        for regime in ("plain-student", "uncertain-student"):
+            out = tmp_path / regime
+            assert run("train", "--data", data, "--out", out, "--regime", regime,
+                       "--teacher", fused, "--members", 1, "--steps", 2, "--grid", 4) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert f"teacher {fused} is 24x24 but the dataset {data} is 16x24" in err
+            assert not out.exists()
+
     def test_selfsup_target_at_a_trajectory_end_usage_error(self, dataset, tmp_path, capsys):
         for frame in (0, 4):
             out = tmp_path / str(frame)
@@ -530,6 +538,17 @@ class TestTrain:
                     err = capsys.readouterr().err
                     assert err.startswith("error:") and key in err and f"got {value}" in err
                     assert not out.exists()
+
+    def test_out_of_range_loss_setting_usage_error(self, dataset, tmp_path, capsys):
+        for key, value in (("sigma_min", 0.0), ("lambda_u", -0.01), ("weight_decay", -1e-7)):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: value}))
+            out = tmp_path / key
+            assert run("train", "--data", dataset, "--out", out, "--config", cfg,
+                       "--members", 1, "--steps", 2, "--grid", 4) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err
+            assert not out.exists()
 
     def test_bad_sfm_setting_names_its_config_key(self, dataset, tmp_path, capsys):
         # simulate_sfm_labels names its own parameters, which are no config keys

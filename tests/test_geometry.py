@@ -175,7 +175,7 @@ class TestWarp:
         g = Pose(rotation_xyz(0.05, -0.03, 0.1), [0.5, -0.2, 0.8])
         rng = np.random.default_rng(5)
         d = rng.uniform(5, 40, (6, 7))
-        xs, ys, in_front, _, _ = warp_from_basis(d, K, g, warp_basis(K, g, 7, 6))
+        xs, ys, in_front, _, _ = warp_from_basis(d, warp_basis(K, g, 7, 6))
         for y in range(6):
             for x in range(7):
                 jp, ok = warp_pixel((x, y), d[y, x], K, g)
@@ -188,11 +188,11 @@ class TestWarp:
         rng = np.random.default_rng(6)
         d = rng.uniform(5, 40, (6, 7))
         basis = warp_basis(K, g, 7, 6)
-        _, _, in_front, dx_dd, dy_dd = warp_from_basis(d, K, g, basis)
+        _, _, in_front, dx_dd, dy_dd = warp_from_basis(d, basis)
         assert in_front.all()
         eps = 1e-5
-        xp, yp, _, _, _ = warp_from_basis(d + eps, K, g, basis)
-        xm, ym, _, _, _ = warp_from_basis(d - eps, K, g, basis)
+        xp, yp, _, _, _ = warp_from_basis(d + eps, basis)
+        xm, ym, _, _, _ = warp_from_basis(d - eps, basis)
         np.testing.assert_allclose(dx_dd, (xp - xm) / (2 * eps), rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(dy_dd, (yp - ym) / (2 * eps), rtol=1e-6, atol=1e-9)
 

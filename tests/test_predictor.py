@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scopedepth.losses import LossConfig, pixel_weights, supervised_nll_arrays
+from scopedepth.losses import pixel_weights, supervised_nll_arrays
 from scopedepth.predictor import (
     DepthField,
     _axis_matrix,
@@ -164,14 +164,14 @@ class TestBackward:
         w = h = 12
         labels = rng.uniform(10, 40, (h, w))
         weights, n = pixel_weights(rng.uniform(size=(h, w)) > 0.2)
-        cfg = LossConfig(lambda_u=0.0, weight_decay=0.0)
+        sigma_min = TrainConfig().sigma_min
 
         def loss_of(theta):
             d, s = forward_arrays(theta.reshape(field.grids.shape), w, h)
-            return supervised_nll_arrays(labels, d, s, weights, n, cfg).scalar
+            return supervised_nll_arrays(labels, d, s, weights, n, sigma_min).scalar
 
         d0, s0 = forward_arrays(field.grids, w, h)
-        lv = supervised_nll_arrays(labels, d0, s0, weights, n, cfg)
+        lv = supervised_nll_arrays(labels, d0, s0, weights, n, sigma_min)
         analytic = backward(field.grids, lv.grad_depth, lv.grad_sigma, d0, s0).ravel()
         theta0 = field.grids.ravel()
         step = 1e-5

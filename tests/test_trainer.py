@@ -15,7 +15,6 @@ from scopedepth import predictor, trainer
 from scopedepth.cli import Regime
 from scopedepth.geometry import CameraIntrinsics, Pose, relative_pose, rotation_xyz
 from scopedepth.imagery import DepthMap, Image, Mask, UncMap, write_csv
-from scopedepth.losses import LossConfig
 from scopedepth.predictor import DepthField, forward_arrays, init_random
 from scopedepth.synthcolon import (
     SceneParams,
@@ -82,7 +81,7 @@ def selfsup_data():
 def small_cfg(**kw):
     base = dict(steps=60, learning_rate=0.5, grid=4,
                 depth_init_mm=25.0, jitter=0.05,
-                loss=LossConfig(weight_decay=1e-6, lambda_u=0.0), seed=3)
+                weight_decay=1e-6, lambda_u=0.0, seed=3)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -106,7 +105,7 @@ class TestTrainMember:
         depth = DepthMap(np.full((12, 12), 25.0, dtype=np.float32))
         data = TrainData(frames=(LabeledFrame(depth=depth),))
         cfg = small_cfg(steps=600, jitter=0.01, learning_rate=5e-5,
-                        loss=LossConfig(weight_decay=0.0))
+                        weight_decay=0.0)
         field, report = train_member(data, cfg)
         # jitter 0.01 keeps the initial depth within 1% of the labels, so
         # the first loss is dominated by log(sigma_init) = 0
@@ -135,7 +134,7 @@ class TestTrainMember:
         trip = Triplet(target=img, sources=(img, img),
                        rel_poses=(Pose(np.eye(3), np.zeros(3)), Pose(np.eye(3), np.zeros(3))))
         data = TrainData(triplets=(trip,), K=K16)
-        cfg = small_cfg(loss=LossConfig(weight_decay=0.0, lambda_u=0.0), steps=40)
+        cfg = small_cfg(weight_decay=0.0, lambda_u=0.0, steps=40)
         field, _ = train_member(data, cfg)
         init = init_random(cfg.seed, 4, 4, cfg.depth_init_mm, cfg.jitter)
         assert np.array_equal(field.log_depth, init.log_depth)
@@ -205,17 +204,17 @@ class TestTrainMember:
         # lets both rates converge, a 10x smaller rate ends at a loss no
         # higher than the base rate's (its limit cycle is tighter)
         cases = [
-            ("sup", sup_data, 1200, LossConfig(weight_decay=1e-6)),
-            ("plain", plain_student_data, 1200, LossConfig(weight_decay=1e-6)),
-            ("sigma", student_data, 1200, LossConfig(weight_decay=1e-6)),
+            ("sup", sup_data, 1200, dict(weight_decay=1e-6)),
+            ("plain", plain_student_data, 1200, dict(weight_decay=1e-6)),
+            ("sigma", student_data, 1200, dict(weight_decay=1e-6)),
             # photometric-scale floor 0.05 so the slow log tail of the
             # uncertainty terms plateaus inside the step budget at both rates
             ("triplets", selfsup_data, 4000,
-             LossConfig(weight_decay=1e-6, lambda_u=0.05, sigma_min=0.05)),
+             dict(weight_decay=1e-6, lambda_u=0.05, sigma_min=0.05)),
         ]
-        for name, data, steps, lc in cases:
-            cfg_hi = small_cfg(steps=steps, learning_rate=1.0, loss=lc)
-            cfg_lo = small_cfg(steps=steps, learning_rate=0.1, loss=lc)
+        for name, data, steps, weights in cases:
+            cfg_hi = small_cfg(steps=steps, learning_rate=1.0, **weights)
+            cfg_lo = small_cfg(steps=steps, learning_rate=0.1, **weights)
             _, hi = train_member(data, cfg_hi)
             _, lo = train_member(data, cfg_lo)
             assert lo.losses[-1] <= hi.losses[-1] + 1e-9, name
@@ -256,19 +255,39 @@ class TestTrainEnsemble:
             assert report.losses.tobytes() == ref_report.losses.tobytes()
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("setting, message", [
+        (dict(sigma_min=0.0), "sigma_min must be positive"),
+        (dict(sigma_min=-1e-3), "sigma_min must be positive"),
+        (dict(sigma_min=np.inf), "sigma_min must be finite, got inf"),
+        (dict(lambda_u=np.nan), "lambda_u must be finite, got nan"),
+        (dict(lambda_u=-np.inf), "lambda_u must be finite, got -inf"),
+        (dict(lambda_u=-0.01), "lambda_u and weight_decay must be >= 0"),
+        (dict(weight_decay=-1e-7), "lambda_u and weight_decay must be >= 0"),
+        (dict(weight_decay=np.nan), "weight_decay must be finite, got nan"),
+    ])
+    def test_bad_loss_setting_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**setting)
+
+    def test_loss_defaults(self):
+        cfg = TrainConfig()
+        assert (cfg.sigma_min, cfg.lambda_u, cfg.weight_decay) == (1e-3, 0.01, 1e-7)
+
+
 class TestAudit:
     def test_supervised_gradient_audit(self, sup_data):
-        errs = audit_random_fields(sup_data, draws=5, loss_cfg=LossConfig(weight_decay=1e-4))
+        errs = audit_random_fields(sup_data, draws=5, cfg=TrainConfig(weight_decay=1e-4))
         assert max(errs) < 1e-4
 
     def test_student_gradient_audits(self, student_data, plain_student_data):
         for data in (plain_student_data, student_data):
-            errs = audit_random_fields(data, draws=5, loss_cfg=LossConfig(weight_decay=1e-4))
+            errs = audit_random_fields(data, draws=5, cfg=TrainConfig(weight_decay=1e-4))
             assert max(errs) < 1e-4
 
     def test_selfsup_gradient_audit(self, selfsup_data):
         errs = audit_random_fields(selfsup_data, draws=5,
-                                   loss_cfg=LossConfig(weight_decay=1e-4, lambda_u=0.05))
+                                   cfg=TrainConfig(weight_decay=1e-4, lambda_u=0.05))
         assert max(errs) < 1e-3
 
     def test_audit_keeps_heap_mapped_in_fresh_process(self):
@@ -313,7 +332,7 @@ class TestAudit:
         field = init_random(100, 4, 4, 25.0, 0.25)
         with pytest.raises(KinkStraddled, match="parameter 0 probe crossed a switch"):
             finite_diff_audit(selfsup_data, field, 1e-1,
-                              LossConfig(lambda_u=0.05, weight_decay=0.0))
+                              TrainConfig(lambda_u=0.05, weight_decay=0.0))
 
     def test_zero_learning_rate_leaves_field(self, sup_data):
         # harness sanity: gradients are computed but never applied
@@ -346,9 +365,9 @@ def _reference_step(data_term):
     """A stand-in for ``trainer._objective`` built on a reference data
     term, which leaves out the weight prior: the prior is added per grid,
     as it was before the grids were stacked."""
-    def objective(data, grids, loss_cfg, w, h):
-        loss, g_ld, g_ls = data_term(grids[0], grids[1], data, w, h, loss_cfg)
-        p_loss, p_ld, p_ls = _reference.prior_pair(grids[0], grids[1], loss_cfg)
+    def objective(data, grids, cfg, w, h):
+        loss, g_ld, g_ls = data_term(grids[0], grids[1], data, w, h, cfg)
+        p_loss, p_ld, p_ls = _reference.prior_pair(grids[0], grids[1], cfg.weight_decay)
         return loss + p_loss, np.stack([g_ld + p_ld, g_ls + p_ls])
     return objective
 
@@ -377,10 +396,10 @@ class TestObjectiveMatchesReference:
             assert 0 < seen.mean() < 0.25
         for seed, grid, lambda_u in ((0, 4, 0.05), (1, 8, 0.05), (2, 5, 0.0), (3, 3, 0.5)):
             field = init_random(seed, grid, grid, 25.0, 0.25)
-            lc = LossConfig(lambda_u=lambda_u, weight_decay=0.0)
-            loss, grad = trainer._objective(data, field.grids, lc, w, h)
+            cfg = TrainConfig(lambda_u=lambda_u, weight_decay=0.0)
+            loss, grad = trainer._objective(data, field.grids, cfg, w, h)
             ref_loss, ref_ld, ref_ls = _reference._selfsup_objective(
-                field.log_depth, field.log_sigma, data, w, h, lc)
+                field.log_depth, field.log_sigma, data, w, h, cfg)
             assert loss == ref_loss
             assert np.array_equal(grad[0], ref_ld)
             assert np.array_equal(grad[1], ref_ls)
@@ -392,10 +411,10 @@ class TestObjectiveMatchesReference:
         data = TrainData(triplets=gray.triplets + far.triplets, K=gray.K)
         for seed, lambda_u in ((0, 0.05), (1, 0.0)):
             field = init_random(seed, 4, 4, 25.0, 0.25)
-            lc = LossConfig(lambda_u=lambda_u, weight_decay=0.0)
-            loss, grad = trainer._objective(data, field.grids, lc, 32, 32)
+            cfg = TrainConfig(lambda_u=lambda_u, weight_decay=0.0)
+            loss, grad = trainer._objective(data, field.grids, cfg, 32, 32)
             ref_loss, ref_ld, ref_ls = _reference._selfsup_objective(
-                field.log_depth, field.log_sigma, data, 32, 32, lc)
+                field.log_depth, field.log_sigma, data, 32, 32, cfg)
             assert loss == ref_loss
             assert grad[0].tobytes() == ref_ld.tobytes()
             assert grad[1].tobytes() == ref_ls.tobytes()
@@ -403,7 +422,7 @@ class TestObjectiveMatchesReference:
     def test_training_run_matches_reference(self, monkeypatch):
         data = _triplet_bundle(**REFERENCE_CASES["rgb-64"])
         cfg = small_cfg(steps=20, grid=6,
-                        loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
+                        weight_decay=1e-6, lambda_u=0.05)
         field, report = train_member(data, cfg)
         monkeypatch.setattr(trainer, "_objective",
                             _reference_step(_reference._selfsup_objective))
@@ -435,7 +454,7 @@ class TestObjectiveMatchesReference:
         # a bundle pickled before or after its constants exist (for another
         # process) trains to the same bytes as the original
         data = TrainData(triplets=selfsup_data.triplets, K=selfsup_data.K)
-        cfg = small_cfg(steps=15, loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
+        cfg = small_cfg(steps=15, weight_decay=1e-6, lambda_u=0.05)
         before = pickle.dumps(data)
         field, report = train_member(data, cfg)
         after = pickle.dumps(data)
@@ -501,12 +520,12 @@ class TestLabelStepMatchesReference:
 
     def test_uncertain_student_step_within_ulps(self):
         data = _label_bundles()[Regime.UNCERTAIN_STUDENT]
-        lc = LossConfig(weight_decay=1e-6)
+        cfg = TrainConfig(weight_decay=1e-6)
         for seed in range(5):
             grids = init_random(seed, 4, 4, 25.0, 0.25).grids
-            loss, grad = trainer._objective(data, grids, lc, 24, 24)
+            loss, grad = trainer._objective(data, grids, cfg, 24, 24)
             ref_loss, ref_grad = _reference_step(_reference._label_objective)(
-                data, grids, lc, 24, 24)
+                data, grids, cfg, 24, 24)
             assert abs(loss - ref_loss) <= 4 * np.spacing(ref_loss)
             for got, want in ((grad[0], ref_grad[0]), (grad[1], ref_grad[1])):
                 assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max())
@@ -516,11 +535,11 @@ class TestLabelStepMatchesReference:
     def test_non_finite_masked_labels_leave_the_step(self, regime, bad):
         data = _label_bundles()[regime]
         poisoned = TrainData(frames=(data.frames[0], _poisoned(data.frames[1], bad)))
-        lc = LossConfig(weight_decay=1e-6)
+        cfg = TrainConfig(weight_decay=1e-6)
         for seed in range(3):
             grids = init_random(seed, 4, 4, 25.0, 0.25).grids
-            a_loss, a_grad = trainer._objective(data, grids, lc, 24, 24)
-            b_loss, b_grad = trainer._objective(poisoned, grids, lc, 24, 24)
+            a_loss, a_grad = trainer._objective(data, grids, cfg, 24, 24)
+            b_loss, b_grad = trainer._objective(poisoned, grids, cfg, 24, 24)
             assert a_loss == b_loss
             assert a_grad[0].tobytes() == b_grad[0].tobytes()
             assert a_grad[1].tobytes() == b_grad[1].tobytes()
@@ -663,7 +682,7 @@ class TestStackedParameters:
             data = (selfsup_data if case == "selfsup-16"
                     else _triplet_bundle(**REFERENCE_CASES["rgb-64"]))
             cfg = small_cfg(steps=15, grid=6,
-                            loss=LossConfig(weight_decay=1e-6, lambda_u=0.05))
+                            weight_decay=1e-6, lambda_u=0.05)
         field, report = train_member(data, cfg)
         ld, ls, losses = _reference.train_member(data, cfg)
         assert field.log_depth.tobytes() == ld.tobytes()
