@@ -36,9 +36,10 @@ def keep_heap_mapped() -> None:
     glibc's defaults, freeing them trims the heap (or unmaps them) and the
     next iteration faults the pages back in: three 15-step members trained
     at 256x256 take 94k minor page faults (5.2k with this call), and a
-    3-frame 256x256 ``write_dataset`` 15.3k (3.7k).  The mmap threshold is
-    fixed at 32 MiB, the ceiling of glibc's own dynamic threshold, and the
-    trim threshold at twice that, as glibc pairs them."""
+    3-frame 256x256 ``write_dataset`` in a fresh process 13.6k (3.0k).
+    The mmap threshold is fixed at 32 MiB, the ceiling of glibc's own
+    dynamic threshold, and the trim threshold at twice that, as glibc
+    pairs them."""
     libc = _glibc()
     if libc is not None:
         libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)

@@ -5,10 +5,12 @@ radial ridges (haustra-like folds), a procedural albedo texture, and a
 point light travelling with the camera (inverse-square falloff plus
 optional saturating specular discs).  Rays are sphere-traced against the
 implicit surface with a step of f / L, where L bounds the field's gradient
-norm over the lumen (:func:`_lipschitz`), so no step crosses the wall.
-Straight-tube configurations have closed-form oracle intersections and
-every reported hit re-substitutes into the surface equation to sub-micron
-residuals.
+norm over the lumen (:func:`_lipschitz`), and near the wall with a secant
+step from a bound M on the field's curvature along a ray
+(:func:`_secant_bounds`), which converges superlinearly there.  No step
+crosses the wall: every hit has 0 <= f < ``_TRACE_TOL``.  Straight-tube
+configurations have closed-form oracle intersections and every reported
+hit re-substitutes into the surface equation to sub-micron residuals.
 
 The generator also fabricates structure-from-motion style depth labels:
 globally rescaled, multiplicatively noised, with holes concentrated in
@@ -143,6 +145,29 @@ def _lipschitz(params: SceneParams) -> float:
     return np.hypot(1.0, axis_slope + ridge_slope)
 
 
+def _secant_bounds(params: SceneParams) -> tuple[float, float, float]:
+    """(M, f_sw, s_max) of the sphere trace's secant step (used in
+    :func:`_trace`).  Along a unit ray d, with q = p.xy - c(z), rho = |q|
+    and u = q / rho, the field g(t) = r(z) - rho has
+    g'' = r''(z) d_z^2 - (|q'|^2 - (u . q')^2) / rho + u . c''(z) d_z^2,
+    where q' = d.xy - c'(z) d_z, so |q'| <= 1 + max|c'|.  Where
+    f <= rho_min = (R - A) / 2, rho >= r(z) - rho_min >= rho_min, so
+    M = max|r''| + max|c''| + (1 + max|c'|)^2 / rho_min bounds |g''|, with
+    max|r''| = (A / 2) k^2 and max|c''| <= |A_c| f_c^2 hypot(1, 0.73^2).
+    f_sw = min(1 mm, rho_min / 2) is the field below which a ray may take
+    the secant step, and s_max = (rho_min - f_sw) / L caps the step, so a
+    segment that starts below f_sw stays where M holds.  The README scene
+    has M = 0.754, f_sw = 1 mm and s_max = 2.73 mm."""
+    amp, freq = params.curve_amp_mm, params.curve_freq
+    k = 2.0 * np.pi / params.ridge_period_mm
+    rho_min = 0.5 * (params.radius_mm - params.ridge_amp_mm)
+    M = (0.5 * params.ridge_amp_mm * k * k
+         + abs(amp) * freq * freq * np.hypot(1.0, 0.73 ** 2)
+         + (1.0 + abs(amp * freq) * np.hypot(1.0, 0.73)) ** 2 / rho_min)
+    f_sw = min(1.0, 0.5 * rho_min)
+    return M, f_sw, (rho_min - f_sw) / _lipschitz(params)
+
+
 def _wall_frame(params: SceneParams, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The unit radial direction (dx / rho, dy / rho) of points p, where
     (dx, dy) = p.xy - axis(p.z) and rho = sqrt(dx*dx + dy*dy), clamped
@@ -188,39 +213,58 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
     world ray directions.  Returns the (n_views, n) ray parameters t and
     hit flags; misses stop at the far-cap depth.
 
-    Each ray steps ``t += surface_field(o + t d) / L`` until it hits,
-    passes its cap or has taken ``_TRACE_MAX_ITERS`` steps of its own.
-    With u the unit radial direction of p.xy - c(z), the field's gradient
-    is (-u, r'(z) + u . c'(z)) and |u| = 1, so L = :func:`_lipschitz` =
-    hypot(1, max|r'| + max|c'|) bounds it, and a step of f / L stops short
-    of the wall (Hart 1996, "Sphere tracing").  At
-    most min(n, ``_RAY_BLOCK``) rays are live: rays that finish are frozen
-    in place and dropped once ``_TRACE_COMPACT_SHARE`` of the live set has
-    finished, and the freed slots take the next rays in view order.  A
-    view's rays are built when its first ray enters, so the grazing rays of
-    one view march alongside the bulk of the next ones.
+    Each ray steps t += s, with f = ``surface_field(o + t d)``, until it
+    hits (f < ``_TRACE_TOL``), passes its cap or has taken
+    ``_TRACE_MAX_ITERS`` steps of its own.  With u the unit radial
+    direction of p.xy - c(z), the field's gradient is (-u, r'(z) + u . c'(z))
+    and |u| = 1, so L = :func:`_lipschitz` = hypot(1, max|r'| + max|c'|)
+    bounds it, and s = f / L stops short of the wall (Hart 1996, "Sphere
+    tracing").  That step converges only linearly at the wall, so a ray
+    takes a secant step instead (in the spirit of Galin et al. 2020,
+    "Segment tracing using local Lipschitz bounds") when its previous
+    step s_prev is positive, both f and its previous field f_prev are
+    below f_sw, and a = (f - f_prev) / s_prev - M s_prev / 2 < 0:
+
+        s = max(f / L, min(s_max, 2 f / (sqrt(a^2 + 2 M f) - a))),
+
+    with M, f_sw and s_max from :func:`_secant_bounds`.  Both the last
+    step and the next one start below f_sw and are at most s_max long, so
+    f <= (R - A) / 2 along them and |g''| <= M for g(t) = f(o + t d).
+    Taylor's theorem then makes a a lower bound on g'(t), and
+    g(t + sigma) >= f + a sigma - M sigma^2 / 2 stays positive for every
+    sigma up to the secant step: it stops short of the wall too.  A ray
+    enters with s_prev = 0.
+
+    At most min(n, ``_RAY_BLOCK``) rays are live: rays that finish are
+    frozen in place and dropped once ``_TRACE_COMPACT_SHARE`` of the live
+    set has finished, and the freed slots take the next rays in view
+    order.  A view's rays are built when its first ray enters, so the
+    grazing rays of one view march alongside the bulk of the next ones.
 
     The live state is component-major: origins and directions are (3, m)
     arrays, so ``o + t d`` is three contiguous row operations, and a
-    compaction gathers every state array with one index list of the rays
-    still marching.  Each ray evaluates the field at the same points, with
-    the same operations, as a plain per-ray march, so no byte depends on
-    the layout."""
+    compaction gathers every state array, the rays' f_prev and s_prev
+    included, with one index list of the rays still marching.  Each ray
+    evaluates the field at the same points, with the same operations, as a
+    plain per-ray march, so no byte depends on the layout."""
     n = z_cam.size
     slots = min(n, _RAY_BLOCK)
     t = np.zeros((n_views, n))
     hit = np.zeros((n_views, n), dtype=bool)
     t_flat, hit_flat = t.reshape(-1), hit.reshape(-1)
     L = _lipschitz(params)
+    M, f_sw, s_max = _secant_bounds(params)
     cap_px = params.far_cap_mm / np.maximum(z_cam, 1e-9)
     # compacted state of the rays not yet dropped, in the order they
     # entered: their flat (view, pixel) indices, (3, m) origins and
     # directions, ray parameters, caps, the step before which they must
-    # stop, and whether they still march
+    # stop, their previous field values and steps, and whether they still
+    # march
     idx = np.zeros(0, dtype=np.int64)
     o, d = np.zeros((3, 0)), np.zeros((3, 0))
     tl, cap = np.zeros(0), np.zeros(0)
     stop = np.zeros(0, dtype=np.int64)
+    f_prev, s_prev = np.zeros(0), np.zeros(0)
     running = np.zeros(0, dtype=bool)
     n_running = 0
     entered = 0  # flat index of the next ray to enter
@@ -229,7 +273,8 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
         if n_running <= (1.0 - _TRACE_COMPACT_SHARE) * idx.size:
             t_flat[idx] = tl
             keep = np.flatnonzero(running)
-            parts = [[a.take(keep, axis=-1)] for a in (idx, o, d, tl, cap, stop)]
+            state = (idx, o, d, tl, cap, stop, f_prev, s_prev)
+            parts = [[a.take(keep, axis=-1)] for a in state]
             # refill the freed slots with the next rays, in view order
             free = slots - n_running
             while free and entered < t_flat.size:
@@ -241,12 +286,13 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
                 for part, new in zip(parts, (
                     np.arange(entered, entered + k), np.broadcast_to(origin[:, None], (3, k)),
                     dirs[rows].T, np.zeros(k), cap_px[rows],
-                    np.full(k, step + _TRACE_MAX_ITERS),
+                    np.full(k, step + _TRACE_MAX_ITERS), np.zeros(k), np.zeros(k),
                 )):
                     part.append(new)
                 entered += k
                 free -= k
-            idx, o, d, tl, cap, stop = (np.concatenate(part, axis=-1) for part in parts)
+            state = (np.concatenate(part, axis=-1) for part in parts)
+            idx, o, d, tl, cap, stop, f_prev, s_prev = state
             running = np.ones(idx.size, dtype=bool)
             n_running = idx.size
             if n_running == 0:
@@ -257,7 +303,16 @@ def _trace(params: SceneParams, z_cam: np.ndarray, n_views: int,
         newly_hit = running & (f < _TRACE_TOL)
         hit_flat[idx[newly_hit]] = True
         running &= ~newly_hit
-        np.add(tl, f / L, out=tl, where=running)
+        s = f / L
+        # the secant step, computed only for the rays that take it
+        sec = np.flatnonzero(running & (f < f_sw) & (f_prev < f_sw) & (s_prev > 0.0))
+        a = (f[sec] - f_prev[sec]) / s_prev[sec] - 0.5 * M * s_prev[sec]
+        sec, a = sec[a < 0.0], a[a < 0.0]
+        f_sec = f[sec]
+        secant = 2.0 * f_sec / (np.sqrt(a * a + 2.0 * M * f_sec) - a)
+        s[sec] = np.maximum(s[sec], np.minimum(s_max, secant))
+        np.add(tl, s, out=tl, where=running)
+        f_prev, s_prev = f, s
         running &= tl < cap
         step += 1
         if step >= stop[0]:  # the earliest entrants have run out of steps

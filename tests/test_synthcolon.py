@@ -149,13 +149,33 @@ def _loose_bound(params):
     return 1.0 + axis + ridge
 
 
-def _reference_trace(params, origins, dirs, z_cam, L):
-    """The original full-length sphere trace with step f / L: gathers and
-    scatters the active rays of the whole frame on every iteration."""
+def _secant_constants(params):
+    """(M, f_sw, s_max) of the secant step.  Along a unit ray d, with
+    q = p.xy - c(z) and rho = |q|, f'' = r''(z) d_z^2 - rho'' and
+    |rho''| <= |q'|^2 / rho + |c''(z)| d_z^2, where |q'| <= 1 + max|c'|.
+    Where f <= (R - A) / 2, rho >= r(z) - (R - A) / 2 >= (R - A) / 2."""
+    axis, _ = _slopes(params)
+    k = 2.0 * np.pi / params.ridge_period_mm
+    rho_min = 0.5 * (params.radius_mm - params.ridge_amp_mm)
+    M = (0.5 * params.ridge_amp_mm * k * k
+         + abs(params.curve_amp_mm) * params.curve_freq * params.curve_freq
+         * np.hypot(1.0, 0.73 ** 2)
+         + (1.0 + axis) ** 2 / rho_min)
+    f_sw = min(1.0, 0.5 * rho_min)
+    return M, f_sw, (rho_min - f_sw) / _tight_bound(params)
+
+
+def _reference_trace(params, origins, dirs, z_cam, L, M, f_sw, s_max):
+    """The original full-length sphere trace: gathers and scatters the
+    active rays of the whole frame on every iteration.  A ray steps by
+    f / L, or, where its last two field values lie below f_sw and the
+    slope bound a they give is negative, by the secant step
+    max(f / L, min(s_max, 2 f / (sqrt(a^2 + 2 M f) - a)))."""
     n = origins.shape[0]
     t = np.zeros(n)
     hit = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
+    f_prev, s_prev = np.zeros(n), np.zeros(n)
     t_cap = params.far_cap_mm / np.maximum(z_cam, 1e-9)
     for _ in range(synthcolon._TRACE_MAX_ITERS):
         if not active.any():
@@ -166,8 +186,16 @@ def _reference_trace(params, origins, dirs, z_cam, L):
         newly_hit = f < synthcolon._TRACE_TOL
         hit[idx[newly_hit]] = True
         active[idx[newly_hit]] = False
-        adv = idx[~newly_hit]
-        t[adv] += f[~newly_hit] / L
+        adv, f = idx[~newly_hit], f[~newly_hit]
+        step = f / L
+        sec = (s_prev[adv] > 0) & (f < f_sw) & (f_prev[adv] < f_sw)
+        f_sec, s = f[sec], s_prev[adv[sec]]
+        a = (f_sec - f_prev[adv[sec]]) / s - M * s / 2
+        secant = np.maximum(f_sec / L, np.minimum(
+            s_max, 2 * f_sec / (np.sqrt(a * a + 2 * M * f_sec) - a)))
+        step[sec] = np.where(a < 0, secant, step[sec])
+        t[adv] += step
+        f_prev[adv], s_prev[adv] = f, step
         over = t[adv] >= t_cap[adv]
         active[adv[over]] = False
     return t, hit
@@ -205,12 +233,13 @@ def _reference_value_noise(seed, pts, octaves):
 
 def _reference_args(trace_args):
     """Per view of a ``_trace(params, z_cam, n_views, view_rays)`` call,
-    the (params, origins, dirs, z_cam, L) that the reference trace takes,
-    with the bound the renderer should step with."""
+    the (params, origins, dirs, z_cam, L, M, f_sw, s_max) that the
+    reference trace takes, with the constants the renderer should step
+    with."""
     params, z_cam, n_views, view_rays = trace_args
     views = [view_rays(i) for i in range(n_views)]
     return [(params, np.broadcast_to(origin, dirs.shape), dirs, z_cam,
-             _tight_bound(params)) for origin, dirs in views]
+             _tight_bound(params), *_secant_constants(params)) for origin, dirs in views]
 
 
 def _reference_trace_views(*trace_args):
@@ -296,8 +325,8 @@ def _assert_views_match_reference(monkeypatch, params, poses, *view_args):
 
 class TestMatchesReference:
     def test_quick_start_frame(self, monkeypatch):
-        # frame 0 of the README quick-start scene: grazing rays keep the
-        # reference loop running for over a thousand iterations
+        # frame 0 of the README quick-start scene: its rays take both
+        # steps, and its reference loop runs 70 iterations
         params = SceneParams(seed=21)
         pose = generate_trajectory(params, 12, 1.0, sway_mm=2.5)[0]
         _assert_matches_reference(monkeypatch, params, pose, K64, 64, 64)
@@ -316,6 +345,14 @@ class TestMatchesReference:
         _assert_matches_reference(monkeypatch, params, pose, K64, 48, 48,
                                   LightModel(specular=True))
 
+    def test_steep_scene(self, monkeypatch):
+        # a scene whose curvature bound is large (M = 19.8 per mm), so
+        # that the cap s_max = 0.115 mm binds on some secant steps
+        params = SceneParams(curve_amp_mm=30.0, curve_freq=0.12, ridge_amp_mm=8.0,
+                             ridge_period_mm=6.0)
+        pose = generate_trajectory(params, 3, 1.0, sway_mm=2.5)[0]
+        _assert_matches_reference(monkeypatch, params, pose, K64, 48, 48)
+
     def test_empty_view(self):
         pts = np.zeros((4, 0, 3))
         noise = synthcolon._value_noise(0, pts, 3)
@@ -330,7 +367,7 @@ class TestMatchesReference:
         monkeypatch.setattr(synthcolon, "_TRACE_MAX_ITERS", 40)
         params = SceneParams(seed=11)
         pose = generate_trajectory(params, 3, 1.0)[0]
-        t, hit, (_, _, _, z_cam, _) = _assert_matches_reference(
+        t, hit, (_, _, _, z_cam, *_) = _assert_matches_reference(
             monkeypatch, params, pose, K64, 48, 48)
         exhausted = ~hit & (t * z_cam < params.far_cap_mm)
         assert exhausted.any() and hit.any()
@@ -345,11 +382,12 @@ class TestSharedMarch:
         _, hit, _, steps = _assert_views_match_reference(monkeypatch, params, poses,
                                                          K64, 64, 64)
         assert not hit.all()
-        # one march, not twelve: frame 0 alone takes over a thousand steps
-        assert steps < 2 * 1224
+        # one march, not twelve: the frames marched one after another take
+        # 886 steps, the shared march 271
+        assert steps < 886 // 2
 
     def test_late_rays_get_their_own_step_budget(self, monkeypatch):
-        # with 40 steps per ray, most rays of every view run out of steps;
+        # with 40 steps per ray, some rays of every view run out of steps;
         # a view's rays enter once an eighth of the live set has finished,
         # so a budget shared with the first view would cut them short
         monkeypatch.setattr(synthcolon, "_TRACE_MAX_ITERS", 40)
@@ -382,7 +420,7 @@ class TestSharedMarch:
         poses = generate_trajectory(params, 12, 1.0, sway_mm=2.5)
         (trace_args,) = _captured_calls(monkeypatch, "_trace", render_views, params,
                                         poses, K64, 64, 64)
-        assert _traced_depths(monkeypatch, trace_args)[3] == 1_559_133
+        assert _traced_depths(monkeypatch, trace_args)[3] == 811_644
 
     def test_no_poses(self):
         params = SceneParams(seed=11)
@@ -619,15 +657,46 @@ def _traced_depths(monkeypatch, trace_args):
     return depth, hit, ~hit & (depth < params.far_cap_mm), sum(points)
 
 
+def _plain_step(params):
+    """Secant constants under which no ray takes the secant step (f_sw =
+    0 lies below every field value a ray steps from): the plain f / L
+    march."""
+    return 1.0, 0.0, 0.0
+
+
+def _wall_error(trace_args, t, hit):
+    """|depth - wall depth| of the hits of one ``_trace`` call whose rays
+    leave the lumen within 0.1 mm past the hit, with the wall found by
+    bisecting the field along the ray."""
+    params, z_cam, n_views, view_rays = trace_args
+    errors = []
+    for i in range(n_views):
+        origin, dirs = view_rays(i)
+        t_hit, d, z = t[i][hit[i]], dirs[hit[i]], z_cam[hit[i]]
+        hi = t_hit + 0.1
+        out = surface_field(params, origin + hi[:, None] * d) < 0
+        lo, hi, d, z = t_hit[out], hi[out], d[out], z[out]
+        t_hit = lo
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            inside = surface_field(params, origin + mid[:, None] * d) >= 0
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        errors.append(np.abs(lo - t_hit) * z)
+    return np.concatenate(errors)
+
+
+_SCENES = pytest.mark.parametrize("params", [
+    SceneParams(), SceneParams(seed=11), SceneParams(seed=21),
+    SceneParams(curve_amp_mm=25.0, ridge_amp_mm=5.0),
+    SceneParams(curve_amp_mm=30.0, curve_freq=0.12, ridge_amp_mm=8.0,
+                ridge_period_mm=6.0),
+    SceneParams(curve_amp_mm=-10.0, seed=21), SceneParams(curve_freq=-0.05, seed=21),
+], ids=["default", "seed11", "seed21", "larger-amps", "steep", "negative-amp",
+        "negative-freq"])
+
+
 class TestStepBound:
-    @pytest.mark.parametrize("params", [
-        SceneParams(), SceneParams(seed=11), SceneParams(seed=21),
-        SceneParams(curve_amp_mm=25.0, ridge_amp_mm=5.0),
-        SceneParams(curve_amp_mm=30.0, curve_freq=0.12, ridge_amp_mm=8.0,
-                    ridge_period_mm=6.0),
-        SceneParams(curve_amp_mm=-10.0, seed=21), SceneParams(curve_freq=-0.05, seed=21),
-    ], ids=["default", "seed11", "seed21", "larger-amps", "steep", "negative-amp",
-            "negative-freq"])
+    @_SCENES
     def test_bound_holds_in_the_lumen(self, params):
         rng = np.random.default_rng(0)
         z = rng.uniform(-300.0, 300.0, 100_000)
@@ -658,15 +727,70 @@ class TestStepBound:
         params = SceneParams(radius_mm=10, curve_amp_mm=0, ridge_amp_mm=0)
         assert synthcolon._lipschitz(params) == 1.0 == _loose_bound(params)
 
+    @_SCENES
+    def test_curvature_bound_holds_near_the_wall(self, params):
+        # random points where f <= (R - A) / 2, on both sides of the wall,
+        # and random unit directions: the second difference of f along
+        # each direction stays within M
+        rng = np.random.default_rng(1)
+        M, f_sw, s_max = synthcolon._secant_bounds(params)
+        assert (M, f_sw, s_max) == _secant_constants(params)
+        half_gap = 0.5 * (params.radius_mm - params.ridge_amp_mm)
+        z = rng.uniform(-300.0, 300.0, 100_000)
+        theta = rng.uniform(0.0, 2.0 * np.pi, z.size)
+        rho = synthcolon._ridge_radius(params, z) + rng.uniform(-1.0, 1.0, z.size) * half_gap
+        cx, cy = synthcolon._axis_center(params, z)
+        pts = np.stack([cx + rho * np.cos(theta), cy + rho * np.sin(theta), z], -1)
+        assert (surface_field(params, pts) <= half_gap).all()
+        d = rng.normal(size=pts.shape)
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        h = 1e-3
+        second = (surface_field(params, pts + h * d) - 2.0 * surface_field(params, pts)
+                  + surface_field(params, pts - h * d)) / (h * h)
+        assert np.abs(second).max() <= M
+        # the cap keeps a segment that starts below f_sw where M holds
+        assert 0.0 < f_sw <= 0.5 * half_gap
+        assert f_sw + synthcolon._lipschitz(params) * s_max == pytest.approx(half_gap)
+
+    @pytest.mark.parametrize("n, w, K, plain_exhausted", [
+        (12, 64, K64, 0), (3, 256, CameraIntrinsics(192, 192, 127.5, 127.5), 2),
+    ], ids=["quick-start", "256"])
+    def test_secant_step_against_the_plain_step(self, monkeypatch, n, w, K,
+                                                plain_exhausted):
+        # the bench renders traced with the plain f / L step and with the
+        # renderer's: no ray runs out of steps, a ray whose hit flag
+        # differs ran out of steps in the plain trace, hits lie closer to
+        # the bisected wall, and the field is evaluated at most 0.55x as
+        # often
+        params = SceneParams(seed=21)
+        poses = generate_trajectory(params, n, 1.0, sway_mm=2.5)
+        (trace_args,) = _captured_calls(monkeypatch, "_trace", render_views, params,
+                                        poses, K, w, w)
+        depth, hit, exhausted, points = _traced_depths(monkeypatch, trace_args)
+        with monkeypatch.context() as m:
+            m.setattr(synthcolon, "_secant_bounds", _plain_step)
+            depth_plain, hit_plain, exhausted_plain, points_plain = _traced_depths(
+                monkeypatch, trace_args)
+        assert not exhausted.any()
+        assert exhausted_plain.sum() == plain_exhausted
+        flips = hit != hit_plain
+        assert exhausted_plain[flips].all()
+        z_cam = trace_args[1]
+        assert (np.median(_wall_error(trace_args, depth / z_cam, hit))
+                < np.median(_wall_error(trace_args, depth_plain / z_cam, hit_plain)))
+        assert points <= 0.55 * points_plain
+
     def test_tight_bound_moves_hits_within_the_tolerance(self, monkeypatch):
         # the README quick-start trajectory traced with the old bound and
-        # with the renderer's: depths agree where both hit, a ray that hits
-        # in only one trace ran out of steps in the other, and the tight
-        # bound evaluates the field at most 0.7x as often
+        # with the renderer's, both with the plain f / L step: depths agree
+        # where both hit, a ray that hits in only one trace ran out of steps
+        # in the other, and the tight bound evaluates the field at most 0.7x
+        # as often
         params = SceneParams(seed=21)
         poses = generate_trajectory(params, 12, 1.0, sway_mm=2.5)
         (trace_args,) = _captured_calls(monkeypatch, "_trace", render_views, params,
                                         poses, K64, 64, 64)
+        monkeypatch.setattr(synthcolon, "_secant_bounds", _plain_step)
         depth, hit, exhausted, steps = _traced_depths(monkeypatch, trace_args)
         with monkeypatch.context() as m:
             m.setattr(synthcolon, "_lipschitz", _loose_bound)
@@ -679,12 +803,11 @@ class TestStepBound:
         assert np.where(hit, exhausted_old, exhausted)[flips].all()
         assert steps <= 0.70 * steps_old
 
-    @pytest.mark.parametrize("params", [
-        SceneParams(curve_amp_mm=-10.0, seed=21), SceneParams(curve_freq=-0.05, seed=21),
-    ], ids=["negative-amp", "negative-freq"])
+    @_SCENES
     def test_hits_lie_on_the_wall(self, monkeypatch, params):
-        # the quick-start trajectory in a scene whose axis bends the other
-        # way: a bound that kept the sign would step through the wall
+        # the quick-start trajectory: no step crosses the wall, not even by
+        # less than the tolerance (a bound that kept the sign of a negative
+        # curve amplitude or frequency would step through it)
         poses = generate_trajectory(params, 12, 1.0, sway_mm=2.5)
         (trace_args,) = _captured_calls(monkeypatch, "_trace", render_views, params,
                                         poses, K64, 64, 64)
@@ -694,7 +817,7 @@ class TestStepBound:
         for i in range(len(poses)):
             origin, dirs = view_rays(i)
             f = surface_field(params, origin + t[i][hit[i], None] * dirs[hit[i]])
-            assert np.abs(f).max() <= synthcolon._TRACE_TOL
+            assert (f >= 0.0).all() and (f < synthcolon._TRACE_TOL).all()
 
 
 class TestTrajectory:
